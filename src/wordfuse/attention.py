@@ -7,7 +7,11 @@ add either of those change the semantics and must say so loudly.
 
 The masked branch adds, before the softmax, a matrix that is 0 in columns
 whose index is in omega (the key-character positions) and -inf elsewhere,
-so masked columns get an attention weight of exactly zero.
+so masked columns get an attention weight of exactly zero.  It computes
+keys, values and scores only at the omega positions: the softmax still sees
+the full n x n matrix (-inf outside omega), and the value product skips the
+masked columns, whose products with a zero weight are exact zeros that
+cannot change a pinned-order sum.
 """
 
 from __future__ import annotations
@@ -78,33 +82,43 @@ class AttentionWeights:
 
 
 def _head_probabilities(h, wq, wk, heads, mask):
-    h = as_matrix(h, "h")
+    """Per-head n x n probabilities and the visible columns (None: all of them).
+
+    Keys and scores are computed only at the visible columns.  Masked scores
+    are ``score / scale + 0.0``, as if the 0 / -inf mask had been added, so
+    the softmax input is the same matrix either way.
+    """
     n, d_h = h.shape
     if d_h % heads:
         raise ValueError(f"d_h={d_h} is not divisible by heads={heads}")
-    add = None
+    visible = None
     if mask is not None:
         if mask.n != n:
             raise ValueError(f"mask is for n={mask.n}, hidden matrix has n={n}")
-        add = mask_matrix(mask)
+        visible = np.array(sorted(mask.omega))
     q = matmul(h, wq)
-    k = matmul(h, wk)
+    k = matmul(h if visible is None else h[visible], wk)
     scale = math.sqrt(d_h)  # full width by definition, independent of heads
     width = d_h // heads
     probs = []
     for i in range(heads):
         cols = slice(i * width, (i + 1) * width)
         scores = matmul(q[:, cols], k[:, cols].T) / scale
-        if add is not None:
-            scores = scores + add
+        if visible is not None:
+            full = np.full((n, n), -np.inf)
+            full[:, visible] = scores + 0.0
+            scores = full
         probs.append(softmax_rows(scores))
-    return probs
+    return probs, visible
 
 
 def attend(h, wq, wk, wv, heads: int = 1, mask: MaskSpec | None = None) -> np.ndarray:
     """Self-attention with column-sliced heads, concatenated back in order."""
     h = as_matrix(h, "h")
-    probs = _head_probabilities(h, wq, wk, heads, mask)
+    probs, visible = _head_probabilities(h, wq, wk, heads, mask)
+    if visible is not None:
+        h = h[visible]
+        probs = [p[:, visible] for p in probs]
     v = matmul(h, wv)
     width = h.shape[1] // heads
     outs = [
@@ -115,7 +129,7 @@ def attend(h, wq, wk, wv, heads: int = 1, mask: MaskSpec | None = None) -> np.nd
 
 def masked_attention_weights(h, wq, wk, heads: int = 1, mask: MaskSpec | None = None) -> np.ndarray:
     """Post-softmax attention probabilities, shaped (heads, n, n)."""
-    return np.stack(_head_probabilities(h, wq, wk, heads, mask))
+    return np.stack(_head_probabilities(as_matrix(h, "h"), wq, wk, heads, mask)[0])
 
 
 def fuse_heads_output(h1, h2, mu: float) -> np.ndarray:

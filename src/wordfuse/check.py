@@ -146,16 +146,30 @@ def _check_softmax_stochastic(rng, cases, ctx: Context):
             _require(np.all(probs[:, c] == 0.0), f"masked column {c} not exactly zero")
 
 
+# signed zeros, subnormals and magnitudes whose products stay finite
+_MATMUL_EDGE_VALUES = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e-150, -1e-150, 1e150, -1e150]
+)
+
+
+def _matmul_operand(rng, shape) -> np.ndarray:
+    values = rng.standard_normal(shape) * 10.0 ** rng.choice([-150, 0, 150], size=shape)
+    pick = rng.uniform(size=shape) < 0.3
+    values[pick] = rng.choice(_MATMUL_EDGE_VALUES, size=int(pick.sum()))
+    return values
+
+
 def _check_matmul_oracle(rng, cases, ctx):
     for _ in range(cases):
         r, inner, c = (int(x) for x in rng.integers(1, 8, 3))
-        a = rng.standard_normal((r, inner))
-        b = rng.standard_normal((inner, c))
-        got = numerics.matmul(a, b)
-        want = _naive_matmul(a, b)
+        a = _matmul_operand(rng, (r, inner))
+        b = _matmul_operand(rng, (inner, c))
+        # compare bit patterns: == would let -0.0 pass for +0.0
+        got = numerics.matmul(a, b).view(np.uint64)
+        want = np.array(_naive_matmul(a, b)).view(np.uint64)
         for i in range(r):
             for j in range(c):
-                _require(got[i, j] == want[i][j], f"entry ({i},{j}) differs from naive loop")
+                _require(got[i, j] == want[i, j], f"entry ({i},{j}) differs from naive loop")
 
 
 def _check_cosine_scale_invariant(rng, cases, ctx):

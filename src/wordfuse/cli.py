@@ -93,19 +93,32 @@ def _load_segmentation(path: str) -> Segmentation:
     text = Path(path).read_text(encoding="utf-8").strip()
     if not text:
         raise ValueError(f"{path}: empty segmentation file")
-    # a plain JSON object, or the first record of a JSON-lines file
+    # a plain JSON object, or a JSON-lines file holding exactly one record
     try:
         record = json.loads(text)
-    except json.JSONDecodeError:
-        record = json.loads(text.splitlines()[0])
+    except json.JSONDecodeError as err:
+        try:
+            records = [json.loads(line) for line in text.splitlines() if line.strip()]
+        except json.JSONDecodeError:
+            raise ValueError(f"{path}: not valid JSON: {err}") from None
+        raise ValueError(f"{path}: {len(records)} records, fuse takes exactly one") from None
     if not isinstance(record, dict) or "sentence" not in record:
         raise ValueError(f"{path}: expected an object with a 'sentence' field")
     sentence = record["sentence"]
+    if not isinstance(sentence, str):
+        raise ValueError(f"{path}: sentence: expected a string")
     if "spans" in record:
-        spans = tuple(WordSpan(int(s), int(e)) for s, e in record["spans"])
-        return Segmentation(sentence, spans)
+        spans = record["spans"]
+        if not isinstance(spans, list) or not all(
+            isinstance(s, list) and len(s) == 2 and all(type(i) is int for i in s) for s in spans
+        ):
+            raise ValueError(f"{path}: spans: expected a list of [start, end] integer pairs")
+        return Segmentation(sentence, tuple(WordSpan(s, e) for s, e in spans))
     if "words" in record:
-        return segvote.validate_tokenization(sentence, record["words"])
+        words = record["words"]
+        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+            raise ValueError(f"{path}: words: expected a list of strings")
+        return segvote.validate_tokenization(sentence, words)
     raise ValueError(f"{path}: record needs either 'spans' or 'words'")
 
 
@@ -130,7 +143,11 @@ def cmd_fuse(args) -> int:
     lam = float(pick(args.lam, "lambda"))
     mu = float(pick(args.mu, "mu"))
     heads = int(pick(args.heads, "heads"))
-    debug = bool(pick(args.debug_intermediates, "debug_intermediates"))
+    debug = pick(args.debug_intermediates, "debug_intermediates")
+    if not isinstance(debug, bool):
+        return _fail(
+            f"{args.config}: debug_intermediates: expected true or false, got {json.dumps(debug)}"
+        )
 
     try:
         hidden = numerics.read_matrix(paths["hidden"])

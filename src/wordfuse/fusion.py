@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lexicon import EmbeddingTable, ProjectionWeights, lookup, project
+from .lexicon import EmbeddingTable, ProjectionWeights, _nfc, lookup, project_rows
 from .numerics import as_matrix, cosine
 from .segvote import Segmentation, WordSpan
 
@@ -33,7 +33,6 @@ class FusionConfig:
     lam: float = 0.9  # key-information retention in [0, 1]
     mu: float = 0.5  # attention fusion coefficient in [0, 1]
     heads: int = 1
-    seed: int = 42
     d_w: int | None = None
     d_h: int | None = None
     eps_denom: float = 1e-6  # score sums below this trigger uniform shares
@@ -156,6 +155,9 @@ def fuse_sequence(
     Returns the fused hidden matrix and the set of key-character indices
     (one per word; a single-character word contributes its sole index).
     Words cover disjoint rows, so processing order cannot change the result.
+    The sentence's distinct words (after NFC normalization) are projected in
+    one batched call; rows are independent, so each word vector is the same
+    bytes as a single-word ``project``.
     """
     h = as_matrix(h, "h")
     cfg.validate()
@@ -163,12 +165,14 @@ def fuse_sequence(
         raise ValueError(
             f"hidden matrix has {h.shape[0]} rows, sentence has {len(seg.sentence)} characters"
         )
+    words = [_nfc(word) for word in seg.words]
+    distinct = list(dict.fromkeys(words))
+    embedded = np.array([lookup(table, word) for word in distinct]).reshape(len(distinct), table.dim)
+    vectors = dict(zip(distinct, project_rows(embedded, weights)))
     out = h
     omega: set[int] = set()
-    for span in seg.spans:
-        word = seg.sentence[span.start : span.end + 1]
-        v = project(lookup(table, word), weights)
-        wa = analyze_word(out, span, v)
+    for span, word in zip(seg.spans, words):
+        wa = analyze_word(out, span, vectors[word])
         out = inject_word(out, wa, cfg)
         out = mix_word(out, span, wa.key, cfg.lam)
         omega.add(wa.key)

@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from . import numerics
-from .numerics import as_vector, matmul, require_finite
+from .numerics import as_matrix, as_vector, matmul, require_finite
 
 log = logging.getLogger(__name__)
 
@@ -134,13 +134,22 @@ class ProjectionWeights:
         return self.w1.shape[1]
 
 
+def project_rows(x, weights: ProjectionWeights) -> np.ndarray:
+    """tanh(X W1 + b1) W2 + b2 for a stack of word vectors, one per row.
+
+    Rows never mix under the pinned matmul order and tanh acts per element,
+    so row i equals ``project(x[i])`` byte for byte.
+    """
+    x = as_matrix(x, "x")
+    if x.shape[1] != weights.d_w:
+        raise ValueError(f"project expected length-{weights.d_w} vectors, got {x.shape[1]}")
+    hidden = np.tanh(matmul(x, weights.w1) + weights.b1)
+    return matmul(hidden, weights.w2) + weights.b2
+
+
 def project(x, weights: ProjectionWeights) -> np.ndarray:
     """tanh(x W1 + b1) W2 + b2 for a single word vector."""
-    x = as_vector(x, "x")
-    if x.shape[0] != weights.d_w:
-        raise ValueError(f"project expected a length-{weights.d_w} vector, got {x.shape[0]}")
-    hidden = np.tanh(matmul(x[None, :], weights.w1)[0] + weights.b1)
-    return matmul(hidden[None, :], weights.w2)[0] + weights.b2
+    return project_rows(as_vector(x, "x")[None, :], weights)[0]
 
 
 def _decode_tensor(name: str, obj, base_dir: Path) -> np.ndarray:
@@ -186,7 +195,7 @@ def save_bundle(tensors: Mapping[str, np.ndarray], path: str | os.PathLike) -> N
         raise ValueError(f"bundle is missing tensors {missing}")
     obj = {}
     for name in BUNDLE_TENSORS:
-        m = require_finite(numerics.as_matrix(tensors[name], name), name)
+        m = require_finite(as_matrix(tensors[name], name), name)
         obj[name] = {
             "rows": m.shape[0],
             "cols": m.shape[1],

@@ -3,6 +3,20 @@
 Everything here is deliberately boring: row-major float64 matrices,
 a portable PRNG, and a text matrix format.  The point is bit-level
 reproducibility across runs and platforms, not speed.
+
+``matmul`` pins its accumulation order: output entries sum their products
+over the inner index in ascending order, one rounded multiply and one
+rounded add per step, exactly like a naive triple loop.  Each step forms
+the outer product of one column of ``a`` and one row of ``b`` with
+``np.einsum("i,j->ij", ..., out=step)``.  With no summed index einsum
+forms each product with a single rounding, as the loop does; at most the
+sign of a zero product can differ (einsum may add the product to a zeroed
+output, which turns -0.0 into +0.0).  That sign never reaches the result:
+the accumulator starts at +0.0, and an IEEE sum is -0.0 only when both
+addends are -0.0, so the accumulator is never -0.0 and adding either zero
+leaves it unchanged.  Rows of ``a`` and columns of ``b`` are independent
+under this order, so a product of stacked operands equals the stacked
+products byte for byte.
 """
 
 from __future__ import annotations
@@ -70,6 +84,11 @@ def matmul(a, b) -> np.ndarray:
     order, one rounded multiply plus one rounded add per step.  That makes the
     result bit-identical to a naive triple loop with the inner index innermost,
     which is what the self-check suite compares against.
+
+    Step k writes the products ``a[:, k] * b[k, :]`` into one reused buffer
+    with a product-only einsum (no summed index, so no reassociation) and then
+    adds the buffer into the accumulator.  A zero product whose sign differs
+    from the loop's cannot change the sum; see the module docstring.
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
@@ -77,9 +96,12 @@ def matmul(a, b) -> np.ndarray:
         raise ValueError(
             f"matmul shape mismatch: {a.shape[0]}x{a.shape[1]} @ {b.shape[0]}x{b.shape[1]}"
         )
+    a_t = np.ascontiguousarray(a.T)
     out = np.zeros((a.shape[0], b.shape[1]))
+    step = np.empty_like(out)
     for k in range(a.shape[1]):
-        out += np.multiply.outer(a[:, k], b[k, :])
+        np.einsum("i,j->ij", a_t[k], b[k], out=step)
+        out += step
     return out
 
 

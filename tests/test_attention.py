@@ -139,6 +139,52 @@ class TestAttend:
         np.testing.assert_allclose(got, np.hstack(parts), rtol=0, atol=1e-12)
 
 
+def attend_full_mask(h, wq, wk, wv, heads, spec):
+    """The uncompacted masked branch: n x n scores plus mask_matrix(spec)."""
+    n, d_h = h.shape
+    q, k, v = numerics.matmul(h, wq), numerics.matmul(h, wk), numerics.matmul(h, wv)
+    width = d_h // heads
+    probs, outs = [], []
+    for i in range(heads):
+        cols = slice(i * width, (i + 1) * width)
+        scores = numerics.matmul(q[:, cols], k[:, cols].T) / np.sqrt(d_h)
+        p = numerics.softmax_rows(scores + attention.mask_matrix(spec))
+        probs.append(p)
+        outs.append(numerics.matmul(p, v[:, cols]))
+    return np.concatenate(outs, axis=1), np.stack(probs)
+
+
+class TestMaskedCompaction:
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_full_mask_path_bitwise(self, rng, heads):
+        for case in range(30):
+            n = int(rng.integers(1, 10))
+            d_h = heads * int(rng.integers(1, 4))
+            h = rng.standard_normal((n, d_h)) * 10.0 ** rng.integers(-2, 3)
+            if case % 5 == 0:
+                h[int(rng.integers(0, n))] = 0.0
+            wq, wk, wv = random_weight_set(rng, d_h)
+            sizes = {1, n, int(rng.integers(1, n + 1))}
+            for size in sorted(sizes):
+                spec = MaskSpec(n, frozenset(rng.choice(n, size=size, replace=False).tolist()))
+                want_out, want_probs = attend_full_mask(h, wq, wk, wv, heads, spec)
+                got_out = attention.attend(h, wq, wk, wv, heads, mask=spec)
+                got_probs = attention.masked_attention_weights(h, wq, wk, heads, spec)
+                assert got_out.tobytes() == want_out.tobytes()
+                assert got_probs.tobytes() == want_probs.tobytes()
+
+    def test_overflow_only_outside_omega_is_ignored(self):
+        # row 1's key and value overflow to inf; row 1 is outside omega, so
+        # it carries zero weight and is no longer computed at all
+        h = np.array([[1.0, 0.5], [1e200, 1e200], [0.5, -1.0]])
+        wq, wk, wv = np.eye(2) * 1e-200, np.eye(2) * 1e200, np.eye(2) * 1e200
+        spec = MaskSpec(3, frozenset({0, 2}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(numerics.matmul(h, wk)[1]).any()
+        out = attention.attend(h, wq, wk, wv, mask=spec)
+        assert np.isfinite(out).all()
+
+
 class TestFuseHeadsOutput:
     def test_mu_one_returns_first_branch(self, rng):
         h1, h2 = rng.standard_normal((4, 5)), rng.standard_normal((4, 5))

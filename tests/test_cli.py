@@ -250,6 +250,40 @@ class TestFuse:
         assert res.returncode == 0, res.stderr
         assert fuse_files["output"].exists()
 
+    @pytest.mark.parametrize(
+        ("record", "field"),
+        [
+            ({"sentence": "重庆人和中学", "spans": 5}, "spans"),
+            ({"sentence": 5, "spans": [[0, 1], [2, 5]]}, "sentence"),
+            ({"sentence": "ab", "words": "ab"}, "words"),
+        ],
+    )
+    def test_mistyped_segmentation_field_exits_one(self, fuse_files, tmp_path, record, field):
+        seg = tmp_path / "bad_seg.json"
+        seg.write_text(json.dumps(record, ensure_ascii=False), encoding="utf-8")
+        res = run_cli(*fuse_args(dict(fuse_files, segmentation=seg)))
+        assert res.returncode == 1, res.stderr
+        assert f"{seg}: {field}: " in res.stderr
+        assert not fuse_files["output"].exists()
+
+    def test_multi_record_segmentation_rejected(self, fuse_files, tmp_path):
+        record = json.dumps({"sentence": "重庆人和中学", "spans": [[0, 1], [2, 5]]}, ensure_ascii=False)
+        seg = tmp_path / "two.jsonl"
+        seg.write_text(f"{record}\n{record}\n", encoding="utf-8")
+        res = run_cli(*fuse_args(dict(fuse_files, segmentation=seg)))
+        assert res.returncode == 1, res.stderr
+        assert "2 records" in res.stderr
+        assert not fuse_files["output"].exists()
+
+    def test_config_debug_flag_must_be_boolean(self, fuse_files, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"debug_intermediates": "false"}), encoding="utf-8")
+        res = run_cli(*fuse_args(fuse_files), "--config", config)
+        assert res.returncode == 1, res.stderr
+        assert "debug_intermediates" in res.stderr
+        assert not fuse_files["output"].exists()
+        assert not (fuse_files["output"].parent / "fused.txt.mixed").exists()
+
     def test_missing_settings_listed(self):
         res = run_cli("fuse")
         assert res.returncode == 1

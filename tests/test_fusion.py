@@ -6,7 +6,7 @@ import pytest
 import oracles
 from wordfuse import fusion, lexicon, numerics
 from wordfuse.fusion import FusionConfig, WordAnalysis
-from wordfuse.segvote import Segmentation, WordSpan
+from wordfuse.segvote import Segmentation, WordSpan, validate_tokenization
 
 
 def random_analysis(rng, n, d_h, start, length):
@@ -199,6 +199,7 @@ class TestFuseSequence:
         entries = {
             "ab": np.array([1.0, -0.5, 0.25]),
             "c": np.array([-0.25, 0.75, 0.5]),
+            "\u0107": np.array([0.5, 0.125, -1.0]),
         }
         self.table = lexicon.EmbeddingTable(
             dim=3, vectors=entries, unk=np.zeros(3), duplicates=0
@@ -213,20 +214,41 @@ class TestFuseSequence:
         self.seg = Segmentation("abc", (WordSpan(0, 1), WordSpan(2, 2)))
         self.cfg = FusionConfig(d_w=3, d_h=4)
 
+    def per_word_reference(self, h, seg):
+        want = h.copy()
+        omega = set()
+        for span in seg.spans:
+            word = seg.sentence[span.start : span.end + 1]
+            v = lexicon.project(lexicon.lookup(self.table, word), self.weights)
+            wa = fusion.analyze_word(want, span, v)
+            omega.add(wa.key)
+            want = fusion.inject_word(want, wa, self.cfg)
+            want = fusion.mix_word(want, span, wa.key, self.cfg.lam)
+        return want, omega
+
     def test_composition_matches_manual_steps(self, rng):
         h = rng.standard_normal((3, 4))
         got, omega = fusion.fuse_sequence(h, self.seg, self.table, self.weights, self.cfg)
-
-        want = h.copy()
-        expect_omega = set()
-        for span in self.seg.spans:
-            word = self.seg.sentence[span.start : span.end + 1]
-            v = lexicon.project(lexicon.lookup(self.table, word), self.weights)
-            wa = fusion.analyze_word(want, span, v)
-            expect_omega.add(wa.key)
-            want = fusion.inject_word(want, wa, self.cfg)
-            want = fusion.mix_word(want, span, wa.key, self.cfg.lam)
+        want, expect_omega = self.per_word_reference(h, self.seg)
         assert np.array_equal(got, want)
+        assert omega == expect_omega
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            ["ab", "c", "ab", "ab", "c"],  # repeated words
+            ["\u00e9", "c", "e\u0301", "ab"],  # NFC-equivalent spellings of one OOV word
+            ["c\u0301", "ab", "c", "\u0107"],  # c + combining acute and precomposed c-acute
+            ["zz", "q", "zz"],  # repeated out-of-vocabulary words
+        ],
+    )
+    def test_batched_projection_matches_per_word(self, rng, words):
+        sentence = "".join(words)
+        seg = validate_tokenization(sentence, words)
+        h = rng.standard_normal((len(sentence), 4))
+        got, omega = fusion.fuse_sequence(h, seg, self.table, self.weights, self.cfg)
+        want, expect_omega = self.per_word_reference(h, seg)
+        assert got.tobytes() == want.tobytes()
         assert omega == expect_omega
 
     def test_omega_one_key_per_word(self, rng):

@@ -106,6 +106,31 @@ class TestProjection:
             )
             assert got == pytest.approx(want, abs=1e-15)
 
+    def test_project_rows_matches_single_rows_bitwise(self, rng):
+        for d_w, d_h, rows in ((1, 1, 1), (3, 5, 7), (200, 16, 9)):
+            weights = lexicon.ProjectionWeights(
+                w1=rng.standard_normal((d_w, d_h)),
+                b1=rng.standard_normal(d_h),
+                w2=rng.standard_normal((d_h, d_h)),
+                b2=rng.standard_normal(d_h),
+            )
+            x = rng.standard_normal((rows, d_w)) * 10.0 ** rng.integers(-3, 4, size=(rows, 1))
+            x[0] = 0.0
+            got = lexicon.project_rows(x, weights)
+            assert got.shape == (rows, d_h)
+            for i in range(rows):
+                want = lexicon.project(x[i], weights)
+                assert got[i].tobytes() == want.tobytes()
+
+    def test_project_rows_rejects_wrong_width(self, rng):
+        weights = lexicon.ProjectionWeights(
+            w1=rng.standard_normal((3, 4)), b1=np.zeros(4), w2=np.eye(4), b2=np.zeros(4)
+        )
+        with pytest.raises(ValueError):
+            lexicon.project_rows(np.zeros((2, 4)), weights)
+        with pytest.raises(ValueError):
+            lexicon.project(np.zeros(4), weights)
+
     def test_output_bounded_by_tanh_then_affine(self, rng):
         # with w2 = I and b2 = 0 the output is exactly tanh(x w1 + b1)
         d = 4

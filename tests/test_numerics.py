@@ -80,6 +80,24 @@ class TestInitMatrix:
             numerics.init_matrix(numerics.SplitMix64(1), 0, 4)
 
 
+# signed zeros, subnormals and magnitudes whose products stay finite
+MATMUL_EDGE_VALUES = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e-150, -1e-150, 1e150, -1e150, 1.0, -3.5]
+)
+
+
+def bits(m) -> np.ndarray:
+    """The IEEE bit patterns, so -0.0 and +0.0 compare unequal."""
+    return np.asarray(m, dtype=np.float64).view(np.uint64)
+
+
+def edge_operand(rng, shape) -> np.ndarray:
+    values = rng.standard_normal(shape) * 10.0 ** rng.choice([-150, 0, 150], size=shape)
+    pick = rng.uniform(size=shape) < 0.5
+    values[pick] = rng.choice(MATMUL_EDGE_VALUES, size=int(pick.sum()))
+    return values
+
+
 class TestMatmul:
     def test_bitwise_equal_to_triple_loop(self, rng):
         for _ in range(25):
@@ -88,7 +106,36 @@ class TestMatmul:
             b = rng.standard_normal((k, m))
             got = numerics.matmul(a, b)
             want = np.array(oracles.matmul_triple_loop(a.tolist(), b.tolist()))
-            assert np.array_equal(got, want), "accumulation order must match the naive loop"
+            assert np.array_equal(bits(got), bits(want)), "accumulation order must match the naive loop"
+
+    def test_bitwise_equal_on_zeros_subnormals_and_extremes(self, rng):
+        for _ in range(200):
+            n, k, m = rng.integers(1, 9, size=3)
+            a = edge_operand(rng, (n, k))
+            b = edge_operand(rng, (k, m))
+            got = numerics.matmul(a, b)
+            want = np.array(oracles.matmul_triple_loop(a.tolist(), b.tolist()))
+            assert np.isfinite(want).all()
+            assert np.array_equal(bits(got), bits(want))
+
+    def test_all_negative_zero_products_sum_to_positive_zero(self):
+        got = numerics.matmul(np.array([[-0.0, 0.0]]), np.array([[1.0], [-1.0]]))
+        assert bits(got).tolist() == [[0]]
+
+    def test_stacked_rows_and_columns_match_separate_products(self, rng):
+        a = edge_operand(rng, (6, 5))
+        b = edge_operand(rng, (5, 4))
+        whole = bits(numerics.matmul(a, b))
+        for i in range(6):
+            assert np.array_equal(whole[i], bits(numerics.matmul(a[i : i + 1], b))[0])
+        for j in range(4):
+            assert np.array_equal(whole[:, j], bits(numerics.matmul(a, b[:, j : j + 1]))[:, 0])
+
+    def test_non_contiguous_operands(self, rng):
+        a = rng.standard_normal((7, 9))[::2, 1::2]
+        b = rng.standard_normal((8, 6)).T[:4]
+        want = np.array(oracles.matmul_triple_loop(a.tolist(), b.tolist()))
+        assert np.array_equal(bits(numerics.matmul(a, b)), bits(want))
 
     def test_identity(self, rng):
         a = rng.standard_normal((5, 5))
