@@ -185,15 +185,20 @@ def _check_cosine_scale_invariant(rng, cases, ctx):
                  "sign changed under scaling")
 
 
-def _check_init_deterministic(rng, cases, ctx):
+def _check_init_matches_scalar_stream(rng, cases, ctx):
     for _ in range(cases):
-        seed = int(rng.integers(0, 2**63))
-        rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-        a = numerics.init_matrix(numerics.SplitMix64(seed), rows, cols)
-        b = numerics.init_matrix(numerics.SplitMix64(seed), rows, cols)
-        _require(np.array_equal(a, b), "same seed produced different matrices")
+        seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+        rows, cols = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        gen = numerics.SplitMix64(seed)
+        got = numerics.init_matrix(gen, rows, cols)
+        # the scalar generator, one draw at a time, is the reference stream
+        ref = numerics.SplitMix64(seed)
         bound = 1.0 / math.sqrt(cols)
-        _require(np.all(np.abs(a) <= bound), "entry outside the init bound")
+        want = np.array([(ref.next_unit() * 2.0 - 1.0) * bound for _ in range(rows * cols)])
+        _require(np.array_equal(got.ravel().view(np.uint64), want.view(np.uint64)),
+                 f"seed {seed}, {rows}x{cols}: entries differ from the scalar stream")
+        _require(gen.state == ref.state, f"seed {seed}, {rows}x{cols}: generator state not advanced")
+        _require(np.all(np.abs(got) <= bound), "entry outside the init bound")
 
 
 def _check_matrix_roundtrip(rng, cases, ctx):
@@ -405,7 +410,7 @@ PROPERTIES: list[tuple[str, Callable]] = [
     ("softmax rows sum to one and respect masks", _check_softmax_stochastic),
     ("matmul matches the naive triple loop bit-for-bit", _check_matmul_oracle),
     ("cosine is scale invariant", _check_cosine_scale_invariant),
-    ("seeded init is reproducible and bounded", _check_init_deterministic),
+    ("seeded init matches the scalar SplitMix64 stream", _check_init_matches_scalar_stream),
     ("matrix text format round-trips exactly", _check_matrix_roundtrip),
     ("vote always yields a valid deterministic partition", _check_vote_partition),
     ("unanimous voters keep their segmentation", _check_vote_unanimity),

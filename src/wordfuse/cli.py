@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -31,6 +32,13 @@ from .fusion import FusionConfig
 from .segvote import Segmentation, WordSpan
 
 FUSE_DEFAULTS = {"lambda": 0.9, "mu": 0.5, "heads": 1, "debug_intermediates": False}
+FUSE_PATHS = ("embeddings", "weights", "hidden", "segmentation", "output")
+
+# the JSON type each --config key must hold, checked by Python type: a JSON
+# true is a bool, not a number, and 2.7 is a float, not an integer
+_CONFIG_TYPES = {"lambda": "number", "mu": "number", "heads": "integer",
+                 "debug_intermediates": "boolean", **{key: "string" for key in FUSE_PATHS}}
+_JSON_TYPES = {"number": (int, float), "integer": (int,), "boolean": (bool,), "string": (str,)}
 
 
 def _fail(message: str) -> int:
@@ -38,7 +46,21 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _input_overwritten(outputs, inputs) -> tuple[str, str] | None:
+    """The first (output, input) pair that name the same existing file, if any."""
+    for out in outputs:
+        for path in inputs:
+            try:
+                if os.path.samefile(out, path):
+                    return out, path
+            except OSError:  # either file is absent: nothing to overwrite
+                continue
+    return None
+
+
 def cmd_vote(args) -> int:
+    if args.output and _input_overwritten([args.output], [args.input]):
+        return _fail(f"--output {args.output} is the input file; inputs are never overwritten")
     out_lines = []
     try:
         lines = Path(args.input).read_text(encoding="utf-8").splitlines()
@@ -122,32 +144,45 @@ def _load_segmentation(path: str) -> Segmentation:
     raise ValueError(f"{path}: record needs either 'spans' or 'words'")
 
 
+def _load_config(path: str) -> dict:
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(raw) - set(_CONFIG_TYPES))
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    for key, value in raw.items():
+        kind = _CONFIG_TYPES[key]
+        # a number must also fit a float: float() of a 400-digit integer raises OverflowError
+        if type(value) not in _JSON_TYPES[kind] or kind == "number" and abs(value) > sys.float_info.max:
+            raise ValueError(f"{path}: {key}: expected a JSON {kind}, got {json.dumps(value)}")
+    return raw
+
+
 def cmd_fuse(args) -> int:
-    file_cfg = {}
-    if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            return _fail(f"{args.config}: config must be a JSON object")
-        file_cfg = raw
+    file_cfg = _load_config(args.config) if args.config else {}
 
     def pick(flag_value, key):
         if flag_value is not None:
             return flag_value
         return file_cfg.get(key, FUSE_DEFAULTS.get(key))
 
-    paths = {key: pick(getattr(args, key), key) for key in
-             ("embeddings", "weights", "hidden", "segmentation", "output")}
+    paths = {key: pick(getattr(args, key), key) for key in FUSE_PATHS}
     missing = [key for key, value in paths.items() if not value]
     if missing:
         return _fail(f"missing required settings: {', '.join(sorted(missing))}")
     lam = float(pick(args.lam, "lambda"))
     mu = float(pick(args.mu, "mu"))
-    heads = int(pick(args.heads, "heads"))
+    heads = pick(args.heads, "heads")
     debug = pick(args.debug_intermediates, "debug_intermediates")
-    if not isinstance(debug, bool):
-        return _fail(
-            f"{args.config}: debug_intermediates: expected true or false, got {json.dumps(debug)}"
-        )
+
+    out = paths["output"]
+    outputs = [out]
+    if debug:
+        outputs += [f"{out}{suffix}" for suffix in (".mixed", ".h1", ".h2", ".omega.json")]
+    clash = _input_overwritten(outputs, [paths[key] for key in FUSE_PATHS if key != "output"])
+    if clash:
+        return _fail(f"output {clash[0]} is the input file {clash[1]}; inputs are never overwritten")
 
     try:
         hidden = numerics.read_matrix(paths["hidden"])
@@ -184,7 +219,6 @@ def cmd_fuse(args) -> int:
     except ValueError as err:
         return _fail(str(err))
 
-    out = paths["output"]
     numerics.write_matrix(result.fused, out)
     if debug:
         numerics.write_matrix(result.mixed, f"{out}.mixed")

@@ -22,7 +22,7 @@ import os
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -35,6 +35,10 @@ log = logging.getLogger(__name__)
 BUNDLE_TENSORS = ("W1", "b1", "W2", "b2", "Wq1", "Wk1", "Wv1", "Wq2", "Wk2", "Wv2")
 
 UNK_TOKEN = "<unk>"
+
+# JSON names of the types json.loads produces, for error messages
+_JSON_KINDS = {type(None): "null", bool: "boolean", int: "number", float: "number",
+               str: "string", list: "list", dict: "object"}
 
 
 def _nfc(word: str) -> str:
@@ -52,43 +56,95 @@ class EmbeddingTable:
         return _nfc(word) in self.vectors
 
 
-def load_embeddings(path: str | os.PathLike) -> EmbeddingTable:
-    """Load a word2vec-style text file; duplicate words keep the last vector."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise ValueError(f"{path}: line 1: empty file, expected 'count dim' header")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"{path}: line 1: malformed header {lines[0]!r}, expected 'count dim'")
-    try:
-        count, dim = int(header[0]), int(header[1])
-    except ValueError:
-        raise ValueError(f"{path}: line 1: non-integer header {lines[0]!r}") from None
-    if count < 0 or dim < 1:
-        raise ValueError(f"{path}: line 1: bad header values {count} {dim}")
-    if len(lines) - 1 != count:
-        raise ValueError(f"{path}: expected {count} entries, found {len(lines) - 1}")
+def _logical_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, text)`` for each line of a UTF-8 text file, one at a time.
 
-    vectors: dict[str, np.ndarray] = {}
-    duplicates = 0
-    for i, line in enumerate(lines[1:], start=2):
+    Lines split exactly where ``str.splitlines()`` splits the decoded text:
+    the file is read one ``\\n``-terminated piece at a time (UTF-8 never has
+    that byte inside a character) and each piece is split again, so CR, CRLF
+    and the other Unicode line boundaries (U+2028, ``\\x85``, ...) count as
+    they do for the whole text.
+    """
+    lineno = 0
+    with open(path, "rb") as f:
+        for piece in f:
+            try:
+                text = piece.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise ValueError(f"{path}: line {lineno + 1}: not valid UTF-8: {err.reason}") from None
+            for line in text.splitlines():
+                lineno += 1
+                yield lineno, line
+
+
+def load_embeddings(path: str | os.PathLike) -> EmbeddingTable:
+    """Load a word2vec-style text file; duplicate words keep the last vector.
+
+    The file is read line by line into one ``(count, dim)`` array, and each
+    table vector is a row of it.  Trailing whitespace-only lines are ignored;
+    a blank line before the last entry is an entry with no fields.  A wrong
+    header comes first, then a wrong number of entries, then the first bad
+    entry line, as if every line had been checked in order.
+    """
+    count = dim = None
+    words: list[str] = []
+    entries = 0  # entry lines so far, blank ones before a later entry included
+    blanks = 0  # blank lines not yet known to be inner or trailing
+    error = None  # first bad entry line; reported once the entry count is known to be right
+    for lineno, line in _logical_lines(path):
         parts = line.split()
+        if lineno == 1:
+            header = line
+        if not parts:
+            blanks += 1
+            continue
+        if count is None:
+            # the first non-blank line; it is the header only when it is line 1
+            fields = header.split()
+            if len(fields) != 2:
+                raise ValueError(f"{path}: line 1: malformed header {header!r}, expected 'count dim'")
+            try:
+                count, dim = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise ValueError(f"{path}: line 1: non-integer header {header!r}") from None
+            if count < 0 or dim < 1:
+                raise ValueError(f"{path}: line 1: bad header values {count} {dim}")
+            # grown as entries arrive: the header alone must not size an allocation
+            rows = np.empty((0, dim))
+            continue
+        if blanks and error is None:
+            error = f"line {lineno - blanks}: expected a word and {dim} values, got 0 fields"
+        entries += blanks + 1
+        blanks = 0
+        if error is not None or entries > count:
+            continue
         if len(parts) != dim + 1:
-            raise ValueError(
-                f"{path}: line {i}: expected a word and {dim} values, got {len(parts)} fields"
-            )
-        word = _nfc(parts[0])
+            error = f"line {lineno}: expected a word and {dim} values, got {len(parts)} fields"
+            continue
         try:
-            vec = np.array([float(tok) for tok in parts[1:]])
+            values = list(map(float, parts[1:]))
         except ValueError:
-            raise ValueError(f"{path}: line {i}: invalid number in vector") from None
-        if not np.isfinite(vec).all():
-            raise ValueError(f"{path}: line {i}: non-finite value in vector")
-        if word in vectors:
-            duplicates += 1
-        vectors[word] = vec
+            error = f"line {lineno}: invalid number in vector"
+            continue
+        if len(words) == len(rows):
+            grown = np.empty((min(count, 2 * len(rows) + 1), dim))
+            grown[: len(rows)] = rows
+            rows = grown
+        rows[len(words)] = values
+        words.append(_nfc(parts[0]))
+    if count is None:
+        raise ValueError(f"{path}: line 1: empty file, expected 'count dim' header")
+    if entries != count:
+        raise ValueError(f"{path}: expected {count} entries, found {entries}")
+    # the rows read all precede the first bad line, and row i sits on line i + 2
+    bad = np.flatnonzero(~np.isfinite(rows[: len(words)]).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: line {bad[0] + 2}: non-finite value in vector")
+    if error is not None:
+        raise ValueError(f"{path}: {error}")
+
+    vectors = dict(zip(words, rows))
+    duplicates = len(words) - len(vectors)
     if duplicates:
         log.warning("%s: %d duplicate words, last occurrence kept", path, duplicates)
 
@@ -155,21 +211,30 @@ def project(x, weights: ProjectionWeights) -> np.ndarray:
 def _decode_tensor(name: str, obj, base_dir: Path) -> np.ndarray:
     if isinstance(obj, str):
         return numerics.read_matrix(base_dir / obj)
+    where = f"bundle tensor {name!r}"
     if not isinstance(obj, dict):
-        raise ValueError(f"bundle tensor {name!r} must be an object or a path string")
-    try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except KeyError as missing:
-        raise ValueError(f"bundle tensor {name!r} is missing key {missing}") from None
-    if rows < 1 or cols < 1:
-        raise ValueError(f"bundle tensor {name!r} has bad dims {rows}x{cols}")
+        raise ValueError(f"{where}: expected an object or a path string, got {_JSON_KINDS[type(obj)]}")
+    for key in ("rows", "cols", "data"):
+        if key not in obj:
+            raise ValueError(f"{where}: {key}: missing")
+    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    for key, dim in (("rows", rows), ("cols", cols)):
+        # type(), not isinstance(): JSON true is not an integer, and 8.9 is not 8
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"{where}: {key}: expected a positive JSON integer, got {json.dumps(dim)}")
+    if not isinstance(data, list):
+        raise ValueError(f"{where}: data: expected a list of numbers, got {_JSON_KINDS[type(data)]}")
     if len(data) != rows * cols:
-        raise ValueError(
-            f"bundle tensor {name!r}: data length {len(data)} != {rows}*{cols}"
-        )
-    m = np.array([float(v) for v in data]).reshape(rows, cols)
+        raise ValueError(f"{where}: data: length {len(data)} != {rows}*{cols}")
+    if not set(map(type, data)) <= {int, float}:
+        i, bad = next((i, v) for i, v in enumerate(data) if type(v) not in (int, float))
+        raise ValueError(f"{where}: data: element {i}: expected a number, got {_JSON_KINDS[type(bad)]}")
+    try:
+        m = np.array(data, dtype=np.float64).reshape(rows, cols)
+    except OverflowError:
+        raise ValueError(f"{where}: data: integer too large for a float") from None
     if not np.isfinite(m).all():
-        raise ValueError(f"bundle tensor {name!r} contains non-finite entries")
+        raise ValueError(f"{where}: data: contains non-finite entries")
     return m
 
 
@@ -199,7 +264,7 @@ def save_bundle(tensors: Mapping[str, np.ndarray], path: str | os.PathLike) -> N
         obj[name] = {
             "rows": m.shape[0],
             "cols": m.shape[1],
-            "data": [float(v) for v in m.ravel()],
+            "data": m.ravel().tolist(),
         }
     Path(path).write_text(json.dumps(obj) + "\n", encoding="utf-8")
 

@@ -17,6 +17,10 @@ addends are -0.0, so the accumulator is never -0.0 and adding either zero
 leaves it unchanged.  Rows of ``a`` and columns of ``b`` are independent
 under this order, so a product of stacked operands equals the stacked
 products byte for byte.
+
+``init_matrix`` draws a block of the SplitMix64 stream at once from the
+closed form of its states; it yields the same bits as the scalar
+``SplitMix64`` loop (see its docstring).
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ from pathlib import Path
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _UNIT_SCALE = 1.0 / (1 << 53)
 
 # norms below this are treated as zero vectors
@@ -39,16 +46,21 @@ class SplitMix64:
 
     The state transition is plain 64-bit integer arithmetic, so streams can be
     reproduced exactly in any language. Doubles come from the top 53 bits.
+
+    The state only ever advances by the constant ``GAMMA``, so the k-th state
+    after ``s`` has the closed form ``s + k*GAMMA mod 2**64``.  ``init_matrix``
+    uses it to draw a whole matrix with array arithmetic; this class, one
+    draw at a time, is the reference stream that it is tested against.
     """
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def next_unit(self) -> float:
@@ -137,12 +149,34 @@ def cosine(u, v) -> float:
 
 
 def init_matrix(rng: SplitMix64, rows: int, cols: int) -> np.ndarray:
-    """Uniform entries in [-1/sqrt(cols), +1/sqrt(cols)], consumed row-major."""
+    """Uniform entries in [-1/sqrt(cols), +1/sqrt(cols)], consumed row-major.
+
+    Draws the whole block at once from the closed form of the stream: the
+    k-th state after ``rng.state`` is ``state + k*GAMMA mod 2**64``, so the
+    states, the three mixing steps and the ``>> 11`` are wrapping ``uint64``
+    array operations, which compute exactly what ``SplitMix64.next_u64``
+    computes with masked Python ints.  The top 53 bits convert to float64
+    exactly, and each entry then goes through the same float64 operations,
+    in the same order, as ``(next_unit() * 2.0 - 1.0) * bound``, so every
+    entry matches the scalar generator bit for bit.  ``rng.state`` then advances by ``rows * cols``
+    draws, leaving ``rng`` where the scalar loop would.
+    """
     if rows < 1 or cols < 1:
         raise ValueError(f"init_matrix needs positive dims, got {rows}x{cols}")
+    count = rows * cols
+    # array (not scalar) uint64 arithmetic: it wraps mod 2**64 without a warning
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(rng.state)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    rng.state = (rng.state + count * _GAMMA) & _MASK64
     bound = 1.0 / math.sqrt(cols)
-    data = [(rng.next_unit() * 2.0 - 1.0) * bound for _ in range(rows * cols)]
-    return np.array(data).reshape(rows, cols)
+    return ((z.astype(np.float64) * _UNIT_SCALE * 2.0 - 1.0) * bound).reshape(rows, cols)
 
 
 def write_matrix(m, path: str | os.PathLike) -> None:

@@ -8,7 +8,9 @@ route than the package's numpy kernels.  Keep them dumb.
 from __future__ import annotations
 
 import math
+import unicodedata
 from collections import Counter
+from pathlib import Path
 
 
 def matmul_triple_loop(a, b):
@@ -22,6 +24,48 @@ def matmul_triple_loop(a, b):
                 acc += a[i][k] * b[k][j]
             out[i][j] = acc
     return out
+
+
+def load_embeddings_whole_file(path):
+    """Reference for ``lexicon.load_embeddings`` that reads the whole text, then splits it.
+
+    Returns ``(dim, {word: [floats]}, duplicates)`` or raises ValueError with
+    the loader's message; the streamed loader must agree on both.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise ValueError(f"{path}: line 1: empty file, expected 'count dim' header")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise ValueError(f"{path}: line 1: malformed header {lines[0]!r}, expected 'count dim'")
+    try:
+        count, dim = int(header[0]), int(header[1])
+    except ValueError:
+        raise ValueError(f"{path}: line 1: non-integer header {lines[0]!r}") from None
+    if count < 0 or dim < 1:
+        raise ValueError(f"{path}: line 1: bad header values {count} {dim}")
+    if len(lines) - 1 != count:
+        raise ValueError(f"{path}: expected {count} entries, found {len(lines) - 1}")
+    vectors = {}
+    duplicates = 0
+    for i, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if len(parts) != dim + 1:
+            raise ValueError(
+                f"{path}: line {i}: expected a word and {dim} values, got {len(parts)} fields"
+            )
+        try:
+            vec = [float(tok) for tok in parts[1:]]
+        except ValueError:
+            raise ValueError(f"{path}: line {i}: invalid number in vector") from None
+        if not all(math.isfinite(v) for v in vec):
+            raise ValueError(f"{path}: line {i}: non-finite value in vector")
+        word = unicodedata.normalize("NFC", parts[0])
+        duplicates += word in vectors
+        vectors[word] = vec
+    return dim, vectors, duplicates
 
 
 def cosine_direct(u, v):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -120,6 +121,20 @@ class TestVote:
         before = (golden / "vote_record.jsonl").read_bytes()
         run_cli("vote", "--input", golden / "vote_record.jsonl")
         assert (golden / "vote_record.jsonl").read_bytes() == before
+
+    @pytest.mark.parametrize("alias", ["same path", "hard link"])
+    def test_output_that_is_the_input_refused(self, golden, tmp_path, alias):
+        src = tmp_path / "v.jsonl"
+        src.write_bytes((golden / "vote_record.jsonl").read_bytes())
+        out = src
+        if alias == "hard link":
+            out = tmp_path / "link.jsonl"
+            os.link(src, out)
+        before = src.read_bytes()
+        res = run_cli("vote", "--input", src, "--output", out)
+        assert res.returncode == 1, res.stderr
+        assert "inputs are never overwritten" in res.stderr
+        assert src.read_bytes() == before
 
 
 class TestInitWeights:
@@ -283,6 +298,64 @@ class TestFuse:
         assert "debug_intermediates" in res.stderr
         assert not fuse_files["output"].exists()
         assert not (fuse_files["output"].parent / "fused.txt.mixed").exists()
+
+    @pytest.mark.parametrize(
+        ("config", "named"),
+        [
+            ({"heads": 2.7}, "heads: expected a JSON integer, got 2.7"),
+            ({"heads": True}, "heads: expected a JSON integer, got true"),
+            ({"mu": "0.5"}, 'mu: expected a JSON number, got "0.5"'),
+            ({"lambda": False}, "lambda: expected a JSON number, got false"),
+            ({"output": 5}, "output: expected a JSON string, got 5"),
+            ({"mu": 10**400}, "mu: expected a JSON number, got 1000"),
+            ({"lamda": 0.1}, "unknown config keys: lamda"),
+        ],
+        ids=["fractional-heads", "boolean-heads", "string-mu", "boolean-lambda", "numeric-output",
+             "huge-integer-mu", "unknown-key"],
+    )
+    def test_config_values_strictly_typed(self, fuse_files, tmp_path, config, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        res = run_cli(*fuse_args(fuse_files), "--config", path)
+        assert res.returncode == 1, res.stderr
+        assert f"{path}: {named}" in res.stderr
+        assert not fuse_files["output"].exists()
+
+    @pytest.mark.parametrize(
+        ("mutate", "field"),
+        [
+            (lambda t: t["data"].__setitem__(0, None), "data"),
+            (lambda t: t.__setitem__("data", 5), "data"),
+            (lambda t: t.__setitem__("rows", None), "rows"),
+            (lambda t: t.__setitem__("data", [[v] for v in t["data"]]), "data"),
+            (lambda t: t["data"].__setitem__(3, "0.5"), "data"),
+            (lambda t: t["data"].__setitem__(5, True), "data"),
+            (lambda t: t.__setitem__("rows", 8.9), "rows"),
+        ],
+        ids=["null-element", "data-number", "rows-null", "nested-data", "string-element",
+             "boolean-element", "fractional-rows"],
+    )
+    def test_malformed_bundle_tensor_exits_one(self, fuse_files, tmp_path, mutate, field):
+        bundle = json.loads(fuse_files["weights"].read_text(encoding="utf-8"))
+        mutate(bundle["W2"])
+        bad = tmp_path / "bad_bundle.json"
+        bad.write_text(json.dumps(bundle), encoding="utf-8")
+        res = run_cli(*fuse_args(dict(fuse_files, weights=bad)))
+        assert res.returncode == 1, res.stderr
+        assert f"bundle tensor 'W2': {field}: " in res.stderr
+        assert not fuse_files["output"].exists()
+
+    @pytest.mark.parametrize("debug", [False, True])
+    def test_output_that_is_an_input_refused(self, fuse_files, debug):
+        # with --debug-intermediates, the .mixed side output must not land on an input either
+        out = fuse_files["output"]
+        hidden = out.parent / (out.name + ".mixed") if debug else out
+        hidden.write_bytes(fuse_files["hidden"].read_bytes())
+        before = hidden.read_bytes()
+        res = run_cli(*fuse_args(dict(fuse_files, hidden=hidden)), *(["--debug-intermediates"] if debug else []))
+        assert res.returncode == 1, res.stderr
+        assert "inputs are never overwritten" in res.stderr
+        assert hidden.read_bytes() == before
 
     def test_missing_settings_listed(self):
         res = run_cli("fuse")

@@ -9,6 +9,11 @@ from wordfuse import lexicon, numerics
 
 # Frozen digest of the seed-42 bundle with d_w=4, d_h=8 (also a golden file).
 BUNDLE_SEED42_SHA256 = "9f8414b535eb633ed1e72a46ff343d79a019f89a2219fd93c3abb9597d83f1a9"
+# Frozen digest of the float64 bytes of init_bundle(2022, 200, 768), tensors in
+# BUNDLE_TENSORS order, as the scalar SplitMix64 loop produced them.
+INIT_BUNDLE_2022_PAPER_SHAPE_SHA256 = (
+    "632c95599df0e5af75d421edaa17ddd33af832941202cd9f18d9fc295205a59b"
+)
 
 
 def write_embeddings(path, entries, dim):
@@ -82,6 +87,65 @@ class TestLoadEmbeddings:
         p = tmp_path / "e.txt"
         p.write_text("1 2\nfoo nan 1.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
+            lexicon.load_embeddings(p)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2 2\r\nfoo 1 2\r\nbar 3 4\r\n",  # CRLF
+            "2 2\rfoo 1 2\rbar 3 4",  # bare CR, no final newline
+            "2 2\nfoo 1 2\nbar 3 4\n \n\t\n\u3000\n",  # trailing whitespace-only lines
+            "2 2\nfoo 1 2\n\nbar 3 4\n",  # inner blank line
+            "3 2\nfoo 1 2\n\nbar 3 4\n",  # inner blank line counted as an entry
+            "2 2\nfoo 1\u20282\nbar 3 4\n",  # U+2028 splits a line
+            "3 2\nfoo 1 2\nx\x853 4\nbar 3 4\n",  # NEL splits a line
+            "3 2\nfoo 1 2\nbar 3 4\n",  # too few entries
+            "1 2\nfoo 1 2\nbar 3 4\n",  # too many entries
+            "1 2\nfoo 1 2\nbar 3 4 5\n",  # too many entries and a bad line: the count wins
+            "3 2\nfoo 1 2\nbar inf 4\nbaz 5 6\n",  # located non-finite value
+            "3 2\nfoo 1 2\nbar 1e400 4\nbaz x 6\n",  # non-finite before an invalid number
+            "3 2\nfoo 1 2\nbar 3 4 5\nbaz nan 6\n",  # bad field count before a non-finite value
+            "3 2\nfoo 1 2\nbar 1_0 -0.0\nfoo 5 6\n",  # float() spellings and a duplicate
+            "2 2\ne\u0301 1 2\n\u00e9 3 4\n",  # duplicate after NFC
+            " \n2 2\nfoo 1 2\n",  # blank header line
+            " \n\n",  # whitespace only
+            "0 3\n",  # empty table
+            "2 0\n",  # bad header values
+        ],
+    )
+    def test_streamed_reader_matches_whole_file_reader(self, tmp_path, text):
+        p = tmp_path / "e.txt"
+        p.write_bytes(text.encode("utf-8"))
+        try:
+            dim, vectors, duplicates = oracles.load_embeddings_whole_file(p)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                lexicon.load_embeddings(p)
+            assert str(got.value) == str(err)
+            return
+        table = lexicon.load_embeddings(p)
+        assert (table.dim, table.duplicates) == (dim, duplicates)
+        assert list(table.vectors) == list(vectors)
+        for word, vec in vectors.items():
+            assert table.vectors[word].tobytes() == np.array(vec).tobytes()
+
+    @pytest.mark.parametrize(
+        ("header", "message"),
+        [
+            ("999999999999 2", "expected 999999999999 entries, found 1"),
+            ("1 999999999999", "line 2: expected a word and 999999999999 values, got 3 fields"),
+        ],
+    )
+    def test_huge_header_fails_without_allocating(self, tmp_path, header, message):
+        p = tmp_path / "e.txt"
+        p.write_text(f"{header}\nfoo 1 2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            lexicon.load_embeddings(p)
+
+    def test_invalid_utf8_names_line(self, tmp_path):
+        p = tmp_path / "e.txt"
+        p.write_bytes(b"2 2\nfoo 1 2\nb\xffr 3 4\n")
+        with pytest.raises(ValueError, match="line 3: not valid UTF-8"):
             lexicon.load_embeddings(p)
 
 
@@ -185,6 +249,13 @@ class TestBundle:
         path = tmp_path / "bundle.json"
         lexicon.save_bundle(lexicon.init_bundle(42, 4, 8), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == BUNDLE_SEED42_SHA256
+
+    def test_init_bundle_paper_shape_bytes_frozen(self):
+        bundle = lexicon.init_bundle(2022, 200, 768)
+        digest = hashlib.sha256()
+        for name in lexicon.BUNDLE_TENSORS:
+            digest.update(np.ascontiguousarray(bundle[name], dtype="<f8").tobytes())
+        assert digest.hexdigest() == INIT_BUNDLE_2022_PAPER_SHAPE_SHA256
 
     def test_golden_bundle_matches_checksum(self, golden):
         digest = hashlib.sha256((golden / "bundle_seed42.json").read_bytes()).hexdigest()

@@ -79,6 +79,17 @@ class TestInitMatrix:
         with pytest.raises(ValueError):
             numerics.init_matrix(numerics.SplitMix64(1), 0, 4)
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2022])
+    @pytest.mark.parametrize(("rows", "cols"), [(1, 1), (7, 13), (317, 331)])
+    def test_matches_scalar_stream_bitwise(self, seed, rows, cols):
+        vectorised = numerics.SplitMix64(seed)
+        got = numerics.init_matrix(vectorised, rows, cols)
+        scalar = numerics.SplitMix64(seed)
+        bound = 1.0 / math.sqrt(cols)
+        want = np.array([(scalar.next_unit() * 2.0 - 1.0) * bound for _ in range(rows * cols)])
+        assert np.array_equal(bits(got.ravel()), bits(want))
+        assert vectorised.state == scalar.state
+
 
 # signed zeros, subnormals and magnitudes whose products stay finite
 MATMUL_EDGE_VALUES = np.array(
