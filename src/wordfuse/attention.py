@@ -24,7 +24,7 @@ import numpy as np
 
 from .fusion import FusionConfig, fuse_sequence
 from .lexicon import EmbeddingTable, projection_from_bundle
-from .numerics import as_matrix, matmul, require_finite, softmax_rows
+from .numerics import as_matrix, matmul, require_finite, require_finite_result, softmax_rows
 from .segvote import Segmentation
 
 
@@ -86,7 +86,8 @@ def _head_probabilities(h, wq, wk, heads, mask):
 
     Keys and scores are computed only at the visible columns.  Masked scores
     are ``score / scale + 0.0``, as if the 0 / -inf mask had been added, so
-    the softmax input is the same matrix either way.
+    the softmax input is the same matrix either way.  Scores that overflow
+    are a ValueError naming the branch, raised before the softmax sees them.
     """
     n, d_h = h.shape
     if d_h % heads:
@@ -104,6 +105,7 @@ def _head_probabilities(h, wq, wk, heads, mask):
     for i in range(heads):
         cols = slice(i * width, (i + 1) * width)
         scores = matmul(q[:, cols], k[:, cols].T) / scale
+        require_finite_result(scores, f"{_branch(mask)} attention scores")
         if visible is not None:
             full = np.full((n, n), -np.inf)
             full[:, visible] = scores + 0.0
@@ -112,8 +114,16 @@ def _head_probabilities(h, wq, wk, heads, mask):
     return probs, visible
 
 
+def _branch(mask: MaskSpec | None) -> str:
+    return "plain" if mask is None else "masked"
+
+
 def attend(h, wq, wk, wv, heads: int = 1, mask: MaskSpec | None = None) -> np.ndarray:
-    """Self-attention with column-sliced heads, concatenated back in order."""
+    """Self-attention with column-sliced heads, concatenated back in order.
+
+    An overflow in the scores or in the output is a ValueError naming the
+    branch and the step.
+    """
     h = as_matrix(h, "h")
     probs, visible = _head_probabilities(h, wq, wk, heads, mask)
     if visible is not None:
@@ -124,7 +134,7 @@ def attend(h, wq, wk, wv, heads: int = 1, mask: MaskSpec | None = None) -> np.nd
     outs = [
         matmul(p, v[:, i * width : (i + 1) * width]) for i, p in enumerate(probs)
     ]
-    return np.concatenate(outs, axis=1)
+    return require_finite_result(np.concatenate(outs, axis=1), f"{_branch(mask)} attention output")
 
 
 def masked_attention_weights(h, wq, wk, heads: int = 1, mask: MaskSpec | None = None) -> np.ndarray:
@@ -163,14 +173,21 @@ def pipeline_forward(
     bundle: Mapping[str, np.ndarray],
     cfg: FusionConfig,
 ) -> PipelineResult:
-    """The whole pipeline: fuse words in, then both attention branches."""
+    """The whole pipeline: fuse words in, then both attention branches.
+
+    An overflow is a ValueError naming the first stage whose result holds
+    inf or NaN.  NumPy's overflow warnings are silenced meanwhile: the stages
+    check their own results.  The branch fusion is a convex combination of
+    finite values and needs no check.
+    """
     cfg.validate()
     projection = projection_from_bundle(bundle)
     attn = AttentionWeights.from_bundle(bundle)
-    mixed, omega = fuse_sequence(h, seg, table, projection, cfg)
-    mask = MaskSpec(n=mixed.shape[0], omega=frozenset(omega))
-    h1 = attend(mixed, attn.wq1, attn.wk1, attn.wv1, cfg.heads, mask=None)
-    h2 = attend(mixed, attn.wq2, attn.wk2, attn.wv2, cfg.heads, mask=mask)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mixed, omega = fuse_sequence(h, seg, table, projection, cfg)
+        mask = MaskSpec(n=mixed.shape[0], omega=frozenset(omega))
+        h1 = attend(mixed, attn.wq1, attn.wk1, attn.wv1, cfg.heads, mask=None)
+        h2 = attend(mixed, attn.wq2, attn.wk2, attn.wv2, cfg.heads, mask=mask)
     fused = fuse_heads_output(h1, h2, cfg.mu)
     return PipelineResult(
         mixed=mixed, omega=tuple(sorted(omega)), h1=h1, h2=h2, fused=fused

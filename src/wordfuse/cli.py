@@ -20,9 +20,13 @@ Exit codes: 0 success, 1 user or data error (including failed checks),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import pickle
+import signal
 import sys
+import warnings
 from pathlib import Path
 
 from . import check as checkmod
@@ -40,6 +44,8 @@ _CONFIG_TYPES = {"lambda": "number", "mu": "number", "heads": "integer",
                  "debug_intermediates": "boolean", **{key: "string" for key in FUSE_PATHS}}
 _JSON_TYPES = {"number": (int, float), "integer": (int,), "boolean": (bool,), "string": (str,)}
 
+_FUSE_CLASH = "output {} is the input file {}; inputs are never overwritten"
+
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -56,6 +62,71 @@ def _input_overwritten(outputs, inputs) -> tuple[str, str] | None:
             except OSError:  # either file is absent: nothing to overwrite
                 continue
     return None
+
+
+def _outcome(fn, args) -> tuple:
+    try:
+        return fn(*args), None
+    except Exception as err:  # noqa: BLE001 - raised again where the result is read
+        return None, err
+
+
+def _result(outcome: tuple):
+    value, err = outcome
+    if err is not None:
+        raise err
+    return value
+
+
+@contextlib.contextmanager
+def _in_child(fn, *args):
+    """Start ``fn(*args)`` in a forked child; yield a function returning its result.
+
+    The child inherits ``fn``, so closures work: only the result, or the
+    exception ``fn`` raised, is pickled back through a pipe, and reading the
+    result raises that exception here.  A child that ends without a result
+    is a RuntimeError.  Leaving the block kills and reaps the child.  Where
+    ``os.fork`` does not exist, ``fn`` runs at once and its exception waits
+    until the result is read, so errors are reported in the same order.
+    """
+    if not hasattr(os, "fork"):
+        outcome = _outcome(fn, args)
+        yield lambda: _result(outcome)
+        return
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns about forking while BLAS threads exist; the child
+        # never calls BLAS and leaves through os._exit
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(_outcome(fn, args), pickle.HIGHEST_PROTOCOL))
+        finally:
+            os._exit(0)  # skip the parent's cleanup handlers and buffered output
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+
+        def result():
+            try:
+                outcome = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"{fn.__name__} ended in a child process without a result") from None
+            return _result(outcome)
+
+        try:
+            yield result
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _load_weights(path: str) -> tuple[dict, list]:
+    """The bundle's tensors and the matrix files it names, which are inputs too."""
+    matrix_files = []
+    return lexicon.load_bundle(path, matrix_files), matrix_files
 
 
 def cmd_vote(args) -> int:
@@ -182,24 +253,30 @@ def cmd_fuse(args) -> int:
         outputs += [f"{out}{suffix}" for suffix in (".mixed", ".h1", ".h2", ".omega.json")]
     clash = _input_overwritten(outputs, [paths[key] for key in FUSE_PATHS if key != "output"])
     if clash:
-        return _fail(f"output {clash[0]} is the input file {clash[1]}; inputs are never overwritten")
+        return _fail(_FUSE_CLASH.format(*clash))
 
-    try:
-        hidden = numerics.read_matrix(paths["hidden"])
-    except ValueError as err:
-        return _fail(f"hidden states: {err}")
-    try:
-        seg = _load_segmentation(paths["segmentation"])
-    except ValueError as err:
-        return _fail(f"segmentation: {err}")
-    try:
-        table = lexicon.load_embeddings(paths["embeddings"])
-    except ValueError as err:
-        return _fail(f"embeddings: {err}")
-    try:
-        bundle = lexicon.load_bundle(paths["weights"])
-    except ValueError as err:
-        return _fail(f"weight bundle: {err}")
+    # the bundle parses in a second process while this one reads the other
+    # inputs; errors are still reported in input order
+    with _in_child(_load_weights, paths["weights"]) as weights:
+        try:
+            hidden = numerics.read_matrix(paths["hidden"])
+        except ValueError as err:
+            return _fail(f"hidden states: {err}")
+        try:
+            seg = _load_segmentation(paths["segmentation"])
+        except ValueError as err:
+            return _fail(f"segmentation: {err}")
+        try:
+            table = lexicon.load_embeddings(paths["embeddings"])
+        except ValueError as err:
+            return _fail(f"embeddings: {err}")
+        try:
+            bundle, matrix_files = weights()
+        except ValueError as err:
+            return _fail(f"weight bundle: {err}")
+    clash = _input_overwritten(outputs, matrix_files)
+    if clash:
+        return _fail(_FUSE_CLASH.format(*clash))
 
     d_h = hidden.shape[1]
     w1 = bundle["W1"]
@@ -213,9 +290,9 @@ def cmd_fuse(args) -> int:
             f"weight bundle: attention matrices are "
             f"{bundle['Wq1'].shape[0]}x{bundle['Wq1'].shape[1]}, expected {d_h}x{d_h}"
         )
+    cfg = FusionConfig(lam=lam, mu=mu, heads=heads, d_w=table.dim, d_h=d_h)
     try:
-        cfg = FusionConfig(lam=lam, mu=mu, heads=heads, d_w=table.dim, d_h=d_h).validate()
-        result = pipeline_forward(hidden, seg, table, bundle, cfg)
+        result = pipeline_forward(hidden, seg, table, bundle, cfg)  # validates cfg
     except ValueError as err:
         return _fail(str(err))
 

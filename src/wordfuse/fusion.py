@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lexicon import EmbeddingTable, ProjectionWeights, _nfc, lookup, project_rows
-from .numerics import as_matrix, cosine
+from .numerics import as_matrix, cosine, require_finite_result
 from .segvote import Segmentation, WordSpan
 
 
@@ -157,7 +157,8 @@ def fuse_sequence(
     Words cover disjoint rows, so processing order cannot change the result.
     The sentence's distinct words (after NFC normalization) are projected in
     one batched call; rows are independent, so each word vector is the same
-    bytes as a single-word ``project``.
+    bytes as a single-word ``project``.  An overflow in the projection or in
+    injection and mixing is a ValueError naming that stage.
     """
     h = as_matrix(h, "h")
     cfg.validate()
@@ -168,7 +169,8 @@ def fuse_sequence(
     words = [_nfc(word) for word in seg.words]
     distinct = list(dict.fromkeys(words))
     embedded = np.array([lookup(table, word) for word in distinct]).reshape(len(distinct), table.dim)
-    vectors = dict(zip(distinct, project_rows(embedded, weights)))
+    projected = require_finite_result(project_rows(embedded, weights), "word projection")
+    vectors = dict(zip(distinct, projected))
     out = h
     omega: set[int] = set()
     for span, word in zip(seg.spans, words):
@@ -176,4 +178,4 @@ def fuse_sequence(
         out = inject_word(out, wa, cfg)
         out = mix_word(out, span, wa.key, cfg.lam)
         omega.add(wa.key)
-    return out, omega
+    return require_finite_result(out, "word injection and mixing"), omega

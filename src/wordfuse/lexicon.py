@@ -238,8 +238,13 @@ def _decode_tensor(name: str, obj, base_dir: Path) -> np.ndarray:
     return m
 
 
-def load_bundle(path: str | os.PathLike) -> dict[str, np.ndarray]:
-    """Read a weight bundle; every tensor in BUNDLE_TENSORS must be present."""
+def load_bundle(path: str | os.PathLike, matrix_files: list[Path] | None = None) -> dict[str, np.ndarray]:
+    """Read a weight bundle; every tensor in BUNDLE_TENSORS must be present.
+
+    When ``matrix_files`` is given, the resolved path of every tensor stored
+    as a matrix file is appended to it, so callers can treat those files as
+    inputs too without parsing the bundle again.
+    """
     p = Path(path)
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
@@ -250,7 +255,10 @@ def load_bundle(path: str | os.PathLike) -> dict[str, np.ndarray]:
     missing = [name for name in BUNDLE_TENSORS if name not in raw]
     if missing:
         raise ValueError(f"{path}: bundle is missing tensors {missing}")
-    return {name: _decode_tensor(name, raw[name], p.parent) for name in BUNDLE_TENSORS}
+    tensors = {name: _decode_tensor(name, raw[name], p.parent) for name in BUNDLE_TENSORS}
+    if matrix_files is not None:
+        matrix_files += [p.parent / raw[name] for name in BUNDLE_TENSORS if isinstance(raw[name], str)]
+    return tensors
 
 
 def save_bundle(tensors: Mapping[str, np.ndarray], path: str | os.PathLike) -> None:

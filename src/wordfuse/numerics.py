@@ -89,6 +89,13 @@ def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def require_finite_result(m: np.ndarray, stage: str) -> np.ndarray:
+    """``m`` itself, or a ValueError naming the stage whose result overflowed."""
+    if not np.isfinite(m).all():
+        raise ValueError(f"overflow in {stage}: result has inf or NaN entries")
+    return m
+
+
 def matmul(a, b) -> np.ndarray:
     """Matrix product with a pinned accumulation order.
 

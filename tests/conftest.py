@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -17,3 +18,16 @@ def golden() -> Path:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no children at all
+        return
+    pytest.fail(f"the test left a child process behind ({f'pid {pid}, exited' if pid else 'still running'})")

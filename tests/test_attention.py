@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -293,3 +295,26 @@ class TestPipelineForward:
         snapshot = h.copy()
         attention.pipeline_forward(h, seg, table, bundle, FusionConfig(d_w=3, d_h=4))
         assert np.array_equal(h, snapshot)
+
+    @pytest.mark.parametrize(
+        ("stage", "h_value", "tensors"),
+        [
+            ("word projection", 1.0, {"W1": np.tile([[1e300], [-1e300], [0.0]], (1, 4))}),
+            ("word injection and mixing", 1e308, {}),
+            ("plain attention scores", 1e200, {}),
+            ("plain attention output", 10.0, {"Wv1": np.full((4, 4), 1e308)}),
+            ("masked attention scores", 1.0, {"Wq2": np.eye(4) * 1e200, "Wk2": np.eye(4) * 1e200}),
+            ("masked attention output", 10.0, {"Wv2": np.full((4, 4), 1e308)}),
+        ],
+    )
+    def test_overflow_names_first_stage_without_warnings(self, rng, stage, h_value, tensors):
+        h, seg, table, bundle = self.make_setup(rng)
+        h = np.full_like(h, h_value)
+        if "W1" in tensors:
+            # x W1 steps to +inf, then adds -inf: NaN
+            table.vectors = {word: np.array([1e10, 1e10, 0.0]) for word in table.vectors}
+        bundle = dict(bundle, **tensors)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would escape as an exception
+            with pytest.raises(ValueError, match=f"^overflow in {stage}: "):
+                attention.pipeline_forward(h, seg, table, bundle, FusionConfig(d_w=3, d_h=4))

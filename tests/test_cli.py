@@ -1,15 +1,18 @@
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from wordfuse import lexicon, numerics
+from wordfuse import cli, lexicon, numerics
 
 BUNDLE_SEED42_SHA256 = "9f8414b535eb633ed1e72a46ff343d79a019f89a2219fd93c3abb9597d83f1a9"
+# fuse output on the golden inputs (fuse_files below), frozen byte for byte
+FUSED_GOLDEN_SHA256 = "60635a410daf94ab588a407eb1190d709367cc3e96a1e154e3a1e4cafdd2b6ec"
 
 
 def run_cli(*argv, **kwargs):
@@ -47,6 +50,12 @@ def fuse_args(files, **extra):
     for key, value in extra.items():
         argv += [f"--{key}", value]
     return argv
+
+
+def run_main(argv, capsys):
+    """Exit code and stderr of an in-process ``cli.main``."""
+    code = cli.main([str(a) for a in argv])
+    return code, capsys.readouterr().err
 
 
 class TestVote:
@@ -357,6 +366,33 @@ class TestFuse:
         assert "inputs are never overwritten" in res.stderr
         assert hidden.read_bytes() == before
 
+    def test_output_that_is_a_bundle_matrix_file_refused(self, fuse_files, tmp_path):
+        # a bundle may store a tensor as a path to a matrix file: that file is an input too
+        bundle = json.loads(fuse_files["weights"].read_text(encoding="utf-8"))
+        w1 = tmp_path / "w1.txt"
+        numerics.write_matrix(lexicon.load_bundle(fuse_files["weights"])["W1"], w1)
+        bundle["W1"] = "w1.txt"
+        weights = tmp_path / "bundle.json"
+        weights.write_text(json.dumps(bundle), encoding="utf-8")
+        res = run_cli(*fuse_args(dict(fuse_files, weights=weights)))
+        assert res.returncode == 0, res.stderr
+        assert hashlib.sha256(fuse_files["output"].read_bytes()).hexdigest() == FUSED_GOLDEN_SHA256
+
+        before = w1.read_bytes()
+        res = run_cli(*fuse_args(dict(fuse_files, weights=weights, output=w1)))
+        assert res.returncode == 1, res.stderr
+        assert res.stderr == f"error: output {w1} is the input file {w1}; inputs are never overwritten\n"
+        assert w1.read_bytes() == before
+
+    def test_overflow_named_at_its_stage(self, fuse_files, tmp_path):
+        huge = tmp_path / "huge.txt"
+        huge.write_text("6 8\n" + (" ".join(["1e300"] * 8) + "\n") * 6, encoding="utf-8")
+        res = run_cli(*fuse_args(dict(fuse_files, hidden=huge)))
+        assert res.returncode == 1
+        # one line: no RuntimeWarning text before it
+        assert res.stderr == "error: overflow in plain attention scores: result has inf or NaN entries\n"
+        assert not fuse_files["output"].exists()
+
     def test_missing_settings_listed(self):
         res = run_cli("fuse")
         assert res.returncode == 1
@@ -388,6 +424,125 @@ class TestFuse:
         run_cli(*fuse_args(fuse_files))
         after = {key: fuse_files[key].read_bytes() for key in before}
         assert before == after
+
+
+def no_fork(monkeypatch, forked):
+    """Hide os.fork unless forked, so fuse loads the bundle inline."""
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+
+
+class TestFuseBundleInChild:
+    """fuse parses the weight bundle in a forked child while it reads the other inputs."""
+
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "inline"])
+    def test_embeddings_error_reported_before_bundle_error(self, fuse_files, tmp_path, capsys,
+                                                            monkeypatch, forked):
+        no_fork(monkeypatch, forked)
+        embeddings = tmp_path / "bad_vecs.txt"
+        embeddings.write_text("2 x\n", encoding="utf-8")
+        weights = tmp_path / "bad_bundle.json"
+        weights.write_text("{not json", encoding="utf-8")
+        code, err = run_main(fuse_args(dict(fuse_files, embeddings=embeddings, weights=weights)), capsys)
+        assert code == 1
+        assert err == f"error: embeddings: {embeddings}: line 1: non-integer header '2 x'\n"
+
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "inline"])
+    @pytest.mark.parametrize("case", ["missing", "not-json", "bad-tensor"])
+    def test_bundle_errors_unchanged(self, fuse_files, tmp_path, capsys, monkeypatch, forked, case):
+        no_fork(monkeypatch, forked)
+        weights = tmp_path / "bundle.json"
+        if case == "not-json":
+            weights.write_text("{not json", encoding="utf-8")
+        elif case == "bad-tensor":
+            bundle = json.loads(fuse_files["weights"].read_text(encoding="utf-8"))
+            bundle["W2"]["data"][0] = None
+            weights.write_text(json.dumps(bundle), encoding="utf-8")
+        # the messages the sequential loader gave, word for word
+        want = {
+            "missing": f"error: [Errno 2] No such file or directory: {str(weights)!r}\n",
+            "not-json": f"error: weight bundle: {weights}: not valid JSON: Expecting property name "
+                        "enclosed in double quotes: line 1 column 2 (char 1)\n",
+            "bad-tensor": "error: weight bundle: bundle tensor 'W2': data: element 0: expected a number, got null\n",
+        }[case]
+        code, err = run_main(fuse_args(dict(fuse_files, weights=weights)), capsys)
+        assert (code, err) == (1, want)
+        assert not fuse_files["output"].exists()
+
+    @pytest.mark.parametrize(
+        ("case", "code"),
+        [("ok", 0), ("hidden", 1), ("segmentation", 1), ("embeddings", 1), ("bundle", 1),
+         ("missing-bundle", 1), ("matrix-file-output", 1), ("dimensions", 1), ("heads", 1)],
+    )
+    def test_no_child_left_on_any_return(self, fuse_files, tmp_path, capsys, case, code):
+        bad = tmp_path / "bad"
+        bad.write_text("{oops", encoding="utf-8")
+        files, extra = dict(fuse_files), {}
+        if case in ("hidden", "segmentation", "embeddings"):
+            files[case] = bad
+        elif case == "bundle":
+            files["weights"] = bad
+        elif case == "missing-bundle":
+            files["weights"] = tmp_path / "absent.json"
+        elif case == "matrix-file-output":
+            files["weights"] = tmp_path / "bundle.json"
+            bundle = json.loads(fuse_files["weights"].read_text(encoding="utf-8"))
+            bundle["b1"] = "b1.txt"
+            files["weights"].write_text(json.dumps(bundle), encoding="utf-8")
+            files["output"] = tmp_path / "b1.txt"
+            numerics.write_matrix(np.zeros((1, 8)), files["output"])
+        elif case == "dimensions":
+            files["weights"] = tmp_path / "wide.json"
+            lexicon.save_bundle(lexicon.init_bundle(42, 4, 16), files["weights"])
+        elif case == "heads":
+            extra["heads"] = 3
+        got, err = run_main(fuse_args(files, **extra), capsys)
+        assert got == code, err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_loader_that_cannot_be_pickled(self, fuse_files, tmp_path, capsys, monkeypatch):
+        # a local closure, like the wrappers a tracer installs, cannot be pickled;
+        # the child inherits it instead
+        marker = tmp_path / "loader_pid"
+        real = lexicon.load_bundle
+
+        def wrapped(*args, **kwargs):
+            marker.write_text(str(os.getpid()), encoding="utf-8")
+            return real(*args, **kwargs)
+
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(wrapped)
+        monkeypatch.setattr(lexicon, "load_bundle", wrapped)
+        code, err = run_main(fuse_args(fuse_files), capsys)
+        assert (code, err) == (0, f"wrote {fuse_files['output']}\n")
+        assert hashlib.sha256(fuse_files["output"].read_bytes()).hexdigest() == FUSED_GOLDEN_SHA256
+        assert int(marker.read_text(encoding="utf-8")) != os.getpid()
+
+    def test_child_without_result_is_internal_error(self, fuse_files):
+        script = (
+            "import os, sys\n"
+            "from wordfuse import cli, lexicon\n"
+            "lexicon.load_bundle = lambda *args, **kwargs: os._exit(3)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", script, *map(str, fuse_args(fuse_files))],
+                             capture_output=True, text=True, encoding="utf-8", timeout=120)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("internal error: RuntimeError(")
+        assert "without a result" in res.stderr
+        assert not fuse_files["output"].exists()
+
+    def test_success_prints_only_the_written_path(self, fuse_files):
+        # -W always would print the DeprecationWarning that Python 3.12+ gives
+        # for a fork in a process with threads (BLAS starts some)
+        res = subprocess.run(
+            [sys.executable, "-W", "always::DeprecationWarning", "-m", "wordfuse.cli",
+             *map(str, fuse_args(fuse_files))],
+            capture_output=True, text=True, encoding="utf-8",
+        )
+        assert (res.returncode, res.stderr) == (0, f"wrote {fuse_files['output']}\n")
+        assert hashlib.sha256(fuse_files["output"].read_bytes()).hexdigest() == FUSED_GOLDEN_SHA256
 
 
 class TestCheck:
