@@ -9,6 +9,7 @@ independent route, not against themselves.
 
 from __future__ import annotations
 
+import json
 import math
 import tempfile
 import zlib
@@ -215,6 +216,31 @@ def _check_matrix_roundtrip(rng, cases, ctx):
             _require(path.read_bytes() == first, "bytes changed in write-read-write")
 
 
+# signed zeros, subnormals, and values json.dumps prints with an exponent
+_BUNDLE_EDGE_VALUES = np.array(
+    [0.0, -0.0, 1e-05, -1e-05, 1e16, -1e16, 5e-324, -2.5e-320, 1.7976931348623157e308, 0.1]
+)
+
+
+def _check_bundle_serial(rng, cases, ctx):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bundle.json"
+        for _ in range(cases):
+            bundle = {}
+            for name in lexicon.BUNDLE_TENSORS:
+                shape = (int(rng.integers(1, 4)), int(rng.integers(1, 8)))
+                m = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 31, size=shape)
+                pick = rng.uniform(size=shape) < 0.3
+                m[pick] = rng.choice(_BUNDLE_EDGE_VALUES, size=int(pick.sum()))
+                bundle[name] = m
+            lexicon.save_bundle(bundle, path)
+            serial = {name: {"rows": m.shape[0], "cols": m.shape[1], "data": m.ravel().tolist()}
+                      for name, m in bundle.items()}
+            shapes = ", ".join(f"{m.shape[0]}x{m.shape[1]}" for m in bundle.values())
+            _require(path.read_bytes() == (json.dumps(serial) + "\n").encode("utf-8"),
+                     f"tensor shapes {shapes}: file differs from json.dumps of the bundle")
+
+
 def _check_vote_partition(rng, cases, ctx):
     for _ in range(cases):
         sentence = _random_sentence(rng)
@@ -412,6 +438,7 @@ PROPERTIES: list[tuple[str, Callable]] = [
     ("cosine is scale invariant", _check_cosine_scale_invariant),
     ("seeded init matches the scalar SplitMix64 stream", _check_init_matches_scalar_stream),
     ("matrix text format round-trips exactly", _check_matrix_roundtrip),
+    ("saved bundle equals the serial JSON encoding", _check_bundle_serial),
     ("vote always yields a valid deterministic partition", _check_vote_partition),
     ("unanimous voters keep their segmentation", _check_vote_unanimity),
     ("a single voter is returned unchanged", _check_vote_single),

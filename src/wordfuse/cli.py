@@ -20,17 +20,13 @@ Exit codes: 0 success, 1 user or data error (including failed checks),
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
-import pickle
-import signal
 import sys
-import warnings
-from pathlib import Path
 
 from . import check as checkmod
 from . import lexicon, numerics, segvote
+from ._child import _in_child
 from .attention import pipeline_forward
 from .fusion import FusionConfig
 from .segvote import Segmentation, WordSpan
@@ -64,65 +60,6 @@ def _input_overwritten(outputs, inputs) -> tuple[str, str] | None:
     return None
 
 
-def _outcome(fn, args) -> tuple:
-    try:
-        return fn(*args), None
-    except Exception as err:  # noqa: BLE001 - raised again where the result is read
-        return None, err
-
-
-def _result(outcome: tuple):
-    value, err = outcome
-    if err is not None:
-        raise err
-    return value
-
-
-@contextlib.contextmanager
-def _in_child(fn, *args):
-    """Start ``fn(*args)`` in a forked child; yield a function returning its result.
-
-    The child inherits ``fn``, so closures work: only the result, or the
-    exception ``fn`` raised, is pickled back through a pipe, and reading the
-    result raises that exception here.  A child that ends without a result
-    is a RuntimeError.  Leaving the block kills and reaps the child.  Where
-    ``os.fork`` does not exist, ``fn`` runs at once and its exception waits
-    until the result is read, so errors are reported in the same order.
-    """
-    if not hasattr(os, "fork"):
-        outcome = _outcome(fn, args)
-        yield lambda: _result(outcome)
-        return
-    read_fd, write_fd = os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12+ warns about forking while BLAS threads exist; the child
-        # never calls BLAS and leaves through os._exit
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(_outcome(fn, args), pickle.HIGHEST_PROTOCOL))
-        finally:
-            os._exit(0)  # skip the parent's cleanup handlers and buffered output
-    os.close(write_fd)
-    with open(read_fd, "rb") as pipe:
-
-        def result():
-            try:
-                outcome = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(f"{fn.__name__} ended in a child process without a result") from None
-            return _result(outcome)
-
-        try:
-            yield result
-        finally:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def _load_weights(path: str) -> tuple[dict, list]:
     """The bundle's tensors and the matrix files it names, which are inputs too."""
     matrix_files = []
@@ -134,8 +71,8 @@ def cmd_vote(args) -> int:
         return _fail(f"--output {args.output} is the input file; inputs are never overwritten")
     out_lines = []
     try:
-        lines = Path(args.input).read_text(encoding="utf-8").splitlines()
-    except OSError as err:
+        lines = numerics.read_text(args.input).splitlines()
+    except (OSError, ValueError) as err:
         return _fail(str(err))
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -165,7 +102,7 @@ def cmd_vote(args) -> int:
         )
     text = "".join(line + "\n" for line in out_lines)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        numerics.write_atomic(args.output, [text])
     else:
         sys.stdout.write(text)
     return 0
@@ -183,7 +120,7 @@ def cmd_init_weights(args) -> int:
 
 
 def _load_segmentation(path: str) -> Segmentation:
-    text = Path(path).read_text(encoding="utf-8").strip()
+    text = numerics.read_text(path).strip()
     if not text:
         raise ValueError(f"{path}: empty segmentation file")
     # a plain JSON object, or a JSON-lines file holding exactly one record
@@ -216,7 +153,10 @@ def _load_segmentation(path: str) -> Segmentation:
 
 
 def _load_config(path: str) -> dict:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(numerics.read_text(path))
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: not valid JSON: {err}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     unknown = sorted(set(raw) - set(_CONFIG_TYPES))
@@ -301,9 +241,7 @@ def cmd_fuse(args) -> int:
         numerics.write_matrix(result.mixed, f"{out}.mixed")
         numerics.write_matrix(result.h1, f"{out}.h1")
         numerics.write_matrix(result.h2, f"{out}.h2")
-        Path(f"{out}.omega.json").write_text(
-            json.dumps(list(result.omega)) + "\n", encoding="utf-8"
-        )
+        numerics.write_atomic(f"{out}.omega.json", [json.dumps(list(result.omega)) + "\n"])
     print(f"wrote {out}", file=sys.stderr)
     return 0
 

@@ -27,6 +27,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from . import numerics
+from ._child import _in_child
 from .numerics import as_matrix, as_vector, matmul, require_finite
 
 log = logging.getLogger(__name__)
@@ -71,7 +72,7 @@ def _logical_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
             try:
                 text = piece.decode("utf-8")
             except UnicodeDecodeError as err:
-                raise ValueError(f"{path}: line {lineno + 1}: not valid UTF-8: {err.reason}") from None
+                raise numerics.not_utf8(path, err, lineno + 1) from None
             for line in text.splitlines():
                 lineno += 1
                 yield lineno, line
@@ -247,7 +248,7 @@ def load_bundle(path: str | os.PathLike, matrix_files: list[Path] | None = None)
     """
     p = Path(path)
     try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
+        raw = json.loads(numerics.read_text(p))
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: not valid JSON: {err}") from None
     if not isinstance(raw, dict):
@@ -261,20 +262,51 @@ def load_bundle(path: str | os.PathLike, matrix_files: list[Path] | None = None)
     return tensors
 
 
+def _format_halves(flat: list[np.ndarray], second: bool) -> list[str]:
+    """The JSON numbers of each array's first or second half, without the brackets.
+
+    Arrays split at their midpoint, ``size // 2``.
+    """
+    parts = []
+    for data in flat:
+        half = data[data.size // 2 :] if second else data[: data.size // 2]
+        parts.append(json.dumps(half.tolist())[1:-1])
+    return parts
+
+
 def save_bundle(tensors: Mapping[str, np.ndarray], path: str | os.PathLike) -> None:
-    """Write a bundle with inline tensors, in canonical order."""
+    """Write a bundle with inline tensors, in canonical order.
+
+    The file holds ``json.dumps(bundle) + "\\n"`` byte for byte, where
+    ``bundle`` maps each name to ``{"rows": r, "cols": c, "data": [...]}``.
+    Printing the numbers is nearly all the work, so a forked child formats
+    the second half of every tensor's data while this process formats the
+    first halves (``_child._in_child``; inline where ``os.fork`` is
+    missing).  Every tensor is checked before the child starts.  The pieces
+    are then written one at a time with ``numerics.write_atomic``.
+    """
     missing = [name for name in BUNDLE_TENSORS if name not in tensors]
     if missing:
         raise ValueError(f"bundle is missing tensors {missing}")
-    obj = {}
-    for name in BUNDLE_TENSORS:
-        m = require_finite(as_matrix(tensors[name], name), name)
-        obj[name] = {
-            "rows": m.shape[0],
-            "cols": m.shape[1],
-            "data": m.ravel().tolist(),
-        }
-    Path(path).write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    matrices = [require_finite(as_matrix(tensors[name], name), name) for name in BUNDLE_TENSORS]
+    flat = [m.ravel() for m in matrices]
+    with _in_child(_format_halves, flat, True) as second_halves:
+        firsts = _format_halves(flat, False)
+        seconds = second_halves()
+
+    def pieces():
+        opening = "{"
+        for name, m, first, second in zip(BUNDLE_TENSORS, matrices, firsts, seconds):
+            yield f'{opening}{json.dumps(name)}: {{"rows": {m.shape[0]}, "cols": {m.shape[1]}, "data": ['
+            yield first
+            if first and second:  # a one-element tensor has an empty first half
+                yield ", "
+            yield second
+            yield "]}"
+            opening = ", "
+        yield "}\n"
+
+    numerics.write_atomic(path, pieces())
 
 
 def projection_from_bundle(bundle: Mapping[str, np.ndarray]) -> ProjectionWeights:

@@ -1,7 +1,8 @@
 """Dense float64 kernels shared by every other module.
 
 Everything here is deliberately boring: row-major float64 matrices,
-a portable PRNG, and a text matrix format.  The point is bit-level
+a portable PRNG, a text matrix format, and the text-file reader and
+atomic writer every input and output goes through.  The point is bit-level
 reproducibility across runs and platforms, not speed.
 
 ``matmul`` pins its accumulation order: output entries sum their products
@@ -25,9 +26,11 @@ closed form of its states; it yields the same bits as the scalar
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -186,22 +189,85 @@ def init_matrix(rng: SplitMix64, rows: int, cols: int) -> np.ndarray:
     return ((z.astype(np.float64) * _UNIT_SCALE * 2.0 - 1.0) * bound).reshape(rows, cols)
 
 
+def write_atomic(path: str | os.PathLike, pieces: Iterable[str]) -> None:
+    """Write text pieces to ``path`` so that it ends up complete or as it was.
+
+    The pieces go, one at a time, into a new file in the directory of the
+    resolved path (a symlink's target is replaced, the link kept), which
+    ``os.replace`` then puts in place.  The new file gets the mode a plain
+    create gives, ``0o666`` less the umask.  On any failure it is removed,
+    ``path`` is left untouched and an OS error names ``path``.  A device or
+    a pipe (``/dev/null``, ``/dev/stdout``) cannot be replaced; it is
+    written in place.
+    """
+    target = os.path.realpath(path)
+    tmp = None
+    try:
+        if os.path.exists(target) and not os.path.isfile(target):
+            with open(target, "w", encoding="utf-8") as f:
+                f.writelines(pieces)
+            return
+        directory, name = os.path.split(target)
+        while tmp is None:
+            candidate = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+            try:
+                fd = os.open(candidate, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except FileExistsError:
+                continue
+            tmp = candidate
+        with open(fd, "w", encoding="utf-8") as f:
+            f.writelines(pieces)
+        os.replace(tmp, target)
+    except BaseException as err:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(err, OSError) and err.errno is not None:
+            raise OSError(err.errno, err.strerror, os.fspath(path)) from None
+        raise
+
+
 def write_matrix(m, path: str | os.PathLike) -> None:
     """Write the text format: header "rows cols", then one line per row.
 
     Floats are serialized with the shortest decimal representation that
-    round-trips, so write -> read -> write is byte-stable.
+    round-trips, so write -> read -> write is byte-stable.  The file is
+    written with ``write_atomic``.
     """
     m = require_finite(as_matrix(m), "matrix")
     lines = [f"{m.shape[0]} {m.shape[1]}"]
     for row in m:
         lines.append(" ".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ["\n".join(lines) + "\n"])
+
+
+def not_utf8(path: str | os.PathLike, err: UnicodeDecodeError, first_line: int = 1) -> ValueError:
+    """The error for invalid UTF-8 in ``err.object``, text whose first line is ``first_line``.
+
+    Lines are counted as ``str.splitlines()`` counts them in the valid text
+    before the bad byte.
+    """
+    before = err.object[: err.start].decode("utf-8")
+    line = first_line - 1 + len((before + "x").splitlines())
+    return ValueError(f"{path}: line {line}: not valid UTF-8: {err.reason}")
+
+
+def read_text(path: str | os.PathLike) -> str:
+    """The text of a UTF-8 file, as ``Path.read_text`` returns it.
+
+    Invalid UTF-8 is a ValueError naming the path and the line.  The whole
+    file is decoded in one call, so the decode error holds all its bytes
+    and the bad byte's offset; the file is not read twice.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise not_utf8(path, err) from None
 
 
 def read_matrix(path: str | os.PathLike) -> np.ndarray:
     """Parse the text matrix format; errors carry 1-based line numbers."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()

@@ -7,6 +7,7 @@ route than the package's numpy kernels.  Keep them dumb.
 
 from __future__ import annotations
 
+import json
 import math
 import unicodedata
 from collections import Counter
@@ -66,6 +67,18 @@ def load_embeddings_whole_file(path):
         duplicates += word in vectors
         vectors[word] = vec
     return dim, vectors, duplicates
+
+
+def bundle_json_serial(tensors, names):
+    """The bundle file ``save_bundle`` must write: one ``json.dumps`` of the whole object.
+
+    ``tensors`` maps each name in ``names`` to a matrix given as nested rows.
+    """
+    obj = {}
+    for name in names:
+        rows = [[float(v) for v in row] for row in tensors[name]]
+        obj[name] = {"rows": len(rows), "cols": len(rows[0]), "data": [v for row in rows for v in row]}
+    return (json.dumps(obj) + "\n").encode("utf-8")
 
 
 def cosine_direct(u, v):

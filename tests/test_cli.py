@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pickle
+import resource
 import subprocess
 import sys
 
@@ -545,6 +546,101 @@ class TestFuseBundleInChild:
         assert hashlib.sha256(fuse_files["output"].read_bytes()).hexdigest() == FUSED_GOLDEN_SHA256
 
 
+def run_cli_file_limit(limit, *argv):
+    """``run_cli`` in a process that may not write past ``limit`` bytes of any file."""
+
+    def lower_limit():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+    return run_cli(*argv, preexec_fn=lower_limit, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+
+
+class TestAtomicOutputs:
+    """A failed write leaves the old output byte for byte, and no temp file."""
+
+    @pytest.mark.parametrize("command", ["init-weights", "fuse", "vote"])
+    def test_file_size_limit_keeps_old_output(self, command, fuse_files, golden, tmp_path):
+        out = tmp_path / "keep.out"
+        out.write_bytes(b"the previous good output\n")
+        if command == "init-weights":
+            argv = ["init-weights", "--seed", 7, "--dw", 20, "--dh", 64, "--output", out]
+        elif command == "fuse":
+            argv = fuse_args(dict(fuse_files, output=out))
+        else:
+            argv = ["vote", "--input", golden / "vote_record.jsonl", "--output", out]
+        before = sorted(tmp_path.iterdir())
+        res = run_cli_file_limit(64, *argv)
+        assert res.returncode == 1, res.stderr
+        assert res.stderr == f"error: [Errno 27] File too large: {str(out)!r}\n"
+        assert out.read_bytes() == b"the previous good output\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_file_size_limit_on_a_fresh_path_leaves_nothing(self, tmp_path):
+        res = run_cli_file_limit(4096, "init-weights", "--dw", 20, "--dh", 64, "--output", tmp_path / "b.json")
+        assert res.returncode == 1, res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_init_weights_child_without_result_is_internal_error(self, tmp_path):
+        # json.dumps ends any process but the one that started the script, so
+        # the child formatting the second halves leaves without a result
+        script = (
+            "import json, os, sys\n"
+            "from wordfuse import cli\n"
+            "main_pid, real_dumps = os.getpid(), json.dumps\n"
+            "json.dumps = lambda *a, **k: real_dumps(*a, **k) if os.getpid() == main_pid else os._exit(3)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "bundle.json"
+        res = subprocess.run(
+            [sys.executable, "-c", script, "init-weights", "--dw", "4", "--dh", "8", "--output", str(out)],
+            capture_output=True, text=True, encoding="utf-8", timeout=120,
+        )
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("internal error: RuntimeError(")
+        assert "without a result" in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestLocatedInputErrors:
+    """Invalid UTF-8 and invalid JSON name the file, exit 1."""
+
+    def test_vote_input_not_utf8(self, tmp_path, capsys):
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(b'{"sentence": "ab", "tokenizations": [["ab"]]}\n{"sentence": "\xff"}\n')
+        code, err = run_main(["vote", "--input", src], capsys)
+        assert (code, err) == (1, f"error: {src}: line 2: not valid UTF-8: invalid start byte\n")
+
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "inline"])
+    @pytest.mark.parametrize(
+        ("key", "data", "prefix", "line"),
+        [("hidden", b"2 1\n0.5\n\xff\n", "hidden states: ", 3),
+         ("segmentation", b'{"sentence":\n "\xff"}\n', "segmentation: ", 2),
+         ("weights", b'{"W1":\n\n"\xfe"}\n', "weight bundle: ", 3)],
+        ids=["hidden", "segmentation", "weights"],
+    )
+    def test_fuse_input_not_utf8(self, fuse_files, tmp_path, capsys, monkeypatch, forked, key, data, prefix,
+                                 line):
+        no_fork(monkeypatch, forked)
+        bad = tmp_path / f"bad_{key}"
+        bad.write_bytes(data)
+        code, err = run_main(fuse_args(dict(fuse_files, **{key: bad})), capsys)
+        assert (code, err) == (1, f"error: {prefix}{bad}: line {line}: not valid UTF-8: invalid start byte\n")
+        assert not fuse_files["output"].exists()
+
+    def test_config_not_utf8(self, fuse_files, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b'{\n\n"\xff": 1}\n')
+        code, err = run_main(fuse_args(fuse_files, config=config), capsys)
+        assert (code, err) == (1, f"error: {config}: line 3: not valid UTF-8: invalid start byte\n")
+
+    def test_config_not_json(self, fuse_files, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text("{lambda: 0.5}", encoding="utf-8")
+        code, err = run_main(fuse_args(fuse_files, config=config), capsys)
+        assert (code, err) == (1, f"error: {config}: not valid JSON: Expecting property name enclosed "
+                                  "in double quotes: line 1 column 2 (char 1)\n")
+
+
 class TestCheck:
     def test_passes_with_default_budget(self):
         res = run_cli("check", "--cases", 40)
@@ -563,6 +659,13 @@ class TestCheck:
     def test_seed_changes_are_still_green(self):
         res = run_cli("check", "--cases", 15, "--seed", 777)
         assert res.returncode == 0, res.stdout
+
+    def test_bundle_property_catches_swapped_halves(self, monkeypatch):
+        real = lexicon._format_halves
+        monkeypatch.setattr(lexicon, "_format_halves", lambda flat, second: real(flat, not second))
+        results = {r.name: r for r in cli.checkmod.run_checks(cases=5)}
+        assert not results["saved bundle equals the serial JSON encoding"].passed
+        assert sum(not r.passed for r in results.values()) == 1
 
     def test_rejects_non_positive_cases(self):
         res = run_cli("check", "--cases", 0)

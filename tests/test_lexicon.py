@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -147,6 +148,104 @@ class TestLoadEmbeddings:
         p.write_bytes(b"2 2\nfoo 1 2\nb\xffr 3 4\n")
         with pytest.raises(ValueError, match="line 3: not valid UTF-8"):
             lexicon.load_embeddings(p)
+
+
+# the SHA-256 of the file save_bundle(init_bundle(2022, 200, 768)) writes,
+# as the serial json.dumps writer produced it
+BUNDLE_2022_PAPER_SHAPE_FILE_SHA256 = (
+    "59dd8a040fe8ba08b64d9eaed4f2bdaf19540365de20e3d5afd85eb14b05dfe3"
+)
+# signed zeros, subnormals and values whose shortest repr has an exponent
+EDGE_VALUES = [0.0, -0.0, 1e-05, -1e-05, 1e16, -1e16, 5e-324, -2.5e-320, 1e-310, 0.1]
+
+
+def edge_bundle(rng, shapes):
+    """A bundle with the given shape per tensor; about a third of the entries are edge values."""
+    bundle = {}
+    for name, shape in zip(lexicon.BUNDLE_TENSORS, shapes):
+        m = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 21, size=shape)
+        pick = rng.uniform(size=shape) < 0.35
+        m[pick] = rng.choice(EDGE_VALUES, size=int(pick.sum()))
+        bundle[name] = m
+    return bundle
+
+
+def no_fork(monkeypatch, forked):
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+
+
+class TestSaveBundle:
+    """save_bundle formats half of the numbers in a forked child; the bytes are the serial writer's."""
+
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "inline"])
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(1, 1)] * 10,
+            [(1, d) for d in (1, 2, 3, 5, 8, 13, 1, 7, 9, 11)],
+            [(3, 5), (1, 9), (7, 7), (1, 1), (5, 3), (1, 3), (3, 3), (9, 1), (1, 5), (11, 13)],
+            [(2, 3), (1, 1), (4, 4), (1, 1), (2, 2), (6, 1), (1, 6), (3, 1), (1, 2), (2, 1)],
+        ],
+        ids=["1x1", "1xd", "odd", "mixed"],
+    )
+    def test_bytes_equal_serial_writer(self, tmp_path, rng, monkeypatch, forked, shapes):
+        no_fork(monkeypatch, forked)
+        bundle = edge_bundle(rng, shapes)
+        path = tmp_path / "bundle.json"
+        lexicon.save_bundle(bundle, path)
+        want = oracles.bundle_json_serial({k: v.tolist() for k, v in bundle.items()}, lexicon.BUNDLE_TENSORS)
+        assert path.read_bytes() == want
+
+    def test_exactly_one_child(self, tmp_path, monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        lexicon.save_bundle(lexicon.init_bundle(42, 4, 8), tmp_path / "bundle.json")
+        assert forks == [os.getpid()]
+        assert hashlib.sha256((tmp_path / "bundle.json").read_bytes()).hexdigest() == BUNDLE_SEED42_SHA256
+
+    def test_paper_shape_file_digest_frozen(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        lexicon.save_bundle(lexicon.init_bundle(2022, 200, 768), path)
+        digest = hashlib.sha256()
+        with open(path, "rb") as f:
+            for block in iter(lambda: f.read(1 << 20), b""):
+                digest.update(block)
+        assert digest.hexdigest() == BUNDLE_2022_PAPER_SHAPE_FILE_SHA256
+
+    @pytest.mark.parametrize(
+        ("fault", "message"),
+        [("missing", "bundle is missing tensors ['W2']"),
+         ("nan", "W2 contains non-finite entries"),
+         ("inf", "Wv2 contains non-finite entries"),
+         ("3-d", "b1 must be 2-D, got ndim=3")],
+    )
+    def test_bad_tensor_refused_before_any_child(self, tmp_path, monkeypatch, fault, message):
+        def no_child():
+            raise AssertionError("save_bundle forked before checking its tensors")
+
+        monkeypatch.setattr(os, "fork", no_child)
+        bundle = dict(lexicon.init_bundle(5, 2, 4))
+        if fault == "missing":
+            del bundle["W2"]
+        elif fault == "nan":
+            bundle["W2"] = bundle["W2"].copy()
+            bundle["W2"][1, 2] = np.nan
+        elif fault == "inf":
+            bundle["Wv2"] = np.full((4, 4), np.inf)
+        else:
+            bundle["b1"] = np.zeros((1, 1, 4))
+        path = tmp_path / "bundle.json"
+        with pytest.raises(ValueError) as info:
+            lexicon.save_bundle(bundle, path)
+        assert str(info.value) == message
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestProjection:

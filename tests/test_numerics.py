@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 
 import mpmath
 import numpy as np
@@ -283,6 +285,97 @@ class TestMatrixIO:
     def test_non_finite_rejected_on_write(self, tmp_path):
         with pytest.raises(ValueError):
             numerics.write_matrix(np.array([[np.inf]]), tmp_path / "x.txt")
+
+
+class TestWriteAtomic:
+    def test_replaces_content_with_plain_create_mode(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n", encoding="utf-8")
+        os.chmod(path, 0o600)
+        old_umask = os.umask(0o027)
+        try:
+            numerics.write_atomic(path, ["new ", "text\n"])
+        finally:
+            os.umask(old_umask)
+        assert path.read_text(encoding="utf-8") == "new text\n"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "out.txt"
+        target.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        numerics.write_atomic(link, ["new\n"])
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8") == "new\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["link.txt", "out.txt", "real"]
+
+    @pytest.mark.parametrize("exists", [True, False], ids=["replace", "create"])
+    def test_failure_leaves_old_file_and_no_temp_file(self, tmp_path, exists):
+        path = tmp_path / "out.txt"
+        if exists:
+            path.write_text("old\n", encoding="utf-8")
+
+        def pieces():
+            yield "partial"
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            numerics.write_atomic(path, pieces())
+        assert [p.name for p in tmp_path.iterdir()] == (["out.txt"] if exists else [])
+        if exists:
+            assert path.read_text(encoding="utf-8") == "old\n"
+
+    def test_pipe_written_in_place(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            numerics.write_atomic(fifo, ["through ", "the pipe\n"])
+            assert os.read(reader, 100) == b"through the pipe\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+    def test_directory_refused(self, tmp_path):
+        with pytest.raises(IsADirectoryError) as info:
+            numerics.write_atomic(tmp_path, ["x"])
+        assert str(info.value) == f"[Errno 21] Is a directory: {str(tmp_path)!r}"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_os_error_names_the_output(self, tmp_path):
+        path = tmp_path / "absent" / "out.txt"
+        with pytest.raises(FileNotFoundError) as info:
+            numerics.write_atomic(path, ["x"])
+        assert str(info.value) == f"[Errno 2] No such file or directory: {str(path)!r}"
+
+
+class TestReadText:
+    def test_same_text_as_read_text(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes("a\r\nb\rc\u2028d\n".encode("utf-8"))
+        assert numerics.read_text(path) == path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        ("data", "line"),
+        [(b"\xff", 1), (b"ab\ncd\n\xff\n", 3), (b"a\r\nb\r\nc\xe4\n", 3), (b"a\rb\rc\xff", 3)],
+    )
+    def test_invalid_utf8_names_path_and_line(self, tmp_path, data, line):
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            numerics.read_text(path)
+        reason = "invalid continuation byte" if b"\xe4\n" in data else "invalid start byte"
+        assert str(info.value) == f"{path}: line {line}: not valid UTF-8: {reason}"
+
+    def test_matrix_reader_names_line(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"2 1\n0.5\n\xff\n")
+        with pytest.raises(ValueError, match=r"m\.txt: line 3: not valid UTF-8"):
+            numerics.read_matrix(path)
 
 
 class TestRequireFinite:
