@@ -218,7 +218,7 @@ def _check_matrix_roundtrip(rng, cases, ctx):
 
 # signed zeros, subnormals, and values json.dumps prints with an exponent
 _BUNDLE_EDGE_VALUES = np.array(
-    [0.0, -0.0, 1e-05, -1e-05, 1e16, -1e16, 5e-324, -2.5e-320, 1.7976931348623157e308, 0.1]
+    [0.0, -0.0, 1e-05, -1e-05, 1e16, -1e16, 5e-324, -2.5e-320, 1e-310, 1.7976931348623157e308, 0.1]
 )
 
 

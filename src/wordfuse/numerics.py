@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import stat
 from pathlib import Path
 from typing import Iterable
 
@@ -189,6 +190,33 @@ def init_matrix(rng: SplitMix64, rows: int, cols: int) -> np.ndarray:
     return ((z.astype(np.float64) * _UNIT_SCALE * 2.0 - 1.0) * bound).reshape(rows, cols)
 
 
+def _open_stream(path: str | os.PathLike) -> bool:
+    """Whether ``path`` names something already open rather than a file to replace.
+
+    That is anything that exists and is not a regular file (``/dev/null``,
+    a FIFO), and any path resolved through ``/proc`` or ``/dev/fd``:
+    ``/dev/stdout``, ``/dev/fd/N`` and ``/proc/self/fd/N`` stand for the
+    pipe or the file the shell opened, perhaps for appending.  Those links
+    are followed one at a time, because ``os.path.realpath`` turns a link to
+    a pipe into a path that does not exist and a link to a file into that
+    file, which would then be replaced.
+    """
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return True
+    except FileNotFoundError:
+        pass
+    link = os.path.abspath(path)
+    for _ in range(40):  # the kernel follows at most 40 links
+        directory = os.path.realpath(os.path.dirname(link))
+        if directory == "/dev/fd" or (directory + "/").startswith("/proc/"):
+            return True
+        if not os.path.islink(link):
+            return False
+        link = os.path.join(directory, os.readlink(link))
+    return False
+
+
 def write_atomic(path: str | os.PathLike, pieces: Iterable[str]) -> None:
     """Write text pieces to ``path`` so that it ends up complete or as it was.
 
@@ -196,18 +224,19 @@ def write_atomic(path: str | os.PathLike, pieces: Iterable[str]) -> None:
     resolved path (a symlink's target is replaced, the link kept), which
     ``os.replace`` then puts in place.  The new file gets the mode a plain
     create gives, ``0o666`` less the umask.  On any failure it is removed,
-    ``path`` is left untouched and an OS error names ``path``.  A device or
-    a pipe (``/dev/null``, ``/dev/stdout``) cannot be replaced; it is
-    written in place.
+    ``path`` is left untouched and an OS error names ``path``.  Nothing is
+    synced to disk, so this holds when the process fails (a file size
+    limit, a full disk, Ctrl-C), not when the machine does.  What is
+    already open (``/dev/null``, a FIFO, ``/dev/stdout``; see
+    ``_open_stream``) is appended to in place and never truncated.
     """
-    target = os.path.realpath(path)
     tmp = None
     try:
-        if os.path.exists(target) and not os.path.isfile(target):
-            with open(target, "w", encoding="utf-8") as f:
+        if _open_stream(path):
+            with open(path, "a", encoding="utf-8") as f:
                 f.writelines(pieces)
             return
-        directory, name = os.path.split(target)
+        directory, name = os.path.split(os.path.realpath(path))
         while tmp is None:
             candidate = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
             try:
@@ -217,7 +246,7 @@ def write_atomic(path: str | os.PathLike, pieces: Iterable[str]) -> None:
             tmp = candidate
         with open(fd, "w", encoding="utf-8") as f:
             f.writelines(pieces)
-        os.replace(tmp, target)
+        os.replace(tmp, os.path.join(directory, name))
     except BaseException as err:
         if tmp is not None:
             with contextlib.suppress(OSError):

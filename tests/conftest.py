@@ -20,6 +20,14 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture(params=[True, False], ids=["forked", "inline"])
+def forked(request, monkeypatch) -> bool:
+    """Run the test as is, then with os.fork hidden so the fork helper runs inline."""
+    if not request.param:
+        monkeypatch.delattr(os, "fork")
+    return request.param
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Fail a test that leaves a child process running or unreaped."""

@@ -427,19 +427,10 @@ class TestFuse:
         assert before == after
 
 
-def no_fork(monkeypatch, forked):
-    """Hide os.fork unless forked, so fuse loads the bundle inline."""
-    if not forked:
-        monkeypatch.delattr(os, "fork")
-
-
 class TestFuseBundleInChild:
     """fuse parses the weight bundle in a forked child while it reads the other inputs."""
 
-    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "inline"])
-    def test_embeddings_error_reported_before_bundle_error(self, fuse_files, tmp_path, capsys,
-                                                            monkeypatch, forked):
-        no_fork(monkeypatch, forked)
+    def test_embeddings_error_reported_before_bundle_error(self, fuse_files, tmp_path, capsys, forked):
         embeddings = tmp_path / "bad_vecs.txt"
         embeddings.write_text("2 x\n", encoding="utf-8")
         weights = tmp_path / "bad_bundle.json"
@@ -448,10 +439,8 @@ class TestFuseBundleInChild:
         assert code == 1
         assert err == f"error: embeddings: {embeddings}: line 1: non-integer header '2 x'\n"
 
-    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "inline"])
     @pytest.mark.parametrize("case", ["missing", "not-json", "bad-tensor"])
-    def test_bundle_errors_unchanged(self, fuse_files, tmp_path, capsys, monkeypatch, forked, case):
-        no_fork(monkeypatch, forked)
+    def test_bundle_errors_unchanged(self, fuse_files, tmp_path, capsys, forked, case):
         weights = tmp_path / "bundle.json"
         if case == "not-json":
             weights.write_text("{not json", encoding="utf-8")
@@ -558,22 +547,44 @@ def run_cli_file_limit(limit, *argv):
 class TestAtomicOutputs:
     """A failed write leaves the old output byte for byte, and no temp file."""
 
+    @staticmethod
+    def argv(command, fuse_files, golden, out):
+        if command == "init-weights":
+            return ["init-weights", "--seed", 7, "--dw", 20, "--dh", 64, "--output", out]
+        if command == "fuse":
+            return fuse_args(dict(fuse_files, output=out))
+        return ["vote", "--input", golden / "vote_record.jsonl", "--output", out]
+
     @pytest.mark.parametrize("command", ["init-weights", "fuse", "vote"])
     def test_file_size_limit_keeps_old_output(self, command, fuse_files, golden, tmp_path):
         out = tmp_path / "keep.out"
         out.write_bytes(b"the previous good output\n")
-        if command == "init-weights":
-            argv = ["init-weights", "--seed", 7, "--dw", 20, "--dh", 64, "--output", out]
-        elif command == "fuse":
-            argv = fuse_args(dict(fuse_files, output=out))
-        else:
-            argv = ["vote", "--input", golden / "vote_record.jsonl", "--output", out]
+        argv = self.argv(command, fuse_files, golden, out)
         before = sorted(tmp_path.iterdir())
         res = run_cli_file_limit(64, *argv)
         assert res.returncode == 1, res.stderr
         assert res.stderr == f"error: [Errno 27] File too large: {str(out)!r}\n"
         assert out.read_bytes() == b"the previous good output\n"
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["init-weights", "fuse", "vote"])
+    @pytest.mark.parametrize("stdout", ["pipe", "appended-log"])
+    def test_dev_stdout_written_through(self, command, stdout, fuse_files, golden, tmp_path):
+        want = tmp_path / "want.out"
+        assert run_cli(*self.argv(command, fuse_files, golden, want)).returncode == 0
+        argv = [sys.executable, "-m", "wordfuse.cli", *map(str, self.argv(command, fuse_files, golden, "/dev/stdout"))]
+        if stdout == "pipe":
+            res = subprocess.run(argv, capture_output=True)
+            written = res.stdout
+        else:
+            log = tmp_path / "log.txt"
+            log.write_bytes(b"earlier lines\n")
+            with open(log, "ab") as f:
+                res = subprocess.run(argv, stdout=f, stderr=subprocess.PIPE)
+            written = log.read_bytes().removeprefix(b"earlier lines\n")
+            assert log.read_bytes().startswith(b"earlier lines\n")
+        assert (res.returncode, res.stderr) == (0, b"" if command == "vote" else b"wrote /dev/stdout\n")
+        assert written == want.read_bytes()
 
     def test_file_size_limit_on_a_fresh_path_leaves_nothing(self, tmp_path):
         res = run_cli_file_limit(4096, "init-weights", "--dw", 20, "--dh", 64, "--output", tmp_path / "b.json")
@@ -610,7 +621,6 @@ class TestLocatedInputErrors:
         code, err = run_main(["vote", "--input", src], capsys)
         assert (code, err) == (1, f"error: {src}: line 2: not valid UTF-8: invalid start byte\n")
 
-    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "inline"])
     @pytest.mark.parametrize(
         ("key", "data", "prefix", "line"),
         [("hidden", b"2 1\n0.5\n\xff\n", "hidden states: ", 3),
@@ -618,9 +628,7 @@ class TestLocatedInputErrors:
          ("weights", b'{"W1":\n\n"\xfe"}\n', "weight bundle: ", 3)],
         ids=["hidden", "segmentation", "weights"],
     )
-    def test_fuse_input_not_utf8(self, fuse_files, tmp_path, capsys, monkeypatch, forked, key, data, prefix,
-                                 line):
-        no_fork(monkeypatch, forked)
+    def test_fuse_input_not_utf8(self, fuse_files, tmp_path, capsys, forked, key, data, prefix, line):
         bad = tmp_path / f"bad_{key}"
         bad.write_bytes(data)
         code, err = run_main(fuse_args(dict(fuse_files, **{key: bad})), capsys)

@@ -340,6 +340,33 @@ class TestWriteAtomic:
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
+    @pytest.mark.parametrize("form", ["/dev/fd/{}", "/proc/self/fd/{}", "link"])
+    def test_open_file_appended_to_not_replaced(self, tmp_path, form):
+        log = tmp_path / "log.txt"
+        log.write_text("earlier\n", encoding="utf-8")
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND)
+        try:
+            path = form.format(fd)
+            if form == "link":
+                path = tmp_path / "out.txt"
+                path.symlink_to(f"/dev/fd/{fd}")
+            inode = log.stat().st_ino
+            numerics.write_atomic(path, ["new ", "text\n"])
+        finally:
+            os.close(fd)
+        assert log.read_text(encoding="utf-8") == "earlier\nnew text\n"
+        assert log.stat().st_ino == inode
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["log.txt"] + ["out.txt"] * (form == "link"))
+
+    def test_pipe_by_fd_written_through(self):
+        reader, writer = os.pipe()
+        try:
+            numerics.write_atomic(f"/dev/fd/{writer}", ["through ", "the pipe\n"])
+            assert os.read(reader, 100) == b"through the pipe\n"
+        finally:
+            os.close(reader)
+            os.close(writer)
+
     def test_directory_refused(self, tmp_path):
         with pytest.raises(IsADirectoryError) as info:
             numerics.write_atomic(tmp_path, ["x"])
