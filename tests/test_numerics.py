@@ -358,15 +358,6 @@ class TestWriteAtomic:
         assert log.stat().st_ino == inode
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["log.txt"] + ["out.txt"] * (form == "link"))
 
-    def test_pipe_by_fd_written_through(self):
-        reader, writer = os.pipe()
-        try:
-            numerics.write_atomic(f"/dev/fd/{writer}", ["through ", "the pipe\n"])
-            assert os.read(reader, 100) == b"through the pipe\n"
-        finally:
-            os.close(reader)
-            os.close(writer)
-
     def test_directory_refused(self, tmp_path):
         with pytest.raises(IsADirectoryError) as info:
             numerics.write_atomic(tmp_path, ["x"])
