@@ -4,7 +4,9 @@ Each property draws its own deterministic RNG stream, runs a batch of
 randomized cases, and either passes or reports the first violation.  The
 numeric properties deliberately re-derive expectations with naive
 pure-Python loops so the production kernels are checked against an
-independent route, not against themselves.
+independent route, not against themselves.  Those loops, ``naive_matmul``
+and ``naive_attend``, are the test suite's oracles too.  When the C matmul
+kernel is loaded, the matmul property checks it and the NumPy loop alike.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import attention, fusion, lexicon, numerics, segvote
+from . import _kernel, attention, fusion, lexicon, numerics, segvote
 
 DEFAULT_SEED = 2024
 DEFAULT_CASES = 120
@@ -53,26 +55,37 @@ class Context:
 
 
 # ---------------------------------------------------------------------------
-# naive re-derivations (kept independent of the numpy kernels on purpose)
+# naive re-derivations (kept independent of the numpy kernels on purpose);
+# the tests import them as their oracles too
 
 
-def _naive_matmul(a: np.ndarray, b: np.ndarray) -> list[list[float]]:
-    rows, inner, cols = a.shape[0], a.shape[1], b.shape[1]
+def naive_matmul(a, b) -> list[list[float]]:
+    """The straight-line triple loop both ``matmul`` kernels must match bit for bit.
+
+    ``a`` and ``b`` are nested sequences of floats; each entry starts at 0.0
+    and adds ``a[i][k] * b[k][j]`` for ascending ``k``.
+    """
+    rows, inner, cols = len(a), len(b), len(b[0])
+    if any(len(row) != inner for row in a):
+        raise ValueError("naive_matmul: inner sizes differ")
     out = [[0.0] * cols for _ in range(rows)]
     for i in range(rows):
         for j in range(cols):
             acc = 0.0
             for k in range(inner):
-                acc += a[i, k] * b[k, j]
+                acc += a[i][k] * b[k][j]
             out[i][j] = acc
     return out
 
 
-def _naive_attend(h, wq, wk, wv, omega=None):
-    n, d_h = h.shape
-    q = [_dotrow(h[i], wq) for i in range(n)]
-    k = [_dotrow(h[i], wk) for i in range(n)]
-    v = [_dotrow(h[i], wv) for i in range(n)]
+def naive_attend(h, wq, wk, wv, omega=None) -> list[list[float]]:
+    """Single-head attention with loops, scaled by sqrt(full width).
+
+    Arguments are nested sequences; ``omega``, when given, holds the only
+    key positions a query may attend to.
+    """
+    n, d_h = len(h), len(h[0])
+    q, k, v = naive_matmul(h, wq), naive_matmul(h, wk), naive_matmul(h, wv)
     scale = math.sqrt(d_h)
     out = []
     for i in range(n):
@@ -87,11 +100,7 @@ def _naive_attend(h, wq, wk, wv, omega=None):
         z = sum(exps)
         probs = [e / z for e in exps]
         out.append([sum(probs[j] * v[j][c] for j in range(n)) for c in range(d_h)])
-    return np.array(out)
-
-
-def _dotrow(x, w):
-    return [sum(x[r] * w[r, c] for r in range(w.shape[0])) for c in range(w.shape[1])]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +156,7 @@ def _check_softmax_stochastic(rng, cases, ctx: Context):
             _require(np.all(probs[:, c] == 0.0), f"masked column {c} not exactly zero")
 
 
-# signed zeros, subnormals and magnitudes whose products stay finite
-_MATMUL_EDGE_VALUES = np.array(
-    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e-150, -1e-150, 1e150, -1e150]
-)
+_MATMUL_EDGE_VALUES = np.array(_kernel.EDGE_VALUES)
 
 
 def _matmul_operand(rng, shape) -> np.ndarray:
@@ -161,16 +167,21 @@ def _matmul_operand(rng, shape) -> np.ndarray:
 
 
 def _check_matmul_oracle(rng, cases, ctx):
+    kernels = [("NumPy", numerics.matmul_numpy)]
+    if numerics.matmul_kernel().matmul is not None:
+        kernels.append(("C", numerics.matmul))
     for _ in range(cases):
-        r, inner, c = (int(x) for x in rng.integers(1, 8, 3))
+        # up to 9 rows and 40 columns: two 4-row tiles and a remainder row, one
+        # 32-column block of the C kernel and its tail, several SIMD widths
+        r, inner, c = int(rng.integers(1, 10)), int(rng.integers(1, 41)), int(rng.integers(1, 41))
         a = _matmul_operand(rng, (r, inner))
         b = _matmul_operand(rng, (inner, c))
         # compare bit patterns: == would let -0.0 pass for +0.0
-        got = numerics.matmul(a, b).view(np.uint64)
-        want = np.array(_naive_matmul(a, b)).view(np.uint64)
-        for i in range(r):
-            for j in range(c):
-                _require(got[i, j] == want[i, j], f"entry ({i},{j}) differs from naive loop")
+        want = np.array(naive_matmul(a.tolist(), b.tolist())).view(np.uint64)
+        for name, kernel in kernels:
+            wrong = np.argwhere(kernel(a, b).view(np.uint64) != want)
+            _require(len(wrong) == 0, f"{name} kernel, {r}x{inner} @ {inner}x{c}: "
+                     f"entry {tuple(int(x) for x in wrong[:1].ravel())} differs from the naive loop")
 
 
 def _check_cosine_scale_invariant(rng, cases, ctx):
@@ -400,7 +411,7 @@ def _check_attention_oracle(rng, cases, ctx):
             omega = {int(i) for i in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)}
             spec = attention.MaskSpec(n=n, omega=frozenset(omega))
         got = attention.attend(h, wq, wk, wv, 1, mask=spec)
-        want = _naive_attend(h, wq, wk, wv, omega)
+        want = np.array(naive_attend(h.tolist(), wq.tolist(), wk.tolist(), wv.tolist(), omega))
         _require(np.all(np.abs(got - want) <= 1e-12), f"oracle gap {np.abs(got - want).max():.3e}")
 
 

@@ -255,6 +255,7 @@ def cmd_check(args) -> int:
     if args.cases < 1:
         return _fail(f"--cases must be >= 1, got {args.cases}")
     softmax_impl = _corrupted_softmax if args.corrupt == "softmax" else None
+    print(f"matmul kernel: {numerics.matmul_kernel()}")
     results = checkmod.run_checks(seed=args.seed, cases=args.cases, softmax_impl=softmax_impl)
     width = max(len(r.name) for r in results)
     print(f"{'PROPERTY':<{width}}  CASES  RESULT")

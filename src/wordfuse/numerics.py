@@ -2,22 +2,27 @@
 
 Everything here is deliberately boring: row-major float64 matrices,
 a portable PRNG, a text matrix format, and the text-file reader and
-atomic writer every input and output goes through.  The point is bit-level
-reproducibility across runs and platforms, not speed.
+atomic writer every input and output goes through.  Every result is
+reproducible bit for bit across runs and platforms.
 
 ``matmul`` pins its accumulation order: output entries sum their products
 over the inner index in ascending order, one rounded multiply and one
-rounded add per step, exactly like a naive triple loop.  Each step forms
-the outer product of one column of ``a`` and one row of ``b`` with
-``np.einsum("i,j->ij", ..., out=step)``.  With no summed index einsum
+rounded add per step, exactly like a naive triple loop.  Rows of ``a`` and
+columns of ``b`` are independent under this order, so a product of stacked
+operands equals the stacked products byte for byte.  Two kernels keep that
+order.  The C kernel of ``_kernel`` is compiled with the system ``cc`` at
+the first product of a process (or loaded from its cache) and used only
+after a known-answer check against the NumPy loop; ``matmul_kernel`` says
+which kernel runs and, for NumPy, why.  The NumPy loop, ``matmul_numpy``,
+is the fallback without a compiler and the second reference.  Each of its
+steps forms the outer product of one column of ``a`` and one row of ``b``
+with ``np.einsum("i,j->ij", ..., out=step)``.  With no summed index einsum
 forms each product with a single rounding, as the loop does; at most the
 sign of a zero product can differ (einsum may add the product to a zeroed
 output, which turns -0.0 into +0.0).  That sign never reaches the result:
 the accumulator starts at +0.0, and an IEEE sum is -0.0 only when both
 addends are -0.0, so the accumulator is never -0.0 and adding either zero
-leaves it unchanged.  Rows of ``a`` and columns of ``b`` are independent
-under this order, so a product of stacked operands equals the stacked
-products byte for byte.
+leaves it unchanged.
 
 ``init_matrix`` draws a block of the SplitMix64 stream at once from the
 closed form of its states; it yields the same bits as the scalar
@@ -27,6 +32,7 @@ closed form of its states; it yields the same bits as the scalar
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import stat
@@ -34,6 +40,8 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+
+from . import _kernel
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -100,25 +108,40 @@ def require_finite_result(m: np.ndarray, stage: str) -> np.ndarray:
     return m
 
 
+def _matmul_operands(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a = np.require(as_matrix(a, "a"), requirements="CA")
+    b = np.require(as_matrix(b, "b"), requirements="CA")
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(
+            f"matmul shape mismatch: {a.shape[0]}x{a.shape[1]} @ {b.shape[0]}x{b.shape[1]}"
+        )
+    return a, b
+
+
 def matmul(a, b) -> np.ndarray:
     """Matrix product with a pinned accumulation order.
 
     Each output entry accumulates products over the inner index in ascending
     order, one rounded multiply plus one rounded add per step.  That makes the
     result bit-identical to a naive triple loop with the inner index innermost,
-    which is what the self-check suite compares against.
+    which is what the self-check suite compares against.  The C kernel
+    computes it when ``matmul_kernel`` has one, ``matmul_numpy`` otherwise.
+    """
+    kernel = matmul_kernel().matmul
+    if kernel is None:
+        return matmul_numpy(a, b)
+    return kernel(*_matmul_operands(a, b))
+
+
+def matmul_numpy(a, b) -> np.ndarray:
+    """``matmul`` by the NumPy loop: the fallback and the second reference.
 
     Step k writes the products ``a[:, k] * b[k, :]`` into one reused buffer
     with a product-only einsum (no summed index, so no reassociation) and then
     adds the buffer into the accumulator.  A zero product whose sign differs
     from the loop's cannot change the sum; see the module docstring.
     """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul shape mismatch: {a.shape[0]}x{a.shape[1]} @ {b.shape[0]}x{b.shape[1]}"
-        )
+    a, b = _matmul_operands(a, b)
     a_t = np.ascontiguousarray(a.T)
     out = np.zeros((a.shape[0], b.shape[1]))
     step = np.empty_like(out)
@@ -126,6 +149,12 @@ def matmul(a, b) -> np.ndarray:
         np.einsum("i,j->ij", a_t[k], b[k], out=step)
         out += step
     return out
+
+
+@functools.cache
+def matmul_kernel() -> _kernel.Kernel:
+    """The kernel ``matmul`` runs in this process, built or loaded on first call."""
+    return _kernel.load(matmul_numpy)
 
 
 def softmax_rows(m) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Inputs (the record, embeddings, hidden states, bundle) are deterministic;
 the expected pipeline output is computed by the straight-line oracle in
-oracles.py, never by the package's own pipeline.  Run from the repo root:
+oracles.py (with the attention loop of wordfuse.check), never by the
+package's own pipeline.  Run from the repo root:
 
     python3 tests/make_goldens.py
 """

@@ -2,7 +2,9 @@
 
 Everything in here is written with plain Python loops and the math module,
 on purpose: these functions re-derive expected values through a different
-route than the package's numpy kernels.  Keep them dumb.
+route than the package's numpy kernels.  Keep them dumb.  The matmul and
+attention oracles live in ``wordfuse.check``, whose ``check`` command uses
+them too; they are imported from there.
 """
 
 from __future__ import annotations
@@ -13,18 +15,7 @@ import unicodedata
 from collections import Counter
 from pathlib import Path
 
-
-def matmul_triple_loop(a, b):
-    rows, inner, cols = len(a), len(a[0]), len(b[0])
-    assert len(b) == inner
-    out = [[0.0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0.0
-            for k in range(inner):
-                acc += a[i][k] * b[k][j]
-            out[i][j] = acc
-    return out
+from wordfuse.check import naive_attend
 
 
 def load_embeddings_whole_file(path):
@@ -176,33 +167,6 @@ def mix_straight_line(rows, key_rel, lam):
     return out
 
 
-def softmax_row(scores):
-    top = max(s for s in scores if s != -math.inf)
-    exps = [0.0 if s == -math.inf else math.exp(s - top) for s in scores]
-    z = sum(exps)
-    return [e / z for e in exps]
-
-
-def attend_naive(h, wq, wk, wv, omega=None):
-    """Single-head attention: loops, scaled by sqrt(full width)."""
-    n, d_h = len(h), len(h[0])
-    q = matmul_triple_loop(h, wq)
-    k = matmul_triple_loop(h, wk)
-    v = matmul_triple_loop(h, wv)
-    scale = math.sqrt(d_h)
-    out = []
-    for i in range(n):
-        scores = []
-        for j in range(n):
-            s = sum(q[i][c] * k[j][c] for c in range(d_h)) / scale
-            if omega is not None and j not in omega:
-                s = -math.inf
-            scores.append(s)
-        probs = softmax_row(scores)
-        out.append([sum(probs[j] * v[j][c] for j in range(n)) for c in range(d_h)])
-    return out
-
-
 def pipeline_naive(sentence, spans, embeddings, unk, bundle, lam, mu):
     """Whole pipeline re-derived with the straight-line pieces above.
 
@@ -225,8 +189,8 @@ def pipeline_naive(sentence, spans, embeddings, unk, bundle, lam, mu):
         for offset, row in enumerate(mixed):
             h[start + offset] = row
         omega.add(start + best)
-    h1 = attend_naive(h, bundle["Wq1"], bundle["Wk1"], bundle["Wv1"])
-    h2 = attend_naive(h, bundle["Wq2"], bundle["Wk2"], bundle["Wv2"], omega)
+    h1 = naive_attend(h, bundle["Wq1"], bundle["Wk1"], bundle["Wv1"])
+    h2 = naive_attend(h, bundle["Wq2"], bundle["Wk2"], bundle["Wv2"], omega)
     fused = [
         [mu * h1[i][c] + (1.0 - mu) * h2[i][c] for c in range(len(h1[0]))]
         for i in range(len(h1))

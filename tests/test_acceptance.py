@@ -18,6 +18,7 @@ import pytest
 import oracles
 from wordfuse import attention, fusion, numerics, segvote
 from wordfuse.attention import MaskSpec
+from wordfuse.check import naive_attend
 from wordfuse.fusion import FusionConfig, WordAnalysis
 from wordfuse.segvote import WordSpan
 
@@ -151,10 +152,10 @@ def test_attention_matches_naive_oracle(announce):
         if case % 2 and n > 1:
             omega = set(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
             got = attention.attend(h, wq, wk, wv, mask=MaskSpec(n, frozenset(omega)))
-            want = oracles.attend_naive(h.tolist(), wq.tolist(), wk.tolist(), wv.tolist(), omega=omega)
+            want = naive_attend(h.tolist(), wq.tolist(), wk.tolist(), wv.tolist(), omega=omega)
         else:
             got = attention.attend(h, wq, wk, wv)
-            want = oracles.attend_naive(h.tolist(), wq.tolist(), wk.tolist(), wv.tolist())
+            want = naive_attend(h.tolist(), wq.tolist(), wk.tolist(), wv.tolist())
         np.testing.assert_allclose(got, np.array(want), rtol=0, atol=1e-12)
 
     # probability-level guarantees, read off via H = I, Wv = I

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from wordfuse import attention, lexicon, numerics
 from wordfuse.attention import AttentionWeights, MaskSpec
+from wordfuse.check import naive_attend
 from wordfuse.fusion import FusionConfig
 from wordfuse.segvote import Segmentation, WordSpan
 
@@ -46,7 +47,7 @@ class TestAttend:
             h = rng.standard_normal((n, d_h))
             wq, wk, wv = random_weight_set(rng, d_h)
             got = attention.attend(h, wq, wk, wv)
-            want = np.array(oracles.attend_naive(h.tolist(), wq.tolist(), wk.tolist(), wv.tolist()))
+            want = np.array(naive_attend(h.tolist(), wq.tolist(), wk.tolist(), wv.tolist()))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_masked_matches_naive_oracle(self, rng):
@@ -59,7 +60,7 @@ class TestAttend:
             )
             got = attention.attend(h, wq, wk, wv, mask=MaskSpec(n, frozenset(omega)))
             want = np.array(
-                oracles.attend_naive(
+                naive_attend(
                     h.tolist(), wq.tolist(), wk.tolist(), wv.tolist(), omega=omega
                 )
             )

@@ -680,6 +680,39 @@ class TestCheck:
         assert res.returncode == 1
 
 
+# ``wordfuse argv...`` with the matmul library cached in argv[1]
+CACHED_CLI = ("import sys; from pathlib import Path; from wordfuse import _kernel, cli; "
+              "_kernel.CACHE_DIR = Path(sys.argv[1]); sys.exit(cli.main(sys.argv[2:]))")
+
+
+class TestMatmulKernel:
+    def test_check_names_the_kernel(self):
+        res = run_cli("check", "--cases", 5)
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert res.stdout.startswith(f"matmul kernel: {numerics.matmul_kernel()}\n")
+
+    def test_without_cc_output_bytes_are_unchanged(self, fuse_files, tmp_path):
+        env = dict(os.environ, PATH=str(tmp_path))
+        res = run_cli(*fuse_args(fuse_files), env=env)
+        assert res.returncode == 0, res.stderr
+        assert hashlib.sha256(fuse_files["output"].read_bytes()).hexdigest() == FUSED_GOLDEN_SHA256
+        res = run_cli("check", "--cases", 5, env=env)
+        assert res.returncode == 0, res.stdout
+        assert res.stdout.startswith("matmul kernel: NumPy (no C compiler: 'cc' is not on PATH)\n")
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage"])
+    def test_damaged_cached_library_never_exits_2(self, fuse_files, tmp_path, damage):
+        cache = tmp_path / "cache"
+        argv = [sys.executable, "-c", CACHED_CLI, cache, *fuse_args(fuse_files)]
+        assert subprocess.run(list(map(str, argv)), capture_output=True).returncode == 0
+        for library in cache.glob("*.so"):
+            whole = library.read_bytes()
+            library.write_bytes(whole[: len(whole) // 2] if damage == "truncated" else b"\x7fELF garbage")
+        res = subprocess.run(list(map(str, argv)), capture_output=True, text=True, encoding="utf-8")
+        assert res.returncode == 0, res.stderr
+        assert hashlib.sha256(fuse_files["output"].read_bytes()).hexdigest() == FUSED_GOLDEN_SHA256
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self):
         res = run_cli("frobnicate")

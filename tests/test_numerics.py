@@ -1,6 +1,10 @@
 import math
 import os
+import shutil
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from wordfuse import numerics
+from wordfuse import _kernel, check, numerics
+from wordfuse.check import naive_matmul
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # Published reference outputs for SplitMix64 seeded with 0.
 SPLITMIX64_SEED0 = (
@@ -94,9 +101,7 @@ class TestInitMatrix:
 
 
 # signed zeros, subnormals and magnitudes whose products stay finite
-MATMUL_EDGE_VALUES = np.array(
-    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e-150, -1e-150, 1e150, -1e150, 1.0, -3.5]
-)
+MATMUL_EDGE_VALUES = np.array([*_kernel.EDGE_VALUES, 1.0, -3.5])
 
 
 def bits(m) -> np.ndarray:
@@ -111,6 +116,37 @@ def edge_operand(rng, shape) -> np.ndarray:
     return values
 
 
+FMA_FLAGS = tuple("-ffp-contract=fast" if f == "-ffp-contract=off" else f for f in _kernel.FLAGS)
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 'cc' on PATH")
+
+
+def load_in_child(cache_dir) -> subprocess.Popen:
+    """A child process printing what ``_kernel.load`` finds in ``cache_dir``; a bad library can only kill it."""
+    script = ("import sys; from wordfuse import _kernel, numerics; _kernel.CACHE_DIR = sys.argv[1]; "
+              "print(_kernel.load(numerics.matmul_numpy))")
+    return subprocess.Popen([sys.executable, "-c", script, str(cache_dir)], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+
+
+def run_load(cache_dir) -> tuple[int, str, str]:
+    child = load_in_child(cache_dir)
+    out, err = child.communicate(timeout=300)
+    return child.returncode, out, err
+
+
+def all_kernels_agree(a, b, oracle_rows=None) -> None:
+    """C (when loaded), NumPy and the triple loop give the same bits.
+
+    ``oracle_rows`` limits the slow triple loop to those rows; rows are
+    independent, so their entries must still match bit for bit.
+    """
+    numpy_bits = bits(numerics.matmul_numpy(a, b))
+    assert np.array_equal(bits(numerics.matmul(a, b)), numpy_bits), str(numerics.matmul_kernel())
+    rows = range(a.shape[0]) if oracle_rows is None else oracle_rows
+    want = np.array(naive_matmul(np.asarray(a)[list(rows)].tolist(), np.asarray(b).tolist()))
+    assert np.array_equal(numpy_bits[list(rows)], bits(want))
+
+
 class TestMatmul:
     def test_bitwise_equal_to_triple_loop(self, rng):
         for _ in range(25):
@@ -118,18 +154,17 @@ class TestMatmul:
             a = rng.standard_normal((n, k))
             b = rng.standard_normal((k, m))
             got = numerics.matmul(a, b)
-            want = np.array(oracles.matmul_triple_loop(a.tolist(), b.tolist()))
+            want = np.array(naive_matmul(a.tolist(), b.tolist()))
             assert np.array_equal(bits(got), bits(want)), "accumulation order must match the naive loop"
 
     def test_bitwise_equal_on_zeros_subnormals_and_extremes(self, rng):
+        # up to 13 rows and 80 columns: 4-row tiles of the C kernel, its 32-column blocks and tails
         for _ in range(200):
-            n, k, m = rng.integers(1, 9, size=3)
+            n, k, m = int(rng.integers(1, 14)), int(rng.integers(1, 41)), int(rng.integers(1, 81))
             a = edge_operand(rng, (n, k))
             b = edge_operand(rng, (k, m))
-            got = numerics.matmul(a, b)
-            want = np.array(oracles.matmul_triple_loop(a.tolist(), b.tolist()))
-            assert np.isfinite(want).all()
-            assert np.array_equal(bits(got), bits(want))
+            assert np.isfinite(numerics.matmul_numpy(a, b)).all()
+            all_kernels_agree(a, b)
 
     def test_all_negative_zero_products_sum_to_positive_zero(self):
         got = numerics.matmul(np.array([[-0.0, 0.0]]), np.array([[1.0], [-1.0]]))
@@ -147,7 +182,7 @@ class TestMatmul:
     def test_non_contiguous_operands(self, rng):
         a = rng.standard_normal((7, 9))[::2, 1::2]
         b = rng.standard_normal((8, 6)).T[:4]
-        want = np.array(oracles.matmul_triple_loop(a.tolist(), b.tolist()))
+        want = np.array(naive_matmul(a.tolist(), b.tolist()))
         assert np.array_equal(bits(numerics.matmul(a, b)), bits(want))
 
     def test_identity(self, rng):
@@ -157,6 +192,92 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             numerics.matmul(np.ones((2, 3)), np.ones((4, 2)))
+
+
+class TestMatmulKernels:
+    def test_c_kernel_runs_whenever_cc_is_on_path(self):
+        kernel = numerics.matmul_kernel()
+        if shutil.which("cc") is None:
+            assert (kernel.name, kernel.detail) == ("NumPy", "no C compiler: 'cc' is not on PATH")
+        else:
+            assert kernel.name == "C", f"cc is on PATH but the C kernel did not load: {kernel}"
+
+    def test_known_operands_cover_tiles_widths_and_edge_values(self):
+        a, b = _kernel.known_operands()
+        assert a.shape == (9, 37) and b.shape == (37, 41)
+        present = set(bits(np.concatenate([a.ravel(), b.ravel()])).tolist())
+        assert set(bits(_kernel.EDGE_VALUES).tolist()) <= present
+        all_kernels_agree(a, b)
+
+    @pytest.mark.parametrize("n", [16, 64, 128, 512])
+    def test_paper_shapes(self, n):
+        rng = np.random.default_rng(n)
+        h, w = rng.standard_normal((n, 768)), rng.standard_normal((768, 768)) / 28.0
+        all_kernels_agree(h, w, oracle_rows=[n - 1])
+
+    def test_head_slices_of_attention(self):
+        # the operands attention._head_probabilities passes: column slices, one transposed
+        rng = np.random.default_rng(11)
+        q, k = rng.standard_normal((13, 24)), rng.standard_normal((7, 24))
+        for cols in (slice(0, 8), slice(8, 16), slice(16, 24)):
+            assert not k[:, cols].T.flags.c_contiguous
+            all_kernels_agree(q[:, cols], k[:, cols].T)
+
+    def test_no_cc_on_path_falls_back(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("PATH", str(tmp_path))
+        monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path)
+        kernel = _kernel.load(numerics.matmul_numpy)
+        assert (kernel.matmul, kernel.detail) == (None, "no C compiler: 'cc' is not on PATH")
+        assert str(kernel).startswith("NumPy (")
+
+    @needs_cc
+    def test_build_error_falls_back(self, tmp_path, monkeypatch):
+        blocked = tmp_path / "not-a-directory"
+        blocked.write_text("", encoding="utf-8")
+        monkeypatch.setattr(_kernel, "CACHE_DIR", blocked)
+        kernel = _kernel.load(numerics.matmul_numpy)
+        assert kernel.matmul is None and kernel.detail.startswith("build error: ")
+        monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path)
+        monkeypatch.setattr(_kernel, "SOURCE", "not C")
+        kernel = _kernel.load(numerics.matmul_numpy)
+        assert kernel.matmul is None and kernel.detail.startswith("build error: cc exited ")
+        assert list(tmp_path.iterdir()) == [blocked]  # no temporary file left behind
+
+    @needs_cc
+    @pytest.mark.skipif("fma" not in _kernel._cpu_flags().split(), reason="the CPU has no FMA unit")
+    def test_fma_build_fails_the_known_answer_check_and_the_property(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path)
+        monkeypatch.setattr(_kernel, "FLAGS", FMA_FLAGS)
+        kernel = _kernel.load(numerics.matmul_numpy)
+        assert kernel.matmul is None and kernel.detail.startswith("known-answer mismatch: ")
+        # the bitwise property of ``wordfuse check`` catches the same library on its own
+        (library,) = tmp_path.glob("*.so")
+        fma = _kernel.Kernel(_kernel._bind(library), str(library))
+        monkeypatch.setattr(numerics, "matmul_kernel", lambda: fma)
+        results = {r.name: r for r in check.run_checks(cases=20)}
+        failure = results["matmul matches the naive triple loop bit-for-bit"].failure
+        assert failure is not None and failure.startswith("C kernel, ")
+        assert sum(not r.passed for r in results.values()) == 1
+
+    @needs_cc
+    def test_truncated_or_garbage_library_is_rebuilt(self, tmp_path):
+        code, first, err = run_load(tmp_path)
+        assert code == 0 and first.startswith("C ("), first + err
+        (library,) = tmp_path.glob("*.so")
+        whole = library.read_bytes()
+        for damaged in (whole[: len(whole) // 2], b"garbage", whole[:-1] + bytes([whole[-1] ^ 1])):
+            library.write_bytes(damaged)
+            code, out, err = run_load(tmp_path)
+            assert (code, out) == (0, first), err
+            assert _kernel._intact(library)
+
+    @needs_cc
+    def test_concurrent_first_builds_both_load_c(self, tmp_path):
+        procs = [load_in_child(tmp_path) for _ in range(2)]
+        outs = [p.communicate(timeout=300) for p in procs]
+        assert [p.returncode for p in procs] == [0, 0], outs
+        assert all(out.startswith("C (") for out, _ in outs), outs
+        assert [p.name for p in tmp_path.iterdir()] == [Path(outs[0][0].strip()[3:-1]).name]
 
 
 class TestSoftmaxRows:
