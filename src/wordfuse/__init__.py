@@ -6,82 +6,21 @@ shares, mix each word's characters around its key character, then fuse a
 plain and a key-masked self-attention pass over the result.
 """
 
-from .attention import (
-    AttentionWeights,
-    MaskSpec,
-    PipelineResult,
-    attend,
-    fuse_heads_output,
-    masked_attention_weights,
-    pipeline_forward,
-)
-from .fusion import (
-    FusionConfig,
-    WordAnalysis,
-    analyze_word,
-    fuse_sequence,
-    inject_word,
-    mix_word,
-    score_word,
-    select_key,
-)
-from .lexicon import (
-    EmbeddingTable,
-    ProjectionWeights,
-    init_bundle,
-    load_bundle,
-    load_embeddings,
-    lookup,
-    project,
-    save_bundle,
-)
-from .numerics import (
-    SplitMix64,
-    cosine,
-    init_matrix,
-    matmul,
-    read_matrix,
-    softmax_rows,
-    write_matrix,
-)
-from .segvote import Segmentation, WordSpan, agreement_stats, validate_tokenization, vote
+from .attention import PipelineResult, pipeline_forward
+from .fusion import FusionConfig
+from .lexicon import check_bundle, init_bundle, load_bundle, load_embeddings, save_bundle
+from .segvote import vote
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionWeights",
-    "EmbeddingTable",
     "FusionConfig",
-    "MaskSpec",
     "PipelineResult",
-    "ProjectionWeights",
-    "Segmentation",
-    "SplitMix64",
-    "WordAnalysis",
-    "WordSpan",
-    "agreement_stats",
-    "analyze_word",
-    "attend",
-    "cosine",
-    "fuse_heads_output",
-    "fuse_sequence",
+    "check_bundle",
     "init_bundle",
-    "init_matrix",
-    "inject_word",
     "load_bundle",
     "load_embeddings",
-    "lookup",
-    "masked_attention_weights",
-    "matmul",
-    "mix_word",
     "pipeline_forward",
-    "project",
-    "read_matrix",
     "save_bundle",
-    "score_word",
-    "select_key",
-    "softmax_rows",
-    "validate_tokenization",
     "vote",
-    "write_matrix",
 ]

@@ -24,10 +24,13 @@ library can kill the process with SIGBUS, so a file that fails the check
 is built again.  A library is accepted only when its product of fixed
 operands equals the reference's bit for bit; without a compiler, or when
 the build or that check fails, ``load`` returns no kernel and says why.
+A library built and accepted here removes the cached libraries of other
+keys, left by an earlier source, compiler or CPU.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -208,7 +211,8 @@ def load(reference: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Kernel:
         version = subprocess.run([cc, "--version"], capture_output=True, text=True, errors="replace", timeout=60)
         key = hashlib.sha256("\0".join([SOURCE, *FLAGS, version.stdout, _cpu_flags()]).encode())
         path = Path(CACHE_DIR) / f"wordfuse_matmul-{key.hexdigest()[:32]}.so"
-        if not _intact(path):
+        built = not _intact(path)
+        if built:
             _build(cc, path)
         matmul = _bind(path)
     except (OSError, AttributeError, subprocess.SubprocessError) as err:
@@ -216,4 +220,17 @@ def load(reference: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Kernel:
     a, b = known_operands()
     if not np.array_equal(matmul(a, b).view(np.uint64), reference(a, b).view(np.uint64)):
         return Kernel(None, f"known-answer mismatch: {path} differs from the NumPy loop")
+    if built:
+        _prune(path)
     return Kernel(matmul, str(path))
+
+
+def _prune(current: Path) -> None:
+    """Remove the libraries of other keys beside ``current``, where the cache allows it.
+
+    Only finished libraries match: a build in progress is a ``.tmp`` file.
+    """
+    for stale in current.parent.glob("wordfuse_matmul-*.so"):
+        if stale != current:
+            with contextlib.suppress(OSError):  # a read-only install keeps them
+                stale.unlink()

@@ -12,19 +12,23 @@ keys, values and scores only at the omega positions: the softmax still sees
 the full n x n matrix (-inf outside omega), and the value product skips the
 masked columns, whose products with a zero weight are exact zeros that
 cannot change a pinned-order sum.
+
+``pipeline_forward`` takes the six attention matrices from the weight
+bundle by name: ``Wq1``, ``Wk1``, ``Wv1`` for the plain branch and ``Wq2``,
+``Wk2``, ``Wv2`` for the masked one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .fusion import FusionConfig, fuse_sequence
-from .lexicon import EmbeddingTable, projection_from_bundle
-from .numerics import as_matrix, matmul, require_finite, require_finite_result, softmax_rows
+from .lexicon import EmbeddingTable, check_bundle
+from .numerics import as_matrix, matmul, require_finite_result, softmax_rows
 from .segvote import Segmentation
 
 
@@ -40,45 +44,6 @@ class MaskSpec:
             raise ValueError("omega must not be empty")
         if not all(0 <= i < self.n for i in self.omega):
             raise ValueError(f"omega indices must lie in [0, {self.n})")
-
-
-def mask_matrix(spec: MaskSpec) -> np.ndarray:
-    """n x n additive mask: 0 in omega columns, -inf everywhere else."""
-    row = np.full(spec.n, -np.inf)
-    row[sorted(spec.omega)] = 0.0
-    return np.tile(row, (spec.n, 1))
-
-
-@dataclass(frozen=True)
-class AttentionWeights:
-    """The six projection matrices of the two attention branches."""
-
-    wq1: np.ndarray = field(compare=False)
-    wk1: np.ndarray = field(compare=False)
-    wv1: np.ndarray = field(compare=False)
-    wq2: np.ndarray = field(compare=False)
-    wk2: np.ndarray = field(compare=False)
-    wv2: np.ndarray = field(compare=False)
-
-    def __post_init__(self):
-        names = ("wq1", "wk1", "wv1", "wq2", "wk2", "wv2")
-        d_h = self.wq1.shape[0]
-        for name in names:
-            m = getattr(self, name)
-            if m.shape != (d_h, d_h):
-                raise ValueError(f"{name} must be {d_h}x{d_h}, got {m.shape[0]}x{m.shape[1]}")
-            require_finite(m, name)
-
-    @classmethod
-    def from_bundle(cls, bundle: Mapping[str, np.ndarray]) -> "AttentionWeights":
-        return cls(
-            wq1=bundle["Wq1"], wk1=bundle["Wk1"], wv1=bundle["Wv1"],
-            wq2=bundle["Wq2"], wk2=bundle["Wk2"], wv2=bundle["Wv2"],
-        )
-
-    @property
-    def d_h(self) -> int:
-        return self.wq1.shape[0]
 
 
 def _head_probabilities(h, wq, wk, heads, mask):
@@ -175,19 +140,21 @@ def pipeline_forward(
 ) -> PipelineResult:
     """The whole pipeline: fuse words in, then both attention branches.
 
-    An overflow is a ValueError naming the first stage whose result holds
-    inf or NaN.  NumPy's overflow warnings are silenced meanwhile: the stages
-    check their own results.  The branch fusion is a convex combination of
-    finite values and needs no check.
+    Before any stage, ``check_bundle`` checks the bundle against the table's
+    width and the width of ``h``, and ``cfg`` is validated against the
+    latter.  An overflow is a ValueError naming the first stage whose result
+    holds inf or NaN.  NumPy's overflow warnings are silenced meanwhile: the
+    stages check their own results.  The branch fusion is a convex
+    combination of finite values and needs no check.
     """
-    cfg.validate()
-    projection = projection_from_bundle(bundle)
-    attn = AttentionWeights.from_bundle(bundle)
+    h = as_matrix(h, "h")
+    check_bundle(bundle, table.dim, h.shape[1])
+    cfg.validate(h.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        mixed, omega = fuse_sequence(h, seg, table, projection, cfg)
+        mixed, omega = fuse_sequence(h, seg, table, bundle, cfg)
         mask = MaskSpec(n=mixed.shape[0], omega=frozenset(omega))
-        h1 = attend(mixed, attn.wq1, attn.wk1, attn.wv1, cfg.heads, mask=None)
-        h2 = attend(mixed, attn.wq2, attn.wk2, attn.wv2, cfg.heads, mask=mask)
+        h1 = attend(mixed, bundle["Wq1"], bundle["Wk1"], bundle["Wv1"], cfg.heads, mask=None)
+        h2 = attend(mixed, bundle["Wq2"], bundle["Wk2"], bundle["Wv2"], cfg.heads, mask=mask)
     fused = fuse_heads_output(h1, h2, cfg.mu)
     return PipelineResult(
         mixed=mixed, omega=tuple(sorted(omega)), h1=h1, h2=h2, fused=fused

@@ -347,13 +347,13 @@ def _check_omega_keys(rng, cases, ctx):
         n = int(rng.integers(1, 9))
         d_h = int(rng.integers(2, 9))
         seg = _random_segmentation(rng, n)
-        weights = lexicon.ProjectionWeights(
-            w1=rng.standard_normal((3, d_h)),
-            b1=rng.standard_normal(d_h),
-            w2=rng.standard_normal((d_h, d_h)),
-            b2=rng.standard_normal(d_h),
-        )
-        _, omega = fusion.fuse_sequence(rng.standard_normal((n, d_h)), seg, table, weights, cfg)
+        bundle = {
+            "W1": rng.standard_normal((3, d_h)),
+            "b1": rng.standard_normal((1, d_h)),
+            "W2": rng.standard_normal((d_h, d_h)),
+            "b2": rng.standard_normal((1, d_h)),
+        }
+        _, omega = fusion.fuse_sequence(rng.standard_normal((n, d_h)), seg, table, bundle, cfg)
         _require(len(omega) == len(seg.spans), "omega size != word count")
         _require(all(any(s.start <= i <= s.end for s in seg.spans) for i in omega),
                  "omega index outside every span")
@@ -430,16 +430,16 @@ def _check_fusion_linear(rng, cases, ctx):
 def _check_projection_finite(rng, cases, ctx):
     for _ in range(cases):
         d_w, d_h = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        weights = lexicon.ProjectionWeights(
-            w1=rng.standard_normal((d_w, d_h)) * 10.0,
-            b1=rng.standard_normal(d_h),
-            w2=rng.standard_normal((d_h, d_h)) * 10.0,
-            b2=rng.standard_normal(d_h),
-        )
+        bundle = {
+            "W1": rng.standard_normal((d_w, d_h)) * 10.0,
+            "b1": rng.standard_normal((1, d_h)),
+            "W2": rng.standard_normal((d_h, d_h)) * 10.0,
+            "b2": rng.standard_normal((1, d_h)),
+        }
         x = rng.standard_normal(d_w) * 1e6
-        out = lexicon.project(x, weights)
+        out = lexicon.project(x, bundle)
         _require(np.isfinite(out).all(), "projection produced non-finite output")
-        inner = np.tanh(numerics.matmul(x[None, :], weights.w1)[0] + weights.b1)
+        inner = np.tanh(numerics.matmul(x[None, :], bundle["W1"]) + bundle["b1"])
         _require(np.all(np.abs(inner) <= 1.0), "tanh layer escaped [-1, 1]")
 
 

@@ -66,6 +66,32 @@ def _load_weights(path: str) -> tuple[dict, list]:
     return lexicon.load_bundle(path, matrix_files), matrix_files
 
 
+def _vote_record(line: str) -> Segmentation:
+    """The voted segmentation of one ``vote`` input line; a ValueError reads ``field: problem``."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"not valid JSON: {err}") from None
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object, got {lexicon.JSON_KINDS[type(record)]}")
+    for field in ("sentence", "tokenizations"):
+        if field not in record:
+            raise ValueError(f"{field}: missing")
+    sentence, tokenizations = record["sentence"], record["tokenizations"]
+    if not isinstance(sentence, str):
+        raise ValueError("sentence: expected a string")
+    if not isinstance(tokenizations, list) or not all(
+        isinstance(t, list) and all(isinstance(w, str) for w in t) for t in tokenizations
+    ):
+        raise ValueError("tokenizations: expected a list of word lists")
+    try:
+        return segvote.vote(sentence, tokenizations)
+    except ValueError as err:
+        raise ValueError(f"tokenizations: {err}") from None
+
+
 def cmd_vote(args) -> int:
     if args.output and _input_overwritten([args.output], [args.input]):
         return _fail(f"--output {args.output} is the input file; inputs are never overwritten")
@@ -78,22 +104,13 @@ def cmd_vote(args) -> int:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-            sentence = record["sentence"]
-            tokenizations = record["tokenizations"]
-            if not isinstance(sentence, str):
-                raise ValueError("'sentence' must be a string")
-            if not isinstance(tokenizations, list) or not all(
-                isinstance(t, list) and all(isinstance(w, str) for w in t) for t in tokenizations
-            ):
-                raise ValueError("'tokenizations' must be a list of word lists")
-            seg = segvote.vote(sentence, tokenizations)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
+            seg = _vote_record(line)
+        except ValueError as err:
             return _fail(f"{args.input}: line {lineno}: {err}")
         out_lines.append(
             json.dumps(
                 {
-                    "sentence": sentence,
+                    "sentence": seg.sentence,
                     "words": seg.words,
                     "spans": [[s.start, s.end] for s in seg.spans],
                 },
@@ -218,23 +235,8 @@ def cmd_fuse(args) -> int:
     if clash:
         return _fail(_FUSE_CLASH.format(*clash))
 
-    d_h = hidden.shape[1]
-    w1 = bundle["W1"]
-    if w1.shape != (table.dim, d_h):
-        return _fail(
-            f"weight bundle: W1 is {w1.shape[0]}x{w1.shape[1]}, expected "
-            f"{table.dim}x{d_h} (embeddings dim x hidden dim)"
-        )
-    if bundle["Wq1"].shape != (d_h, d_h):
-        return _fail(
-            f"weight bundle: attention matrices are "
-            f"{bundle['Wq1'].shape[0]}x{bundle['Wq1'].shape[1]}, expected {d_h}x{d_h}"
-        )
-    cfg = FusionConfig(lam=lam, mu=mu, heads=heads, d_w=table.dim, d_h=d_h)
-    try:
-        result = pipeline_forward(hidden, seg, table, bundle, cfg)  # validates cfg
-    except ValueError as err:
-        return _fail(str(err))
+    # checks the bundle and the settings; main reports a ValueError with exit 1
+    result = pipeline_forward(hidden, seg, table, bundle, FusionConfig(lam=lam, mu=mu, heads=heads))
 
     numerics.write_matrix(result.fused, out)
     if debug:
@@ -325,7 +327,18 @@ def main(argv=None) -> int:
             stream.reconfigure(encoding="utf-8")
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError as err:
+        if err.filename is not None:  # a named output, such as a FIFO whose reader left
+            return _fail(str(err))
+        # stdout's reader has gone (``wordfuse check | head -2``): stop quietly, and
+        # send what is still buffered to os.devnull so the exit flush cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (OSError, json.JSONDecodeError, ValueError) as err:
         return _fail(str(err))
     except Exception as err:  # noqa: BLE001 - contract: unexpected bug -> 2

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar, Mapping
 
 import numpy as np
 
-from .lexicon import EmbeddingTable, ProjectionWeights, _nfc, lookup, project_rows
+from .lexicon import EmbeddingTable, _nfc, lookup, project_rows
 from .numerics import as_matrix, cosine, require_finite_result
 from .segvote import Segmentation, WordSpan
 
@@ -33,26 +34,18 @@ class FusionConfig:
     lam: float = 0.9  # key-information retention in [0, 1]
     mu: float = 0.5  # attention fusion coefficient in [0, 1]
     heads: int = 1
-    d_w: int | None = None
-    d_h: int | None = None
-    eps_denom: float = 1e-6  # score sums below this trigger uniform shares
+    eps_denom: ClassVar[float] = 1e-6  # score sums below this trigger uniform shares
 
-    def validate(self) -> "FusionConfig":
+    def validate(self, d_h: int) -> "FusionConfig":
+        """Refuse settings out of range, or heads that do not divide the hidden width d_h."""
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu must be in [0, 1], got {self.mu}")
         if self.heads < 1:
             raise ValueError(f"heads must be >= 1, got {self.heads}")
-        if self.d_w is not None and self.d_w < 1:
-            raise ValueError(f"d_w must be positive, got {self.d_w}")
-        if self.d_h is not None:
-            if self.d_h < 1:
-                raise ValueError(f"d_h must be positive, got {self.d_h}")
-            if self.d_h % self.heads:
-                raise ValueError(f"d_h={self.d_h} is not divisible by heads={self.heads}")
-        if self.eps_denom <= 0.0:
-            raise ValueError(f"eps_denom must be positive, got {self.eps_denom}")
+        if d_h % self.heads:
+            raise ValueError(f"d_h={d_h} is not divisible by heads={self.heads}")
         return self
 
 
@@ -147,7 +140,7 @@ def fuse_sequence(
     h,
     seg: Segmentation,
     table: EmbeddingTable,
-    weights: ProjectionWeights,
+    bundle: Mapping[str, np.ndarray],
     cfg: FusionConfig,
 ) -> tuple[np.ndarray, set[int]]:
     """Run the per-word fusion over a whole sentence.
@@ -158,10 +151,10 @@ def fuse_sequence(
     The sentence's distinct words (after NFC normalization) are projected in
     one batched call; rows are independent, so each word vector is the same
     bytes as a single-word ``project``.  An overflow in the projection or in
-    injection and mixing is a ValueError naming that stage.
+    injection and mixing is a ValueError naming that stage.  ``bundle`` and
+    ``cfg`` are used as given: ``pipeline_forward`` checks them.
     """
     h = as_matrix(h, "h")
-    cfg.validate()
     if h.shape[0] != len(seg.sentence):
         raise ValueError(
             f"hidden matrix has {h.shape[0]} rows, sentence has {len(seg.sentence)} characters"
@@ -169,7 +162,7 @@ def fuse_sequence(
     words = [_nfc(word) for word in seg.words]
     distinct = list(dict.fromkeys(words))
     embedded = np.array([lookup(table, word) for word in distinct]).reshape(len(distinct), table.dim)
-    projected = require_finite_result(project_rows(embedded, weights), "word projection")
+    projected = require_finite_result(project_rows(embedded, bundle), "word projection")
     vectors = dict(zip(distinct, projected))
     out = h
     omega: set[int] = set()

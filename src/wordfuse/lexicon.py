@@ -11,7 +11,10 @@ this package trains or updates them.
 The weight bundle is a JSON object carrying every trainable tensor of the
 pipeline as ``{"rows": r, "cols": c, "data": [...]}`` (or a string path to a
 matrix text file, resolved relative to the bundle).  Bias vectors are stored
-as 1 x d_h matrices so the same tensor codec covers everything.
+as 1 x d_h matrices so the same tensor codec covers everything.  In memory a
+bundle is a dict from tensor name to 2-D array, as ``load_bundle`` and
+``init_bundle`` return it; ``project`` and the pipeline read the tensors
+from it by name, and ``check_bundle`` is the one check of their shapes.
 """
 
 from __future__ import annotations
@@ -32,14 +35,22 @@ from .numerics import as_matrix, as_vector, matmul, require_finite
 
 log = logging.getLogger(__name__)
 
-# every tensor a complete bundle must carry, in serialization order
-BUNDLE_TENSORS = ("W1", "b1", "W2", "b2", "Wq1", "Wk1", "Wv1", "Wq2", "Wk2", "Wv2")
+# every tensor a complete bundle must carry, in serialization order, with its
+# shape in terms of the embedding width d_w and the hidden width d_h
+BUNDLE_SHAPES = {
+    "W1": ("d_w", "d_h"),
+    "b1": (1, "d_h"),
+    "W2": ("d_h", "d_h"),
+    "b2": (1, "d_h"),
+    **{name: ("d_h", "d_h") for name in ("Wq1", "Wk1", "Wv1", "Wq2", "Wk2", "Wv2")},
+}
+BUNDLE_TENSORS = tuple(BUNDLE_SHAPES)
 
 UNK_TOKEN = "<unk>"
 
 # JSON names of the types json.loads produces, for error messages
-_JSON_KINDS = {type(None): "null", bool: "boolean", int: "number", float: "number",
-               str: "string", list: "list", dict: "object"}
+JSON_KINDS = {type(None): "null", bool: "boolean", int: "number", float: "number",
+              str: "string", list: "list", dict: "object"}
 
 
 def _nfc(word: str) -> str:
@@ -163,50 +174,21 @@ def lookup(table: EmbeddingTable, word: str) -> np.ndarray:
     return table.vectors.get(_nfc(word), table.unk).copy()
 
 
-@dataclass(frozen=True)
-class ProjectionWeights:
-    """Two-layer map from word-embedding space into the hidden space."""
-
-    w1: np.ndarray  # d_w x d_h
-    b1: np.ndarray  # d_h
-    w2: np.ndarray  # d_h x d_h
-    b2: np.ndarray  # d_h
-
-    def __post_init__(self):
-        d_w, d_h = self.w1.shape
-        if self.b1.shape != (d_h,) or self.w2.shape != (d_h, d_h) or self.b2.shape != (d_h,):
-            raise ValueError(
-                "projection shapes inconsistent: "
-                f"W1 {self.w1.shape}, b1 {self.b1.shape}, W2 {self.w2.shape}, b2 {self.b2.shape}"
-            )
-        for name in ("w1", "b1", "w2", "b2"):
-            require_finite(getattr(self, name), name)
-
-    @property
-    def d_w(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def d_h(self) -> int:
-        return self.w1.shape[1]
-
-
-def project_rows(x, weights: ProjectionWeights) -> np.ndarray:
+def project_rows(x, bundle: Mapping[str, np.ndarray]) -> np.ndarray:
     """tanh(X W1 + b1) W2 + b2 for a stack of word vectors, one per row.
 
-    Rows never mix under the pinned matmul order and tanh acts per element,
-    so row i equals ``project(x[i])`` byte for byte.
+    ``bundle`` is a weight bundle, as ``check_bundle`` accepts it; the 1 x d_h
+    bias rows broadcast over the rows of ``x``.  Rows never mix under the
+    pinned matmul order and tanh acts per element, so row i equals
+    ``project(x[i])`` byte for byte.
     """
-    x = as_matrix(x, "x")
-    if x.shape[1] != weights.d_w:
-        raise ValueError(f"project expected length-{weights.d_w} vectors, got {x.shape[1]}")
-    hidden = np.tanh(matmul(x, weights.w1) + weights.b1)
-    return matmul(hidden, weights.w2) + weights.b2
+    hidden = np.tanh(matmul(x, bundle["W1"]) + bundle["b1"])
+    return matmul(hidden, bundle["W2"]) + bundle["b2"]
 
 
-def project(x, weights: ProjectionWeights) -> np.ndarray:
+def project(x, bundle: Mapping[str, np.ndarray]) -> np.ndarray:
     """tanh(x W1 + b1) W2 + b2 for a single word vector."""
-    return project_rows(as_vector(x, "x")[None, :], weights)[0]
+    return project_rows(as_vector(x, "x")[None, :], bundle)[0]
 
 
 def _decode_tensor(name: str, obj, base_dir: Path) -> np.ndarray:
@@ -214,7 +196,7 @@ def _decode_tensor(name: str, obj, base_dir: Path) -> np.ndarray:
         return numerics.read_matrix(base_dir / obj)
     where = f"bundle tensor {name!r}"
     if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected an object or a path string, got {_JSON_KINDS[type(obj)]}")
+        raise ValueError(f"{where}: expected an object or a path string, got {JSON_KINDS[type(obj)]}")
     for key in ("rows", "cols", "data"):
         if key not in obj:
             raise ValueError(f"{where}: {key}: missing")
@@ -224,12 +206,12 @@ def _decode_tensor(name: str, obj, base_dir: Path) -> np.ndarray:
         if type(dim) is not int or dim < 1:
             raise ValueError(f"{where}: {key}: expected a positive JSON integer, got {json.dumps(dim)}")
     if not isinstance(data, list):
-        raise ValueError(f"{where}: data: expected a list of numbers, got {_JSON_KINDS[type(data)]}")
+        raise ValueError(f"{where}: data: expected a list of numbers, got {JSON_KINDS[type(data)]}")
     if len(data) != rows * cols:
         raise ValueError(f"{where}: data: length {len(data)} != {rows}*{cols}")
     if not set(map(type, data)) <= {int, float}:
         i, bad = next((i, v) for i, v in enumerate(data) if type(v) not in (int, float))
-        raise ValueError(f"{where}: data: element {i}: expected a number, got {_JSON_KINDS[type(bad)]}")
+        raise ValueError(f"{where}: data: element {i}: expected a number, got {JSON_KINDS[type(bad)]}")
     try:
         m = np.array(data, dtype=np.float64).reshape(rows, cols)
     except OverflowError:
@@ -260,6 +242,27 @@ def load_bundle(path: str | os.PathLike, matrix_files: list[Path] | None = None)
     if matrix_files is not None:
         matrix_files += [p.parent / raw[name] for name in BUNDLE_TENSORS if isinstance(raw[name], str)]
     return tensors
+
+
+def check_bundle(bundle: Mapping[str, np.ndarray], d_w: int, d_h: int) -> None:
+    """Refuse a bundle unless every tensor is present, finite and shaped as BUNDLE_SHAPES says.
+
+    The one check on a bundle's tensors before they are used: a ValueError
+    reads ``weight bundle: NAME is RxC, expected R'xC'``, or names the
+    missing or non-finite tensor.
+    """
+    dims = {"d_w": d_w, "d_h": d_h, 1: 1}
+    for name, shape in BUNDLE_SHAPES.items():
+        if name not in bundle:
+            raise ValueError(f"weight bundle: {name} is missing")
+        got, expected = np.shape(bundle[name]), tuple(dims[d] for d in shape)
+        if got != expected:
+            raise ValueError(f"weight bundle: {name} is {_dims(got)}, expected {_dims(expected)}")
+        require_finite(bundle[name], f"weight bundle: {name}")
+
+
+def _dims(shape: tuple[int, ...]) -> str:
+    return "x".join(map(str, shape))
 
 
 def _format_halves(flat: list[np.ndarray], second: bool) -> list[str]:
@@ -307,17 +310,6 @@ def save_bundle(tensors: Mapping[str, np.ndarray], path: str | os.PathLike) -> N
         yield "}\n"
 
     numerics.write_atomic(path, pieces())
-
-
-def projection_from_bundle(bundle: Mapping[str, np.ndarray]) -> ProjectionWeights:
-    """Assemble ProjectionWeights, flattening the 1 x d_h bias rows."""
-    b1, b2 = bundle["b1"], bundle["b2"]
-    for name, b in (("b1", b1), ("b2", b2)):
-        if b.shape[0] != 1:
-            raise ValueError(f"bundle tensor {name!r} must have one row, got {b.shape[0]}")
-    return ProjectionWeights(
-        w1=bundle["W1"], b1=b1[0], w2=bundle["W2"], b2=b2[0]
-    )
 
 
 def init_bundle(seed: int, d_w: int, d_h: int) -> dict[str, np.ndarray]:

@@ -134,6 +134,12 @@ def project_straight_line(x, w1, b1, w2, b2):
     return out
 
 
+def mask_matrix(n, omega):
+    """The masked branch's n x n additive mask: 0.0 in the omega columns, -inf elsewhere."""
+    row = [0.0 if j in omega else -math.inf for j in range(n)]
+    return [list(row) for _ in range(n)]
+
+
 def inject_straight_line(rows, scores, v, eps=1e-6):
     total = sum(scores)
     if abs(total) < eps:

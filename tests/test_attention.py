@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from wordfuse import attention, lexicon, numerics
-from wordfuse.attention import AttentionWeights, MaskSpec
+from wordfuse.attention import MaskSpec
 from wordfuse.check import naive_attend
 from wordfuse.fusion import FusionConfig
 from wordfuse.segvote import Segmentation, WordSpan
@@ -31,7 +31,7 @@ class TestMaskSpec:
             MaskSpec(4, frozenset({-1}))
 
     def test_mask_matrix_pattern(self):
-        mask = attention.mask_matrix(MaskSpec(4, frozenset({0, 2})))
+        mask = np.array(oracles.mask_matrix(4, {0, 2}))
         for j in range(4):
             col = mask[:, j]
             if j in (0, 2):
@@ -143,7 +143,7 @@ class TestAttend:
 
 
 def attend_full_mask(h, wq, wk, wv, heads, spec):
-    """The uncompacted masked branch: n x n scores plus mask_matrix(spec)."""
+    """The uncompacted masked branch: n x n scores plus the oracle's mask matrix."""
     n, d_h = h.shape
     q, k, v = numerics.matmul(h, wq), numerics.matmul(h, wk), numerics.matmul(h, wv)
     width = d_h // heads
@@ -151,7 +151,7 @@ def attend_full_mask(h, wq, wk, wv, heads, spec):
     for i in range(heads):
         cols = slice(i * width, (i + 1) * width)
         scores = numerics.matmul(q[:, cols], k[:, cols].T) / np.sqrt(d_h)
-        p = numerics.softmax_rows(scores + attention.mask_matrix(spec))
+        p = numerics.softmax_rows(scores + np.array(oracles.mask_matrix(spec.n, spec.omega)))
         probs.append(p)
         outs.append(numerics.matmul(p, v[:, cols]))
     return np.concatenate(outs, axis=1), np.stack(probs)
@@ -209,23 +209,6 @@ class TestFuseHeadsOutput:
             np.testing.assert_allclose(got, mu * h1 + (1 - mu) * h2, rtol=0, atol=0)
 
 
-class TestAttentionWeights:
-    def test_from_bundle_carries_both_branches(self):
-        bundle = lexicon.init_bundle(3, 2, 4)
-        w = AttentionWeights.from_bundle(bundle)
-        assert np.array_equal(w.wq1, bundle["Wq1"])
-        assert np.array_equal(w.wv2, bundle["Wv2"])
-        assert w.d_h == 4
-
-    def test_rejects_non_square(self, rng):
-        square = rng.standard_normal((4, 4))
-        with pytest.raises(ValueError):
-            AttentionWeights(
-                wq1=rng.standard_normal((3, 4)),
-                wk1=square, wv1=square, wq2=square, wk2=square, wv2=square,
-            )
-
-
 class TestPipelineForward:
     def make_setup(self, rng, n=5, d_w=3, d_h=4):
         sentence = "abcde"[:n]
@@ -245,15 +228,13 @@ class TestPipelineForward:
         from wordfuse import fusion
 
         h, seg, table, bundle = self.make_setup(rng)
-        cfg = FusionConfig(d_w=3, d_h=4)
+        cfg = FusionConfig()
         result = attention.pipeline_forward(h, seg, table, bundle, cfg)
 
-        weights = lexicon.projection_from_bundle(bundle)
-        mixed, omega = fusion.fuse_sequence(h, seg, table, weights, cfg)
+        mixed, omega = fusion.fuse_sequence(h, seg, table, bundle, cfg)
         mask = MaskSpec(h.shape[0], frozenset(omega))
-        aw = AttentionWeights.from_bundle(bundle)
-        h1 = attention.attend(mixed, aw.wq1, aw.wk1, aw.wv1, heads=cfg.heads)
-        h2 = attention.attend(mixed, aw.wq2, aw.wk2, aw.wv2, heads=cfg.heads, mask=mask)
+        h1 = attention.attend(mixed, bundle["Wq1"], bundle["Wk1"], bundle["Wv1"], heads=cfg.heads)
+        h2 = attention.attend(mixed, bundle["Wq2"], bundle["Wk2"], bundle["Wv2"], heads=cfg.heads, mask=mask)
         fused = attention.fuse_heads_output(h1, h2, cfg.mu)
 
         assert np.array_equal(result.mixed, mixed)
@@ -264,7 +245,7 @@ class TestPipelineForward:
 
     def test_matches_end_to_end_oracle(self, rng):
         h, seg, table, bundle = self.make_setup(rng)
-        cfg = FusionConfig(d_w=3, d_h=4)
+        cfg = FusionConfig()
         result = attention.pipeline_forward(h, seg, table, bundle, cfg)
 
         oracle_bundle = {k: [list(r) for r in v] for k, v in bundle.items()}
@@ -285,7 +266,7 @@ class TestPipelineForward:
 
     def test_result_shapes_and_types(self, rng):
         h, seg, table, bundle = self.make_setup(rng)
-        result = attention.pipeline_forward(h, seg, table, bundle, FusionConfig(d_w=3, d_h=4))
+        result = attention.pipeline_forward(h, seg, table, bundle, FusionConfig())
         assert result.fused.shape == h.shape
         assert result.h1.shape == h.shape and result.h2.shape == h.shape
         assert isinstance(result.omega, tuple)
@@ -294,7 +275,7 @@ class TestPipelineForward:
     def test_input_not_mutated(self, rng):
         h, seg, table, bundle = self.make_setup(rng)
         snapshot = h.copy()
-        attention.pipeline_forward(h, seg, table, bundle, FusionConfig(d_w=3, d_h=4))
+        attention.pipeline_forward(h, seg, table, bundle, FusionConfig())
         assert np.array_equal(h, snapshot)
 
     @pytest.mark.parametrize(
@@ -318,4 +299,19 @@ class TestPipelineForward:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a RuntimeWarning would escape as an exception
             with pytest.raises(ValueError, match=f"^overflow in {stage}: "):
-                attention.pipeline_forward(h, seg, table, bundle, FusionConfig(d_w=3, d_h=4))
+                attention.pipeline_forward(h, seg, table, bundle, FusionConfig())
+
+    def test_missing_tensor_is_a_value_error(self, rng):
+        h, seg, table, bundle = self.make_setup(rng)
+        del bundle["Wk2"]
+        with pytest.raises(ValueError, match="^weight bundle: Wk2 is missing$"):
+            attention.pipeline_forward(h, seg, table, bundle, FusionConfig())
+
+    def test_indivisible_heads_fail_before_any_stage(self, rng, monkeypatch):
+        def no_stage(*args):
+            raise AssertionError("fuse_sequence ran with heads that do not divide the width")
+
+        monkeypatch.setattr(attention, "fuse_sequence", no_stage)
+        h, seg, table, bundle = self.make_setup(rng, d_h=8)
+        with pytest.raises(ValueError, match="^d_h=8 is not divisible by heads=3$"):
+            attention.pipeline_forward(h, seg, table, bundle, FusionConfig(heads=3))

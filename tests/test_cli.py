@@ -111,6 +111,29 @@ class TestVote:
         assert res.returncode == 1
         assert "line 1" in res.stderr
 
+    @pytest.mark.parametrize(
+        ("record", "problem"),
+        [
+            ('{"tokenizations": [["ab"]]}', "sentence: missing"),
+            ('{"sentence": "ab"}', "tokenizations: missing"),
+            ('[["ab"]]', "expected a JSON object, got list"),
+            ('"ab"', "expected a JSON object, got string"),
+            ('{"sentence": 12, "tokenizations": [["ab"]]}', "sentence: expected a string"),
+            ('{"sentence": "ab", "tokenizations": ["ab"]}', "tokenizations: expected a list of word lists"),
+            ('{"sentence": "abc", "tokenizations": [["ab"]]}',
+             "tokenizations: tokenization diverges from sentence at character index 2"),
+            ("[" * 100000 + "]" * 100000, "JSON nested too deeply"),
+        ],
+        ids=["no-sentence", "no-tokenizations", "list", "string", "numeric-sentence",
+             "flat-tokenizations", "diverging", "deep"],
+    )
+    def test_bad_record_names_line_and_field(self, tmp_path, capsys, record, problem):
+        src = tmp_path / "v1.jsonl"
+        good = json.dumps({"sentence": "ab", "tokenizations": [["ab"]]})
+        src.write_text(good + "\n" + record + "\n", encoding="utf-8")
+        code, err = run_main(["vote", "--input", src], capsys)
+        assert (code, err) == (1, f"error: {src}: line 2: {problem}\n")
+
     def test_missing_input_file(self, tmp_path):
         res = run_cli("vote", "--input", tmp_path / "nope.jsonl")
         assert res.returncode == 1
@@ -189,9 +212,7 @@ class TestFuse:
         table = lexicon.load_embeddings(fuse_files["embeddings"])
         bundle = lexicon.load_bundle(fuse_files["weights"])
         seg = Segmentation("重庆人和中学", (WordSpan(0, 1), WordSpan(2, 5)))
-        result = attention.pipeline_forward(
-            hidden, seg, table, bundle, FusionConfig(d_w=4, d_h=8)
-        )
+        result = attention.pipeline_forward(hidden, seg, table, bundle, FusionConfig())
         assert np.array_equal(got, result.fused)
 
     def test_two_runs_byte_identical(self, fuse_files, tmp_path):
@@ -417,6 +438,19 @@ class TestFuse:
         res = run_cli(*fuse_args(fuse_files, heads="3"))
         assert res.returncode == 1
 
+    @pytest.mark.parametrize(
+        ("setting", "message"),
+        [({"lambda": "1.5"}, "lambda must be in [0, 1], got 1.5"),
+         ({"mu": "-0.25"}, "mu must be in [0, 1], got -0.25"),
+         ({"heads": "0"}, "heads must be >= 1, got 0"),
+         ({"heads": "3"}, "d_h=8 is not divisible by heads=3")],
+        ids=["lambda", "mu", "no-heads", "indivisible-heads"],
+    )
+    def test_bad_setting_named_with_exit_one(self, fuse_files, capsys, setting, message):
+        code, err = run_main(fuse_args(fuse_files, **setting), capsys)
+        assert (code, err) == (1, f"error: {message}\n")
+        assert not fuse_files["output"].exists()
+
     def test_input_files_not_mutated(self, fuse_files, golden):
         before = {
             key: fuse_files[key].read_bytes()
@@ -425,6 +459,54 @@ class TestFuse:
         run_cli(*fuse_args(fuse_files))
         after = {key: fuse_files[key].read_bytes() for key in before}
         assert before == after
+
+
+def altered(m, how):
+    """``m`` with one row too many, one column too many, or a NaN in its first entry."""
+    if how == "row":
+        return np.vstack([m, m[:1]])
+    if how == "column":
+        return np.hstack([m, m[:, :1]])
+    m = m.copy()
+    m[0, 0] = np.nan
+    return m
+
+
+class TestCheckBundle:
+    """One bad tensor is named the same way by the library and by ``fuse``."""
+
+    @pytest.mark.parametrize("how", ["row", "column", "nan"])
+    @pytest.mark.parametrize("name", lexicon.BUNDLE_TENSORS)
+    def test_each_tensor_checked_once(self, fuse_files, tmp_path, capsys, name, how):
+        from wordfuse import attention
+        from wordfuse.fusion import FusionConfig
+        from wordfuse.segvote import Segmentation, WordSpan
+
+        bundle = lexicon.load_bundle(fuse_files["weights"])
+        bad = altered(bundle[name], how)
+        rows, cols = bundle[name].shape
+        if how == "nan":
+            want = f"weight bundle: {name} contains non-finite entries"
+            # the loader refuses a non-finite tensor before the pipeline sees it
+            cli_want = f"weight bundle: bundle tensor '{name}': data: contains non-finite entries"
+        else:
+            got = f"{bad.shape[0]}x{bad.shape[1]}"
+            want = cli_want = f"weight bundle: {name} is {got}, expected {rows}x{cols}"
+
+        hidden = numerics.read_matrix(fuse_files["hidden"])
+        table = lexicon.load_embeddings(fuse_files["embeddings"])
+        seg = Segmentation("重庆人和中学", (WordSpan(0, 1), WordSpan(2, 5)))
+        with pytest.raises(ValueError) as info:
+            attention.pipeline_forward(hidden, seg, table, dict(bundle, **{name: bad}), FusionConfig())
+        assert str(info.value) == want
+
+        raw = json.loads(fuse_files["weights"].read_text(encoding="utf-8"))
+        raw[name] = {"rows": bad.shape[0], "cols": bad.shape[1], "data": bad.ravel().tolist()}
+        weights = tmp_path / "bad_bundle.json"
+        weights.write_text(json.dumps(raw), encoding="utf-8")  # a NaN is written as NaN
+        code, err = run_main(fuse_args(dict(fuse_files, weights=weights)), capsys)
+        assert (code, err) == (1, f"error: {cli_want}\n")
+        assert not fuse_files["output"].exists()
 
 
 class TestFuseBundleInChild:
@@ -721,3 +803,36 @@ class TestExitCodes:
     def test_user_data_errors_exit_one(self, tmp_path):
         res = run_cli("vote", "--input", tmp_path / "absent.jsonl")
         assert res.returncode == 1
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", ["check", "vote"])
+    def test_closed_stdout_exits_one_quietly(self, golden, command, buffered):
+        # like ``wordfuse check | head -2``: nothing on stderr, not even at interpreter exit
+        argv = ["check", "--cases", "5"] if command == "check" else ["vote", "--input", golden / "vote_record.jsonl"]
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            res = subprocess.run([sys.executable, "-m", "wordfuse.cli", *map(str, argv)], stdout=write_end,
+                                 stderr=subprocess.PIPE, env=env, text=True, encoding="utf-8", timeout=120)
+        finally:
+            os.close(write_end)
+        assert (res.returncode, res.stderr) == (1, "")
+
+    def test_named_fifo_without_reader_reports_its_path(self, golden, tmp_path, capsys, monkeypatch):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        reader = [os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)]
+
+        def open_then_lose_reader(file, *args, **kwargs):
+            f = open(file, *args, **kwargs)
+            if os.fspath(file) == str(fifo) and reader:
+                os.close(reader.pop())  # the reader leaves once the output is open
+            return f
+
+        monkeypatch.setattr(numerics, "open", open_then_lose_reader, raising=False)
+        code, err = run_main(["vote", "--input", golden / "vote_record.jsonl", "--output", fifo], capsys)
+        assert (code, err) == (1, f"error: [Errno 32] Broken pipe: {str(fifo)!r}\n")
+        assert not reader

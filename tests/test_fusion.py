@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,15 +35,22 @@ class TestFusionConfig:
     )
     def test_validate_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
-            FusionConfig(**kwargs).validate()
+            FusionConfig(**kwargs).validate(8)
 
     def test_heads_must_divide_hidden_width(self):
         with pytest.raises(ValueError):
-            FusionConfig(heads=3, d_h=8).validate()
+            FusionConfig(heads=3).validate(8)
 
     def test_validate_returns_self(self):
         cfg = FusionConfig()
-        assert cfg.validate() is cfg
+        assert cfg.validate(8) is cfg
+
+    def test_only_lam_mu_and_heads_are_settable(self):
+        assert [f.name for f in dataclasses.fields(FusionConfig)] == ["lam", "mu", "heads"]
+        for removed in ("d_w", "d_h", "eps_denom"):
+            with pytest.raises(TypeError):
+                FusionConfig(**{removed: 1})
+        assert FusionConfig().eps_denom == FusionConfig.eps_denom == 1e-6
 
 
 class TestScoreAndKey:
@@ -205,21 +213,21 @@ class TestFuseSequence:
             dim=3, vectors=entries, unk=np.zeros(3), duplicates=0
         )
         rng = np.random.default_rng(7)
-        self.weights = lexicon.ProjectionWeights(
-            w1=rng.standard_normal((3, 4)),
-            b1=rng.standard_normal(4),
-            w2=rng.standard_normal((4, 4)),
-            b2=rng.standard_normal(4),
-        )
+        self.bundle = {
+            "W1": rng.standard_normal((3, 4)),
+            "b1": rng.standard_normal((1, 4)),
+            "W2": rng.standard_normal((4, 4)),
+            "b2": rng.standard_normal((1, 4)),
+        }
         self.seg = Segmentation("abc", (WordSpan(0, 1), WordSpan(2, 2)))
-        self.cfg = FusionConfig(d_w=3, d_h=4)
+        self.cfg = FusionConfig()
 
     def per_word_reference(self, h, seg):
         want = h.copy()
         omega = set()
         for span in seg.spans:
             word = seg.sentence[span.start : span.end + 1]
-            v = lexicon.project(lexicon.lookup(self.table, word), self.weights)
+            v = lexicon.project(lexicon.lookup(self.table, word), self.bundle)
             wa = fusion.analyze_word(want, span, v)
             omega.add(wa.key)
             want = fusion.inject_word(want, wa, self.cfg)
@@ -228,7 +236,7 @@ class TestFuseSequence:
 
     def test_composition_matches_manual_steps(self, rng):
         h = rng.standard_normal((3, 4))
-        got, omega = fusion.fuse_sequence(h, self.seg, self.table, self.weights, self.cfg)
+        got, omega = fusion.fuse_sequence(h, self.seg, self.table, self.bundle, self.cfg)
         want, expect_omega = self.per_word_reference(h, self.seg)
         assert np.array_equal(got, want)
         assert omega == expect_omega
@@ -246,14 +254,14 @@ class TestFuseSequence:
         sentence = "".join(words)
         seg = validate_tokenization(sentence, words)
         h = rng.standard_normal((len(sentence), 4))
-        got, omega = fusion.fuse_sequence(h, seg, self.table, self.weights, self.cfg)
+        got, omega = fusion.fuse_sequence(h, seg, self.table, self.bundle, self.cfg)
         want, expect_omega = self.per_word_reference(h, seg)
         assert got.tobytes() == want.tobytes()
         assert omega == expect_omega
 
     def test_omega_one_key_per_word(self, rng):
         h = rng.standard_normal((3, 4))
-        _, omega = fusion.fuse_sequence(h, self.seg, self.table, self.weights, self.cfg)
+        _, omega = fusion.fuse_sequence(h, self.seg, self.table, self.bundle, self.cfg)
         assert len(omega) == len(self.seg.spans)
         for key, span in zip(sorted(omega), self.seg.spans):
             assert span.start <= key <= span.end
@@ -261,10 +269,10 @@ class TestFuseSequence:
     def test_rejects_row_count_mismatch(self, rng):
         h = rng.standard_normal((4, 4))
         with pytest.raises(ValueError):
-            fusion.fuse_sequence(h, self.seg, self.table, self.weights, self.cfg)
+            fusion.fuse_sequence(h, self.seg, self.table, self.bundle, self.cfg)
 
     def test_input_matrix_not_mutated(self, rng):
         h = rng.standard_normal((3, 4))
         snapshot = h.copy()
-        fusion.fuse_sequence(h, self.seg, self.table, self.weights, self.cfg)
+        fusion.fuse_sequence(h, self.seg, self.table, self.bundle, self.cfg)
         assert np.array_equal(h, snapshot)

@@ -238,78 +238,64 @@ class TestSaveBundle:
         assert list(tmp_path.iterdir()) == []
 
 
+def projection_bundle(rng, d_w, d_h):
+    """The four projection tensors of a bundle, biases stored as 1 x d_h rows."""
+    return {
+        "W1": rng.standard_normal((d_w, d_h)),
+        "b1": rng.standard_normal((1, d_h)),
+        "W2": rng.standard_normal((d_h, d_h)),
+        "b2": rng.standard_normal((1, d_h)),
+    }
+
+
 class TestProjection:
     def test_matches_straight_line_oracle(self, rng):
         for _ in range(20):
             d_w, d_h = int(rng.integers(1, 8)), int(rng.integers(1, 8))
-            weights = lexicon.ProjectionWeights(
-                w1=rng.standard_normal((d_w, d_h)),
-                b1=rng.standard_normal(d_h),
-                w2=rng.standard_normal((d_h, d_h)),
-                b2=rng.standard_normal(d_h),
-            )
+            bundle = projection_bundle(rng, d_w, d_h)
             x = rng.standard_normal(d_w)
-            got = lexicon.project(x, weights)
+            got = lexicon.project(x, bundle)
             want = oracles.project_straight_line(
                 x.tolist(),
-                weights.w1.tolist(),
-                weights.b1.tolist(),
-                weights.w2.tolist(),
-                weights.b2.tolist(),
+                bundle["W1"].tolist(),
+                bundle["b1"][0].tolist(),
+                bundle["W2"].tolist(),
+                bundle["b2"][0].tolist(),
             )
             assert got == pytest.approx(want, abs=1e-15)
 
     def test_project_rows_matches_single_rows_bitwise(self, rng):
         for d_w, d_h, rows in ((1, 1, 1), (3, 5, 7), (200, 16, 9)):
-            weights = lexicon.ProjectionWeights(
-                w1=rng.standard_normal((d_w, d_h)),
-                b1=rng.standard_normal(d_h),
-                w2=rng.standard_normal((d_h, d_h)),
-                b2=rng.standard_normal(d_h),
-            )
+            bundle = projection_bundle(rng, d_w, d_h)
             x = rng.standard_normal((rows, d_w)) * 10.0 ** rng.integers(-3, 4, size=(rows, 1))
             x[0] = 0.0
-            got = lexicon.project_rows(x, weights)
+            got = lexicon.project_rows(x, bundle)
             assert got.shape == (rows, d_h)
             for i in range(rows):
-                want = lexicon.project(x[i], weights)
+                want = lexicon.project(x[i], bundle)
                 assert got[i].tobytes() == want.tobytes()
 
+    def test_bias_rows_broadcast_like_flat_biases(self, rng):
+        # the stored 1 x d_h bias rows give the bytes flattened biases gave
+        bundle = projection_bundle(rng, 200, 16)
+        x = rng.standard_normal((9, 200))
+        flat = np.tanh(numerics.matmul(x, bundle["W1"]) + bundle["b1"][0])
+        want = numerics.matmul(flat, bundle["W2"]) + bundle["b2"][0]
+        assert lexicon.project_rows(x, bundle).tobytes() == want.tobytes()
+
     def test_project_rows_rejects_wrong_width(self, rng):
-        weights = lexicon.ProjectionWeights(
-            w1=rng.standard_normal((3, 4)), b1=np.zeros(4), w2=np.eye(4), b2=np.zeros(4)
-        )
+        bundle = {"W1": rng.standard_normal((3, 4)), "b1": np.zeros((1, 4)), "W2": np.eye(4), "b2": np.zeros((1, 4))}
         with pytest.raises(ValueError):
-            lexicon.project_rows(np.zeros((2, 4)), weights)
+            lexicon.project_rows(np.zeros((2, 4)), bundle)
         with pytest.raises(ValueError):
-            lexicon.project(np.zeros(4), weights)
+            lexicon.project(np.zeros(4), bundle)
 
     def test_output_bounded_by_tanh_then_affine(self, rng):
-        # with w2 = I and b2 = 0 the output is exactly tanh(x w1 + b1)
+        # with W2 = I and b2 = 0 the output is exactly tanh(x W1 + b1)
         d = 4
-        weights = lexicon.ProjectionWeights(
-            w1=rng.standard_normal((3, d)),
-            b1=np.zeros(d),
-            w2=np.eye(d),
-            b2=np.zeros(d),
-        )
-        out = lexicon.project(rng.standard_normal(3), weights)
+        bundle = {"W1": rng.standard_normal((3, d)), "b1": np.zeros((1, d)), "W2": np.eye(d), "b2": np.zeros((1, d))}
+        out = lexicon.project(rng.standard_normal(3), bundle)
         assert np.all(np.abs(out) < 1.0)
-
-    def test_shape_validation(self, rng):
-        with pytest.raises(ValueError):
-            lexicon.ProjectionWeights(
-                w1=rng.standard_normal((3, 4)),
-                b1=np.zeros(5),
-                w2=rng.standard_normal((4, 4)),
-                b2=np.zeros(4),
-            )
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            lexicon.ProjectionWeights(
-                w1=np.array([[np.nan]]), b1=np.zeros(1), w2=np.ones((1, 1)), b2=np.zeros(1)
-            )
 
 
 class TestBundle:
@@ -391,11 +377,3 @@ class TestBundle:
         path.write_text(json.dumps(bundle), encoding="utf-8")
         with pytest.raises(ValueError, match="W2"):
             lexicon.load_bundle(path)
-
-    def test_projection_from_bundle_flattens_biases(self):
-        b = lexicon.init_bundle(9, 3, 6)
-        weights = lexicon.projection_from_bundle(b)
-        assert weights.b1.shape == (6,)
-        assert weights.b2.shape == (6,)
-        assert np.array_equal(weights.w1, b["W1"])
-        assert weights.d_w == 3 and weights.d_h == 6

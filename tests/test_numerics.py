@@ -280,6 +280,36 @@ class TestMatmulKernels:
         assert [p.name for p in tmp_path.iterdir()] == [Path(outs[0][0].strip()[3:-1]).name]
 
 
+    @needs_cc
+    def test_fresh_build_prunes_stale_libraries(self, tmp_path):
+        stale = tmp_path / "wordfuse_matmul-0123456789abcdef0123456789abcdef.so"
+        stale.write_bytes(b"the library of an earlier source")
+        building = tmp_path / f".{stale.name}.1a2b3c4d.tmp"
+        building.write_bytes(b"another process's build in progress")
+        code, out, err = run_load(tmp_path)
+        assert code == 0 and out.startswith("C ("), out + err
+        current = Path(out.strip()[3:-1]).name
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([current, building.name])
+        # a cached load builds nothing, so it prunes nothing either
+        stale.write_bytes(b"the library of an earlier source")
+        assert run_load(tmp_path)[:2] == (0, out)
+        assert stale.exists()
+
+    @needs_cc
+    def test_stale_library_that_cannot_be_removed_is_kept(self, tmp_path, monkeypatch):
+        stale = tmp_path / "wordfuse_matmul-0123456789abcdef0123456789abcdef.so"
+        stale.write_bytes(b"the library of an earlier source")
+
+        def read_only(path, missing_ok=False):
+            raise PermissionError(13, "Read-only file system", str(path))
+
+        monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path)
+        monkeypatch.setattr(Path, "unlink", read_only)
+        kernel = _kernel.load(numerics.matmul_numpy)
+        assert kernel.name == "C", str(kernel)
+        assert stale.exists()
+
+
 class TestSoftmaxRows:
     def test_frozen_triple(self):
         got = numerics.softmax_rows(np.array([[1.0, 2.0, 3.0]]))
