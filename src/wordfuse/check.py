@@ -11,8 +11,11 @@ kernel is loaded, the matmul property checks it and the NumPy loop alike.
 
 from __future__ import annotations
 
+import argparse
+import copy
 import json
 import math
+import sys
 import tempfile
 import zlib
 from dataclasses import dataclass
@@ -443,6 +446,87 @@ def _check_projection_finite(rng, cases, ctx):
         _require(np.all(np.abs(inner) <= 1.0), "tanh layer escaped [-1, 1]")
 
 
+# field names of every record kind, so random objects often hit a real field
+_RECORD_KEYS = ["sentence", "tokenizations", "spans", "words", "lambda", "mu", "heads",
+                "debug_intermediates", "output", "rows", "cols", "data", *lexicon.BUNDLE_TENSORS, "x"]
+_JSON_SCALARS = [None, True, False, 0, 1, -1, 2, 10**400, 0.5, -0.0, 2.7, 1e308, math.inf, math.nan,
+                 "", "ab", "重庆", "w1.txt", "\x00"]
+
+
+def _random_json(rng, depth=0):
+    """A random JSON value of any kind, nested at most three deep."""
+    kind = int(rng.integers(0, 3 if depth < 3 else 1))
+    if kind == 0:
+        return _JSON_SCALARS[int(rng.integers(len(_JSON_SCALARS)))]
+    size = int(rng.integers(0, 4))
+    if kind == 1:
+        return [_random_json(rng, depth + 1) for _ in range(size)]
+    return {_RECORD_KEYS[int(rng.integers(len(_RECORD_KEYS)))]: _random_json(rng, depth + 1) for _ in range(size)}
+
+
+def _mutated(rng, record):
+    """A copy of ``record`` with one member, at any depth, replaced, removed or added."""
+    record = copy.deepcopy(record)
+    node, key = record, None
+    while node:  # pick a member; go into it, if it is a container, half the time
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = keys[int(rng.integers(len(keys)))]
+        if not isinstance(node[key], (dict, list)) or rng.uniform() < 0.5:
+            break
+        node, key = node[key], None
+    action = 0 if key is None else int(rng.integers(3))
+    if action == 0 and isinstance(node, dict):
+        node[_RECORD_KEYS[int(rng.integers(len(_RECORD_KEYS)))]] = _random_json(rng)
+    elif action == 0:
+        node.append(_random_json(rng))
+    elif action == 1:
+        node[key] = _random_json(rng)
+    else:
+        del node[key]
+    return record
+
+
+def _valid_records(rng) -> dict:
+    """One valid record of each JSON input kind."""
+    sentence = _random_sentence(rng)
+    tokenizations = [_random_tokenization(rng, sentence) for _ in range(int(rng.integers(1, 4)))]
+    seg = segvote.vote(sentence, tokenizations)
+    return {
+        "vote": {"sentence": sentence, "tokenizations": tokenizations},
+        "segmentation": {"sentence": sentence, "words": seg.words, "spans": [list(s) for s in seg.spans]},
+        "config": {"lambda": 0.9, "mu": 0.5, "heads": 1, "debug_intermediates": False, "output": "fused.txt"},
+        "bundle": {name: {"rows": 1, "cols": 2, "data": rng.standard_normal(2).tolist()}
+                   for name in lexicon.BUNDLE_TENSORS},
+    }
+
+
+def _check_malformed_refused(rng, cases, ctx):
+    from . import cli  # cli imports this module
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "record.json", Path(tmp) / "voted.jsonl"
+        readers = {"vote": lambda p: cli.cmd_vote(argparse.Namespace(input=p, output=out)),
+                   "segmentation": cli._read_segmentation, "config": cli._read_config,
+                   "bundle": lexicon.load_bundle}
+        for _ in range(cases):
+            depth = int(rng.integers(1, 4)) * sys.getrecursionlimit()
+            opener, closer = [("[", "]"), ('{"sentence": ', "}")][int(rng.integers(2))]
+            for kind, record in _valid_records(rng).items():
+                valid = json.dumps(record)
+                for text in (valid, json.dumps(_random_json(rng)), json.dumps(_mutated(rng, record)),
+                             opener * depth + "1" + closer * depth):
+                    path.write_text(text, encoding="utf-8")
+                    try:
+                        readers[kind](path)
+                    except ValueError as err:
+                        _require(text != valid, f"a valid {kind} record was refused: {err}")
+                        _require(str(err).startswith(f"{path}: "), f"{kind} refusal does not name its file: {err}")
+                    except OSError:  # a bundle tensor's path names no readable file
+                        _require(kind == "bundle", f"{kind} record raised an OSError")
+                    except Exception as err:  # noqa: BLE001 - anything else would exit 2
+                        raise CheckFailure(f"{kind} record {text[:80]!r} raised {err!r}") from None
+
+
 PROPERTIES: list[tuple[str, Callable]] = [
     ("softmax rows sum to one and respect masks", _check_softmax_stochastic),
     ("matmul matches the naive triple loop bit-for-bit", _check_matmul_oracle),
@@ -465,6 +549,7 @@ PROPERTIES: list[tuple[str, Callable]] = [
     ("single-head attention matches the naive oracle", _check_attention_oracle),
     ("branch fusion is linear in mu with exact endpoints", _check_fusion_linear),
     ("projection output stays finite", _check_projection_finite),
+    ("malformed input is refused with a located message", _check_malformed_refused),
 ]
 
 

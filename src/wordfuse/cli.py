@@ -31,14 +31,16 @@ from .attention import pipeline_forward
 from .fusion import FusionConfig
 from .segvote import Segmentation, WordSpan
 
-FUSE_DEFAULTS = {"lambda": 0.9, "mu": 0.5, "heads": 1, "debug_intermediates": False}
+FUSE_DEFAULTS = {"lambda": FusionConfig.lam, "mu": FusionConfig.mu, "heads": FusionConfig.heads,
+                 "debug_intermediates": False}
 FUSE_PATHS = ("embeddings", "weights", "hidden", "segmentation", "output")
 
-# the JSON type each --config key must hold, checked by Python type: a JSON
-# true is a bool, not a number, and 2.7 is a float, not an integer
-_CONFIG_TYPES = {"lambda": "number", "mu": "number", "heads": "integer",
-                 "debug_intermediates": "boolean", **{key: "string" for key in FUSE_PATHS}}
-_JSON_TYPES = {"number": (int, float), "integer": (int,), "boolean": (bool,), "string": (str,)}
+# the fields of each JSON record the commands read, by numerics.JSON_FIELD_KINDS
+_VOTE_FIELDS = {"sentence": "string", "tokenizations": "list of word lists"}
+_SEGMENTATION_FIELDS = {"sentence": "string", "spans": "list of [start, end] integer pairs",
+                        "words": "list of strings"}
+_CONFIG_FIELDS = {"lambda": "number", "mu": "number", "heads": "integer",
+                  "debug_intermediates": "boolean", **dict.fromkeys(FUSE_PATHS, "string")}
 
 _FUSE_CLASH = "output {} is the input file {}; inputs are never overwritten"
 
@@ -66,47 +68,17 @@ def _load_weights(path: str) -> tuple[dict, list]:
     return lexicon.load_bundle(path, matrix_files), matrix_files
 
 
-def _vote_record(line: str) -> Segmentation:
-    """The voted segmentation of one ``vote`` input line; a ValueError reads ``field: problem``."""
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as err:
-        raise ValueError(f"not valid JSON: {err}") from None
-    except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
-    if not isinstance(record, dict):
-        raise ValueError(f"expected a JSON object, got {lexicon.JSON_KINDS[type(record)]}")
-    for field in ("sentence", "tokenizations"):
-        if field not in record:
-            raise ValueError(f"{field}: missing")
-    sentence, tokenizations = record["sentence"], record["tokenizations"]
-    if not isinstance(sentence, str):
-        raise ValueError("sentence: expected a string")
-    if not isinstance(tokenizations, list) or not all(
-        isinstance(t, list) and all(isinstance(w, str) for w in t) for t in tokenizations
-    ):
-        raise ValueError("tokenizations: expected a list of word lists")
-    try:
-        return segvote.vote(sentence, tokenizations)
-    except ValueError as err:
-        raise ValueError(f"tokenizations: {err}") from None
-
-
 def cmd_vote(args) -> int:
     if args.output and _input_overwritten([args.output], [args.input]):
         return _fail(f"--output {args.output} is the input file; inputs are never overwritten")
     out_lines = []
-    try:
-        lines = numerics.read_text(args.input).splitlines()
-    except (OSError, ValueError) as err:
-        return _fail(str(err))
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(numerics.read_text(args.input).splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            seg = _vote_record(line)
-        except ValueError as err:
-            return _fail(f"{args.input}: line {lineno}: {err}")
+        with numerics.located(f"{args.input}: line {lineno}"):
+            record = numerics.check_record(numerics.parse_json(line), _VOTE_FIELDS, required=_VOTE_FIELDS)
+            with numerics.located("tokenizations"):
+                seg = segvote.vote(record["sentence"], record["tokenizations"])
         out_lines.append(
             json.dumps(
                 {
@@ -136,107 +108,75 @@ def cmd_init_weights(args) -> int:
     return 0
 
 
-def _load_segmentation(path: str) -> Segmentation:
+def _read_segmentation(path: str) -> Segmentation:
+    """The record of a segmentation file: a JSON object, or a JSON-lines file of one record."""
     text = numerics.read_text(path).strip()
-    if not text:
-        raise ValueError(f"{path}: empty segmentation file")
-    # a plain JSON object, or a JSON-lines file holding exactly one record
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError as err:
+    with numerics.located(path):
         try:
-            records = [json.loads(line) for line in text.splitlines() if line.strip()]
-        except json.JSONDecodeError:
-            raise ValueError(f"{path}: not valid JSON: {err}") from None
-        raise ValueError(f"{path}: {len(records)} records, fuse takes exactly one") from None
-    if not isinstance(record, dict) or "sentence" not in record:
-        raise ValueError(f"{path}: expected an object with a 'sentence' field")
-    sentence = record["sentence"]
-    if not isinstance(sentence, str):
-        raise ValueError(f"{path}: sentence: expected a string")
-    if "spans" in record:
-        spans = record["spans"]
-        if not isinstance(spans, list) or not all(
-            isinstance(s, list) and len(s) == 2 and all(type(i) is int for i in s) for s in spans
-        ):
-            raise ValueError(f"{path}: spans: expected a list of [start, end] integer pairs")
-        return Segmentation(sentence, tuple(WordSpan(s, e) for s, e in spans))
-    if "words" in record:
-        words = record["words"]
-        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-            raise ValueError(f"{path}: words: expected a list of strings")
-        return segvote.validate_tokenization(sentence, words)
-    raise ValueError(f"{path}: record needs either 'spans' or 'words'")
+            record = numerics.parse_json(text)
+        except ValueError as err:
+            try:
+                count = len([numerics.parse_json(line) for line in text.splitlines() if line.strip()])
+            except ValueError:
+                raise err from None
+            raise ValueError(f"{count} records, fuse takes exactly one") from None  # 0 if empty
+        numerics.check_record(record, _SEGMENTATION_FIELDS, required=("sentence",))
+        sentence, spans, words = record["sentence"], record.get("spans"), record.get("words")
+        if spans is None:
+            if words is None:
+                raise ValueError("record needs either 'spans' or 'words'")
+            with numerics.located("words"):
+                return segvote.validate_tokenization(sentence, words)
+        with numerics.located("spans"):
+            seg = Segmentation(sentence, tuple(WordSpan(start, end) for start, end in spans))
+        if words is not None and words != seg.words:
+            raise ValueError("words: not the sentence's slices at spans")
+        return seg
 
 
-def _load_config(path: str) -> dict:
-    try:
-        raw = json.loads(numerics.read_text(path))
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{path}: not valid JSON: {err}") from None
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(raw) - set(_CONFIG_TYPES))
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    for key, value in raw.items():
-        kind = _CONFIG_TYPES[key]
-        # a number must also fit a float: float() of a 400-digit integer raises OverflowError
-        if type(value) not in _JSON_TYPES[kind] or kind == "number" and abs(value) > sys.float_info.max:
-            raise ValueError(f"{path}: {key}: expected a JSON {kind}, got {json.dumps(value)}")
-    return raw
+def _read_config(path: str) -> dict:
+    """The settings a ``--config`` file holds; a ValueError reads ``path: field: problem``."""
+    config = numerics.read_json(path)
+    with numerics.located(path):
+        return numerics.check_record(config, _CONFIG_FIELDS, closed="config")
 
 
 def cmd_fuse(args) -> int:
-    file_cfg = _load_config(args.config) if args.config else {}
-
-    def pick(flag_value, key):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, FUSE_DEFAULTS.get(key))
-
-    paths = {key: pick(getattr(args, key), key) for key in FUSE_PATHS}
-    missing = [key for key, value in paths.items() if not value]
+    # a flag overrides the config file, which overrides the defaults
+    settings = dict(FUSE_DEFAULTS, **(_read_config(args.config) if args.config else {}))
+    settings.update((key, getattr(args, key)) for key in _CONFIG_FIELDS if getattr(args, key) is not None)
+    missing = sorted(key for key in FUSE_PATHS if not settings.get(key))
     if missing:
-        return _fail(f"missing required settings: {', '.join(sorted(missing))}")
-    lam = float(pick(args.lam, "lambda"))
-    mu = float(pick(args.mu, "mu"))
-    heads = pick(args.heads, "heads")
-    debug = pick(args.debug_intermediates, "debug_intermediates")
+        return _fail(f"missing required settings: {', '.join(missing)}")
 
-    out = paths["output"]
+    out, debug = settings["output"], settings["debug_intermediates"]
     outputs = [out]
     if debug:
         outputs += [f"{out}{suffix}" for suffix in (".mixed", ".h1", ".h2", ".omega.json")]
-    clash = _input_overwritten(outputs, [paths[key] for key in FUSE_PATHS if key != "output"])
+    inputs = [args.config] if args.config else []
+    inputs += [settings[key] for key in FUSE_PATHS if key != "output"]
+    clash = _input_overwritten(outputs, inputs)
     if clash:
         return _fail(_FUSE_CLASH.format(*clash))
 
     # the bundle parses in a second process while this one reads the other
     # inputs; errors are still reported in input order
-    with _in_child(_load_weights, paths["weights"]) as weights:
-        try:
-            hidden = numerics.read_matrix(paths["hidden"])
-        except ValueError as err:
-            return _fail(f"hidden states: {err}")
-        try:
-            seg = _load_segmentation(paths["segmentation"])
-        except ValueError as err:
-            return _fail(f"segmentation: {err}")
-        try:
-            table = lexicon.load_embeddings(paths["embeddings"])
-        except ValueError as err:
-            return _fail(f"embeddings: {err}")
-        try:
+    with _in_child(_load_weights, settings["weights"]) as weights:
+        with numerics.located("hidden states"):
+            hidden = numerics.read_matrix(settings["hidden"])
+        with numerics.located("segmentation"):
+            seg = _read_segmentation(settings["segmentation"])
+        with numerics.located("embeddings"):
+            table = lexicon.load_embeddings(settings["embeddings"])
+        with numerics.located("weight bundle"):
             bundle, matrix_files = weights()
-        except ValueError as err:
-            return _fail(f"weight bundle: {err}")
     clash = _input_overwritten(outputs, matrix_files)
     if clash:
         return _fail(_FUSE_CLASH.format(*clash))
 
     # checks the bundle and the settings; main reports a ValueError with exit 1
-    result = pipeline_forward(hidden, seg, table, bundle, FusionConfig(lam=lam, mu=mu, heads=heads))
+    cfg = FusionConfig(lam=float(settings["lambda"]), mu=float(settings["mu"]), heads=settings["heads"])
+    result = pipeline_forward(hidden, seg, table, bundle, cfg)
 
     numerics.write_matrix(result.fused, out)
     if debug:
@@ -298,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuse.add_argument("--hidden", help="matrix text file of per-character hidden states")
     p_fuse.add_argument("--segmentation", help="JSON record with sentence + spans (or words)")
     p_fuse.add_argument("--output", help="where to write the fused matrix")
-    p_fuse.add_argument("--lambda", dest="lam", type=float, help="key-information retention (default 0.9)")
-    p_fuse.add_argument("--mu", type=float, help="attention fusion coefficient (default 0.5)")
-    p_fuse.add_argument("--heads", type=int, help="attention heads (default 1)")
+    p_fuse.add_argument("--lambda", type=float, help=f"key-information retention (default {FusionConfig.lam})")
+    p_fuse.add_argument("--mu", type=float, help=f"attention fusion coefficient (default {FusionConfig.mu})")
+    p_fuse.add_argument("--heads", type=int, help=f"attention heads (default {FusionConfig.heads})")
     p_fuse.add_argument(
         "--debug-intermediates",
         action=argparse.BooleanOptionalAction,
@@ -339,7 +279,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (OSError, json.JSONDecodeError, ValueError) as err:
+    except (OSError, ValueError) as err:
         return _fail(str(err))
     except Exception as err:  # noqa: BLE001 - contract: unexpected bug -> 2
         print(f"internal error: {err!r}", file=sys.stderr)

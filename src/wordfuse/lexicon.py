@@ -48,11 +48,6 @@ BUNDLE_TENSORS = tuple(BUNDLE_SHAPES)
 
 UNK_TOKEN = "<unk>"
 
-# JSON names of the types json.loads produces, for error messages
-JSON_KINDS = {type(None): "null", bool: "boolean", int: "number", float: "number",
-              str: "string", list: "list", dict: "object"}
-
-
 def _nfc(word: str) -> str:
     return unicodedata.normalize("NFC", word)
 
@@ -191,54 +186,46 @@ def project(x, bundle: Mapping[str, np.ndarray]) -> np.ndarray:
     return project_rows(as_vector(x, "x")[None, :], bundle)[0]
 
 
-def _decode_tensor(name: str, obj, base_dir: Path) -> np.ndarray:
-    if isinstance(obj, str):
+# the fields of a bundle and of a tensor stored inline, by numerics.JSON_FIELD_KINDS
+_BUNDLE_FIELDS = dict.fromkeys(BUNDLE_TENSORS, "object or path string")
+_TENSOR_FIELDS = {"rows": "positive integer", "cols": "positive integer", "data": "list"}
+
+
+def _tensor(obj, base_dir: Path) -> np.ndarray:
+    """One bundle tensor, inline or a matrix file path; a ValueError reads ``field: problem``."""
+    if type(obj) is str:
         return numerics.read_matrix(base_dir / obj)
-    where = f"bundle tensor {name!r}"
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected an object or a path string, got {JSON_KINDS[type(obj)]}")
-    for key in ("rows", "cols", "data"):
-        if key not in obj:
-            raise ValueError(f"{where}: {key}: missing")
+    numerics.check_record(obj, _TENSOR_FIELDS, required=_TENSOR_FIELDS)
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    for key, dim in (("rows", rows), ("cols", cols)):
-        # type(), not isinstance(): JSON true is not an integer, and 8.9 is not 8
-        if type(dim) is not int or dim < 1:
-            raise ValueError(f"{where}: {key}: expected a positive JSON integer, got {json.dumps(dim)}")
-    if not isinstance(data, list):
-        raise ValueError(f"{where}: data: expected a list of numbers, got {JSON_KINDS[type(data)]}")
     if len(data) != rows * cols:
-        raise ValueError(f"{where}: data: length {len(data)} != {rows}*{cols}")
+        raise ValueError(f"data: length {len(data)} != {rows}*{cols}")
     if not set(map(type, data)) <= {int, float}:
         i, bad = next((i, v) for i, v in enumerate(data) if type(v) not in (int, float))
-        raise ValueError(f"{where}: data: element {i}: expected a number, got {JSON_KINDS[type(bad)]}")
+        raise ValueError(f"data: element {i}: expected a JSON number, got {numerics.json_shown(bad)}")
     try:
         m = np.array(data, dtype=np.float64).reshape(rows, cols)
     except OverflowError:
-        raise ValueError(f"{where}: data: integer too large for a float") from None
+        raise ValueError("data: integer too large for a float") from None
     if not np.isfinite(m).all():
-        raise ValueError(f"{where}: data: contains non-finite entries")
+        raise ValueError("data: contains non-finite entries")
     return m
 
 
 def load_bundle(path: str | os.PathLike, matrix_files: list[Path] | None = None) -> dict[str, np.ndarray]:
     """Read a weight bundle; every tensor in BUNDLE_TENSORS must be present.
 
-    When ``matrix_files`` is given, the resolved path of every tensor stored
-    as a matrix file is appended to it, so callers can treat those files as
-    inputs too without parsing the bundle again.
+    A ValueError reads ``path: NAME: field: problem``.  When ``matrix_files``
+    is given, the path of each tensor stored as a matrix file is appended to
+    it, so callers can treat those files as inputs too without parsing again.
     """
     p = Path(path)
-    try:
-        raw = json.loads(numerics.read_text(p))
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{path}: not valid JSON: {err}") from None
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: bundle must be a JSON object")
-    missing = [name for name in BUNDLE_TENSORS if name not in raw]
-    if missing:
-        raise ValueError(f"{path}: bundle is missing tensors {missing}")
-    tensors = {name: _decode_tensor(name, raw[name], p.parent) for name in BUNDLE_TENSORS}
+    raw = numerics.read_json(p)
+    tensors = {}
+    with numerics.located(path):
+        numerics.check_record(raw, _BUNDLE_FIELDS, required=BUNDLE_TENSORS)
+        for name in BUNDLE_TENSORS:
+            with numerics.located(name):
+                tensors[name] = _tensor(raw[name], p.parent)
     if matrix_files is not None:
         matrix_files += [p.parent / raw[name] for name in BUNDLE_TENSORS if isinstance(raw[name], str)]
     return tensors

@@ -2,7 +2,8 @@
 
 Everything here is deliberately boring: row-major float64 matrices,
 a portable PRNG, a text matrix format, and the text-file reader and
-atomic writer every input and output goes through.  Every result is
+atomic writer every input and output goes through (JSON ones through
+``read_json`` or ``parse_json``, and ``check_record``).  Every result is
 reproducible bit for bit across runs and platforms.
 
 ``matmul`` pins its accumulation order: output entries sum their products
@@ -33,11 +34,13 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import json
 import math
 import os
 import stat
+import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -321,6 +324,76 @@ def read_text(path: str | os.PathLike) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise not_utf8(path, err) from None
+
+
+@contextlib.contextmanager
+def located(where: str | os.PathLike):
+    """Prefix ``where: `` to the message of a ValueError raised in the block."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
+
+
+def parse_json(text: str):
+    """The value of a JSON text; a ValueError reads ``not valid JSON: <msg>`` or ``JSON nested too deeply``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    except ValueError as err:  # a JSONDecodeError, or an integer longer than int() takes
+        raise ValueError(f"not valid JSON: {err}") from None
+
+
+def read_json(path: str | os.PathLike):
+    """The value of a UTF-8 JSON file; a ValueError names the path."""
+    text = read_text(path)  # freed on return, before a caller builds on the value: a bundle's is 95 MB
+    with located(path):
+        return parse_json(text)
+
+
+# each kind of JSON value a record field may hold, by its name in messages, and
+# its test; type(), not isinstance(): JSON true is not a number, 2.7 not an integer
+JSON_FIELD_KINDS = {
+    "list": lambda v: type(v) is list,
+    "string": lambda v: type(v) is str,
+    "boolean": lambda v: type(v) is bool,
+    "integer": lambda v: type(v) is int,
+    "positive integer": lambda v: type(v) is int and v > 0,
+    # a number must fit a float: float() of a 400-digit integer raises OverflowError
+    "number": lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+    "list of strings": lambda v: type(v) is list and all(type(s) is str for s in v),
+    "list of word lists": lambda v: type(v) is list and all(map(JSON_FIELD_KINDS["list of strings"], v)),
+    "list of [start, end] integer pairs": lambda v: type(v) is list and all(
+        type(pair) is list and len(pair) == 2 and all(type(i) is int for i in pair) for pair in v
+    ),
+    "object or path string": lambda v: type(v) in (dict, str),
+}
+
+
+def json_shown(value) -> str:
+    """A decoded JSON value as a message shows it: ``list`` or ``object``, else its JSON text."""
+    return {list: "list", dict: "object"}.get(type(value)) or json.dumps(value)
+
+
+def check_record(record, fields: Mapping[str, str], required: Iterable[str] = (), closed: str | None = None) -> dict:
+    """``record``, a JSON object whose ``fields`` hold their ``JSON_FIELD_KINDS``; else a ValueError.
+
+    Only ``required`` fields must be present; a record named by ``closed``
+    has no other keys.  The ValueError reads ``field: problem``.
+    """
+    if type(record) is not dict:
+        raise ValueError(f"expected a JSON object, got {json_shown(record)}")
+    unknown = sorted(set(record) - set(fields)) if closed else []
+    if unknown:
+        raise ValueError(f"unknown {closed} keys: {', '.join(unknown)}")
+    for field in required:
+        if field not in record:
+            raise ValueError(f"{field}: missing")
+    for field, kind in fields.items():
+        if field in record and not JSON_FIELD_KINDS[kind](record[field]):
+            raise ValueError(f"{field}: expected a JSON {kind}, got {json_shown(record[field])}")
+    return record
 
 
 def read_matrix(path: str | os.PathLike) -> np.ndarray:

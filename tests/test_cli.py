@@ -117,9 +117,10 @@ class TestVote:
             ('{"tokenizations": [["ab"]]}', "sentence: missing"),
             ('{"sentence": "ab"}', "tokenizations: missing"),
             ('[["ab"]]', "expected a JSON object, got list"),
-            ('"ab"', "expected a JSON object, got string"),
-            ('{"sentence": 12, "tokenizations": [["ab"]]}', "sentence: expected a string"),
-            ('{"sentence": "ab", "tokenizations": ["ab"]}', "tokenizations: expected a list of word lists"),
+            ('"ab"', 'expected a JSON object, got "ab"'),
+            ('{"sentence": 12, "tokenizations": [["ab"]]}', "sentence: expected a JSON string, got 12"),
+            ('{"sentence": "ab", "tokenizations": ["ab"]}',
+             "tokenizations: expected a JSON list of word lists, got list"),
             ('{"sentence": "abc", "tokenizations": [["ab"]]}',
              "tokenizations: tokenization diverges from sentence at character index 2"),
             ("[" * 100000 + "]" * 100000, "JSON nested too deeply"),
@@ -302,6 +303,7 @@ class TestFuse:
             ({"sentence": "重庆人和中学", "spans": 5}, "spans"),
             ({"sentence": 5, "spans": [[0, 1], [2, 5]]}, "sentence"),
             ({"sentence": "ab", "words": "ab"}, "words"),
+            ({"sentence": "重庆人和中学", "spans": [[0, 1], [2, 5]], "words": ["x"]}, "words"),
         ],
     )
     def test_mistyped_segmentation_field_exits_one(self, fuse_files, tmp_path, record, field):
@@ -311,6 +313,14 @@ class TestFuse:
         assert res.returncode == 1, res.stderr
         assert f"{seg}: {field}: " in res.stderr
         assert not fuse_files["output"].exists()
+
+    def test_vote_output_fuses_to_golden(self, fuse_files, golden, tmp_path):
+        # vote writes words and spans side by side; they agree, so fuse takes the record
+        seg = tmp_path / "voted.jsonl"
+        assert run_cli("vote", "--input", golden / "vote_record.jsonl", "--output", seg).returncode == 0
+        res = run_cli(*fuse_args(dict(fuse_files, segmentation=seg)))
+        assert res.returncode == 0, res.stderr
+        assert hashlib.sha256(fuse_files["output"].read_bytes()).hexdigest() == FUSED_GOLDEN_SHA256
 
     def test_multi_record_segmentation_rejected(self, fuse_files, tmp_path):
         record = json.dumps({"sentence": "重庆人和中学", "spans": [[0, 1], [2, 5]]}, ensure_ascii=False)
@@ -373,7 +383,7 @@ class TestFuse:
         bad.write_text(json.dumps(bundle), encoding="utf-8")
         res = run_cli(*fuse_args(dict(fuse_files, weights=bad)))
         assert res.returncode == 1, res.stderr
-        assert f"bundle tensor 'W2': {field}: " in res.stderr
+        assert f"weight bundle: {bad}: W2: {field}: " in res.stderr
         assert not fuse_files["output"].exists()
 
     @pytest.mark.parametrize("debug", [False, True])
@@ -387,6 +397,20 @@ class TestFuse:
         assert res.returncode == 1, res.stderr
         assert "inputs are never overwritten" in res.stderr
         assert hidden.read_bytes() == before
+
+    @pytest.mark.parametrize("side_file", [False, True], ids=["output", "debug-side-file"])
+    def test_output_that_is_the_config_refused(self, fuse_files, tmp_path, capsys, side_file):
+        # the config names the output; with --debug-intermediates, .omega.json lands beside it
+        out = tmp_path / "run.txt"
+        config = tmp_path / ("run.txt.omega.json" if side_file else "cfg.json")
+        settings = {key: str(fuse_files[key]) for key in ("embeddings", "weights", "hidden", "segmentation")}
+        settings.update(output=str(out if side_file else config), debug_intermediates=side_file)
+        config.write_text(json.dumps(settings), encoding="utf-8")
+        before = config.read_bytes()
+        code, err = run_main(["fuse", "--config", config], capsys)
+        assert (code, err) == (1, f"error: {cli._FUSE_CLASH.format(config, config)}\n")
+        assert config.read_bytes() == before
+        assert not out.exists()
 
     def test_output_that_is_a_bundle_matrix_file_refused(self, fuse_files, tmp_path):
         # a bundle may store a tensor as a path to a matrix file: that file is an input too
@@ -484,11 +508,12 @@ class TestCheckBundle:
 
         bundle = lexicon.load_bundle(fuse_files["weights"])
         bad = altered(bundle[name], how)
+        weights = tmp_path / "bad_bundle.json"
         rows, cols = bundle[name].shape
         if how == "nan":
             want = f"weight bundle: {name} contains non-finite entries"
             # the loader refuses a non-finite tensor before the pipeline sees it
-            cli_want = f"weight bundle: bundle tensor '{name}': data: contains non-finite entries"
+            cli_want = f"weight bundle: {weights}: {name}: data: contains non-finite entries"
         else:
             got = f"{bad.shape[0]}x{bad.shape[1]}"
             want = cli_want = f"weight bundle: {name} is {got}, expected {rows}x{cols}"
@@ -502,7 +527,6 @@ class TestCheckBundle:
 
         raw = json.loads(fuse_files["weights"].read_text(encoding="utf-8"))
         raw[name] = {"rows": bad.shape[0], "cols": bad.shape[1], "data": bad.ravel().tolist()}
-        weights = tmp_path / "bad_bundle.json"
         weights.write_text(json.dumps(raw), encoding="utf-8")  # a NaN is written as NaN
         code, err = run_main(fuse_args(dict(fuse_files, weights=weights)), capsys)
         assert (code, err) == (1, f"error: {cli_want}\n")
@@ -535,7 +559,7 @@ class TestFuseBundleInChild:
             "missing": f"error: [Errno 2] No such file or directory: {str(weights)!r}\n",
             "not-json": f"error: weight bundle: {weights}: not valid JSON: Expecting property name "
                         "enclosed in double quotes: line 1 column 2 (char 1)\n",
-            "bad-tensor": "error: weight bundle: bundle tensor 'W2': data: element 0: expected a number, got null\n",
+            "bad-tensor": f"error: weight bundle: {weights}: W2: data: element 0: expected a JSON number, got null\n",
         }[case]
         code, err = run_main(fuse_args(dict(fuse_files, weights=weights)), capsys)
         assert (code, err) == (1, want)
@@ -717,6 +741,26 @@ class TestLocatedInputErrors:
         assert (code, err) == (1, f"error: {prefix}{bad}: line {line}: not valid UTF-8: invalid start byte\n")
         assert not fuse_files["output"].exists()
 
+    @pytest.mark.parametrize(
+        ("key", "lines", "prefix"),
+        [("segmentation", 1, "segmentation: "), ("segmentation", 2, "segmentation: "),
+         ("weights", 1, "weight bundle: ")],
+        ids=["segmentation", "segmentation-two-lines", "weights"],
+    )
+    def test_fuse_input_nested_too_deeply(self, fuse_files, tmp_path, capsys, forked, key, lines, prefix):
+        bad = tmp_path / f"deep_{key}"
+        bad.write_text(("[" * 100000 + "]" * 100000 + "\n") * lines, encoding="utf-8")
+        code, err = run_main(fuse_args(dict(fuse_files, **{key: bad})), capsys)
+        assert (code, err) == (1, f"error: {prefix}{bad}: JSON nested too deeply\n")
+        assert not fuse_files["output"].exists()
+
+    def test_config_nested_too_deeply(self, fuse_files, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        code, err = run_main(fuse_args(fuse_files, config=config), capsys)
+        assert (code, err) == (1, f"error: {config}: JSON nested too deeply\n")
+        assert not fuse_files["output"].exists()
+
     def test_config_not_utf8(self, fuse_files, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_bytes(b'{\n\n"\xff": 1}\n')
@@ -755,6 +799,17 @@ class TestCheck:
         monkeypatch.setattr(lexicon, "_format_halves", lambda flat, second: real(flat, not second))
         results = {r.name: r for r in cli.checkmod.run_checks(cases=5)}
         assert not results["saved bundle equals the serial JSON encoding"].passed
+        assert sum(not r.passed for r in results.values()) == 1
+
+    def test_record_property_catches_a_leaked_type_error(self, monkeypatch):
+        # records keep their required fields but no field's kind is checked, so a
+        # mistyped field reaches code that raises TypeError
+        real = numerics.check_record
+        monkeypatch.setattr(numerics, "check_record", lambda record, fields, required=(), closed=None:
+                            real(record, {}, required))
+        results = {r.name: r for r in cli.checkmod.run_checks(cases=5)}
+        failed = results["malformed input is refused with a located message"]
+        assert not failed.passed and "TypeError" in failed.failure
         assert sum(not r.passed for r in results.values()) == 1
 
     def test_rejects_non_positive_cases(self):
