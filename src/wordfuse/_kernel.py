@@ -1,4 +1,4 @@
-"""The exact-order C matmul behind ``numerics.matmul``, built at first use.
+"""The compiled library behind ``numerics.matmul`` and the text loaders, built at first use.
 
 ``SOURCE`` computes ``a @ b`` for C-contiguous float64 operands in the
 order of a naive triple loop: every output entry starts at +0.0 and adds
@@ -12,6 +12,23 @@ are computed together, not the order of any entry's sum.
 ``-ffp-contract=off`` forbids fusing the multiply and the add into one
 FMA, which rounds once instead of twice.
 
+The same source parses number text for ``numerics.read_matrix``,
+``lexicon.load_embeddings`` and ``lexicon.load_bundle``.  A token must
+match ``-?(0|[1-9][0-9]*)(\\.[0-9]+)?([eE][+-]?[0-9]+)?``; ``strtod``
+converts it, and the token is refused unless ``strtod`` stopped exactly at
+its end and the value is finite, so a locale whose decimal point is not
+``.`` refuses every fraction instead of misreading it.  On x86-64 most
+tokens skip ``strtod`` by Clinger's fast path, carried into the x87's
+64-bit mantissa: a value ``m * 10**e`` with at most 19 significant digits
+and ``|e| <= 27`` has ``m`` and ``10**|e|`` exact there, so one multiply or
+divide rounds it once, to 64 bits.  Rounding that to a double gives the
+value rounded once to 53 bits, the bits ``float()`` gives, unless the 64-bit
+result lies exactly halfway between two doubles; such a token goes to
+``strtod`` too.  ``wordfuse_parse_rows`` reads lines of numbers after an
+optional word; ``wordfuse_parse_list`` reads a JSON list of them.  Either
+refuses the whole input when anything does not fit, and the caller then
+runs its Python reader.
+
 ``load`` compiles the source with the system ``cc`` into a shared library
 cached in the ``__pycache__`` directory next to this file.  The file name
 carries a SHA-256 over the source, the flags, ``cc --version`` and the
@@ -22,8 +39,10 @@ each end with a whole library.  The file ends with a SHA-256 of the bytes
 before it, checked before the library is opened: opening a truncated
 library can kill the process with SIGBUS, so a file that fails the check
 is built again.  A library is accepted only when its product of fixed
-operands equals the reference's bit for bit; without a compiler, or when
-the build or that check fails, ``load`` returns no kernel and says why.
+operands equals the reference's bit for bit, ``HARD_DECIMALS`` parse to
+``float()``'s bits and every one of ``REFUSED_TOKENS`` is refused; without
+a compiler, or when the build or a check fails, ``load`` returns no kernel
+and says why.
 A library built and accepted here removes the cached libraries of other
 keys, left by an earlier source, compiler or CPU.
 """
@@ -44,7 +63,10 @@ from typing import Callable
 import numpy as np
 
 SOURCE = r"""
+#include <float.h>
+#include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* columns per block: 4 rows of 32 accumulators fill 16 AVX-512 registers */
@@ -97,6 +119,127 @@ void wordfuse_matmul(const double *restrict a, const double *restrict b, double 
         }
     }
 }
+
+#define DIGIT(p) ((p) < end && (unsigned)(*(p) - '0') < 10)
+
+/* exact powers of ten in x87 extended precision, whose 64-bit mantissa holds 5**27 */
+static const long double POW10[28] = {1e0L,  1e1L,  1e2L,  1e3L,  1e4L,  1e5L,  1e6L,  1e7L,  1e8L,  1e9L,
+                                      1e10L, 1e11L, 1e12L, 1e13L, 1e14L, 1e15L, 1e16L, 1e17L, 1e18L, 1e19L,
+                                      1e20L, 1e21L, 1e22L, 1e23L, 1e24L, 1e25L, 1e26L, 1e27L};
+
+/* The number token at s, before end: its end, or NULL when it does not match
+   the grammar, strtod stops elsewhere or the value is not finite.  *integral
+   says whether the token has neither a fraction nor an exponent. */
+static const char *number(const char *s, const char *end, double *value, int *integral)
+{
+    const char *p = s + (s < end && *s == '-');
+    uint64_t m = 0;       /* the significant digits, while there are at most 19 */
+    int sig = 0;          /* significant digits seen, leading zeros excluded */
+    int64_t e10 = 0, e = 0;
+    if (!DIGIT(p))
+        return NULL;
+    if (*p == '0')
+        ++p;
+    else
+        for (; DIGIT(p); ++p, ++sig)
+            m = m * 10 + (uint64_t)(*p - '0');
+    *integral = 1;
+    if (p < end && *p == '.') {
+        if (!DIGIT(p + 1))
+            return NULL;
+        for (++p; DIGIT(p); ++p, --e10) {
+            sig += sig || *p != '0';
+            m = m * 10 + (uint64_t)(*p - '0');
+        }
+        *integral = 0;
+    }
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        ++p;
+        const int negative = p < end && *p == '-';
+        p += p < end && (*p == '+' || *p == '-');
+        if (!DIGIT(p))
+            return NULL;
+        for (; DIGIT(p); ++p)
+            e = e < 100000 ? e * 10 + (*p - '0') : e;
+        e10 += negative ? -e : e;
+        *integral = 0;
+    }
+#if defined(__x86_64__) && LDBL_MANT_DIG == 64
+    /* m and 10**|e10| are exact in extended precision, so q is the value rounded
+       once to 64 bits; rounding q to a double again gives the value rounded once
+       to 53 bits unless q lies exactly halfway between two doubles */
+    if (sig <= 19 && e10 >= -27 && e10 <= 27) {
+        const long double q = e10 < 0 ? (long double)m / POW10[-e10] : (long double)m * POW10[e10];
+        uint64_t mantissa;
+        memcpy(&mantissa, &q, sizeof mantissa);
+        if ((mantissa & 0x7FF) != 0x400) {
+            *value = *s == '-' ? -(double)q : (double)q;
+            return p;
+        }
+    }
+#endif
+    char *stop;
+    *value = strtod(s, &stop);
+    return stop == p && isfinite(*value) ? p : NULL;
+}
+
+/* Reads `rows` lines of buf[start:len).  With `spans`, a line starts with a
+   word, the bytes before its first space, whose [start, end) offsets are
+   stored in spans; then come `cols` numbers, each after one or more spaces
+   (the first of a line without a word after zero or more), then spaces and
+   a '\n' or the end of buf.  Only ASCII whitespace may follow the last line.
+   The numbers go to out, row after row.  Returns 0, or -1 when anything
+   does not fit.  buf[len] must be readable: strtod may look at it. */
+int64_t wordfuse_parse_rows(const char *buf, int64_t start, int64_t len, int64_t rows, int64_t cols,
+                            double *restrict out, int64_t *restrict spans)
+{
+    const char *p = buf + start, *const end = buf + len;
+    int integral;
+    for (int64_t i = 0; i < rows; ++i) {
+        if (spans) {
+            const char *word = p;
+            while (p < end && *p != ' ' && *p != '\n')
+                ++p;
+            if (p == word)
+                return -1;
+            spans[2 * i] = word - buf;
+            spans[2 * i + 1] = p - buf;
+        }
+        for (int64_t j = 0; j < cols; ++j) {
+            const char *gap = p;
+            while (p < end && *p == ' ')
+                ++p;
+            if ((p == gap && (spans || j)) || !(p = number(p, end, out++, &integral)))
+                return -1;
+        }
+        while (p < end && *p == ' ')
+            ++p;
+        if (p < end && *p++ != '\n')
+            return -1;
+    }
+    for (; p < end; ++p)
+        if (*p != ' ' && (*p < '\t' || *p > '\r'))
+            return -1;
+    return 0;
+}
+
+/* Reads "[x, y, ...]" at buf + start: exactly `count` numbers, each with a
+   fraction or an exponent, separated by ", ".  Returns the offset just past
+   the ']', or -1 when anything does not fit. */
+int64_t wordfuse_parse_list(const char *buf, int64_t start, int64_t len, int64_t count, double *restrict out)
+{
+    const char *p = buf + start, *const end = buf + len;
+    int integral;
+    if (p == end || *p++ != '[')
+        return -1;
+    for (int64_t i = 0; i < count; ++i) {
+        if (i && (end - p < 2 || *p++ != ',' || *p++ != ' '))
+            return -1;
+        if (!(p = number(p, end, out + i, &integral)) || integral)
+            return -1;
+    }
+    return p < end && *p == ']' ? p + 1 - buf : -1;
+}
 """
 
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
@@ -107,12 +250,46 @@ _DIGEST = 32  # bytes of the SHA-256 that ends each cached library
 EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e-150, -1e-150, 1e150, -1e150)
 
 
+# decimals a parser gets wrong unless it rounds correctly, each as float() reads it:
+# halfway cases between adjacent doubles (ties to even, and just off a tie;
+# 2**60 + 128 is one that the fast path must leave to strtod), 17-20 digit
+# mantissas, 2**53 - 1 and 2**53 + 1, the smallest normal double and its
+# neighbours, subnormals, underflow to zero, -0 and the largest finite value
+HARD_DECIMALS = (
+    "0", "-0", "-0.0", "0.1", "1e23", "8.98846567431158e307", "9007199254740991", "9007199254740993",
+    "9007199254740995", "9007199254740993.0000000001", "1152921504606847104", "1.152921504606847105e18",
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203124",
+    "1.00000000000000011102230246251565404236316680908203126",
+    "0.30000000000000004", "12345678901234567890", "-0.12345678901234567891", "2.2250738585072011e-308",
+    "2.2250738585072012e-308", "2.2250738585072014e-308", "4.9406564584124654e-324", "5e-324",
+    "2.4703282292062327e-324", "2.4703282292062328e-324", "1e-320", "1e-400", "-1e-400", "0e999",
+    "1.7976931348623157e308", "1.7976931348623158E+308", "123456.789e-3", "1e-22", "9007199254740992e22",
+)
+# tokens outside the grammar, or whose value is not finite: each must be refused
+REFUSED_TOKENS = (
+    "+1", "1_0", "\u0661", "01", "-01", "1.", ".5", "-", "1e", "1e+", "1.e5", "--1", "1..2", "1,5", "0x10",
+    "inf", "-inf", "nan", "Infinity", "1e400", "-1e400", "1.7976931348623159e308", "1\t", "1a", "",
+)
+
+
 @dataclass(frozen=True)
 class Kernel:
-    """What ``load`` found: a C matmul and its library, or None and why NumPy runs."""
+    """What ``load`` found: the C library's functions, or None and why NumPy and Python run.
+
+    ``parse_rows(data, start, rows, cols, words)`` returns the ``rows x cols``
+    numbers of the lines ``wordfuse_parse_rows`` reads from ``data[start:]``
+    and, with ``words``, a ``(rows, 2)`` array of each word's byte span.
+    ``parse_list(data, start, count)`` returns the numbers of the JSON list
+    at ``data[start]`` and the offset after it.  Either returns None when
+    anything does not fit, and allocates nothing before checking that
+    ``data`` is long enough to hold the numbers a header promises.
+    """
 
     matmul: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     detail: str
+    parse_rows: Callable[[bytes, int, int, int, bool], tuple[np.ndarray, np.ndarray | None] | None] | None = None
+    parse_list: Callable[[bytes, int, int], tuple[np.ndarray, int] | None] | None = None
 
     @property
     def name(self) -> str:
@@ -149,19 +326,56 @@ def _cpu_flags() -> str:
     return f"{platform.machine()} {platform.processor()}"
 
 
-def _bind(path: Path) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The library's matmul; raises OSError or AttributeError when it cannot be opened."""
-    fn = ctypes.CDLL(str(path)).wordfuse_matmul
-    fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 3
-    fn.restype = None
+def _bind(path: Path) -> dict[str, Callable]:
+    """The library's functions, as ``Kernel`` fields; raises OSError or AttributeError when it cannot be opened."""
+    library = ctypes.CDLL(str(path))
+    product = library.wordfuse_matmul
+    product.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 3
+    product.restype = None
+    rows_fn, list_fn = library.wordfuse_parse_rows, library.wordfuse_parse_list
+    # c_char_p passes a bytes object's own buffer, which ends with a NUL byte
+    rows_fn.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 2
+    list_fn.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
+    rows_fn.restype = list_fn.restype = ctypes.c_int64
 
     def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``a @ b`` for C-contiguous, aligned float64 ``a`` and ``b`` whose inner sizes match."""
         out = np.empty((a.shape[0], b.shape[1]))
-        fn(a.ctypes.data, b.ctypes.data, out.ctypes.data, a.shape[0], a.shape[1], b.shape[1])
+        product(a.ctypes.data, b.ctypes.data, out.ctypes.data, a.shape[0], a.shape[1], b.shape[1])
         return out
 
-    return matmul
+    def parse_rows(data: bytes, start: int, rows: int, cols: int, words: bool):
+        # a number and its separator take at least two bytes; the last line may lack its newline
+        if 2 * rows * cols > len(data) - start + 1:
+            return None
+        out = np.empty((rows, cols))
+        spans = np.empty((rows, 2), dtype=np.int64) if words else None
+        if rows_fn(data, start, len(data), rows, cols, out.ctypes.data, None if spans is None else spans.ctypes.data):
+            return None
+        return out, spans
+
+    def parse_list(data: bytes, start: int, count: int):
+        if 2 * count > len(data) - start:  # '[', ']' and a ", " or more per number
+            return None
+        out = np.empty(count)
+        end = list_fn(data, start, len(data), count, out.ctypes.data)
+        return None if end < 0 else (out, end)
+
+    return {"matmul": matmul, "parse_rows": parse_rows, "parse_list": parse_list}
+
+
+def _parses_like_float(parse_rows, parse_list) -> bool:
+    """Whether ``HARD_DECIMALS`` give ``float()``'s bits, in a row and in a list, and ``REFUSED_TOKENS`` are refused."""
+    want = np.array([float(s) for s in HARD_DECIMALS])
+    row = parse_rows(" ".join(HARD_DECIMALS).encode(), 0, 1, len(HARD_DECIMALS), False)
+    fractions = [s for s in HARD_DECIMALS if not s.lstrip("-").isdigit()]  # lists take no integers
+    listed = parse_list(f"[{', '.join(fractions)}]".encode(), 0, len(fractions))
+    return (
+        row is not None and np.array_equal(row[0].view(np.uint64), want[None, :].view(np.uint64))
+        and listed is not None
+        and np.array_equal(listed[0].view(np.uint64), np.array([float(s) for s in fractions]).view(np.uint64))
+        and all(parse_rows(f"{s}\n".encode(), 0, 1, 1, False) is None for s in REFUSED_TOKENS)
+    )
 
 
 def _intact(path: Path) -> bool:
@@ -200,6 +414,8 @@ def _build(cc: str, path: Path) -> None:
 def load(reference: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Kernel:
     """Build or reuse the library of ``SOURCE`` and ``FLAGS`` in ``CACHE_DIR``; check it against ``reference``.
 
+    Its number parser is checked against ``float()``.
+
     Never raises for a missing compiler, a failed build or a bad cached
     file: the returned ``Kernel`` then has no ``matmul`` and its detail
     says why.
@@ -214,15 +430,17 @@ def load(reference: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Kernel:
         built = not _intact(path)
         if built:
             _build(cc, path)
-        matmul = _bind(path)
+        functions = _bind(path)
     except (OSError, AttributeError, subprocess.SubprocessError) as err:
         return Kernel(None, f"build error: {err}")
     a, b = known_operands()
-    if not np.array_equal(matmul(a, b).view(np.uint64), reference(a, b).view(np.uint64)):
+    if not np.array_equal(functions["matmul"](a, b).view(np.uint64), reference(a, b).view(np.uint64)):
         return Kernel(None, f"known-answer mismatch: {path} differs from the NumPy loop")
+    if not _parses_like_float(functions["parse_rows"], functions["parse_list"]):
+        return Kernel(None, f"known-answer mismatch: {path} parses numbers unlike float()")
     if built:
         _prune(path)
-    return Kernel(matmul, str(path))
+    return Kernel(**functions, detail=str(path))
 
 
 def _prune(current: Path) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import decimal
 import json
 import math
 import sys
@@ -527,6 +528,74 @@ def _check_malformed_refused(rng, cases, ctx):
                         raise CheckFailure(f"{kind} record {text[:80]!r} raised {err!r}") from None
 
 
+def _random_decimal(rng) -> str:
+    """A token of the number grammar: 1-40 digits, perhaps a fraction, perhaps an exponent in -400..400."""
+    digits = "".join(str(d) for d in rng.integers(0, 10, int(rng.integers(1, 41))))
+    point = int(rng.integers(0, len(digits) + 1))
+    whole, fraction = digits[:point].lstrip("0") or "0", digits[point:]
+    token = "-" * int(rng.integers(2)) + whole + (f".{fraction}" if fraction else "")
+    if rng.uniform() < 0.7:
+        token += str(rng.choice(["e", "E"])) + str(rng.choice(["", "+", "-"])) + str(int(rng.integers(0, 401)))
+    return token
+
+
+def _halfway_decimal(rng) -> str:
+    """The exact decimal halfway between a random double and the next one up, or that rounded to 17-25 digits."""
+    x = np.array(rng.integers(0, 0x7FEFFFFFFFFFFFFF, dtype=np.uint64)).view(np.float64)
+    with decimal.localcontext() as context:
+        context.prec = 1200  # the sum of two doubles is exact at 1200 digits
+        mid = (decimal.Decimal(float(x)) + decimal.Decimal(float(np.nextafter(x, np.inf)))) / 2
+    token = f"{mid:e}" if rng.uniform() < 0.5 else f"{mid:.{int(rng.integers(16, 25))}e}"
+    return "-" * int(rng.integers(2)) + token
+
+
+# ways to put a token outside the grammar, each given the token and a random integer
+_DEFECTS = [
+    lambda t, i: "+" + t.lstrip("-"),
+    lambda t, i: t.replace(".", "_", 1) if "." in t else t + "_0",
+    lambda t, i: "-" * t.startswith("-") + "0" + t.lstrip("-"),
+    lambda t, i: t.split("e")[0].split("E")[0] + ".",
+    lambda t, i: t[: i % len(t)] + "\u0661" + t[i % len(t) + 1 :],
+    lambda t, i: t.replace(".", ",") if "." in t else t + ",5",
+    lambda t, i: "." + t.lstrip("-").lstrip("0123456789"),
+    lambda t, i: t.split("e")[0].split("E")[0] + "e",
+    lambda t, i: ["inf", "-inf", "nan", "Infinity", "0x1p3", "1e+", "--1", ""][i % 8],
+]
+
+
+def _check_number_parsing(rng, cases, ctx):
+    kernel = numerics.matmul_kernel()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.txt"
+        for _ in range(cases):
+            tokens = [_random_decimal(rng) for _ in range(6)] + [_halfway_decimal(rng) for _ in range(2)]
+            finite = [t for t in tokens if math.isfinite(float(t))]
+            want = np.array([float(t) for t in finite])
+            if finite:  # the public reader, whichever parser runs
+                path.write_text(f"1 {len(finite)}\n{' '.join(finite)}\n", encoding="utf-8")
+                _require(numerics.read_matrix(path).tobytes() == want.tobytes(),
+                         f"read_matrix of {' '.join(finite)!r} differs from float()")
+            if kernel.parse_rows is None:
+                continue
+            for token in tokens:
+                got = kernel.parse_rows(f"{token}\n".encode(), 0, 1, 1, False)
+                if token not in finite:
+                    _require(got is None, f"non-finite {token!r} was not refused")
+                else:
+                    _require(got is not None and got[0].tobytes() == np.float64(float(token)).tobytes(),
+                             f"{token!r} parsed to {None if got is None else got[0][0, 0]!r}, "
+                             f"float() gives {float(token)!r}")
+            listed = [t for t in finite if not t.lstrip("-").isdigit()]  # lists take no integers
+            if listed:
+                got = kernel.parse_list(f"[{', '.join(listed)}]".encode(), 0, len(listed))
+                _require(got is not None and got[0].tobytes() == np.array([float(t) for t in listed]).tobytes(),
+                         f"the list [{', '.join(listed)}] differs from float()")
+            for token in tokens[:4]:
+                bad = _DEFECTS[int(rng.integers(len(_DEFECTS)))](token, int(rng.integers(1 << 30)))
+                _require(kernel.parse_rows(f"{bad}\n".encode(), 0, 1, 1, False) is None,
+                         f"{bad!r}, outside the grammar, was not refused")
+
+
 PROPERTIES: list[tuple[str, Callable]] = [
     ("softmax rows sum to one and respect masks", _check_softmax_stochastic),
     ("matmul matches the naive triple loop bit-for-bit", _check_matmul_oracle),
@@ -550,6 +619,7 @@ PROPERTIES: list[tuple[str, Callable]] = [
     ("branch fusion is linear in mu with exact endpoints", _check_fusion_linear),
     ("projection output stays finite", _check_projection_finite),
     ("malformed input is refused with a located message", _check_malformed_refused),
+    ("number text parses to float()'s bits", _check_number_parsing),
 ]
 
 

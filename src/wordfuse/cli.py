@@ -72,7 +72,8 @@ def cmd_vote(args) -> int:
     if args.output and _input_overwritten([args.output], [args.input]):
         return _fail(f"--output {args.output} is the input file; inputs are never overwritten")
     out_lines = []
-    for lineno, line in enumerate(numerics.read_text(args.input).splitlines(), start=1):
+    # JSON lines end at "\n" alone: U+2028, U+2029 and U+0085 may stand raw in a JSON string
+    for lineno, line in enumerate(numerics.read_text(args.input).split("\n"), start=1):
         if not line.strip():
             continue
         with numerics.located(f"{args.input}: line {lineno}"):
@@ -116,7 +117,7 @@ def _read_segmentation(path: str) -> Segmentation:
             record = numerics.parse_json(text)
         except ValueError as err:
             try:
-                count = len([numerics.parse_json(line) for line in text.splitlines() if line.strip()])
+                count = len([numerics.parse_json(line) for line in text.split("\n") if line.strip()])
             except ValueError:
                 raise err from None
             raise ValueError(f"{count} records, fuse takes exactly one") from None  # 0 if empty
@@ -160,7 +161,9 @@ def cmd_fuse(args) -> int:
         return _fail(_FUSE_CLASH.format(*clash))
 
     # the bundle parses in a second process while this one reads the other
-    # inputs; errors are still reported in input order
+    # inputs; errors are still reported in input order.  Both use the compiled
+    # parser, loaded here once rather than in each process
+    numerics.matmul_kernel()
     with _in_child(_load_weights, settings["weights"]) as weights:
         with numerics.located("hidden states"):
             hidden = numerics.read_matrix(settings["hidden"])

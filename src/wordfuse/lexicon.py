@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,14 +85,41 @@ def _logical_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
-def load_embeddings(path: str | os.PathLike) -> EmbeddingTable:
-    """Load a word2vec-style text file; duplicate words keep the last vector.
+# a header the compiled parser takes: ASCII counts, one space, a newline
+_EMBEDDING_HEADER = re.compile(rb"([0-9]+) ([1-9][0-9]*)\n")
 
-    The file is read line by line into one ``(count, dim)`` array, and each
-    table vector is a row of it.  Trailing whitespace-only lines are ignored;
-    a blank line before the last entry is an entry with no fields.  A wrong
-    header comes first, then a wrong number of entries, then the first bad
-    entry line, as if every line had been checked in order.
+
+def _compiled_rows(path: str | os.PathLike) -> tuple[int, list[str], np.ndarray] | None:
+    """``(dim, words, rows)`` of an embeddings file by the compiled parser, or None.
+
+    It takes only files whose entries follow the header at once, each a word
+    and its numbers separated by spaces and ended by ``\\n``, with nothing
+    but whitespace after the last entry.  A word must be UTF-8 that
+    ``str.split()`` keeps whole, so every line splits as ``_read_rows``
+    splits it.
+    """
+    data = numerics.compiled_input(path)
+    parsed = numerics.parse_rows(data, _EMBEDDING_HEADER, words=True)
+    if parsed is None:
+        return None
+    rows, spans = parsed
+    try:
+        words = [data[start:end].decode("utf-8") for start, end in spans.tolist()]
+    except UnicodeDecodeError:
+        return None
+    if any(word.split() != [word] for word in words):
+        return None
+    return rows.shape[1], list(map(_nfc, words)), rows
+
+
+def _read_rows(path: str | os.PathLike) -> tuple[int, list[str], np.ndarray]:
+    """``(dim, words, rows)`` of an embeddings file, read line by line in Python.
+
+    Row i of ``rows`` belongs to ``words[i]``; the rows grow into one array
+    as entries arrive.  Trailing whitespace-only lines are ignored; a blank
+    line before the last entry is an entry with no fields.  A wrong header
+    comes first, then a wrong number of entries, then the first bad entry
+    line, as if every line had been checked in order.
     """
     count = dim = None
     words: list[str] = []
@@ -149,7 +177,18 @@ def load_embeddings(path: str | os.PathLike) -> EmbeddingTable:
         raise ValueError(f"{path}: line {bad[0] + 2}: non-finite value in vector")
     if error is not None:
         raise ValueError(f"{path}: {error}")
+    return dim, words, rows
 
+
+def load_embeddings(path: str | os.PathLike) -> EmbeddingTable:
+    """Load a word2vec-style text file; duplicate words keep the last vector.
+
+    The compiled parser reads a file in its layout (``_compiled_rows``);
+    any other file, or every file when no library loaded, is read by
+    ``_read_rows``, which gives the same table or the same error.  Each
+    table vector is a row of one ``(count, dim)`` array.
+    """
+    dim, words, rows = _compiled_rows(path) or _read_rows(path)
     vectors = dict(zip(words, rows))
     duplicates = len(words) - len(vectors)
     if duplicates:
@@ -211,13 +250,49 @@ def _tensor(obj, base_dir: Path) -> np.ndarray:
     return m
 
 
+# the start of each tensor as save_bundle writes it, after the "{" or "}, " that precedes it
+_TENSOR_HEAD = re.compile(rb'"(\w+)": \{"rows": ([1-9][0-9]*), "cols": ([1-9][0-9]*), "data": ')
+
+
+def _compiled_bundle(path: str | os.PathLike) -> dict[str, np.ndarray] | None:
+    """The tensors of a bundle in the layout ``save_bundle`` writes, by the compiled parser, or None.
+
+    That layout is ``json.dumps`` of the ``BUNDLE_TENSORS`` in order, each
+    inline and no other key, with a newline after it.  Any other bundle,
+    an equal JSON value included, gets None and goes through ``read_json``.
+    """
+    data = numerics.compiled_input(path)
+    if data is None:
+        return None
+    parse_list = numerics.matmul_kernel().parse_list
+    tensors, pos = {}, 0
+    for name in BUNDLE_TENSORS:
+        opening = b"}, " if tensors else b"{"
+        head = _TENSOR_HEAD.match(data, pos + len(opening)) if data.startswith(opening, pos) else None
+        if head is None or head[1] != name.encode():
+            return None
+        rows, cols = int(head[2]), int(head[3])
+        parsed = parse_list(data, head.end(), rows * cols)
+        if parsed is None:
+            return None
+        values, pos = parsed
+        tensors[name] = values.reshape(rows, cols)
+    return tensors if len(data) == pos + 3 and data.endswith(b"}}\n") else None
+
+
 def load_bundle(path: str | os.PathLike, matrix_files: list[Path] | None = None) -> dict[str, np.ndarray]:
     """Read a weight bundle; every tensor in BUNDLE_TENSORS must be present.
 
     A ValueError reads ``path: NAME: field: problem``.  When ``matrix_files``
     is given, the path of each tensor stored as a matrix file is appended to
     it, so callers can treat those files as inputs too without parsing again.
+    A bundle as ``save_bundle`` writes it, all inline, is read by
+    ``_compiled_bundle`` when the library loaded; any other by ``read_json``,
+    with the same tensors or the same error.
     """
+    tensors = _compiled_bundle(path)
+    if tensors is not None:
+        return tensors
     p = Path(path)
     raw = numerics.read_json(p)
     tensors = {}

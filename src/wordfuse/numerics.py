@@ -25,6 +25,10 @@ the accumulator starts at +0.0, and an IEEE sum is -0.0 only when both
 addends are -0.0, so the accumulator is never -0.0 and adding either zero
 leaves it unchanged.
 
+The same library parses number text for ``read_matrix`` and the loaders
+of ``lexicon`` (``compiled_input`` and ``parse_rows``); a file it does not
+take, or any file without it, goes through ``float()`` and ``json``.
+
 ``init_matrix`` draws a block of the SplitMix64 stream at once from the
 closed form of its states; it yields the same bits as the scalar
 ``SplitMix64`` loop (see its docstring).
@@ -37,6 +41,7 @@ import functools
 import json
 import math
 import os
+import re
 import stat
 import sys
 from pathlib import Path
@@ -156,7 +161,7 @@ def matmul_numpy(a, b) -> np.ndarray:
 
 @functools.cache
 def matmul_kernel() -> _kernel.Kernel:
-    """The kernel ``matmul`` runs in this process, built or loaded on first call."""
+    """The compiled library of this process, its matmul and number parser, built or loaded on first call."""
     return _kernel.load(matmul_numpy)
 
 
@@ -396,8 +401,50 @@ def check_record(record, fields: Mapping[str, str], required: Iterable[str] = ()
     return record
 
 
+def compiled_input(path: str | os.PathLike) -> bytes | None:
+    """The bytes of ``path`` for the compiled parser, or None to read it with Python alone.
+
+    None when no library loaded, and for anything but a regular file: a FIFO
+    or ``/dev/stdin`` can be read only once, and the Python reader must see
+    it whole.  An OS error is left for that reader to raise.
+    """
+    if matmul_kernel().parse_rows is None:
+        return None
+    try:
+        return Path(path).read_bytes() if stat.S_ISREG(os.stat(path).st_mode) else None
+    except OSError:
+        return None
+
+
+def parse_rows(data: bytes | None, header: re.Pattern, words: bool = False
+               ) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """The numbers, and with ``words`` the word spans, of a headed table by the compiled parser.
+
+    ``header`` matches the first line, ``\\n`` included, with the row and
+    column counts as its groups.  None when ``data`` is None, the header does
+    not match, or a line does not fit ``_kernel.SOURCE``'s layout.
+    """
+    head = None if data is None else header.match(data)
+    if head is None:
+        return None
+    return matmul_kernel().parse_rows(data, head.end(), int(head[1]), int(head[2]), words)
+
+
+# a header the compiled parser takes: positive ASCII counts, one space, a newline
+_MATRIX_HEADER = re.compile(rb"([1-9][0-9]*) ([1-9][0-9]*)\n")
+
+
 def read_matrix(path: str | os.PathLike) -> np.ndarray:
-    """Parse the text matrix format; errors carry 1-based line numbers."""
+    """Parse the text matrix format; errors carry 1-based line numbers.
+
+    A file whose rows follow a plain header, numbers separated by spaces and
+    each row ended by ``\\n``, as ``write_matrix`` writes them, goes to the
+    compiled parser when it is loaded; any other file is parsed below, with
+    the same values and errors.
+    """
+    parsed = parse_rows(compiled_input(path), _MATRIX_HEADER)
+    if parsed is not None:
+        return parsed[0]
     text = read_text(path)
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -415,17 +462,17 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
         raise ValueError(f"{path}: line 1: dimensions must be positive, got {rows}x{cols}")
     if len(lines) - 1 != rows:
         raise ValueError(f"{path}: expected {rows} data rows, found {len(lines) - 1}")
-    out = np.empty((rows, cols))
+    values = []  # not sized from the header: it may promise more than the file holds
     for i, line in enumerate(lines[1:], start=2):
         tokens = line.split()
         if len(tokens) != cols:
             raise ValueError(f"{path}: line {i}: expected {cols} values, got {len(tokens)}")
-        for j, tok in enumerate(tokens):
+        for tok in tokens:
             try:
                 val = float(tok)
             except ValueError:
                 raise ValueError(f"{path}: line {i}: invalid number {tok!r}") from None
             if not math.isfinite(val):
                 raise ValueError(f"{path}: line {i}: non-finite value {tok!r}")
-            out[i - 2, j] = val
-    return out
+            values.append(val)
+    return np.array(values).reshape(rows, cols)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from wordfuse import cli, lexicon, numerics
+from wordfuse import _kernel, cli, lexicon, numerics
 
 BUNDLE_SEED42_SHA256 = "9f8414b535eb633ed1e72a46ff343d79a019f89a2219fd93c3abb9597d83f1a9"
 # fuse output on the golden inputs (fuse_files below), frozen byte for byte
@@ -134,6 +135,25 @@ class TestVote:
         src.write_text(good + "\n" + record + "\n", encoding="utf-8")
         code, err = run_main(["vote", "--input", src], capsys)
         assert (code, err) == (1, f"error: {src}: line 2: {problem}\n")
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
+    def test_unicode_line_separator_stays_inside_its_record(self, golden, fuse_files, tmp_path, capsys, separator):
+        # JSON lines end at "\n" alone; these characters may stand raw in a JSON string
+        word = f"a{separator}b"
+        src, voted = tmp_path / "in.jsonl", tmp_path / "voted.jsonl"
+        record = json.dumps({"sentence": word, "tokenizations": [[word]]}, ensure_ascii=False)
+        src.write_text((golden / "vote_record.jsonl").read_text(encoding="utf-8") + record + "\n", encoding="utf-8")
+        assert run_main(["vote", "--input", src, "--output", voted], capsys) == (0, "")
+        golden_line, line, end = voted.read_text(encoding="utf-8").split("\n")
+        assert separator in line and end == ""
+        assert json.loads(line) == {"sentence": word, "words": [word], "spans": [[0, 2]]}
+        # fuse counts records by the same rule, and the golden record still fuses to the golden digest
+        code, err = run_main(fuse_args(dict(fuse_files, segmentation=voted)), capsys)
+        assert (code, err) == (1, f"error: segmentation: {voted}: 2 records, fuse takes exactly one\n")
+        voted.write_text(golden_line + "\n", encoding="utf-8")
+        code, err = run_main(fuse_args(dict(fuse_files, segmentation=voted)), capsys)
+        assert (code, err) == (0, f"wrote {fuse_files['output']}\n")
+        assert hashlib.sha256(fuse_files["output"].read_bytes()).hexdigest() == FUSED_GOLDEN_SHA256
 
     def test_missing_input_file(self, tmp_path):
         res = run_cli("vote", "--input", tmp_path / "nope.jsonl")
@@ -536,6 +556,23 @@ class TestCheckBundle:
 class TestFuseBundleInChild:
     """fuse parses the weight bundle in a forked child while it reads the other inputs."""
 
+    def test_library_loads_once_before_the_child(self, fuse_files, tmp_path, capsys, monkeypatch):
+        # the child inherits the parent's library instead of loading (or building) its own
+        loads, real = tmp_path / "loads", _kernel.load
+
+        def load(reference):
+            with open(loads, "a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()}\n")
+            return real(reference)
+
+        monkeypatch.setattr(_kernel, "load", load)
+        numerics.matmul_kernel.cache_clear()
+        try:
+            assert run_main(fuse_args(fuse_files), capsys) == (0, f"wrote {fuse_files['output']}\n")
+        finally:
+            numerics.matmul_kernel.cache_clear()
+        assert loads.read_text(encoding="utf-8") == f"{os.getpid()}\n"
+
     def test_embeddings_error_reported_before_bundle_error(self, fuse_files, tmp_path, capsys, forked):
         embeddings = tmp_path / "bad_vecs.txt"
         embeddings.write_text("2 x\n", encoding="utf-8")
@@ -754,6 +791,21 @@ class TestLocatedInputErrors:
         assert (code, err) == (1, f"error: {prefix}{bad}: JSON nested too deeply\n")
         assert not fuse_files["output"].exists()
 
+    @pytest.mark.parametrize("key", ["hidden", "weights"])
+    def test_matrix_header_larger_than_the_file(self, fuse_files, tmp_path, capsys, forked, key):
+        # the header must not size an allocation: 10**11 values would be a MemoryError, exit 2
+        matrix = tmp_path / "huge.txt"
+        matrix.write_text("1 100000000000\n1.0\n", encoding="utf-8")
+        files, prefix = dict(fuse_files, hidden=matrix), "hidden states: "
+        if key == "weights":  # a bundle tensor stored as a matrix file
+            bundle = json.loads(fuse_files["weights"].read_text(encoding="utf-8"))
+            files["weights"] = tmp_path / "bundle.json"
+            files["weights"].write_text(json.dumps(dict(bundle, W2="huge.txt")), encoding="utf-8")
+            files["hidden"], prefix = fuse_files["hidden"], f"weight bundle: {files['weights']}: W2: "
+        code, err = run_main(fuse_args(files), capsys)
+        assert (code, err) == (1, f"error: {prefix}{matrix}: line 2: expected 100000000000 values, got 1\n")
+        assert not fuse_files["output"].exists()
+
     def test_config_nested_too_deeply(self, fuse_files, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
@@ -811,6 +863,25 @@ class TestCheck:
         failed = results["malformed input is refused with a located message"]
         assert not failed.passed and "TypeError" in failed.failure
         assert sum(not r.passed for r in results.values()) == 1
+
+    @pytest.mark.skipif(numerics.matmul_kernel().parse_rows is None, reason="the compiled library did not load")
+    @pytest.mark.parametrize(("fault", "also_failed"), [
+        ("last bit", {"matrix text format round-trips exactly"}),
+        ("float() spellings", set()),
+    ])
+    def test_number_property_catches_a_wrong_parser(self, monkeypatch, fault, also_failed):
+        real = numerics.matmul_kernel()
+
+        def parse_rows(data, start, rows, cols, words):
+            if fault == "float() spellings":  # all that float() takes, outside the grammar too
+                return np.array([float(t) for t in data[start:].split()]).reshape(rows, cols), None
+            values, spans = real.parse_rows(data, start, rows, cols, words) or (None, None)
+            return values is not None and ((values.view(np.uint64) ^ np.uint64(1)).view(np.float64), spans)
+
+        monkeypatch.setattr(numerics, "matmul_kernel", lambda: dataclasses.replace(real, parse_rows=parse_rows))
+        results = {r.name: r for r in cli.checkmod.run_checks(cases=20)}
+        failed = {name for name, r in results.items() if not r.passed}
+        assert failed == {"number text parses to float()'s bits", *also_failed}
 
     def test_rejects_non_positive_cases(self):
         res = run_cli("check", "--cases", 0)

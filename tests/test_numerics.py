@@ -201,6 +201,8 @@ class TestMatmulKernels:
             assert (kernel.name, kernel.detail) == ("NumPy", "no C compiler: 'cc' is not on PATH")
         else:
             assert kernel.name == "C", f"cc is on PATH but the C kernel did not load: {kernel}"
+            assert kernel.parse_rows is not None and kernel.parse_list is not None, \
+                f"cc is on PATH but the number parser did not load: {kernel}"
 
     def test_known_operands_cover_tiles_widths_and_edge_values(self):
         a, b = _kernel.known_operands()
@@ -252,7 +254,7 @@ class TestMatmulKernels:
         assert kernel.matmul is None and kernel.detail.startswith("known-answer mismatch: ")
         # the bitwise property of ``wordfuse check`` catches the same library on its own
         (library,) = tmp_path.glob("*.so")
-        fma = _kernel.Kernel(_kernel._bind(library), str(library))
+        fma = _kernel.Kernel(**_kernel._bind(library), detail=str(library))
         monkeypatch.setattr(numerics, "matmul_kernel", lambda: fma)
         results = {r.name: r for r in check.run_checks(cases=20)}
         failure = results["matmul matches the naive triple loop bit-for-bit"].failure
