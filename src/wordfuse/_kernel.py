@@ -1,4 +1,4 @@
-"""The compiled library behind ``numerics.matmul`` and the text loaders, built at first use.
+"""The compiled library behind ``numerics.matmul``, the text loaders and writers, built at first use.
 
 ``SOURCE`` computes ``a @ b`` for C-contiguous float64 operands in the
 order of a naive triple loop: every output entry starts at +0.0 and adds
@@ -29,6 +29,19 @@ optional word; ``wordfuse_parse_list`` reads a JSON list of them.  Either
 refuses the whole input when anything does not fit, and the caller then
 runs its Python reader.
 
+The same source prints numbers for ``numerics.write_matrix`` and
+``lexicon.save_bundle``, as ``repr()`` prints them: the shortest decimal
+that reads back to the same double, the closest one when several do.  It
+finds the digits by Schubfach (R. Giulietti, "The Schubfach way to render
+doubles", 2020), which needs no bignum: the interval of reals that round to
+the double, scaled by 4, is multiplied by a 128-bit power of ten, rounded
+to odd, and the one-digit-shorter decimal is taken when exactly one of its
+neighbours lies in the interval.  ``_powers_of_ten`` generates the 617
+constants from Python integers and appends them to ``SOURCE``.
+``wordfuse_format_list`` joins the numbers with ``", "``, as the data of a
+bundle tensor; ``wordfuse_format_rows`` joins a row's numbers with ``" "``
+and ends each row with ``"\\n"``, as the text matrix format.
+
 ``load`` compiles the source with the system ``cc`` into a shared library
 cached in the ``__pycache__`` directory next to this file.  The file name
 carries a SHA-256 over the source, the flags, ``cc --version`` and the
@@ -40,7 +53,8 @@ before it, checked before the library is opened: opening a truncated
 library can kill the process with SIGBUS, so a file that fails the check
 is built again.  A library is accepted only when its product of fixed
 operands equals the reference's bit for bit, ``HARD_DECIMALS`` parse to
-``float()``'s bits and every one of ``REFUSED_TOKENS`` is refused; without
+``float()``'s bits, every one of ``REFUSED_TOKENS`` is refused and
+``HARD_DOUBLES`` print as ``repr()`` prints them in both layouts; without
 a compiler, or when the build or a check fails, ``load`` returns no kernel
 and says why.
 A library built and accepted here removes the cached libraries of other
@@ -240,7 +254,191 @@ int64_t wordfuse_parse_list(const char *buf, int64_t start, int64_t len, int64_t
     }
     return p < end && *p == ']' ? p + 1 - buf : -1;
 }
+
+/* G[j + 292] = floor(10**j * 2**(127 - floor(j * log2(10)))) + 1 for j in [-292, 324], high half first */
+static const uint64_t G[617][2];
+
+/* floor(g * c / 2**128) with its last bit set when the bits below are not all zero (round to odd) */
+static uint64_t round_to_odd(const uint64_t g[2], uint64_t c)
+{
+    const unsigned __int128 low = (unsigned __int128)c * g[1];
+    const unsigned __int128 y = (unsigned __int128)c * g[0] + (uint64_t)(low >> 64);
+    return (uint64_t)(y >> 64) | ((uint64_t)y > 1);
+}
+
+/* floor(x / 2**n) for an int x of either sign */
+static int floor_shift(int x, int n)
+{
+    return x >= 0 ? x >> n : -((-x + (1 << n) - 1) >> n);
+}
+
+/* The shortest decimal d * 10**e that rounds to the positive finite double of
+   `bits`, the closest one when several do (Schubfach, Giulietti 2020) */
+static uint64_t shortest(uint64_t bits, int *e)
+{
+    const uint64_t fraction = bits & ((UINT64_C(1) << 52) - 1);
+    const int biased = (int)(bits >> 52);
+    uint64_t c = fraction;
+    int q = -1074;
+    if (biased) {
+        c |= UINT64_C(1) << 52;
+        q = biased - 1075;
+        if (q <= 0 && q > -53 && !(c & ((UINT64_C(1) << -q) - 1))) {  /* an integer below 2**53 */
+            *e = 0;
+            return c >> -q;
+        }
+    }
+    const int even = !(c & 1);
+    const int closer = !fraction && biased > 1;  /* the next double down is half as far as the next up */
+    /* the reals that round to the double are [cbl, cbr] * 2**(q - 2), the ends included when c is
+       even; k = floor(log10(2**q)), or of 3/4 * 2**q when the interval is asymmetric, and
+       h = q + floor(log2(10**-k)) + 1 lies in [1, 4] */
+    const uint64_t cbl = 4 * c - 2 + closer, cb = 4 * c, cbr = 4 * c + 2;
+    const int k = floor_shift(q * 1262611 - (closer ? 524031 : 0), 22);
+    const int h = q + floor_shift(-k * 1741647, 19) + 1;
+    /* vb is 4 * the double / 10**k, rounded to odd; vbl and vbr the same for the interval's ends */
+    const uint64_t *g = G[292 - k];
+    const uint64_t vbl = round_to_odd(g, cbl << h), vb = round_to_odd(g, cb << h), vbr = round_to_odd(g, cbr << h);
+    const uint64_t lower = vbl + !even, upper = vbr - !even;
+    const uint64_t s = vb / 4;
+    if (s >= 10) {  /* one digit fewer, when exactly one of its two neighbours lies inside */
+        const uint64_t sp = s / 10;
+        const int up = lower <= 40 * sp, wp = 40 * sp + 40 <= upper;
+        if (up != wp) {
+            *e = k + 1;
+            return sp + wp;
+        }
+    }
+    const int u = lower <= 4 * s, w = 4 * s + 4 <= upper;
+    *e = k;
+    if (u != w)
+        return s + w;
+    const uint64_t mid = 4 * s + 2;  /* both inside: the closer, ties to even */
+    return s + (vb > mid || (vb == mid && (s & 1)));
+}
+
+/* Writes repr() of the finite double x at p; returns the end.  Takes at most 24 bytes. */
+static char *print_double(double x, char *p)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    if (bits >> 63)
+        *p++ = '-';
+    bits &= ~(UINT64_C(1) << 63);
+    if (!bits) {
+        memcpy(p, "0.0", 3);
+        return p + 3;
+    }
+    int e10;
+    uint64_t d = shortest(bits, &e10);
+    while (d % 10 == 0) {
+        d /= 10;
+        ++e10;
+    }
+    char digits[20];
+    int n = 20;
+    for (; d; d /= 10)
+        digits[--n] = (char)('0' + d % 10);
+    const char *first = digits + n;
+    n = 20 - n;
+    const int point = n + e10;  /* the value is 0.<digits> * 10**point */
+    if (point <= -4 || point > 16) {  /* repr's exponent form: d.ddde+XX */
+        *p++ = *first;
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, first + 1, (size_t)n - 1);
+            p += n - 1;
+        }
+        int exponent = point - 1;
+        *p++ = 'e';
+        *p++ = exponent < 0 ? '-' : '+';
+        exponent = exponent < 0 ? -exponent : exponent;
+        if (exponent >= 100) {
+            *p++ = (char)('0' + exponent / 100);
+            exponent %= 100;
+        }
+        *p++ = (char)('0' + exponent / 10);
+        *p++ = (char)('0' + exponent % 10);
+    } else if (point <= 0) {
+        memcpy(p, "0.000", 2 - (size_t)point);
+        p += 2 - point;
+        memcpy(p, first, (size_t)n);
+        p += n;
+    } else if (point < n) {
+        memcpy(p, first, (size_t)point);
+        p += point;
+        *p++ = '.';
+        memcpy(p, first + point, (size_t)(n - point));
+        p += n - point;
+    } else {  /* an integer: its digits, zeros, then ".0" */
+        memcpy(p, first, (size_t)n);
+        p += n;
+        memset(p, '0', (size_t)(point - n));
+        p += point - n;
+        memcpy(p, ".0", 2);
+        p += 2;
+    }
+    return p;
+}
+
+/* Writes repr() of each of the `count` doubles at x to out, separated by ", ".
+   Returns the length written, at most 26 * count, or -1 for a non-finite value. */
+int64_t wordfuse_format_list(const double *restrict x, int64_t count, char *restrict out)
+{
+    char *p = out;
+    for (int64_t i = 0; i < count; ++i) {
+        if (!isfinite(x[i]))
+            return -1;
+        if (i) {
+            *p++ = ',';
+            *p++ = ' ';
+        }
+        p = print_double(x[i], p);
+    }
+    return p - out;
+}
+
+/* Writes repr() of the rows x cols doubles at x to out, row after row: the
+   numbers of a row separated by " " and a "\n" after each row.  Returns the
+   length written, at most 26 * rows * cols + rows, or -1 for a non-finite value. */
+int64_t wordfuse_format_rows(const double *restrict x, int64_t rows, int64_t cols, char *restrict out)
+{
+    char *p = out;
+    for (int64_t i = 0; i < rows; ++i) {
+        for (int64_t j = 0; j < cols; ++j, ++x) {
+            if (!isfinite(*x))
+                return -1;
+            if (j)
+                *p++ = ' ';
+            p = print_double(*x, p);
+        }
+        *p++ = '\n';
+    }
+    return p - out;
+}
 """
+
+
+def _powers_of_ten() -> str:
+    """The C table ``G`` of Schubfach's 617 constants, from exact Python integers.
+
+    ``G[j + 292]`` holds ``floor(10**j * 2**(127 - floor(j * log2(10)))) + 1``
+    for ``j`` in [-292, 324], a 128-bit number, high half first.
+    """
+    rows = []
+    for j in range(-292, 325):
+        power = 10 ** abs(j)
+        if j >= 0:  # 10**j has bit_length() - 1 as floor(log2)
+            shift = 128 - power.bit_length()
+            g = power << shift if shift >= 0 else power >> -shift
+        else:  # 10**-j is no power of two, so floor(log2(10**j)) is -bit_length()
+            g = (1 << (127 + power.bit_length())) // power
+        g += 1
+        rows.append(f"{{{g >> 64:#018x}, {g & (1 << 64) - 1:#018x}}}")
+    return "static const uint64_t G[617][2] = {\n" + ",\n".join(rows) + "};\n"
+
+
+SOURCE += _powers_of_ten()
 
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 CACHE_DIR = Path(__file__).resolve().parent / "__pycache__"
@@ -271,6 +469,19 @@ REFUSED_TOKENS = (
     "+1", "1_0", "\u0661", "01", "-01", "1.", ".5", "-", "1e", "1e+", "1.e5", "--1", "1..2", "1,5", "0x10",
     "inf", "-inf", "nan", "Infinity", "1e400", "-1e400", "1.7976931348623159e308", "1\t", "1a", "",
 )
+# doubles a printer gets wrong unless it finds repr()'s digits and layout: powers of
+# two with their neighbours (the interval below a power of two is half as wide),
+# the smallest normal and its neighbours, the smallest subnormal and the largest
+# double, 2**53 - 2 and 2**53 + 2, the switches to and from the exponent form
+# (9.999999999999999e-05, 0.0001, 9999999999999998.0, 1e+16), 17-digit values,
+# three-digit exponents, integers and both zeros
+HARD_DOUBLES = (
+    1.0, 0.5, 2.0, 0.9999999999999999, 1.0000000000000002, 2.2250738585072014e-308, 2.225073858507201e-308,
+    2.225073858507202e-308, 5e-324, -1e-323, 2.5e-320, 1.7976931348623157e308, 8.98846567431158e307,
+    1.8014398509481984e16, 9007199254740990.0, 9007199254740994.0, 9.999999999999999e-05, 0.0001, 0.001,
+    9999999999999998.0, 1e16, 0.30000000000000004, -0.3333333333333333, 1.2345678901234568e17, 1e23,
+    1e-100, -1e100, 1e-05, 4.35, 0.1, 100.0, -1.5, 123456.789, -0.0, 0.0,
+)
 
 
 @dataclass(frozen=True)
@@ -284,12 +495,17 @@ class Kernel:
     at ``data[start]`` and the offset after it.  Either returns None when
     anything does not fit, and allocates nothing before checking that
     ``data`` is long enough to hold the numbers a header promises.
+    ``format_list(values)`` is ``", ".join(map(repr, values))`` of a 1-D
+    array and ``format_rows(m)`` the lines ``" ".join(map(repr, row)) + "\\n"``
+    of a 2-D one; both take finite float64 values only.
     """
 
     matmul: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     detail: str
     parse_rows: Callable[[bytes, int, int, int, bool], tuple[np.ndarray, np.ndarray | None] | None] | None = None
     parse_list: Callable[[bytes, int, int], tuple[np.ndarray, int] | None] | None = None
+    format_list: Callable[[np.ndarray], str] | None = None
+    format_rows: Callable[[np.ndarray], str] | None = None
 
     @property
     def name(self) -> str:
@@ -337,6 +553,10 @@ def _bind(path: Path) -> dict[str, Callable]:
     rows_fn.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 2
     list_fn.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
     rows_fn.restype = list_fn.restype = ctypes.c_int64
+    print_list, print_rows = library.wordfuse_format_list, library.wordfuse_format_rows
+    print_list.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    print_rows.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
+    print_list.restype = print_rows.restype = ctypes.c_int64
 
     def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``a @ b`` for C-contiguous, aligned float64 ``a`` and ``b`` whose inner sizes match."""
@@ -361,7 +581,24 @@ def _bind(path: Path) -> dict[str, Callable]:
         end = list_fn(data, start, len(data), count, out.ctypes.data)
         return None if end < 0 else (out, end)
 
-    return {"matmul": matmul, "parse_rows": parse_rows, "parse_list": parse_list}
+    def printed(fn, values: np.ndarray, size: int, *counts: int) -> str:
+        out = np.empty(size, dtype=np.uint8)
+        length = fn(values.ctypes.data, *counts, out.ctypes.data)
+        if not 0 <= length <= size:
+            raise RuntimeError(f"{fn.__name__} wrote {length} bytes to a buffer of {size}")
+        return str(memoryview(out)[:length], "ascii")
+
+    # a number prints in at most 24 bytes, its separator in 2
+    def format_list(values: np.ndarray) -> str:
+        x = np.require(values, np.float64, "CA")
+        return printed(print_list, x, 26 * x.size, x.size)
+
+    def format_rows(m: np.ndarray) -> str:
+        x = np.require(m, np.float64, "CA")
+        return printed(print_rows, x, 26 * x.size + x.shape[0], *x.shape)
+
+    return {"matmul": matmul, "parse_rows": parse_rows, "parse_list": parse_list,
+            "format_list": format_list, "format_rows": format_rows}
 
 
 def _parses_like_float(parse_rows, parse_list) -> bool:
@@ -375,6 +612,16 @@ def _parses_like_float(parse_rows, parse_list) -> bool:
         and listed is not None
         and np.array_equal(listed[0].view(np.uint64), np.array([float(s) for s in fractions]).view(np.uint64))
         and all(parse_rows(f"{s}\n".encode(), 0, 1, 1, False) is None for s in REFUSED_TOKENS)
+    )
+
+
+def _prints_like_repr(format_list, format_rows) -> bool:
+    """Whether ``HARD_DOUBLES`` print as ``repr()`` prints them, in a list, in a row and in a column."""
+    values, want = np.array(HARD_DOUBLES), [repr(x) for x in HARD_DOUBLES]
+    return (
+        format_list(values) == ", ".join(want)
+        and format_rows(values[None, :]) == " ".join(want) + "\n"
+        and format_rows(values[:, None]) == "".join(f"{text}\n" for text in want)
     )
 
 
@@ -414,7 +661,7 @@ def _build(cc: str, path: Path) -> None:
 def load(reference: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Kernel:
     """Build or reuse the library of ``SOURCE`` and ``FLAGS`` in ``CACHE_DIR``; check it against ``reference``.
 
-    Its number parser is checked against ``float()``.
+    Its number parser is checked against ``float()``, its printer against ``repr()``.
 
     Never raises for a missing compiler, a failed build or a bad cached
     file: the returned ``Kernel`` then has no ``matmul`` and its detail
@@ -438,6 +685,8 @@ def load(reference: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Kernel:
         return Kernel(None, f"known-answer mismatch: {path} differs from the NumPy loop")
     if not _parses_like_float(functions["parse_rows"], functions["parse_list"]):
         return Kernel(None, f"known-answer mismatch: {path} parses numbers unlike float()")
+    if not _prints_like_repr(functions["format_list"], functions["format_rows"]):
+        return Kernel(None, f"known-answer mismatch: {path} prints numbers unlike repr()")
     if built:
         _prune(path)
     return Kernel(**functions, detail=str(path))

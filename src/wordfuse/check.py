@@ -6,7 +6,9 @@ numeric properties deliberately re-derive expectations with naive
 pure-Python loops so the production kernels are checked against an
 independent route, not against themselves.  Those loops, ``naive_matmul``
 and ``naive_attend``, are the test suite's oracles too.  When the C matmul
-kernel is loaded, the matmul property checks it and the NumPy loop alike.
+kernel is loaded, the matmul property checks it and the NumPy loop alike,
+and the bundle property checks both bundle writers, the compiled printer's
+and ``json.dumps``'.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import copy
 import decimal
+import itertools
 import json
 import math
 import sys
@@ -238,6 +241,9 @@ _BUNDLE_EDGE_VALUES = np.array(
 
 
 def _check_bundle_serial(rng, cases, ctx):
+    writers = [("json.dumps", lexicon.save_bundle_forked)]
+    if numerics.matmul_kernel().format_list is not None:
+        writers.append(("compiled", lexicon.save_bundle))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bundle.json"
         for _ in range(cases):
@@ -248,12 +254,13 @@ def _check_bundle_serial(rng, cases, ctx):
                 pick = rng.uniform(size=shape) < 0.3
                 m[pick] = rng.choice(_BUNDLE_EDGE_VALUES, size=int(pick.sum()))
                 bundle[name] = m
-            lexicon.save_bundle(bundle, path)
             serial = {name: {"rows": m.shape[0], "cols": m.shape[1], "data": m.ravel().tolist()}
                       for name, m in bundle.items()}
             shapes = ", ".join(f"{m.shape[0]}x{m.shape[1]}" for m in bundle.values())
-            _require(path.read_bytes() == (json.dumps(serial) + "\n").encode("utf-8"),
-                     f"tensor shapes {shapes}: file differs from json.dumps of the bundle")
+            for writer, save in writers:
+                save(bundle, path)
+                _require(path.read_bytes() == (json.dumps(serial) + "\n").encode("utf-8"),
+                         f"{writer} writer, tensor shapes {shapes}: file differs from json.dumps of the bundle")
 
 
 def _check_vote_partition(rng, cases, ctx):
@@ -596,6 +603,54 @@ def _check_number_parsing(rng, cases, ctx):
                          f"{bad!r}, outside the grammar, was not refused")
 
 
+def _hard_double(rng) -> float:
+    """A finite double of a kind printers get wrong, either sign.
+
+    Any bit pattern, a subnormal, a power of two or of ten or a neighbour
+    of one, or one of the 64 doubles on either side of a switch of
+    ``repr()``'s layout: 0.0001 and 1e16.
+    """
+    kind = int(rng.integers(5))
+    if kind < 2:  # any finite bit pattern, or a subnormal one
+        bits = rng.integers(1, 0x7FF0000000000000 if kind == 0 else 1 << 52, dtype=np.uint64)
+        x = float(np.array(bits).view(np.float64))
+    elif kind < 4:
+        x = math.ldexp(1.0, int(rng.integers(-1074, 1024))) if kind == 2 else float(f"1e{rng.integers(-323, 309)}")
+        x = math.nextafter(x, (0.0, x, math.inf)[int(rng.integers(3))])
+    else:
+        bits = np.array([0.0001, 1e16][int(rng.integers(2))]).view(np.int64) + int(rng.integers(-64, 65))
+        x = float(bits.view(np.float64))
+    return -x if rng.integers(2) else x
+
+
+def _misprinted(values: list[float], printed: str) -> str:
+    """Names the first value whose text in ``printed`` is not its ``repr()``, or says the separators differ."""
+    for x, text in itertools.zip_longest(values, printed.replace(",", " ").split()):
+        if text != repr(x):
+            return f"{x!r} printed as {text!r}"
+    return "separators differ from repr()'s layout"
+
+
+def _check_number_printing(rng, cases, ctx):
+    kernel = numerics.matmul_kernel()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.txt"
+        for _ in range(cases):
+            rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            m = np.array([_hard_double(rng) for _ in range(rows * cols)]).reshape(rows, cols)
+            values = m.ravel().tolist()
+            lines = "".join(" ".join(map(repr, row)) + "\n" for row in m.tolist())
+            numerics.write_matrix(m, path)  # the public writer, whichever printer runs
+            written = path.read_text(encoding="utf-8")
+            _require(written == f"{rows} {cols}\n{lines}",
+                     f"write_matrix: {_misprinted([rows, cols, *values], written)}")
+            if kernel.format_list is None:
+                continue
+            listed, printed = kernel.format_list(m.ravel()), kernel.format_rows(m)
+            _require(listed == ", ".join(map(repr, values)), f"list: {_misprinted(values, listed)}")
+            _require(printed == lines, f"rows: {_misprinted(values, printed)}")
+
+
 PROPERTIES: list[tuple[str, Callable]] = [
     ("softmax rows sum to one and respect masks", _check_softmax_stochastic),
     ("matmul matches the naive triple loop bit-for-bit", _check_matmul_oracle),
@@ -620,6 +675,7 @@ PROPERTIES: list[tuple[str, Callable]] = [
     ("projection output stays finite", _check_projection_finite),
     ("malformed input is refused with a located message", _check_malformed_refused),
     ("number text parses to float()'s bits", _check_number_parsing),
+    ("numbers print as repr()", _check_number_printing),
 ]
 
 

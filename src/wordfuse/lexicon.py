@@ -26,7 +26,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -79,7 +79,7 @@ def _logical_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
             try:
                 text = piece.decode("utf-8")
             except UnicodeDecodeError as err:
-                raise numerics.not_utf8(path, err, lineno + 1) from None
+                raise numerics.not_utf8(path, err, lineno + 1, splitlines=True) from None
             for line in text.splitlines():
                 lineno += 1
                 yield lineno, line
@@ -339,39 +339,61 @@ def _format_halves(flat: list[np.ndarray], second: bool) -> list[str]:
     return parts
 
 
+def _checked_tensors(tensors: Mapping[str, np.ndarray]) -> list[np.ndarray]:
+    """The ``BUNDLE_TENSORS`` as finite 2-D arrays, in order; a ValueError names a missing or bad one."""
+    missing = [name for name in BUNDLE_TENSORS if name not in tensors]
+    if missing:
+        raise ValueError(f"bundle is missing tensors {missing}")
+    return [require_finite(as_matrix(tensors[name], name), name) for name in BUNDLE_TENSORS]
+
+
+def _bundle_pieces(matrices: list[np.ndarray], numbers: Iterable[Iterable[str]]) -> Iterator[str]:
+    """The text of a bundle, one piece at a time; ``numbers`` yields the pieces of each tensor's data."""
+    opening = "{"
+    for name, m, data in zip(BUNDLE_TENSORS, matrices, numbers):
+        yield f'{opening}{json.dumps(name)}: {{"rows": {m.shape[0]}, "cols": {m.shape[1]}, "data": ['
+        yield from data
+        yield "]}"
+        opening = ", "
+    yield "}\n"
+
+
 def save_bundle(tensors: Mapping[str, np.ndarray], path: str | os.PathLike) -> None:
     """Write a bundle with inline tensors, in canonical order.
 
     The file holds ``json.dumps(bundle) + "\\n"`` byte for byte, where
     ``bundle`` maps each name to ``{"rows": r, "cols": c, "data": [...]}``.
-    Printing the numbers is nearly all the work, so a forked child formats
-    the second half of every tensor's data while this process formats the
-    first halves (``_child._in_child``; inline where ``os.fork`` is
-    missing).  Every tensor is checked before the child starts.  The pieces
-    are then written one at a time with ``numerics.write_atomic``.
+    Printing the numbers is nearly all the work.  The compiled printer
+    (``numerics.matmul_kernel().format_list``) prints each tensor in one
+    call, while the pieces are written one at a time with
+    ``numerics.write_atomic``; without the library ``save_bundle_forked``
+    writes the same bytes.  Every tensor is checked before anything is
+    printed.
     """
-    missing = [name for name in BUNDLE_TENSORS if name not in tensors]
-    if missing:
-        raise ValueError(f"bundle is missing tensors {missing}")
-    matrices = [require_finite(as_matrix(tensors[name], name), name) for name in BUNDLE_TENSORS]
+    format_list = numerics.matmul_kernel().format_list
+    if format_list is None:
+        save_bundle_forked(tensors, path)
+        return
+    matrices = _checked_tensors(tensors)
+    numerics.write_atomic(path, _bundle_pieces(matrices, ([format_list(m.ravel())] for m in matrices)))
+
+
+def save_bundle_forked(tensors: Mapping[str, np.ndarray], path: str | os.PathLike) -> None:
+    """``save_bundle`` by ``json.dumps``: the fallback without the library, and the second reference.
+
+    A forked child formats the second half of every tensor's data while
+    this process formats the first halves (``_child._in_child``; inline
+    where ``os.fork`` is missing).  Every tensor is checked before the child
+    starts.
+    """
+    matrices = _checked_tensors(tensors)
     flat = [m.ravel() for m in matrices]
     with _in_child(_format_halves, flat, True) as second_halves:
         firsts = _format_halves(flat, False)
         seconds = second_halves()
-
-    def pieces():
-        opening = "{"
-        for name, m, first, second in zip(BUNDLE_TENSORS, matrices, firsts, seconds):
-            yield f'{opening}{json.dumps(name)}: {{"rows": {m.shape[0]}, "cols": {m.shape[1]}, "data": ['
-            yield first
-            if first and second:  # a one-element tensor has an empty first half
-                yield ", "
-            yield second
-            yield "]}"
-            opening = ", "
-        yield "}\n"
-
-    numerics.write_atomic(path, pieces())
+    # a one-element tensor has an empty first half
+    halves = ((first, ", " if first and second else "", second) for first, second in zip(firsts, seconds))
+    numerics.write_atomic(path, _bundle_pieces(matrices, halves))
 
 
 def init_bundle(seed: int, d_w: int, d_h: int) -> dict[str, np.ndarray]:

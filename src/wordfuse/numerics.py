@@ -27,7 +27,9 @@ leaves it unchanged.
 
 The same library parses number text for ``read_matrix`` and the loaders
 of ``lexicon`` (``compiled_input`` and ``parse_rows``); a file it does not
-take, or any file without it, goes through ``float()`` and ``json``.
+take, or any file without it, goes through ``float()`` and ``json``.  It
+also prints the numbers of ``write_matrix`` and ``lexicon.save_bundle``,
+as ``repr()`` prints them; without it ``repr()`` itself does.
 
 ``init_matrix`` draws a block of the SplitMix64 stream at once from the
 closed form of its states; it yields the same bits as the scalar
@@ -297,38 +299,52 @@ def write_matrix(m, path: str | os.PathLike) -> None:
     """Write the text format: header "rows cols", then one line per row.
 
     Floats are serialized with the shortest decimal representation that
-    round-trips, so write -> read -> write is byte-stable.  The file is
-    written with ``write_atomic``.
+    round-trips, ``repr()``'s, so write -> read -> write is byte-stable.  The
+    compiled printer writes them when the library loaded, ``repr()``
+    otherwise.  The file is written with ``write_atomic``.
     """
     m = require_finite(as_matrix(m), "matrix")
+    format_rows = matmul_kernel().format_rows
+    if format_rows is not None:
+        write_atomic(path, [f"{m.shape[0]} {m.shape[1]}\n", format_rows(m)])
+        return
     lines = [f"{m.shape[0]} {m.shape[1]}"]
     for row in m:
         lines.append(" ".join(repr(float(v)) for v in row))
     write_atomic(path, ["\n".join(lines) + "\n"])
 
 
-def not_utf8(path: str | os.PathLike, err: UnicodeDecodeError, first_line: int = 1) -> ValueError:
+def not_utf8(path: str | os.PathLike, err: UnicodeDecodeError, first_line: int = 1,
+             splitlines: bool = False) -> ValueError:
     """The error for invalid UTF-8 in ``err.object``, text whose first line is ``first_line``.
 
-    Lines are counted as ``str.splitlines()`` counts them in the valid text
-    before the bad byte.
+    Lines are counted in the valid text before the bad byte as its caller
+    numbers them: ended by LF, CRLF or CR, the breaks ``Path.read_text``
+    turns into ``\\n`` for JSON and ``vote`` records; with ``splitlines``,
+    as ``str.splitlines()`` counts them, which also breaks at U+2028, U+2029,
+    U+0085 and a few control characters.
     """
     before = err.object[: err.start].decode("utf-8")
-    line = first_line - 1 + len((before + "x").splitlines())
+    if splitlines:
+        line = first_line - 1 + len((before + "x").splitlines())
+    else:
+        line = first_line + before.replace("\r\n", "\n").replace("\r", "\n").count("\n")
     return ValueError(f"{path}: line {line}: not valid UTF-8: {err.reason}")
 
 
-def read_text(path: str | os.PathLike) -> str:
+def read_text(path: str | os.PathLike, splitlines: bool = False) -> str:
     """The text of a UTF-8 file, as ``Path.read_text`` returns it.
 
-    Invalid UTF-8 is a ValueError naming the path and the line.  The whole
+    Invalid UTF-8 is a ValueError naming the path and the line, counted as
+    ``not_utf8`` counts it: for a caller that splits the text at ``\\n``, or
+    with ``splitlines`` for one that calls ``str.splitlines()``.  The whole
     file is decoded in one call, so the decode error holds all its bytes
     and the bad byte's offset; the file is not read twice.
     """
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
-        raise not_utf8(path, err) from None
+        raise not_utf8(path, err, splitlines=splitlines) from None
 
 
 @contextlib.contextmanager
@@ -445,7 +461,7 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
     parsed = parse_rows(compiled_input(path), _MATRIX_HEADER)
     if parsed is not None:
         return parsed[0]
-    text = read_text(path)
+    text = read_text(path, splitlines=True)
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()

@@ -20,6 +20,15 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture()
+def no_library(monkeypatch) -> None:
+    """Hide the compiled library, as on a machine without ``cc``: every caller takes its Python path."""
+    from wordfuse import _kernel, numerics
+
+    no_library = _kernel.Kernel(None, "no library: the Python paths alone")
+    monkeypatch.setattr(numerics, "matmul_kernel", lambda: no_library)
+
+
 @pytest.fixture(params=[True, False], ids=["forked", "inline"])
 def forked(request, monkeypatch) -> bool:
     """Run the test as is, then with os.fork hidden so the fork helper runs inline."""

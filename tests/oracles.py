@@ -17,6 +17,9 @@ from pathlib import Path
 
 from wordfuse.check import naive_attend
 
+# Frozen digest of the seed-42 bundle with d_w=4, d_h=8 (also a golden file).
+BUNDLE_SEED42_SHA256 = "9f8414b535eb633ed1e72a46ff343d79a019f89a2219fd93c3abb9597d83f1a9"
+
 
 def load_embeddings_whole_file(path):
     """Reference for ``lexicon.load_embeddings`` that reads the whole text, then splits it.

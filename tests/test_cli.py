@@ -10,9 +10,9 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import BUNDLE_SEED42_SHA256
 from wordfuse import _kernel, cli, lexicon, numerics
 
-BUNDLE_SEED42_SHA256 = "9f8414b535eb633ed1e72a46ff343d79a019f89a2219fd93c3abb9597d83f1a9"
 # fuse output on the golden inputs (fuse_files below), frozen byte for byte
 FUSED_GOLDEN_SHA256 = "60635a410daf94ab588a407eb1190d709367cc3e96a1e154e3a1e4cafdd2b6ec"
 
@@ -735,11 +735,12 @@ class TestAtomicOutputs:
         assert list(tmp_path.iterdir()) == []
 
     def test_init_weights_child_without_result_is_internal_error(self, tmp_path):
-        # json.dumps ends any process but the one that started the script, so
-        # the child formatting the second halves leaves without a result
+        # without the compiled printer, json.dumps ends any process but the one that
+        # started the script, so the child formatting the second halves leaves without a result
         script = (
             "import json, os, sys\n"
-            "from wordfuse import cli\n"
+            "from wordfuse import _kernel, cli, numerics\n"
+            "numerics.matmul_kernel = lambda: _kernel.Kernel(None, 'no library')\n"
             "main_pid, real_dumps = os.getpid(), json.dumps\n"
             "json.dumps = lambda *a, **k: real_dumps(*a, **k) if os.getpid() == main_pid else os._exit(3)\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
@@ -763,6 +764,19 @@ class TestLocatedInputErrors:
         src.write_bytes(b'{"sentence": "ab", "tokenizations": [["ab"]]}\n{"sentence": "\xff"}\n')
         code, err = run_main(["vote", "--input", src], capsys)
         assert (code, err) == (1, f"error: {src}: line 2: not valid UTF-8: invalid start byte\n")
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
+    def test_not_utf8_line_after_a_raw_line_separator(self, fuse_files, tmp_path, capsys, char):
+        # JSON strings may hold these raw; vote and the JSON readers number lines at "\n" alone
+        src = tmp_path / "in.jsonl"
+        record = json.dumps({"sentence": f"a{char}b", "tokenizations": [[f"a{char}b"]]}, ensure_ascii=False)
+        src.write_bytes(f"{record}\n".encode() + b'{"sentence": "\xff"}\n')
+        code, err = run_main(["vote", "--input", src], capsys)
+        assert (code, err) == (1, f"error: {src}: line 2: not valid UTF-8: invalid start byte\n")
+        seg = tmp_path / "seg.json"
+        seg.write_bytes(f'{{"sentence": "a{char}b",\n'.encode() + b' "words": ["\xff"]}\n')
+        code, err = run_main(fuse_args(dict(fuse_files, segmentation=seg)), capsys)
+        assert (code, err) == (1, f"error: segmentation: {seg}: line 2: not valid UTF-8: invalid start byte\n")
 
     @pytest.mark.parametrize(
         ("key", "data", "prefix", "line"),

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import BUNDLE_SEED42_SHA256
 from wordfuse import check, lexicon, numerics
 
-# Frozen digest of the seed-42 bundle with d_w=4, d_h=8 (also a golden file).
-BUNDLE_SEED42_SHA256 = "9f8414b535eb633ed1e72a46ff343d79a019f89a2219fd93c3abb9597d83f1a9"
 # Frozen digest of the float64 bytes of init_bundle(2022, 200, 768), tensors in
 # BUNDLE_TENSORS order, as the scalar SplitMix64 loop produced them.
 INIT_BUNDLE_2022_PAPER_SHAPE_SHA256 = (
@@ -168,7 +167,8 @@ def edge_bundle(rng, shapes):
 
 
 class TestSaveBundle:
-    """save_bundle formats half of the numbers in a forked child; the bytes are the serial writer's."""
+    """save_bundle prints through the compiled library, or without it formats half of the numbers in
+    a forked child; either way the bytes are the serial writer's."""
 
     @pytest.mark.parametrize(
         "shapes",
@@ -180,14 +180,14 @@ class TestSaveBundle:
         ],
         ids=["1x1", "1xd", "odd", "mixed"],
     )
-    def test_bytes_equal_serial_writer(self, tmp_path, rng, forked, shapes):
+    def test_bytes_equal_serial_writer(self, tmp_path, rng, no_library, forked, shapes):
         bundle = edge_bundle(rng, shapes)
         path = tmp_path / "bundle.json"
         lexicon.save_bundle(bundle, path)
         want = oracles.bundle_json_serial({k: v.tolist() for k, v in bundle.items()}, lexicon.BUNDLE_TENSORS)
         assert path.read_bytes() == want
 
-    def test_exactly_one_child(self, tmp_path, monkeypatch):
+    def test_exactly_one_child(self, tmp_path, monkeypatch, no_library):
         forks = []
         real_fork = os.fork
 
@@ -198,6 +198,15 @@ class TestSaveBundle:
         monkeypatch.setattr(os, "fork", counting_fork)
         lexicon.save_bundle(lexicon.init_bundle(42, 4, 8), tmp_path / "bundle.json")
         assert forks == [os.getpid()]
+        assert hashlib.sha256((tmp_path / "bundle.json").read_bytes()).hexdigest() == BUNDLE_SEED42_SHA256
+
+    @pytest.mark.skipif(numerics.matmul_kernel().format_list is None, reason="the compiled library did not load")
+    def test_compiled_writer_forks_nothing(self, tmp_path, monkeypatch):
+        def no_child():
+            raise AssertionError("save_bundle forked with the compiled printer loaded")
+
+        monkeypatch.setattr(os, "fork", no_child)
+        lexicon.save_bundle(lexicon.init_bundle(42, 4, 8), tmp_path / "bundle.json")
         assert hashlib.sha256((tmp_path / "bundle.json").read_bytes()).hexdigest() == BUNDLE_SEED42_SHA256
 
     def test_paper_shape_file_digest_frozen(self, tmp_path):

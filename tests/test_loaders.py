@@ -1,11 +1,13 @@
-"""The compiled number parser behind the three text loaders.
+"""The compiled number parser and printer behind the text loaders and writers.
 
 ``numerics.read_matrix``, ``lexicon.load_embeddings`` and
 ``lexicon.load_bundle`` try the parser of ``_kernel.SOURCE`` first and fall
 back to their Python readers.  Whatever the file, a loader must return the
 same values bit for bit, or raise the same error, with the library as
-without it (``kernel=None`` below: ``numerics.matmul_kernel`` reports no
-library, as on a machine without ``cc``).
+without it (``NO_LIBRARY`` below: ``numerics.matmul_kernel`` reports no
+library, as on a machine without ``cc``).  ``numerics.write_matrix`` and
+``lexicon.save_bundle`` print through the same library, and must write the
+same bytes as ``repr()`` and ``json.dumps`` do without it.
 """
 
 import json
@@ -18,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wordfuse import _kernel, lexicon, numerics
+import oracles
+from wordfuse import _kernel, check, lexicon, numerics
 
 needs_parser = pytest.mark.skipif(numerics.matmul_kernel().parse_rows is None,
                                   reason="the compiled library did not load")
@@ -47,12 +50,12 @@ def outcome(load, path):
         return type(err).__name__, str(err)
 
 
-def both_ways(monkeypatch, load, path):
-    """The outcome of ``load(path)`` with the compiled parser, and with no library."""
-    compiled = outcome(load, path)
+def both_ways(monkeypatch, run, *args):
+    """What ``run(*args)`` gives with the compiled library, and with no library."""
+    compiled = run(*args)
     with monkeypatch.context() as m:
         m.setattr(numerics, "matmul_kernel", lambda: NO_LIBRARY)
-        python = outcome(load, path)
+        python = run(*args)
     return compiled, python
 
 
@@ -154,7 +157,7 @@ def test_compiled_and_python_readers_agree(tmp_path, monkeypatch, kind, name, mu
         rng = np.random.default_rng(seed)
         text = mutate(make(rng), rng)
         path.write_bytes(text.encode("utf-8", errors="surrogateescape"))
-        compiled, python = both_ways(monkeypatch, load, path)
+        compiled, python = both_ways(monkeypatch, outcome, load, path)
         assert compiled == python, f"seed {seed}: {text[:200]!r}"
 
 
@@ -236,3 +239,63 @@ class TestParser:
         kernel = _kernel.load(numerics.matmul_numpy)
         assert (kernel.matmul, kernel.parse_rows) == (None, None)
         assert kernel.detail.startswith("known-answer mismatch: ") and kernel.detail.endswith("unlike float()")
+
+
+# matrices whose text takes every part of repr()'s layout, each row of
+# check._BUNDLE_EDGE_VALUES among them
+EDGE_MATRICES = {
+    "1x1 -0.0": [[-0.0]],
+    "1x1 5e-324": [[5e-324]],
+    "1x1 largest": [[1.7976931348623157e308]],
+    "1x1 zero": [[0.0]],
+    "edge row": [check._BUNDLE_EDGE_VALUES.tolist()],
+    "edge column": [[v] for v in check._BUNDLE_EDGE_VALUES.tolist()],
+    "values": [VALUES[:6], VALUES[6:]],
+    "layout switches": [[9.999999999999999e-05, 0.0001, 9999999999999998.0, 1e16, -1e-323, 1e100]],
+}
+
+
+def written(tmp_path, write, value) -> bytes:
+    path = tmp_path / "out"
+    write(value, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_MATRICES))
+def test_write_matrix_prints_as_repr_either_way(tmp_path, monkeypatch, name):
+    m = np.array(EDGE_MATRICES[name])
+    want = f"{m.shape[0]} {m.shape[1]}\n" + "".join(" ".join(map(repr, row)) + "\n" for row in m.tolist())
+    compiled, python = both_ways(monkeypatch, written, tmp_path, numerics.write_matrix, m)
+    assert compiled == python == want.encode()
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_MATRICES))
+def test_save_bundle_prints_as_json_dumps_either_way(tmp_path, monkeypatch, name):
+    # every tensor the same edge matrix, or a 1x1 tensor beside it
+    bundle = {tensor: np.array(EDGE_MATRICES[name] if i % 3 else [[VALUES[i]]])
+              for i, tensor in enumerate(lexicon.BUNDLE_TENSORS)}
+    want = oracles.bundle_json_serial({t: m.tolist() for t, m in bundle.items()}, lexicon.BUNDLE_TENSORS)
+    compiled, python = both_ways(monkeypatch, written, tmp_path, lexicon.save_bundle, bundle)
+    assert compiled == python == want
+
+
+@needs_parser
+def test_a_wrong_printer_is_refused_and_everything_falls_back(tmp_path, monkeypatch):
+    # the exponent form one place early: 1e+16 stays right, 9999999999999998.0 does not
+    monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path)
+    monkeypatch.setattr(_kernel, "SOURCE", _kernel.SOURCE.replace("point > 16", "point > 15"))
+    kernel = _kernel.load(numerics.matmul_numpy)
+    assert kernel.detail.startswith("known-answer mismatch: ")
+    assert kernel.detail.endswith("prints numbers unlike repr()")
+    functions = (kernel.matmul, kernel.parse_rows, kernel.parse_list, kernel.format_list, kernel.format_rows)
+    assert functions == (None,) * 5
+    # with that kernel, the products, the loaders and the writers all take their Python paths
+    monkeypatch.setattr(numerics, "matmul_kernel", lambda: kernel)
+    used, loop = [], numerics.matmul_numpy
+    monkeypatch.setattr(numerics, "matmul_numpy", lambda a, b: used.append("NumPy") or loop(a, b))
+    m = np.array([[9999999999999998.0, -0.0]])
+    assert numerics.matmul(m, m.T).tolist() == [[9999999999999998.0 ** 2]] and used == ["NumPy"]
+    path = tmp_path / "m.txt"
+    numerics.write_matrix(m, path)
+    assert path.read_text(encoding="utf-8") == "1 2\n9999999999999998.0 -0.0\n"
+    assert numerics.read_matrix(path).tobytes() == m.tobytes()

@@ -203,6 +203,8 @@ class TestMatmulKernels:
             assert kernel.name == "C", f"cc is on PATH but the C kernel did not load: {kernel}"
             assert kernel.parse_rows is not None and kernel.parse_list is not None, \
                 f"cc is on PATH but the number parser did not load: {kernel}"
+            assert kernel.format_list is not None and kernel.format_rows is not None, \
+                f"cc is on PATH but the number printer did not load: {kernel}"
 
     def test_known_operands_cover_tiles_widths_and_edge_values(self):
         a, b = _kernel.known_operands()
@@ -541,6 +543,15 @@ class TestReadText:
             numerics.read_text(path)
         reason = "invalid continuation byte" if b"\xe4\n" in data else "invalid start byte"
         assert str(info.value) == f"{path}: line {line}: not valid UTF-8: {reason}"
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_lines_counted_as_the_caller_splits_them(self, tmp_path, char):
+        path = tmp_path / "t.txt"
+        path.write_bytes(f"a{char}b\r\nc\n".encode() + b"\xff")
+        with pytest.raises(ValueError, match=": line 3: not valid UTF-8"):
+            numerics.read_text(path)  # at "\n", after CRLF and CR have become "\n"
+        with pytest.raises(ValueError, match=": line 4: not valid UTF-8"):
+            numerics.read_text(path, splitlines=True)  # as str.splitlines() splits
 
     def test_matrix_reader_names_line(self, tmp_path):
         path = tmp_path / "m.txt"
