@@ -34,16 +34,14 @@ from .segvote import Segmentation
 
 @dataclass(frozen=True)
 class MaskSpec:
-    """Which column indices stay visible to the masked attention branch."""
+    """Which column indices stay visible to the masked attention branch.
+
+    ``omega`` is non-empty and each index lies in ``[0, n)``, as the key
+    characters ``pipeline_forward`` passes always are; nothing checks it.
+    """
 
     n: int
     omega: frozenset[int]
-
-    def __post_init__(self):
-        if not self.omega:
-            raise ValueError("omega must not be empty")
-        if not all(0 <= i < self.n for i in self.omega):
-            raise ValueError(f"omega indices must lie in [0, {self.n})")
 
 
 def _head_probabilities(h, wq, wk, heads, mask):
@@ -55,13 +53,7 @@ def _head_probabilities(h, wq, wk, heads, mask):
     are a ValueError naming the branch, raised before the softmax sees them.
     """
     n, d_h = h.shape
-    if d_h % heads:
-        raise ValueError(f"d_h={d_h} is not divisible by heads={heads}")
-    visible = None
-    if mask is not None:
-        if mask.n != n:
-            raise ValueError(f"mask is for n={mask.n}, hidden matrix has n={n}")
-        visible = np.array(sorted(mask.omega))
+    visible = None if mask is None else np.array(sorted(mask.omega))
     q = matmul(h, wq)
     k = matmul(h if visible is None else h[visible], wk)
     scale = math.sqrt(d_h)  # full width by definition, independent of heads
@@ -86,7 +78,9 @@ def _branch(mask: MaskSpec | None) -> str:
 def attend(h, wq, wk, wv, heads: int = 1, mask: MaskSpec | None = None) -> np.ndarray:
     """Self-attention with column-sliced heads, concatenated back in order.
 
-    An overflow in the scores or in the output is a ValueError naming the
+    ``heads`` must divide the width of ``h`` and ``mask`` must be for its
+    rows: ``pipeline_forward`` checks the one and builds the other.  An
+    overflow in the scores or in the output is a ValueError naming the
     branch and the step.
     """
     h = as_matrix(h, "h")
@@ -109,14 +103,6 @@ def masked_attention_weights(h, wq, wk, heads: int = 1, mask: MaskSpec | None = 
 
 def fuse_heads_output(h1, h2, mu: float) -> np.ndarray:
     """Convex combination mu*h1 + (1-mu)*h2 of the two branch outputs."""
-    h1 = as_matrix(h1, "h1")
-    h2 = as_matrix(h2, "h2")
-    if h1.shape != h2.shape:
-        raise ValueError(
-            f"fuse shape mismatch: {h1.shape[0]}x{h1.shape[1]} vs {h2.shape[0]}x{h2.shape[1]}"
-        )
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
     return mu * h1 + (1.0 - mu) * h2
 
 
@@ -140,14 +126,22 @@ def pipeline_forward(
 ) -> PipelineResult:
     """The whole pipeline: fuse words in, then both attention branches.
 
-    Before any stage, ``check_bundle`` checks the bundle against the table's
-    width and the width of ``h``, and ``cfg`` is validated against the
-    latter.  An overflow is a ValueError naming the first stage whose result
-    holds inf or NaN.  NumPy's overflow warnings are silenced meanwhile: the
-    stages check their own results.  The branch fusion is a convex
-    combination of finite values and needs no check.
+    Before any stage, ``h`` must have rows, one per character of the
+    sentence; ``check_bundle`` checks the bundle against the table's width
+    and the width of ``h``, and ``cfg`` is validated against the latter.
+    The stages check none of this again.  An overflow is a ValueError naming
+    the first stage whose result holds inf or NaN.  NumPy's overflow
+    warnings are silenced meanwhile: the stages check their own results.
+    The branch fusion is a convex combination of finite values and needs no
+    check.
     """
     h = as_matrix(h, "h")
+    if h.shape[0] == 0:
+        raise ValueError("hidden matrix has no rows")
+    if h.shape[0] != len(seg.sentence):
+        raise ValueError(
+            f"hidden matrix has {h.shape[0]} rows, sentence has {len(seg.sentence)} characters"
+        )
     check_bundle(bundle, table.dim, h.shape[1])
     cfg.validate(h.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):

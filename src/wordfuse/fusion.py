@@ -5,7 +5,8 @@ hidden space, score each member character by cosine similarity against the
 projected vector, add each character its share of the word vector (shares
 are the scores normalized by their sum), pick the key character (highest
 score, first on ties), then mix the span so the key character trades a
-small amount of information with the others.
+small amount of information with the others.  Scoring, injection and
+mixing take only the word's own k x d_h rows, and return new ones.
 
 Mixing keeps ``exp(lam - 1)`` of the key character's own state and spreads
 the remainder evenly over the other characters, symmetrically pulling the
@@ -23,7 +24,7 @@ from typing import ClassVar, Mapping
 import numpy as np
 
 from .lexicon import EmbeddingTable, _nfc, lookup, project_rows
-from .numerics import as_matrix, cosine, require_finite_result
+from .numerics import cosine, require_finite_result
 from .segvote import Segmentation, WordSpan
 
 
@@ -58,81 +59,57 @@ class WordAnalysis:
     scores: np.ndarray = field(compare=False)
     key: int  # absolute character index of the key character
 
-    def __post_init__(self):
-        if len(self.scores) != len(self.span):
-            raise ValueError(
-                f"scores length {len(self.scores)} != span length {len(self.span)}"
-            )
-        if not self.span.start <= self.key <= self.span.end:
-            raise ValueError(f"key {self.key} outside span {self.span}")
-
 
 def score_word(rows, v) -> np.ndarray:
     """Cosine similarity of each character row against the word vector."""
-    rows = as_matrix(rows, "rows")
-    if rows.shape[0] < 1:
-        raise ValueError("score_word needs a non-empty span")
     return np.array([cosine(r, v) for r in rows])
 
 
 def select_key(scores) -> int:
     """Index of the highest score; the first one on exact ties."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.shape[0] < 1:
-        raise ValueError("select_key needs a non-empty 1-D score array")
     return int(np.argmax(scores))
 
 
-def analyze_word(h: np.ndarray, span: WordSpan, v: np.ndarray) -> WordAnalysis:
-    scores = score_word(h[span.start : span.end + 1], v)
+def analyze_word(rows: np.ndarray, span: WordSpan, v: np.ndarray) -> WordAnalysis:
+    """Scores and key of the word at ``span``, whose k x d_h character ``rows`` are given."""
+    scores = score_word(rows, v)
     return WordAnalysis(span=span, v=v, scores=scores, key=span.start + select_key(scores))
 
 
-def inject_word(h, wa: WordAnalysis, cfg: FusionConfig) -> np.ndarray:
-    """Add each span character its score-weighted share of the word vector.
+def inject_word(rows: np.ndarray, wa: WordAnalysis, cfg: FusionConfig) -> np.ndarray:
+    """The word's k x d_h rows, each plus its score-weighted share of the word vector.
 
     Shares are score_k / sum(scores).  A near-zero sum (|sum| < eps_denom)
     would blow the ratio up, so it falls back to uniform shares; either way
-    the shares sum to one and the whole span gains exactly one word vector.
+    the shares sum to one and the span gains exactly one word vector.
     """
-    h = as_matrix(h, "h")
     total = float(wa.scores.sum())
-    length = len(wa.span)
     if abs(total) < cfg.eps_denom:
-        shares = np.full(length, 1.0 / length)
+        shares = np.full(len(wa.span), 1.0 / len(wa.span))
     else:
         shares = wa.scores / total
-    out = h.copy()
-    rows = slice(wa.span.start, wa.span.end + 1)
-    out[rows] = h[rows] + shares[:, None] * wa.v
-    return out
+    return rows + shares[:, None] * wa.v
 
 
-def mix_word(h_w, span: WordSpan, key: int, lam: float) -> np.ndarray:
+def mix_word(rows: np.ndarray, span: WordSpan, key: int, lam: float) -> np.ndarray:
     """Exchange information between the key character and the rest of a word.
 
-    Single-character spans come back unchanged.  Otherwise, with
-    keep = exp(lam - 1) and share = (1 - keep) / (span length - 1):
+    ``rows`` are the word's k x d_h rows and ``key`` the key character's
+    absolute index.  Single-character words come back unchanged.  Otherwise,
+    with keep = exp(lam - 1) and share = (1 - keep) / (k - 1):
 
     * key row      -> keep * own + share * sum(other rows)
     * every other  -> share * key row + (1 - share) * own
 
     All inputs are the pre-mix rows; updates never feed each other.
     """
-    h_w = as_matrix(h_w, "h_w")
-    if not span.start <= key <= span.end:
-        raise ValueError(f"key {key} outside span {span}")
     if len(span) == 1:
-        return h_w.copy()
+        return rows.copy()
     keep = math.exp(lam - 1.0)
     share = (1.0 - keep) / (len(span) - 1)
-    rows = h_w[span.start : span.end + 1]
-    key_rel = key - span.start
-    key_row = rows[key_rel]
-
-    out = h_w.copy()
-    out[span.start : span.end + 1] = share * key_row + (1.0 - share) * rows
-    out[key] = keep * key_row + share * (rows.sum(axis=0) - key_row)
+    key_row = rows[key - span.start]
+    out = share * key_row + (1.0 - share) * rows
+    out[key - span.start] = keep * key_row + share * (rows.sum(axis=0) - key_row)
     return out
 
 
@@ -147,28 +124,26 @@ def fuse_sequence(
 
     Returns the fused hidden matrix and the set of key-character indices
     (one per word; a single-character word contributes its sole index).
-    Words cover disjoint rows, so processing order cannot change the result.
+    ``h`` is copied once; each word's steps then read and write only its own
+    rows of the copy.  Words cover disjoint rows, so processing order cannot
+    change the result.
     The sentence's distinct words (after NFC normalization) are projected in
     one batched call; rows are independent, so each word vector is the same
     bytes as a single-word ``project``.  An overflow in the projection or in
-    injection and mixing is a ValueError naming that stage.  ``bundle`` and
-    ``cfg`` are used as given: ``pipeline_forward`` checks them.
+    injection and mixing is a ValueError naming that stage.  ``h`` (one row
+    per character of the sentence), ``bundle`` and ``cfg`` are used as given:
+    ``pipeline_forward`` checks them.
     """
-    h = as_matrix(h, "h")
-    if h.shape[0] != len(seg.sentence):
-        raise ValueError(
-            f"hidden matrix has {h.shape[0]} rows, sentence has {len(seg.sentence)} characters"
-        )
     words = [_nfc(word) for word in seg.words]
     distinct = list(dict.fromkeys(words))
     embedded = np.array([lookup(table, word) for word in distinct]).reshape(len(distinct), table.dim)
     projected = require_finite_result(project_rows(embedded, bundle), "word projection")
     vectors = dict(zip(distinct, projected))
-    out = h
+    out = np.array(h, dtype=np.float64)  # the one copy
     omega: set[int] = set()
     for span, word in zip(seg.spans, words):
-        wa = analyze_word(out, span, vectors[word])
-        out = inject_word(out, wa, cfg)
-        out = mix_word(out, span, wa.key, cfg.lam)
+        at = slice(span.start, span.end + 1)
+        wa = analyze_word(out[at], span, vectors[word])
+        out[at] = mix_word(inject_word(out[at], wa, cfg), span, wa.key, cfg.lam)
         omega.add(wa.key)
     return require_finite_result(out, "word injection and mixing"), omega

@@ -401,9 +401,22 @@ def init_bundle(seed: int, d_w: int, d_h: int) -> dict[str, np.ndarray]:
 
     Matrices are drawn from one SplitMix64 stream in canonical order
     (W1, W2, then the six attention matrices); biases consume no draws.
+    A bundle that would not fit in physical memory is refused before
+    anything is allocated.
     """
     if d_w < 1 or d_h < 1:
         raise ValueError(f"dimensions must be positive, got d_w={d_w} d_h={d_h}")
+    # the tensors, plus init_matrix's uint64 draws and their float64 copy for the largest
+    need = 8 * (d_w * d_h + 7 * d_h * d_h + 2 * d_h) + 16 * max(d_w, d_h) * d_h
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf on this platform: no bound known
+        have = need
+    if need > have:
+        raise ValueError(
+            f"a bundle with d_w={d_w} d_h={d_h} takes {need / 1e9:.3g} GB, "
+            f"more than the {have / 1e9:.3g} GB of physical memory"
+        )
     rng = numerics.SplitMix64(seed)
     bundle = {
         "W1": numerics.init_matrix(rng, d_w, d_h),

@@ -373,18 +373,51 @@ def read_json(path: str | os.PathLike):
         return parse_json(text)
 
 
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def _no_surrogate(value, text: str) -> bool:
+    """True, or a ValueError naming the first lone surrogate in ``value``.
+
+    ``value`` is a str or a list (of lists) of str, and ``text`` all its
+    strings joined, searched in one pass.  JSON's ``\\ud800`` decodes to a
+    lone surrogate: no Unicode scalar value, which no UTF-8 writer takes.
+    """
+    if _SURROGATE.search(text):
+        _name_surrogate(value)
+    return True
+
+
+def _name_surrogate(value) -> None:
+    """A ValueError such as ``element 2: lone surrogate U+D800 at character 1``, if ``value`` holds one."""
+    if type(value) is str:
+        found = _SURROGATE.search(value)
+        if found:
+            raise ValueError(f"lone surrogate U+{ord(found.group()):04X} at character {found.start()}")
+        return
+    for i, element in enumerate(value):
+        with located(f"element {i}"):
+            _name_surrogate(element)
+
+
+def _strings(value) -> bool:
+    return type(value) is list and all(type(s) is str for s in value)
+
+
 # each kind of JSON value a record field may hold, by its name in messages, and
-# its test; type(), not isinstance(): JSON true is not a number, 2.7 not an integer
+# its test; type(), not isinstance(): JSON true is not a number, 2.7 not an integer.
+# The string kinds refuse a lone surrogate with a ValueError
 JSON_FIELD_KINDS = {
     "list": lambda v: type(v) is list,
-    "string": lambda v: type(v) is str,
+    "string": lambda v: type(v) is str and _no_surrogate(v, v),
     "boolean": lambda v: type(v) is bool,
     "integer": lambda v: type(v) is int,
     "positive integer": lambda v: type(v) is int and v > 0,
     # a number must fit a float: float() of a 400-digit integer raises OverflowError
     "number": lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
-    "list of strings": lambda v: type(v) is list and all(type(s) is str for s in v),
-    "list of word lists": lambda v: type(v) is list and all(map(JSON_FIELD_KINDS["list of strings"], v)),
+    "list of strings": lambda v: _strings(v) and _no_surrogate(v, "".join(v)),
+    "list of word lists": lambda v: type(v) is list and all(map(_strings, v))
+    and _no_surrogate(v, "".join(map("".join, v))),
     "list of [start, end] integer pairs": lambda v: type(v) is list and all(
         type(pair) is list and len(pair) == 2 and all(type(i) is int for i in pair) for pair in v
     ),
@@ -412,7 +445,13 @@ def check_record(record, fields: Mapping[str, str], required: Iterable[str] = ()
         if field not in record:
             raise ValueError(f"{field}: missing")
     for field, kind in fields.items():
-        if field in record and not JSON_FIELD_KINDS[kind](record[field]):
+        if field not in record:
+            continue
+        try:  # not located(): a context manager costs more than most tests
+            fits = JSON_FIELD_KINDS[kind](record[field])
+        except ValueError as err:  # a lone surrogate
+            raise ValueError(f"{field}: {err}") from None
+        if not fits:
             raise ValueError(f"{field}: expected a JSON {kind}, got {json_shown(record[field])}")
     return record
 

@@ -218,6 +218,40 @@ class TestInitWeights:
         res = run_cli("init-weights", "--dw", 0, "--dh", 8, "--output", tmp_path / "w.json")
         assert res.returncode == 1
 
+    def test_bundle_larger_than_memory_refused_before_allocating(self, tmp_path, capsys):
+        # 8e17 bytes: refused before any allocation, on any host
+        out = tmp_path / "w.json"
+        code, err = run_main(["init-weights", "--dw", 10**8, "--dh", 10**8, "--output", out], capsys)
+        assert code == 1
+        assert err.startswith("error: a bundle with d_w=100000000 d_h=100000000 takes 8e+08 GB, more than the ")
+        assert err.endswith(" GB of physical memory\n")
+        assert not out.exists()
+
+    def test_bundle_bound_reads_physical_memory(self, monkeypatch):
+        # 30 pages of 4 KiB hold the 103,040 bytes of tensors at d_w = d_h = 40, not 25,600 more of draws
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 30, "SC_PAGE_SIZE": 4096}.__getitem__)
+        with pytest.raises(ValueError, match=r"^a bundle with d_w=40 d_h=40 takes 0\.000129 GB, "
+                                             r"more than the 0\.000123 GB of physical memory$"):
+            lexicon.init_bundle(1, 40, 40)
+        assert lexicon.init_bundle(1, 4, 8)["W1"].shape == (4, 8)
+
+    @pytest.mark.parametrize("command", ["init-weights", "fuse", "vote"])
+    def test_memory_error_exits_one_naming_the_command(self, command, fuse_files, golden, tmp_path, capsys,
+                                                       monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        argv = {
+            "init-weights": ["init-weights", "--dw", 4, "--dh", 8, "--output", tmp_path / "w.json"],
+            "fuse": fuse_args(fuse_files),
+            "vote": ["vote", "--input", golden / "vote_record.jsonl"],
+        }[command]
+        monkeypatch.setattr(lexicon, "init_bundle", no_memory)
+        monkeypatch.setattr(cli, "pipeline_forward", no_memory)
+        monkeypatch.setattr(cli.segvote, "vote", no_memory)
+        code, err = run_main(argv, capsys)
+        assert (code, err) == (1, f"error: {command}: out of memory\n")
+
 
 class TestFuse:
     def test_matches_library_pipeline(self, fuse_files):
@@ -765,6 +799,47 @@ class TestLocatedInputErrors:
         code, err = run_main(["vote", "--input", src], capsys)
         assert (code, err) == (1, f"error: {src}: line 2: not valid UTF-8: invalid start byte\n")
 
+    @pytest.mark.parametrize(
+        ("record", "problem"),
+        [
+            ({"sentence": "a\ud800b", "tokenizations": [["a\ud800b"]]},
+             "sentence: lone surrogate U+D800 at character 1"),
+            ({"sentence": "ab", "tokenizations": [["ab"], ["a", "\udc00b"]]},
+             "tokenizations: element 1: element 1: lone surrogate U+DC00 at character 0"),
+        ],
+        ids=["sentence", "tokenization"],
+    )
+    def test_vote_lone_surrogate(self, tmp_path, capsys, record, problem):
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps({"sentence": "ab", "tokenizations": [["ab"]]}) + "\n" + json.dumps(record) + "\n",
+                       encoding="utf-8")
+        code, err = run_main(["vote", "--input", src, "--output", tmp_path / "out.jsonl"], capsys)
+        assert (code, err) == (1, f"error: {src}: line 2: {problem}\n")
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        ("record", "problem"),
+        [
+            ({"sentence": "重庆人和中\ud800", "spans": [[0, 1], [2, 5]]}, "sentence: lone surrogate U+D800 at character 5"),
+            ({"sentence": "重庆人和中学", "words": ["重庆", "人和\udfff中学"]},
+             "words: element 1: lone surrogate U+DFFF at character 2"),
+        ],
+        ids=["sentence", "words"],
+    )
+    def test_segmentation_lone_surrogate(self, fuse_files, tmp_path, capsys, record, problem):
+        seg = tmp_path / "seg.json"
+        seg.write_text(json.dumps(record), encoding="utf-8")
+        code, err = run_main(fuse_args(dict(fuse_files, segmentation=seg)), capsys)
+        assert (code, err) == (1, f"error: segmentation: {seg}: {problem}\n")
+        assert not fuse_files["output"].exists()
+
+    def test_config_lone_surrogate(self, fuse_files, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"output": "out\ud800.txt"}), encoding="utf-8")
+        argv = fuse_args(fuse_files)
+        code, err = run_main(argv[: argv.index("--output")] + ["--config", config], capsys)
+        assert (code, err) == (1, f"error: {config}: output: lone surrogate U+D800 at character 3\n")
+
     @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
     def test_not_utf8_line_after_a_raw_line_separator(self, fuse_files, tmp_path, capsys, char):
         # JSON strings may hold these raw; vote and the JSON readers number lines at "\n" alone
@@ -850,11 +925,16 @@ class TestCheck:
         assert len(lines) >= 15
         assert "0 failed" in res.stdout
 
-    def test_corrupt_softmax_caught(self):
-        res = run_cli("check", "--cases", 10, "--corrupt", "softmax")
-        assert res.returncode == 1
-        assert "FAIL" in res.stdout
-        assert "softmax" in res.stdout
+    def test_corrupt_softmax_caught(self, monkeypatch, capsys):
+        real = numerics.softmax_rows
+        # inflates every row just past the tolerance
+        monkeypatch.setattr(numerics, "softmax_rows", lambda m: real(m) * (1.0 + 1e-6))
+        assert cli.main(["check", "--cases", "10"]) == 1
+        rows = [line for line in capsys.readouterr().out.splitlines() if line.endswith(("PASS", "FAIL"))]
+        assert len(rows) == len(cli.checkmod.PROPERTIES)
+        assert [row for row in rows if row.endswith("FAIL")] == [
+            row for row in rows if row.startswith("softmax rows sum to one")
+        ]
 
     def test_seed_changes_are_still_green(self):
         res = run_cli("check", "--cases", 15, "--seed", 777)
