@@ -1,8 +1,7 @@
 """Run one function in a forked child process while the caller works on.
 
-``fuse`` parses the weight bundle this way while it reads its other
-inputs.  Without the compiled printer, ``save_bundle`` formats half of the
-bundle's numbers this way while it formats the other half.
+Its one use: ``fuse`` parses the weight bundle this way while it reads its
+other inputs.
 """
 
 from __future__ import annotations

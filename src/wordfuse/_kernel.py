@@ -38,9 +38,10 @@ the double, scaled by 4, is multiplied by a 128-bit power of ten, rounded
 to odd, and the one-digit-shorter decimal is taken when exactly one of its
 neighbours lies in the interval.  ``_powers_of_ten`` generates the 617
 constants from Python integers and appends them to ``SOURCE``.
-``wordfuse_format_list`` joins the numbers with ``", "``, as the data of a
-bundle tensor; ``wordfuse_format_rows`` joins a row's numbers with ``" "``
-and ends each row with ``"\\n"``, as the text matrix format.
+``wordfuse_format_rows`` joins a row's numbers with a separator and ends
+each row with a given text: ``" "`` and ``"\\n"`` for the text matrix
+format, ``", "`` and nothing for the data of a bundle tensor, printed as
+one row.
 
 ``load`` compiles the source with the system ``cc`` into a shared library
 cached in the ``__pycache__`` directory next to this file.  The file name
@@ -54,7 +55,7 @@ library can kill the process with SIGBUS, so a file that fails the check
 is built again.  A library is accepted only when its product of fixed
 operands equals the reference's bit for bit, ``HARD_DECIMALS`` parse to
 ``float()``'s bits, every one of ``REFUSED_TOKENS`` is refused and
-``HARD_DOUBLES`` print as ``repr()`` prints them in both layouts; without
+``HARD_DOUBLES`` print as ``repr()`` prints them in every layout; without
 a compiler, or when the build or a check fails, ``load`` returns no kernel
 and says why.
 A library built and accepted here removes the cached libraries of other
@@ -381,38 +382,25 @@ static char *print_double(double x, char *p)
     return p;
 }
 
-/* Writes repr() of each of the `count` doubles at x to out, separated by ", ".
-   Returns the length written, at most 26 * count, or -1 for a non-finite value. */
-int64_t wordfuse_format_list(const double *restrict x, int64_t count, char *restrict out)
-{
-    char *p = out;
-    for (int64_t i = 0; i < count; ++i) {
-        if (!isfinite(x[i]))
-            return -1;
-        if (i) {
-            *p++ = ',';
-            *p++ = ' ';
-        }
-        p = print_double(x[i], p);
-    }
-    return p - out;
-}
-
 /* Writes repr() of the rows x cols doubles at x to out, row after row: the
-   numbers of a row separated by " " and a "\n" after each row.  Returns the
-   length written, at most 26 * rows * cols + rows, or -1 for a non-finite value. */
-int64_t wordfuse_format_rows(const double *restrict x, int64_t rows, int64_t cols, char *restrict out)
+   numbers of a row separated by the sep_len bytes at sep, and the end_len
+   bytes at end after each row.  Returns the length written, at most
+   rows * (24 * cols + max(cols - 1, 0) * sep_len + end_len), or -1 for a
+   non-finite value. */
+int64_t wordfuse_format_rows(const double *restrict x, int64_t rows, int64_t cols, const char *sep,
+                             int64_t sep_len, const char *end, int64_t end_len, char *restrict out)
 {
     char *p = out;
     for (int64_t i = 0; i < rows; ++i) {
         for (int64_t j = 0; j < cols; ++j, ++x) {
             if (!isfinite(*x))
                 return -1;
-            if (j)
-                *p++ = ' ';
+            for (int64_t s = 0; j && s < sep_len; ++s)
+                *p++ = sep[s];
             p = print_double(*x, p);
         }
-        *p++ = '\n';
+        for (int64_t s = 0; s < end_len; ++s)
+            *p++ = end[s];
     }
     return p - out;
 }
@@ -495,17 +483,16 @@ class Kernel:
     at ``data[start]`` and the offset after it.  Either returns None when
     anything does not fit, and allocates nothing before checking that
     ``data`` is long enough to hold the numbers a header promises.
-    ``format_list(values)`` is ``", ".join(map(repr, values))`` of a 1-D
-    array and ``format_rows(m)`` the lines ``" ".join(map(repr, row)) + "\\n"``
-    of a 2-D one; both take finite float64 values only.
+    ``format_rows(m, sep, end)`` is ``sep.join(map(repr, row)) + end`` for
+    each row of a 2-D array of finite float64 values, joined, where ``sep``
+    and ``end`` are ASCII.
     """
 
     matmul: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     detail: str
     parse_rows: Callable[[bytes, int, int, int, bool], tuple[np.ndarray, np.ndarray | None] | None] | None = None
     parse_list: Callable[[bytes, int, int], tuple[np.ndarray, int] | None] | None = None
-    format_list: Callable[[np.ndarray], str] | None = None
-    format_rows: Callable[[np.ndarray], str] | None = None
+    format_rows: Callable[[np.ndarray, str, str], str] | None = None
 
     @property
     def name(self) -> str:
@@ -553,10 +540,10 @@ def _bind(path: Path) -> dict[str, Callable]:
     rows_fn.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 2
     list_fn.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
     rows_fn.restype = list_fn.restype = ctypes.c_int64
-    print_list, print_rows = library.wordfuse_format_list, library.wordfuse_format_rows
-    print_list.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
-    print_rows.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
-    print_list.restype = print_rows.restype = ctypes.c_int64
+    print_rows = library.wordfuse_format_rows
+    print_rows.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 2 + [ctypes.c_char_p, ctypes.c_int64] * 2 \
+        + [ctypes.c_void_p]
+    print_rows.restype = ctypes.c_int64
 
     def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``a @ b`` for C-contiguous, aligned float64 ``a`` and ``b`` whose inner sizes match."""
@@ -581,24 +568,20 @@ def _bind(path: Path) -> dict[str, Callable]:
         end = list_fn(data, start, len(data), count, out.ctypes.data)
         return None if end < 0 else (out, end)
 
-    def printed(fn, values: np.ndarray, size: int, *counts: int) -> str:
+    def format_rows(m: np.ndarray, sep: str, end: str) -> str:
+        x = np.require(m, np.float64, "CA")
+        rows, cols = x.shape
+        sep_bytes, end_bytes = sep.encode("ascii"), end.encode("ascii")
+        # a number prints in at most 24 bytes
+        size = rows * (24 * cols + max(cols - 1, 0) * len(sep_bytes) + len(end_bytes))
         out = np.empty(size, dtype=np.uint8)
-        length = fn(values.ctypes.data, *counts, out.ctypes.data)
+        length = print_rows(x.ctypes.data, rows, cols, sep_bytes, len(sep_bytes), end_bytes, len(end_bytes),
+                            out.ctypes.data)
         if not 0 <= length <= size:
-            raise RuntimeError(f"{fn.__name__} wrote {length} bytes to a buffer of {size}")
+            raise RuntimeError(f"wordfuse_format_rows wrote {length} bytes to a buffer of {size}")
         return str(memoryview(out)[:length], "ascii")
 
-    # a number prints in at most 24 bytes, its separator in 2
-    def format_list(values: np.ndarray) -> str:
-        x = np.require(values, np.float64, "CA")
-        return printed(print_list, x, 26 * x.size, x.size)
-
-    def format_rows(m: np.ndarray) -> str:
-        x = np.require(m, np.float64, "CA")
-        return printed(print_rows, x, 26 * x.size + x.shape[0], *x.shape)
-
-    return {"matmul": matmul, "parse_rows": parse_rows, "parse_list": parse_list,
-            "format_list": format_list, "format_rows": format_rows}
+    return {"matmul": matmul, "parse_rows": parse_rows, "parse_list": parse_list, "format_rows": format_rows}
 
 
 def _parses_like_float(parse_rows, parse_list) -> bool:
@@ -615,13 +598,13 @@ def _parses_like_float(parse_rows, parse_list) -> bool:
     )
 
 
-def _prints_like_repr(format_list, format_rows) -> bool:
+def _prints_like_repr(format_rows) -> bool:
     """Whether ``HARD_DOUBLES`` print as ``repr()`` prints them, in a list, in a row and in a column."""
     values, want = np.array(HARD_DOUBLES), [repr(x) for x in HARD_DOUBLES]
     return (
-        format_list(values) == ", ".join(want)
-        and format_rows(values[None, :]) == " ".join(want) + "\n"
-        and format_rows(values[:, None]) == "".join(f"{text}\n" for text in want)
+        format_rows(values[None, :], ", ", "") == ", ".join(want)
+        and format_rows(values[None, :], " ", "\n") == " ".join(want) + "\n"
+        and format_rows(values[:, None], " ", "\n") == "".join(f"{text}\n" for text in want)
     )
 
 
@@ -685,7 +668,7 @@ def load(reference: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Kernel:
         return Kernel(None, f"known-answer mismatch: {path} differs from the NumPy loop")
     if not _parses_like_float(functions["parse_rows"], functions["parse_list"]):
         return Kernel(None, f"known-answer mismatch: {path} parses numbers unlike float()")
-    if not _prints_like_repr(functions["format_list"], functions["format_rows"]):
+    if not _prints_like_repr(functions["format_rows"]):
         return Kernel(None, f"known-answer mismatch: {path} prints numbers unlike repr()")
     if built:
         _prune(path)

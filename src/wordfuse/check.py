@@ -6,9 +6,9 @@ numeric properties deliberately re-derive expectations with naive
 pure-Python loops so the production kernels are checked against an
 independent route, not against themselves.  Those loops, ``naive_matmul``
 and ``naive_attend``, are the test suite's oracles too.  When the C matmul
-kernel is loaded, the matmul property checks it and the NumPy loop alike,
-and the bundle property checks both bundle writers, the compiled printer's
-and ``json.dumps``'.
+kernel is loaded, the matmul property checks it and the NumPy loop alike.
+The bundle property checks ``save_bundle``, with whichever printer runs,
+against ``json.dumps`` of the bundle.
 """
 
 from __future__ import annotations
@@ -234,9 +234,6 @@ _BUNDLE_EDGE_VALUES = np.array(
 
 
 def _check_bundle_serial(rng, cases):
-    writers = [("json.dumps", lexicon.save_bundle_forked)]
-    if numerics.matmul_kernel().format_list is not None:
-        writers.append(("compiled", lexicon.save_bundle))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bundle.json"
         for _ in range(cases):
@@ -250,10 +247,9 @@ def _check_bundle_serial(rng, cases):
             serial = {name: {"rows": m.shape[0], "cols": m.shape[1], "data": m.ravel().tolist()}
                       for name, m in bundle.items()}
             shapes = ", ".join(f"{m.shape[0]}x{m.shape[1]}" for m in bundle.values())
-            for writer, save in writers:
-                save(bundle, path)
-                _require(path.read_bytes() == (json.dumps(serial) + "\n").encode("utf-8"),
-                         f"{writer} writer, tensor shapes {shapes}: file differs from json.dumps of the bundle")
+            lexicon.save_bundle(bundle, path)
+            _require(path.read_bytes() == (json.dumps(serial) + "\n").encode("utf-8"),
+                     f"tensor shapes {shapes}: file differs from json.dumps of the bundle")
 
 
 def _check_vote_partition(rng, cases):
@@ -623,7 +619,6 @@ def _misprinted(values: list[float], printed: str) -> str:
 
 
 def _check_number_printing(rng, cases):
-    kernel = numerics.matmul_kernel()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.txt"
         for _ in range(cases):
@@ -635,11 +630,8 @@ def _check_number_printing(rng, cases):
             written = path.read_text(encoding="utf-8")
             _require(written == f"{rows} {cols}\n{lines}",
                      f"write_matrix: {_misprinted([rows, cols, *values], written)}")
-            if kernel.format_list is None:
-                continue
-            listed, printed = kernel.format_list(m.ravel()), kernel.format_rows(m)
+            listed = numerics.format_rows(m.reshape(1, -1), ", ", "")
             _require(listed == ", ".join(map(repr, values)), f"list: {_misprinted(values, listed)}")
-            _require(printed == lines, f"rows: {_misprinted(values, printed)}")
 
 
 PROPERTIES: list[tuple[str, Callable]] = [

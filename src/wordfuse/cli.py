@@ -101,8 +101,6 @@ def cmd_vote(args) -> int:
 def cmd_init_weights(args) -> int:
     if args.dw < 1 or args.dh < 1:
         return _fail(f"dimensions must be positive, got --dw {args.dw} --dh {args.dh}")
-    if args.heads < 1 or args.dh % args.heads:
-        return _fail(f"--dh {args.dh} must be divisible by --heads {args.heads}")
     bundle = lexicon.init_bundle(args.seed, args.dw, args.dh)
     lexicon.save_bundle(bundle, args.output)
     print(f"wrote {args.output}", file=sys.stderr)
@@ -224,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_init.add_argument("--seed", type=int, default=42)
     p_init.add_argument("--dw", type=int, required=True, help="word embedding width")
     p_init.add_argument("--dh", type=int, required=True, help="hidden width")
-    p_init.add_argument("--heads", type=int, default=1)
     p_init.add_argument("--output", required=True)
     p_init.set_defaults(func=cmd_init_weights)
 

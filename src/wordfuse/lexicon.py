@@ -26,12 +26,11 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from . import numerics
-from ._child import _in_child
 from .numerics import as_matrix, as_vector, matmul, require_finite
 
 log = logging.getLogger(__name__)
@@ -327,32 +326,12 @@ def _dims(shape: tuple[int, ...]) -> str:
     return "x".join(map(str, shape))
 
 
-def _format_halves(flat: list[np.ndarray], second: bool) -> list[str]:
-    """The JSON numbers of each array's first or second half, without the brackets.
-
-    Arrays split at their midpoint, ``size // 2``.
-    """
-    parts = []
-    for data in flat:
-        half = data[data.size // 2 :] if second else data[: data.size // 2]
-        parts.append(json.dumps(half.tolist())[1:-1])
-    return parts
-
-
-def _checked_tensors(tensors: Mapping[str, np.ndarray]) -> list[np.ndarray]:
-    """The ``BUNDLE_TENSORS`` as finite 2-D arrays, in order; a ValueError names a missing or bad one."""
-    missing = [name for name in BUNDLE_TENSORS if name not in tensors]
-    if missing:
-        raise ValueError(f"bundle is missing tensors {missing}")
-    return [require_finite(as_matrix(tensors[name], name), name) for name in BUNDLE_TENSORS]
-
-
-def _bundle_pieces(matrices: list[np.ndarray], numbers: Iterable[Iterable[str]]) -> Iterator[str]:
-    """The text of a bundle, one piece at a time; ``numbers`` yields the pieces of each tensor's data."""
+def _bundle_pieces(matrices: list[np.ndarray]) -> Iterator[str]:
+    """The text of a bundle, one piece at a time: each tensor's numbers are printed as it is written."""
     opening = "{"
-    for name, m, data in zip(BUNDLE_TENSORS, matrices, numbers):
+    for name, m in zip(BUNDLE_TENSORS, matrices):
         yield f'{opening}{json.dumps(name)}: {{"rows": {m.shape[0]}, "cols": {m.shape[1]}, "data": ['
-        yield from data
+        yield numerics.format_rows(m.reshape(1, -1), ", ", "")
         yield "]}"
         opening = ", "
     yield "}\n"
@@ -362,38 +341,18 @@ def save_bundle(tensors: Mapping[str, np.ndarray], path: str | os.PathLike) -> N
     """Write a bundle with inline tensors, in canonical order.
 
     The file holds ``json.dumps(bundle) + "\\n"`` byte for byte, where
-    ``bundle`` maps each name to ``{"rows": r, "cols": c, "data": [...]}``.
-    Printing the numbers is nearly all the work.  The compiled printer
-    (``numerics.matmul_kernel().format_list``) prints each tensor in one
-    call, while the pieces are written one at a time with
-    ``numerics.write_atomic``; without the library ``save_bundle_forked``
-    writes the same bytes.  Every tensor is checked before anything is
-    printed.
+    ``bundle`` maps each name to ``{"rows": r, "cols": c, "data": [...]}``:
+    ``numerics.format_rows`` prints each tensor's data as one row of
+    ``repr()`` texts joined by ``", "``, as ``json.dumps`` prints a list of
+    floats.  Printing the numbers is nearly all the work; the pieces are
+    written one at a time with ``numerics.write_atomic``.  Every tensor is
+    checked before anything is printed.
     """
-    format_list = numerics.matmul_kernel().format_list
-    if format_list is None:
-        save_bundle_forked(tensors, path)
-        return
-    matrices = _checked_tensors(tensors)
-    numerics.write_atomic(path, _bundle_pieces(matrices, ([format_list(m.ravel())] for m in matrices)))
-
-
-def save_bundle_forked(tensors: Mapping[str, np.ndarray], path: str | os.PathLike) -> None:
-    """``save_bundle`` by ``json.dumps``: the fallback without the library, and the second reference.
-
-    A forked child formats the second half of every tensor's data while
-    this process formats the first halves (``_child._in_child``; inline
-    where ``os.fork`` is missing).  Every tensor is checked before the child
-    starts.
-    """
-    matrices = _checked_tensors(tensors)
-    flat = [m.ravel() for m in matrices]
-    with _in_child(_format_halves, flat, True) as second_halves:
-        firsts = _format_halves(flat, False)
-        seconds = second_halves()
-    # a one-element tensor has an empty first half
-    halves = ((first, ", " if first and second else "", second) for first, second in zip(firsts, seconds))
-    numerics.write_atomic(path, _bundle_pieces(matrices, halves))
+    missing = [name for name in BUNDLE_TENSORS if name not in tensors]
+    if missing:
+        raise ValueError(f"bundle is missing tensors {missing}")
+    matrices = [require_finite(as_matrix(tensors[name], name), name) for name in BUNDLE_TENSORS]
+    numerics.write_atomic(path, _bundle_pieces(matrices))
 
 
 def init_bundle(seed: int, d_w: int, d_h: int) -> dict[str, np.ndarray]:

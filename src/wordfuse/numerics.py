@@ -28,8 +28,9 @@ leaves it unchanged.
 The same library parses number text for ``read_matrix`` and the loaders
 of ``lexicon`` (``compiled_input`` and ``parse_rows``); a file it does not
 take, or any file without it, goes through ``float()`` and ``json``.  It
-also prints the numbers of ``write_matrix`` and ``lexicon.save_bundle``,
-as ``repr()`` prints them; without it ``repr()`` itself does.
+also prints numbers as ``repr()`` prints them for ``format_rows``, the one
+printer behind ``write_matrix`` and ``lexicon.save_bundle``; without it
+``repr()`` itself does.
 
 ``init_matrix`` draws a block of the SplitMix64 stream at once from the
 closed form of its states; it yields the same bits as the scalar
@@ -295,23 +296,27 @@ def write_atomic(path: str | os.PathLike, pieces: Iterable[str]) -> None:
         raise
 
 
+def format_rows(m: np.ndarray, sep: str = " ", end: str = "\n") -> str:
+    """``sep.join(map(repr, row)) + end`` for each row of a finite 2-D float64 array, joined.
+
+    The compiled printer prints the numbers when the library loaded,
+    ``repr()`` otherwise; ``sep`` and ``end`` are ASCII.
+    """
+    printer = matmul_kernel().format_rows
+    if printer is not None:
+        return printer(m, sep, end)
+    return "".join(sep.join(map(repr, row)) + end for row in m.tolist())
+
+
 def write_matrix(m, path: str | os.PathLike) -> None:
     """Write the text format: header "rows cols", then one line per row.
 
     Floats are serialized with the shortest decimal representation that
-    round-trips, ``repr()``'s, so write -> read -> write is byte-stable.  The
-    compiled printer writes them when the library loaded, ``repr()``
-    otherwise.  The file is written with ``write_atomic``.
+    round-trips, ``repr()``'s (see ``format_rows``), so write -> read ->
+    write is byte-stable.  The file is written with ``write_atomic``.
     """
     m = require_finite(as_matrix(m), "matrix")
-    format_rows = matmul_kernel().format_rows
-    if format_rows is not None:
-        write_atomic(path, [f"{m.shape[0]} {m.shape[1]}\n", format_rows(m)])
-        return
-    lines = [f"{m.shape[0]} {m.shape[1]}"]
-    for row in m:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    write_atomic(path, ["\n".join(lines) + "\n"])
+    write_atomic(path, [f"{m.shape[0]} {m.shape[1]}\n", format_rows(m)])
 
 
 def not_utf8(path: str | os.PathLike, err: UnicodeDecodeError, first_line: int = 1,
@@ -421,7 +426,7 @@ JSON_FIELD_KINDS = {
     "list of [start, end] integer pairs": lambda v: type(v) is list and all(
         type(pair) is list and len(pair) == 2 and all(type(i) is int for i in pair) for pair in v
     ),
-    "object or path string": lambda v: type(v) in (dict, str),
+    "object or path string": lambda v: type(v) is dict or type(v) is str and _no_surrogate(v, v),
 }
 
 

@@ -105,16 +105,11 @@ def vote(sentence: str, tokenizations: Sequence[Sequence[str]]) -> Segmentation:
             word = table.get(cursor)
             if word is not None:
                 counts[word] = counts.get(word, 0) + 1
-        if counts:
-            best, _ = max(counts.items(), key=lambda kv: (kv[1], len(kv[0])))
-            length = len(best)
-        else:
-            # unreachable for valid partitions (some voter always starts a
-            # word wherever the merged cursor lands); kept so adversarial
-            # input degrades to single characters instead of failing
-            length = 1
-        spans.append(WordSpan(cursor, cursor + length - 1))
-        cursor += length
+        # never empty: each voter partitions the sentence, so the cursor lands
+        # where the last winner's voter starts its next word (0 at first)
+        best, _ = max(counts.items(), key=lambda kv: (kv[1], len(kv[0])))
+        spans.append(WordSpan(cursor, cursor + len(best) - 1))
+        cursor += len(best)
     return Segmentation(sentence, tuple(spans))
 
 

@@ -207,13 +207,6 @@ class TestInitWeights:
         direct = lexicon.init_bundle(9, 3, 6)
         assert all(np.array_equal(loaded[k], direct[k]) for k in lexicon.BUNDLE_TENSORS)
 
-    def test_rejects_indivisible_heads(self, tmp_path):
-        res = run_cli(
-            "init-weights", "--dw", 4, "--dh", 8, "--heads", 3, "--output", tmp_path / "w.json"
-        )
-        assert res.returncode == 1
-        assert "divisible" in res.stderr
-
     def test_rejects_non_positive_dims(self, tmp_path):
         res = run_cli("init-weights", "--dw", 0, "--dh", 8, "--output", tmp_path / "w.json")
         assert res.returncode == 1
@@ -768,27 +761,6 @@ class TestAtomicOutputs:
         assert res.returncode == 1, res.stderr
         assert list(tmp_path.iterdir()) == []
 
-    def test_init_weights_child_without_result_is_internal_error(self, tmp_path):
-        # without the compiled printer, json.dumps ends any process but the one that
-        # started the script, so the child formatting the second halves leaves without a result
-        script = (
-            "import json, os, sys\n"
-            "from wordfuse import _kernel, cli, numerics\n"
-            "numerics.matmul_kernel = lambda: _kernel.Kernel(None, 'no library')\n"
-            "main_pid, real_dumps = os.getpid(), json.dumps\n"
-            "json.dumps = lambda *a, **k: real_dumps(*a, **k) if os.getpid() == main_pid else os._exit(3)\n"
-            "sys.exit(cli.main(sys.argv[1:]))\n"
-        )
-        out = tmp_path / "bundle.json"
-        res = subprocess.run(
-            [sys.executable, "-c", script, "init-weights", "--dw", "4", "--dh", "8", "--output", str(out)],
-            capture_output=True, text=True, encoding="utf-8", timeout=120,
-        )
-        assert res.returncode == 2, res.stderr
-        assert res.stderr.startswith("internal error: RuntimeError(")
-        assert "without a result" in res.stderr
-        assert list(tmp_path.iterdir()) == []
-
 
 class TestLocatedInputErrors:
     """Invalid UTF-8 and invalid JSON name the file, exit 1."""
@@ -839,6 +811,15 @@ class TestLocatedInputErrors:
         argv = fuse_args(fuse_files)
         code, err = run_main(argv[: argv.index("--output")] + ["--config", config], capsys)
         assert (code, err) == (1, f"error: {config}: output: lone surrogate U+D800 at character 3\n")
+
+    def test_bundle_path_lone_surrogate(self, fuse_files, tmp_path, capsys, forked):
+        raw = json.loads(fuse_files["weights"].read_text(encoding="utf-8"))
+        raw["W1"] = "w\ud800.txt"
+        bundle = tmp_path / "sb.json"
+        bundle.write_text(json.dumps(raw), encoding="utf-8")
+        code, err = run_main(fuse_args(dict(fuse_files, weights=bundle)), capsys)
+        assert (code, err) == (1, f"error: weight bundle: {bundle}: W1: lone surrogate U+D800 at character 1\n")
+        assert not fuse_files["output"].exists()
 
     @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
     def test_not_utf8_line_after_a_raw_line_separator(self, fuse_files, tmp_path, capsys, char):
@@ -940,9 +921,18 @@ class TestCheck:
         res = run_cli("check", "--cases", 15, "--seed", 777)
         assert res.returncode == 0, res.stdout
 
-    def test_bundle_property_catches_swapped_halves(self, monkeypatch):
-        real = lexicon._format_halves
-        monkeypatch.setattr(lexicon, "_format_halves", lambda flat, second: real(flat, not second))
+    def test_bundle_property_catches_a_wrong_python_printer(self, monkeypatch, no_library):
+        # the printer numerics.format_rows runs without the library: -0.0 + 0.0 is 0.0
+        monkeypatch.setattr(numerics, "repr", lambda x: repr(x + 0.0), raising=False)
+        results = {r.name: r for r in cli.checkmod.run_checks(cases=5)}
+        assert not results["saved bundle equals the serial JSON encoding"].passed
+        assert sum(not r.passed for r in results.values()) == 1
+
+    @pytest.mark.skipif(numerics.matmul_kernel().format_rows is None, reason="the compiled library did not load")
+    def test_bundle_property_catches_a_wrong_compiled_printer(self, monkeypatch):
+        kernel = numerics.matmul_kernel()
+        wrong = dataclasses.replace(kernel, format_rows=lambda m, sep, end: kernel.format_rows(m + 0.0, sep, end))
+        monkeypatch.setattr(numerics, "matmul_kernel", lambda: wrong)
         results = {r.name: r for r in cli.checkmod.run_checks(cases=5)}
         assert not results["saved bundle equals the serial JSON encoding"].passed
         assert sum(not r.passed for r in results.values()) == 1

@@ -167,8 +167,8 @@ def edge_bundle(rng, shapes):
 
 
 class TestSaveBundle:
-    """save_bundle prints through the compiled library, or without it formats half of the numbers in
-    a forked child; either way the bytes are the serial writer's."""
+    """save_bundle prints through the compiled library, or without it through repr(), in this
+    process; either way the bytes are the serial writer's."""
 
     @pytest.mark.parametrize(
         "shapes",
@@ -180,30 +180,22 @@ class TestSaveBundle:
         ],
         ids=["1x1", "1xd", "odd", "mixed"],
     )
-    def test_bytes_equal_serial_writer(self, tmp_path, rng, no_library, forked, shapes):
+    def test_bytes_equal_serial_writer(self, tmp_path, rng, no_library, shapes):
         bundle = edge_bundle(rng, shapes)
         path = tmp_path / "bundle.json"
         lexicon.save_bundle(bundle, path)
         want = oracles.bundle_json_serial({k: v.tolist() for k, v in bundle.items()}, lexicon.BUNDLE_TENSORS)
         assert path.read_bytes() == want
 
-    def test_exactly_one_child(self, tmp_path, monkeypatch, no_library):
-        forks = []
-        real_fork = os.fork
+    @pytest.mark.parametrize("library", [True, False], ids=["library", "no-library"])
+    def test_forks_nothing(self, tmp_path, monkeypatch, request, library):
+        if not library:
+            request.getfixturevalue("no_library")
+        elif numerics.matmul_kernel().format_rows is None:
+            pytest.skip("the compiled library did not load")
 
-        def counting_fork():
-            forks.append(os.getpid())
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
-        lexicon.save_bundle(lexicon.init_bundle(42, 4, 8), tmp_path / "bundle.json")
-        assert forks == [os.getpid()]
-        assert hashlib.sha256((tmp_path / "bundle.json").read_bytes()).hexdigest() == BUNDLE_SEED42_SHA256
-
-    @pytest.mark.skipif(numerics.matmul_kernel().format_list is None, reason="the compiled library did not load")
-    def test_compiled_writer_forks_nothing(self, tmp_path, monkeypatch):
         def no_child():
-            raise AssertionError("save_bundle forked with the compiled printer loaded")
+            raise AssertionError("save_bundle forked")
 
         monkeypatch.setattr(os, "fork", no_child)
         lexicon.save_bundle(lexicon.init_bundle(42, 4, 8), tmp_path / "bundle.json")
@@ -374,6 +366,16 @@ class TestBundle:
         path.write_text(json.dumps(raw), encoding="utf-8")
         loaded = lexicon.load_bundle(path)
         assert np.array_equal(loaded["W1"], b["W1"])
+
+    def test_path_with_lone_surrogate_refused(self, tmp_path):
+        raw = {k: {"rows": v.shape[0], "cols": v.shape[1], "data": v.ravel().tolist()}
+               for k, v in lexicon.init_bundle(5, 2, 4).items()}
+        raw["W1"] = "w\ud800.txt"
+        path = tmp_path / "sb.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            lexicon.load_bundle(path)
+        assert str(info.value) == f"{path}: W1: lone surrogate U+D800 at character 1"
 
     def test_wrong_element_count_rejected(self, tmp_path):
         raw = {"rows": 2, "cols": 2, "data": [1.0, 2.0, 3.0]}

@@ -287,8 +287,8 @@ def test_a_wrong_printer_is_refused_and_everything_falls_back(tmp_path, monkeypa
     kernel = _kernel.load(numerics.matmul_numpy)
     assert kernel.detail.startswith("known-answer mismatch: ")
     assert kernel.detail.endswith("prints numbers unlike repr()")
-    functions = (kernel.matmul, kernel.parse_rows, kernel.parse_list, kernel.format_list, kernel.format_rows)
-    assert functions == (None,) * 5
+    functions = (kernel.matmul, kernel.parse_rows, kernel.parse_list, kernel.format_rows)
+    assert functions == (None,) * 4
     # with that kernel, the products, the loaders and the writers all take their Python paths
     monkeypatch.setattr(numerics, "matmul_kernel", lambda: kernel)
     used, loop = [], numerics.matmul_numpy

@@ -203,8 +203,7 @@ class TestMatmulKernels:
             assert kernel.name == "C", f"cc is on PATH but the C kernel did not load: {kernel}"
             assert kernel.parse_rows is not None and kernel.parse_list is not None, \
                 f"cc is on PATH but the number parser did not load: {kernel}"
-            assert kernel.format_list is not None and kernel.format_rows is not None, \
-                f"cc is on PATH but the number printer did not load: {kernel}"
+            assert kernel.format_rows is not None, f"cc is on PATH but the number printer did not load: {kernel}"
 
     def test_known_operands_cover_tiles_widths_and_edge_values(self):
         a, b = _kernel.known_operands()
@@ -262,6 +261,33 @@ class TestMatmulKernels:
         failure = results["matmul matches the naive triple loop bit-for-bit"].failure
         assert failure is not None and failure.startswith("C kernel, ")
         assert sum(not r.passed for r in results.values()) == 1
+
+    @needs_cc
+    def test_source_compiles_without_warnings(self):
+        done = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-x", "c", "-"],
+                              input=_kernel.SOURCE, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.skipif(numerics.matmul_kernel().format_rows is None, reason="the compiled library did not load")
+    @pytest.mark.parametrize(("shape", "sep", "end"), [((1, 37), ", ", ""), ((5, 7), " ", "\n"), ((9, 1), " ", "\n")],
+                             ids=["list", "rows", "column"])
+    def test_longest_texts_fill_the_printer_buffer_exactly(self, monkeypatch, shape, sep, end):
+        longest = -2.2250738585072014e-308
+        assert len(repr(longest)) == 24
+        sizes = []
+
+        class RecordingNumPy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, size, dtype):
+                sizes.append(size)
+                return np.empty(size, dtype)
+
+        monkeypatch.setattr(_kernel, "np", RecordingNumPy())
+        text = numerics.matmul_kernel().format_rows(np.full(shape, longest), sep, end)
+        assert text == "".join(sep.join(map(repr, row)) + end for row in np.full(shape, longest).tolist())
+        assert sizes == [len(text)]
 
     @needs_cc
     def test_truncated_or_garbage_library_is_rebuilt(self, tmp_path):
