@@ -3,12 +3,18 @@
 ``SOURCE`` computes ``a @ b`` for C-contiguous float64 operands in the
 order of a naive triple loop: every output entry starts at +0.0 and adds
 ``a[i, k] * b[k, j]`` for ascending ``k``, one rounded multiply and one
-rounded add per step.  For speed it computes a tile of four rows and 32
-columns at a time, running ``k`` ascending over the tile's strip of one
-row of ``b`` with ``j`` innermost, so the tile's sums stay in registers;
-column blocks are the outer loop, so a strip of ``b`` stays in cache
-while every row tile passes over it.  The tiling changes which entries
-are computed together, not the order of any entry's sum.
+rounded add per step.  For speed, column strips of ``b`` are the outer
+loop: each strip is copied once into a contiguous pack buffer, padded with
+zeros to the strip's full width, and every tile of rows of ``a`` then
+runs ``k`` ascending over it with the tile's sums in vector registers.
+The tile is sized to the target's registers when the source is compiled:
+8 rows by 24 columns, three 64-byte vectors per row, with AVX-512; 4 rows
+by 12 or 6 columns otherwise.  The rows left over after the last full
+tile form one smaller tile.  A product with fewer rows than a tile reads
+whole strips of ``b`` in place, and a single row adds ``a[0, k] * b[k, :]``
+one row of ``b`` at a time, reading it once in order.  None of this changes the order of any
+entry's sum.  The caller allocates the pack buffer, ``inner`` times
+``wordfuse_matmul_strip`` doubles; the C allocates nothing.
 ``-ffp-contract=off`` forbids fusing the multiply and the add into one
 FMA, which rounds once instead of twice.
 
@@ -52,9 +58,9 @@ file that ``os.replace`` puts in place, so processes building at once
 each end with a whole library.  The file ends with a SHA-256 of the bytes
 before it, checked before the library is opened: opening a truncated
 library can kill the process with SIGBUS, so a file that fails the check
-is built again.  A library is accepted only when its product of fixed
-operands equals the reference's bit for bit, ``HARD_DECIMALS`` parse to
-``float()``'s bits, every one of ``REFUSED_TOKENS`` is refused and
+is built again.  A library is accepted only when its products of
+``known_operands`` equal the reference's bit for bit, ``HARD_DECIMALS``
+parse to ``float()``'s bits, every one of ``REFUSED_TOKENS`` is refused and
 ``HARD_DOUBLES`` print as ``repr()`` prints them in every layout; without
 a compiler, or when the build or a check fails, ``load`` returns no kernel
 and says why.
@@ -84,54 +90,102 @@ SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 
-/* columns per block: 4 rows of 32 accumulators fill 16 AVX-512 registers */
-#define JB 32
+/* The tile: MR rows by JB = NV * VW columns, NV vectors of VW doubles per row.  Its
+   MR * NV sums, NV vectors of b and a broadcast entry of a fit in the target's
+   vector registers: 32 of 64 bytes with AVX-512, otherwise 16 of 32 or 16 bytes */
+#if defined(__AVX512F__)
+#define VW 8
+#define MR 8
+#elif defined(__AVX__)
+#define VW 4
+#define MR 4
+#else
+#define VW 2
+#define MR 4
+#endif
+#define NV 3
+#define JB (NV * VW)
 
-void wordfuse_matmul(const double *restrict a, const double *restrict b, double *restrict out,
-                     int64_t rows, int64_t inner, int64_t cols)
+typedef double vec __attribute__((vector_size(VW * sizeof(double))));
+/* the same vector at a double's alignment and aliasing doubles, for loads and stores anywhere in an array */
+typedef double uvec __attribute__((vector_size(VW * sizeof(double)), aligned(sizeof(double)), may_alias));
+
+/* the doubles of pack that wordfuse_matmul needs per row of b */
+const int64_t wordfuse_matmul_strip = JB;
+
+/* out[r, 0:width) = the dot products of the mr rows of a with the JB columns at
+   p, row k of them at p + k * ldp, k ascending from +0.0; inlined for each mr */
+static inline __attribute__((always_inline)) void tile(const double *restrict a, int64_t inner,
+                                                       const double *restrict p, int64_t ldp,
+                                                       double *restrict out, int64_t cols, int64_t width,
+                                                       const int mr)
 {
-    int64_t j0 = 0;
-    /* column blocks outermost: one strip of b stays in cache across the row tiles */
-    for (; j0 + JB <= cols; j0 += JB) {
-        int64_t i = 0;
-        for (; i + 4 <= rows; i += 4) {
-            const double *a0 = a + i * inner, *a1 = a0 + inner, *a2 = a1 + inner, *a3 = a2 + inner;
-            double acc[4][JB] = {{0.0}};
-            for (int64_t k = 0; k < inner; ++k) {
-                const double *restrict bk = b + k * cols + j0;
-                const double x0 = a0[k], x1 = a1[k], x2 = a2[k], x3 = a3[k];
-                for (int j = 0; j < JB; ++j) {
-                    const double y = bk[j];
-                    acc[0][j] += x0 * y;
-                    acc[1][j] += x1 * y;
-                    acc[2][j] += x2 * y;
-                    acc[3][j] += x3 * y;
-                }
-            }
-            for (int r = 0; r < 4; ++r)
-                memcpy(out + (i + r) * cols + j0, acc[r], sizeof acc[r]);
-        }
-        for (; i < rows; ++i) {
-            double acc[JB] = {0.0};
-            for (int64_t k = 0; k < inner; ++k) {
-                const double *restrict bk = b + k * cols + j0;
-                const double x = a[i * inner + k];
-                for (int j = 0; j < JB; ++j)
-                    acc[j] += x * bk[j];
-            }
-            memcpy(out + i * cols + j0, acc, sizeof acc);
+    vec acc[MR][NV];
+    for (int r = 0; r < mr; ++r)
+        for (int v = 0; v < NV; ++v)
+            acc[r][v] = (vec){0.0};
+    for (int64_t k = 0; k < inner; ++k) {
+        vec y[NV];
+        for (int v = 0; v < NV; ++v)
+            y[v] = *(const uvec *)(p + k * ldp + v * VW);
+        for (int r = 0; r < mr; ++r) {
+            const double x = a[r * inner + k];
+            for (int v = 0; v < NV; ++v)
+                acc[r][v] += x * y[v];
         }
     }
-    /* the last cols % JB columns, one row at a time */
-    for (int64_t i = 0; i < rows && j0 < cols; ++i) {
-        double *restrict o = out + i * cols;
-        memset(o + j0, 0, (size_t)(cols - j0) * sizeof(double));
-        for (int64_t k = 0; k < inner; ++k) {
-            const double *restrict bk = b + k * cols;
-            const double x = a[i * inner + k];
-            for (int64_t j = j0; j < cols; ++j)
-                o[j] += x * bk[j];
+    for (int r = 0; r < mr; ++r) {
+        double row[JB];
+        for (int v = 0; v < NV; ++v)
+            *(uvec *)(row + v * VW) = acc[r][v];
+        if (width == JB)  /* a constant size: vector stores */
+            memcpy(out + r * cols, row, sizeof row);
+        else
+            memcpy(out + r * cols, row, (size_t)width * sizeof(double));
+    }
+}
+
+/* out = a @ b, rows x inner @ inner x cols; pack holds inner * JB doubles */
+void wordfuse_matmul(const double *restrict a, const double *restrict b, double *restrict out,
+                     int64_t rows, int64_t inner, int64_t cols, double *restrict pack)
+{
+    if (rows == 1) {  /* one row: add a[0, k] * b[k, :] for ascending k, reading b once in order */
+        memset(out, 0, (size_t)cols * sizeof(double));
+        for (int64_t k = 0; k < inner; ++k)
+            for (int64_t j = 0; j < cols; ++j)
+                out[j] += a[k] * b[k * cols + j];
+        return;
+    }
+    for (int64_t j0 = 0; j0 < cols; j0 += JB) {
+        const int64_t width = cols - j0 < JB ? cols - j0 : JB;
+        /* the strip b[:, j0:j0 + width), read in place by fewer rows than a tile;
+           else packed, contiguous and padded with zeros to JB columns (a copy of
+           the constant size JB compiles to vector moves, not a call per row) */
+        const double *p = b + j0;
+        int64_t ldp = cols;
+        if (width < JB || rows >= MR) {
+            for (int64_t k = 0; k < inner; ++k)
+                if (width == JB)
+                    memcpy(pack + k * JB, b + k * cols + j0, JB * sizeof(double));
+                else {
+                    memcpy(pack + k * JB, b + k * cols + j0, (size_t)width * sizeof(double));
+                    memset(pack + k * JB + width, 0, (size_t)(JB - width) * sizeof(double));
+                }
+            p = pack;
+            ldp = JB;
         }
+        int64_t i = 0;
+        for (; i + MR <= rows; i += MR)
+            tile(a + i * inner, inner, p, ldp, out + i * cols + j0, cols, width, MR);
+        /* the last rows % MR rows, in one tile of that many rows */
+#define LAST(m) case m: tile(a + i * inner, inner, p, ldp, out + i * cols + j0, cols, width, m); break
+        switch (rows - i) {
+#if MR > 4
+        LAST(7); LAST(6); LAST(5); LAST(4);
+#endif
+        LAST(3); LAST(2); LAST(1);
+        }
+#undef LAST
     }
 }
 
@@ -503,19 +557,24 @@ class Kernel:
 
 
 def known_operands() -> tuple[np.ndarray, np.ndarray]:
-    """The fixed 9x37 @ 37x41 product the library must reproduce.
+    """The fixed 23x37 @ 37x41 operands whose products the library must reproduce.
 
-    Nine rows fill two 4-row tiles and a remainder row; 41 columns fill one
-    32-column block and a tail of 9, which covers several SIMD widths.  The
-    entries are exact binary fractions
-    at magnitudes 1e-150, 1 and 1e150, with every fourth one taken from
-    ``EDGE_VALUES``.
+    ``load`` checks the products of the last 1, 7 and 23 rows of ``a``
+    with ``b``: a single row, fewer rows than a tile, and two 8-row tiles
+    and a 7-row one (without AVX-512: a 4-row and a 3-row tile, and five
+    4-row tiles and a 3-row one).  41 columns fill one 24-column block and a
+    tail of 17 (without AVX-512: 12- or 6-column blocks and a tail).  The entries are
+    exact binary fractions at magnitudes 1e-150, 1 and 1e150, with every
+    fourth one taken from ``EDGE_VALUES``.
     """
-    count = 9 * 37 + 37 * 41
+    count = 23 * 37 + 37 * 41
     idx = np.arange(count)
     values = ((idx * 0x9E3779B1) % 2**32 / 2**32 - 0.5) * np.array([1e-150, 1.0, 1e150])[idx % 3]
     values[::4] = np.resize(EDGE_VALUES, values[::4].shape)
-    return values[: 9 * 37].reshape(9, 37), values[9 * 37 :].reshape(37, 41)
+    return values[: 23 * 37].reshape(23, 37), values[23 * 37 :].reshape(37, 41)
+
+
+KNOWN_ROWS = (1, 7, 23)  # load checks the products of this many last rows of known_operands' a
 
 
 def _cpu_flags() -> str:
@@ -533,8 +592,9 @@ def _bind(path: Path) -> dict[str, Callable]:
     """The library's functions, as ``Kernel`` fields; raises OSError or AttributeError when it cannot be opened."""
     library = ctypes.CDLL(str(path))
     product = library.wordfuse_matmul
-    product.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 3
+    product.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
     product.restype = None
+    strip = ctypes.c_int64.in_dll(library, "wordfuse_matmul_strip").value
     rows_fn, list_fn = library.wordfuse_parse_rows, library.wordfuse_parse_list
     # c_char_p passes a bytes object's own buffer, which ends with a NUL byte
     rows_fn.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 2
@@ -546,9 +606,10 @@ def _bind(path: Path) -> dict[str, Callable]:
     print_rows.restype = ctypes.c_int64
 
     def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``a @ b`` for C-contiguous, aligned float64 ``a`` and ``b`` whose inner sizes match."""
+        """``a @ b`` for C-contiguous, aligned float64 ``a`` and ``b`` whose inner sizes match; any size may be 0."""
         out = np.empty((a.shape[0], b.shape[1]))
-        product(a.ctypes.data, b.ctypes.data, out.ctypes.data, a.shape[0], a.shape[1], b.shape[1])
+        pack = np.empty(a.shape[1] * strip)  # one column strip of b at a time
+        product(a.ctypes.data, b.ctypes.data, out.ctypes.data, a.shape[0], a.shape[1], b.shape[1], pack.ctypes.data)
         return out
 
     def parse_rows(data: bytes, start: int, rows: int, cols: int, words: bool):
@@ -664,8 +725,10 @@ def load(reference: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Kernel:
     except (OSError, AttributeError, subprocess.SubprocessError) as err:
         return Kernel(None, f"build error: {err}")
     a, b = known_operands()
-    if not np.array_equal(functions["matmul"](a, b).view(np.uint64), reference(a, b).view(np.uint64)):
-        return Kernel(None, f"known-answer mismatch: {path} differs from the NumPy loop")
+    for rows in KNOWN_ROWS:
+        got, want = functions["matmul"](a[-rows:], b), reference(a[-rows:], b)
+        if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
+            return Kernel(None, f"known-answer mismatch: {path} differs from the NumPy loop")
     if not _parses_like_float(functions["parse_rows"], functions["parse_list"]):
         return Kernel(None, f"known-answer mismatch: {path} parses numbers unlike float()")
     if not _prints_like_repr(functions["format_rows"]):

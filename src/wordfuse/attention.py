@@ -27,8 +27,8 @@ from typing import Mapping
 import numpy as np
 
 from .fusion import FusionConfig, fuse_sequence
-from .lexicon import EmbeddingTable, check_bundle
-from .numerics import as_matrix, matmul, require_finite_result, softmax_rows
+from .lexicon import EmbeddingTable, bundle_tensors, check_bundle
+from .numerics import as_matrix, matmul, require_finite, require_finite_result, softmax_rows
 from .segvote import Segmentation
 
 
@@ -127,13 +127,18 @@ def pipeline_forward(
     """The whole pipeline: fuse words in, then both attention branches.
 
     Before any stage, ``h`` must have rows, one per character of the
-    sentence; ``check_bundle`` checks the bundle against the table's width
-    and the width of ``h``, and ``cfg`` is validated against the latter.
-    The stages check none of this again.  An overflow is a ValueError naming
-    the first stage whose result holds inf or NaN.  NumPy's overflow
-    warnings are silenced meanwhile: the stages check their own results.
-    The branch fusion is a convex combination of finite values and needs no
-    check.
+    sentence; every bundle tensor must be present and shaped for the
+    table's width and the width of ``h``, ``W1`` and ``b1`` must be finite,
+    and ``cfg`` is validated against the width of ``h``.  The stages check
+    none of this again.  An overflow is a ValueError naming the first stage
+    whose result holds inf or NaN.  The other tensors are not scanned on
+    each call: an inf or NaN in one reaches every row of its stage's
+    result, and when any stage fails ``check_bundle`` names such a tensor
+    instead of the stage.  ``tanh`` would turn an inf in ``x W1 + b1`` into
+    +-1, which no stage check sees, so those two are scanned first.  NumPy's
+    overflow warnings are silenced meanwhile: the stages check their own
+    results.  The branch fusion is a convex combination of finite values
+    and needs no check.
     """
     h = as_matrix(h, "h")
     if h.shape[0] == 0:
@@ -142,13 +147,19 @@ def pipeline_forward(
         raise ValueError(
             f"hidden matrix has {h.shape[0]} rows, sentence has {len(seg.sentence)} characters"
         )
-    check_bundle(bundle, table.dim, h.shape[1])
+    for name, tensor in bundle_tensors(bundle, table.dim, h.shape[1]):
+        if name in ("W1", "b1"):
+            require_finite(tensor, f"weight bundle: {name}")
     cfg.validate(h.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        mixed, omega = fuse_sequence(h, seg, table, bundle, cfg)
-        mask = MaskSpec(n=mixed.shape[0], omega=frozenset(omega))
-        h1 = attend(mixed, bundle["Wq1"], bundle["Wk1"], bundle["Wv1"], cfg.heads, mask=None)
-        h2 = attend(mixed, bundle["Wq2"], bundle["Wk2"], bundle["Wv2"], cfg.heads, mask=mask)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            mixed, omega = fuse_sequence(h, seg, table, bundle, cfg)
+            mask = MaskSpec(n=mixed.shape[0], omega=frozenset(omega))
+            h1 = attend(mixed, bundle["Wq1"], bundle["Wk1"], bundle["Wv1"], cfg.heads, mask=None)
+            h2 = attend(mixed, bundle["Wq2"], bundle["Wk2"], bundle["Wv2"], cfg.heads, mask=mask)
+    except ValueError:
+        check_bundle(bundle, table.dim, h.shape[1])
+        raise
     fused = fuse_heads_output(h1, h2, cfg.mu)
     return PipelineResult(
         mixed=mixed, omega=tuple(sorted(omega)), h1=h1, h2=h2, fused=fused

@@ -14,7 +14,7 @@ matrix text file, resolved relative to the bundle).  Bias vectors are stored
 as 1 x d_h matrices so the same tensor codec covers everything.  In memory a
 bundle is a dict from tensor name to 2-D array, as ``load_bundle`` and
 ``init_bundle`` return it; ``project`` and the pipeline read the tensors
-from it by name, and ``check_bundle`` is the one check of their shapes.
+from it by name, and ``bundle_tensors`` is the one check of their shapes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from . import numerics
-from .numerics import as_matrix, as_vector, matmul, require_finite
+from .numerics import as_vector, matmul, require_finite
 
 log = logging.getLogger(__name__)
 
@@ -305,12 +305,11 @@ def load_bundle(path: str | os.PathLike, matrix_files: list[Path] | None = None)
     return tensors
 
 
-def check_bundle(bundle: Mapping[str, np.ndarray], d_w: int, d_h: int) -> None:
-    """Refuse a bundle unless every tensor is present, finite and shaped as BUNDLE_SHAPES says.
+def bundle_tensors(bundle: Mapping[str, np.ndarray], d_w: int, d_h: int) -> Iterator[tuple[str, np.ndarray]]:
+    """Each tensor of ``bundle`` with its name, in BUNDLE_TENSORS order, once it is found present and shaped.
 
-    The one check on a bundle's tensors before they are used: a ValueError
-    reads ``weight bundle: NAME is RxC, expected R'xC'``, or names the
-    missing or non-finite tensor.
+    A ValueError reads ``weight bundle: NAME is RxC, expected R'xC'``, or
+    names the missing tensor.
     """
     dims = {"d_w": d_w, "d_h": d_h, 1: 1}
     for name, shape in BUNDLE_SHAPES.items():
@@ -319,7 +318,21 @@ def check_bundle(bundle: Mapping[str, np.ndarray], d_w: int, d_h: int) -> None:
         got, expected = np.shape(bundle[name]), tuple(dims[d] for d in shape)
         if got != expected:
             raise ValueError(f"weight bundle: {name} is {_dims(got)}, expected {_dims(expected)}")
-        require_finite(bundle[name], f"weight bundle: {name}")
+        yield name, bundle[name]
+
+
+def check_bundle(bundle: Mapping[str, np.ndarray], d_w: int, d_h: int) -> None:
+    """Refuse a bundle unless every tensor is present, finite and shaped as BUNDLE_SHAPES says.
+
+    The tensors are checked one at a time, in BUNDLE_TENSORS order: a
+    ValueError reads ``weight bundle: NAME is RxC, expected R'xC'``, or
+    names the missing or non-finite tensor
+    (``weight bundle: NAME contains non-finite entries``).  The loaders and
+    ``init_bundle`` never return a non-finite tensor, so ``pipeline_forward``
+    checks the finiteness of most tensors only when a stage fails; see there.
+    """
+    for name, tensor in bundle_tensors(bundle, d_w, d_h):
+        require_finite(tensor, f"weight bundle: {name}")
 
 
 def _dims(shape: tuple[int, ...]) -> str:
@@ -346,12 +359,14 @@ def save_bundle(tensors: Mapping[str, np.ndarray], path: str | os.PathLike) -> N
     ``repr()`` texts joined by ``", "``, as ``json.dumps`` prints a list of
     floats.  Printing the numbers is nearly all the work; the pieces are
     written one at a time with ``numerics.write_atomic``.  Every tensor is
-    checked before anything is printed.
+    checked before anything is printed: one ``load_bundle`` would refuse,
+    without rows or columns or with non-finite entries, is a ValueError
+    naming it.
     """
     missing = [name for name in BUNDLE_TENSORS if name not in tensors]
     if missing:
         raise ValueError(f"bundle is missing tensors {missing}")
-    matrices = [require_finite(as_matrix(tensors[name], name), name) for name in BUNDLE_TENSORS]
+    matrices = [numerics.as_stored_matrix(tensors[name], name) for name in BUNDLE_TENSORS]
     numerics.write_atomic(path, _bundle_pieces(matrices))
 
 

@@ -112,6 +112,18 @@ def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def as_stored_matrix(m, name: str = "matrix") -> np.ndarray:
+    """``m`` as a finite 2-D float64 array with rows and columns, as the text readers take it back.
+
+    A ValueError names the shape of a matrix without rows or columns, or
+    the matrix with non-finite entries.
+    """
+    m = as_matrix(m, name)
+    if 0 in m.shape:
+        raise ValueError(f"{name} is {m.shape[0]}x{m.shape[1]}: dimensions must be positive")
+    return require_finite(m, name)
+
+
 def require_finite_result(m: np.ndarray, stage: str) -> np.ndarray:
     """``m`` itself, or a ValueError naming the stage whose result overflowed."""
     if not np.isfinite(m).all():
@@ -313,9 +325,11 @@ def write_matrix(m, path: str | os.PathLike) -> None:
 
     Floats are serialized with the shortest decimal representation that
     round-trips, ``repr()``'s (see ``format_rows``), so write -> read ->
-    write is byte-stable.  The file is written with ``write_atomic``.
+    write is byte-stable.  The file is written with ``write_atomic``; a
+    matrix ``read_matrix`` would refuse, without rows or columns or with
+    non-finite entries, is a ValueError before anything is written.
     """
-    m = require_finite(as_matrix(m), "matrix")
+    m = as_stored_matrix(m)
     write_atomic(path, [f"{m.shape[0]} {m.shape[1]}\n", format_rows(m)])
 
 

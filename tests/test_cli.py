@@ -533,20 +533,20 @@ class TestFuse:
 
 
 def altered(m, how):
-    """``m`` with one row too many, one column too many, or a NaN in its first entry."""
+    """``m`` with one row too many, one column too many, or a NaN, +inf or -inf in its first entry."""
     if how == "row":
         return np.vstack([m, m[:1]])
     if how == "column":
         return np.hstack([m, m[:, :1]])
     m = m.copy()
-    m[0, 0] = np.nan
+    m[0, 0] = float(how)
     return m
 
 
 class TestCheckBundle:
     """One bad tensor is named the same way by the library and by ``fuse``."""
 
-    @pytest.mark.parametrize("how", ["row", "column", "nan"])
+    @pytest.mark.parametrize("how", ["row", "column", "nan", "inf", "-inf"])
     @pytest.mark.parametrize("name", lexicon.BUNDLE_TENSORS)
     def test_each_tensor_checked_once(self, fuse_files, tmp_path, capsys, name, how):
         from wordfuse import attention
@@ -557,7 +557,7 @@ class TestCheckBundle:
         bad = altered(bundle[name], how)
         weights = tmp_path / "bad_bundle.json"
         rows, cols = bundle[name].shape
-        if how == "nan":
+        if how in ("nan", "inf", "-inf"):
             want = f"weight bundle: {name} contains non-finite entries"
             # the loader refuses a non-finite tensor before the pipeline sees it
             cli_want = f"weight bundle: {weights}: {name}: data: contains non-finite entries"
@@ -574,10 +574,33 @@ class TestCheckBundle:
 
         raw = json.loads(fuse_files["weights"].read_text(encoding="utf-8"))
         raw[name] = {"rows": bad.shape[0], "cols": bad.shape[1], "data": bad.ravel().tolist()}
-        weights.write_text(json.dumps(raw), encoding="utf-8")  # a NaN is written as NaN
+        weights.write_text(json.dumps(raw), encoding="utf-8")  # NaN, Infinity and -Infinity as such
         code, err = run_main(fuse_args(dict(fuse_files, weights=weights)), capsys)
         assert (code, err) == (1, f"error: {cli_want}\n")
         assert not fuse_files["output"].exists()
+
+    @pytest.mark.parametrize(("name", "at"), [("W1", (2, 3)), ("b1", (0, 3))])
+    def test_inf_that_tanh_hides_is_named(self, fuse_files, name, at):
+        """An +inf in x W1 + b1 becomes 1 under tanh, so no stage result shows it; it is still named."""
+        from wordfuse import attention, fusion
+        from wordfuse.fusion import FusionConfig
+        from wordfuse.segvote import Segmentation, WordSpan
+
+        bundle = lexicon.load_bundle(fuse_files["weights"])
+        table = lexicon.load_embeddings(fuse_files["embeddings"])
+        hidden = numerics.read_matrix(fuse_files["hidden"])
+        seg = Segmentation("重庆人和中学", (WordSpan(0, 1), WordSpan(2, 5)))
+        # column 2 of both words' embeddings is positive: x W1 steps to +inf in column 3, never NaN
+        assert (np.array([table.vectors[w] for w in seg.words])[:, 2] > 0).all()
+        bad = bundle[name].copy()
+        bad[at] = np.inf
+        bundle = dict(bundle, **{name: bad})
+        with np.errstate(over="ignore"):
+            mixed, _ = fusion.fuse_sequence(hidden, seg, table, bundle, FusionConfig())
+        assert np.isfinite(mixed).all()
+        with pytest.raises(ValueError) as info:
+            attention.pipeline_forward(hidden, seg, table, bundle, FusionConfig())
+        assert str(info.value) == f"weight bundle: {name} contains non-finite entries"
 
 
 class TestFuseBundleInChild:

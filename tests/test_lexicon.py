@@ -215,7 +215,9 @@ class TestSaveBundle:
         [("missing", "bundle is missing tensors ['W2']"),
          ("nan", "W2 contains non-finite entries"),
          ("inf", "Wv2 contains non-finite entries"),
-         ("3-d", "b1 must be 2-D, got ndim=3")],
+         ("3-d", "b1 must be 2-D, got ndim=3"),
+         ("no columns", "b1 is 1x0: dimensions must be positive"),
+         ("no rows", "Wk1 is 0x4: dimensions must be positive")],
     )
     def test_bad_tensor_refused_before_any_child(self, tmp_path, monkeypatch, fault, message):
         def no_child():
@@ -230,6 +232,10 @@ class TestSaveBundle:
             bundle["W2"][1, 2] = np.nan
         elif fault == "inf":
             bundle["Wv2"] = np.full((4, 4), np.inf)
+        elif fault == "no columns":  # load_bundle refuses cols 0
+            bundle["b1"] = np.zeros((1, 0))
+        elif fault == "no rows":
+            bundle["Wk1"] = np.zeros((0, 4))
         else:
             bundle["b1"] = np.zeros((1, 1, 4))
         path = tmp_path / "bundle.json"

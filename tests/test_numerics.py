@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import shutil
@@ -120,6 +121,33 @@ FMA_FLAGS = tuple("-ffp-contract=fast" if f == "-ffp-contract=off" else f for f 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 'cc' on PATH")
 
 
+# Multiplies operands of each shape in argv[2] (JSON) with the library at argv[1], through the
+# wrapper ``_kernel._bind`` makes, and compares the bits with ``matmul_numpy``.  Under ASan every
+# NumPy buffer is an exact-size block of the intercepted malloc, so a read or write one double past
+# an operand, the output or the pack buffer is reported.  With argv[3] == "short" it calls the
+# kernel itself with a pack buffer one double short, which ASan must report.
+SANITIZED_MATMUL = """
+import ctypes, json, sys
+from pathlib import Path
+import numpy as np
+from wordfuse import _kernel, numerics
+library, shapes = Path(sys.argv[1]), json.loads(sys.argv[2])
+matmul = _kernel._bind(library)["matmul"]
+rng = np.random.default_rng(5)
+for rows, inner, cols in shapes:
+    a, b = rng.standard_normal((rows, inner)), rng.standard_normal((inner, cols))
+    if sys.argv[3] == "short":
+        raw = ctypes.CDLL(str(library))
+        raw.wordfuse_matmul.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
+        strip = ctypes.c_int64.in_dll(raw, "wordfuse_matmul_strip").value
+        out, pack = np.empty((rows, cols)), np.empty(inner * strip - 1)
+        raw.wordfuse_matmul(a.ctypes.data, b.ctypes.data, out.ctypes.data, rows, inner, cols, pack.ctypes.data)
+    got, want = matmul(a, b), numerics.matmul_numpy(a, b)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (rows, inner, cols)
+print("ok")
+"""
+
+
 def load_in_child(cache_dir) -> subprocess.Popen:
     """A child process printing what ``_kernel.load`` finds in ``cache_dir``; a bad library can only kill it."""
     script = ("import sys; from wordfuse import _kernel, numerics; _kernel.CACHE_DIR = sys.argv[1]; "
@@ -158,9 +186,10 @@ class TestMatmul:
             assert np.array_equal(bits(got), bits(want)), "accumulation order must match the naive loop"
 
     def test_bitwise_equal_on_zeros_subnormals_and_extremes(self, rng):
-        # up to 13 rows and 80 columns: 4-row tiles of the C kernel, its 32-column blocks and tails
+        # up to 25 rows and 80 columns: three 8-row tiles of the C kernel and remainder rows, up to
+        # three 24-column blocks and tails (4-row tiles and 12- or 6-column blocks without AVX-512)
         for _ in range(200):
-            n, k, m = int(rng.integers(1, 14)), int(rng.integers(1, 41)), int(rng.integers(1, 81))
+            n, k, m = int(rng.integers(1, 26)), int(rng.integers(1, 41)), int(rng.integers(1, 81))
             a = edge_operand(rng, (n, k))
             b = edge_operand(rng, (k, m))
             assert np.isfinite(numerics.matmul_numpy(a, b)).all()
@@ -207,16 +236,27 @@ class TestMatmulKernels:
 
     def test_known_operands_cover_tiles_widths_and_edge_values(self):
         a, b = _kernel.known_operands()
-        assert a.shape == (9, 37) and b.shape == (37, 41)
+        assert a.shape == (23, 37) and b.shape == (37, 41) and _kernel.KNOWN_ROWS == (1, 7, 23)
         present = set(bits(np.concatenate([a.ravel(), b.ravel()])).tolist())
         assert set(bits(_kernel.EDGE_VALUES).tolist()) <= present
-        all_kernels_agree(a, b)
+        for rows in _kernel.KNOWN_ROWS:
+            all_kernels_agree(a[-rows:], b)
 
-    @pytest.mark.parametrize("n", [16, 64, 128, 512])
+    @pytest.mark.parametrize("n", [16, 37, 64, 128, 512])
     def test_paper_shapes(self, n):
         rng = np.random.default_rng(n)
         h, w = rng.standard_normal((n, 768)), rng.standard_normal((768, 768)) / 28.0
         all_kernels_agree(h, w, oracle_rows=[n - 1])
+
+    @pytest.mark.parametrize("omega", [1, 5, 23, 25])
+    def test_narrow_attention_products(self, omega):
+        # the masked branch's scores q @ k.T and output p @ v, with |omega| below and above a column block
+        rng = np.random.default_rng(omega)
+        q = rng.standard_normal((37, 768))
+        k, v = rng.standard_normal((2, omega, 768))
+        p = numerics.softmax_rows(rng.standard_normal((37, omega)))
+        all_kernels_agree(q, k.T, oracle_rows=[0, 36])
+        all_kernels_agree(p, v, oracle_rows=[0, 36])
 
     def test_head_slices_of_attention(self):
         # the operands attention._head_probabilities passes: column slices, one transposed
@@ -264,9 +304,37 @@ class TestMatmulKernels:
 
     @needs_cc
     def test_source_compiles_without_warnings(self):
-        done = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-x", "c", "-"],
-                              input=_kernel.SOURCE, capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
+        # for the default target and for the build's: each picks its own tile and vector width
+        for flags in ((), _kernel.FLAGS):
+            done = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", *flags, "-fsyntax-only", "-x", "c", "-"],
+                                  input=_kernel.SOURCE, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, (flags, done.stderr)
+
+    @needs_cc
+    def test_matmul_under_address_and_undefined_behaviour_sanitizers(self, tmp_path):
+        libasan = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True, text=True,
+                                 timeout=60).stdout.strip()
+        if not os.path.isabs(libasan):  # cc prints the bare name when it has no such file
+            pytest.skip("cc has no libasan")
+        library = tmp_path / "sanitized.so"
+        sanitize = ["-fsanitize=address,undefined", "-fno-sanitize-recover=undefined"]
+        built = subprocess.run(["cc", *_kernel.FLAGS, *sanitize, "-x", "c", "-", "-o", str(library)],
+                               input=_kernel.SOURCE, capture_output=True, text=True, timeout=300)
+        assert built.returncode == 0, built.stderr
+        env = dict(os.environ, PYTHONPATH=SRC, LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0")
+        # row tiles with and without remainder rows, column blocks with and without a tail, zero sizes
+        shapes = [[23, 37, 41], [16, 5, 48], [13, 9, 30], [1, 1, 1], [1, 37, 41], [3, 37, 41], [7, 37, 41],
+                  [9, 768, 25], [25, 40, 80], [8, 3, 7], [3, 0, 5], [0, 3, 5], [3, 5, 0], [0, 0, 0]]
+
+        def run(mode, shapes):
+            return subprocess.run([sys.executable, "-c", SANITIZED_MATMUL, str(library), json.dumps(shapes), mode],
+                                  capture_output=True, text=True, env=env, timeout=300)
+
+        done = run("whole", shapes)
+        assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr[-4000:]
+        short = run("short", [[9, 37, 41]])
+        assert short.returncode != 0, short.stdout
+        assert "AddressSanitizer: heap-buffer-overflow" in short.stderr, short.stderr[-4000:]
 
     @pytest.mark.skipif(numerics.matmul_kernel().format_rows is None, reason="the compiled library did not load")
     @pytest.mark.parametrize(("shape", "sep", "end"), [((1, 37), ", ", ""), ((5, 7), " ", "\n"), ((9, 1), " ", "\n")],
@@ -466,6 +534,14 @@ class TestMatrixIO:
     def test_non_finite_rejected_on_write(self, tmp_path):
         with pytest.raises(ValueError):
             numerics.write_matrix(np.array([[np.inf]]), tmp_path / "x.txt")
+
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 3), (0, 0)])
+    def test_no_rows_or_columns_refused_before_writing(self, tmp_path, shape):
+        # read_matrix refuses such a header: "dimensions must be positive"
+        with pytest.raises(ValueError) as info:
+            numerics.write_matrix(np.zeros(shape), tmp_path / "x.txt")
+        assert str(info.value) == f"matrix is {shape[0]}x{shape[1]}: dimensions must be positive"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWriteAtomic:
