@@ -11,8 +11,7 @@ The tile is sized to the target's registers when the source is compiled:
 8 rows by 24 columns, three 64-byte vectors per row, with AVX-512; 4 rows
 by 12 or 6 columns otherwise.  The rows left over after the last full
 tile form one smaller tile.  A product with fewer rows than a tile reads
-whole strips of ``b`` in place, and a single row adds ``a[0, k] * b[k, :]``
-one row of ``b`` at a time, reading it once in order.  None of this changes the order of any
+whole strips of ``b`` in place.  None of this changes the order of any
 entry's sum.  The caller allocates the pack buffer, ``inner`` times
 ``wordfuse_matmul_strip`` doubles; the C allocates nothing.
 ``-ffp-contract=off`` forbids fusing the multiply and the add into one
@@ -149,13 +148,6 @@ static inline __attribute__((always_inline)) void tile(const double *restrict a,
 void wordfuse_matmul(const double *restrict a, const double *restrict b, double *restrict out,
                      int64_t rows, int64_t inner, int64_t cols, double *restrict pack)
 {
-    if (rows == 1) {  /* one row: add a[0, k] * b[k, :] for ascending k, reading b once in order */
-        memset(out, 0, (size_t)cols * sizeof(double));
-        for (int64_t k = 0; k < inner; ++k)
-            for (int64_t j = 0; j < cols; ++j)
-                out[j] += a[k] * b[k * cols + j];
-        return;
-    }
     for (int64_t j0 = 0; j0 < cols; j0 += JB) {
         const int64_t width = cols - j0 < JB ? cols - j0 : JB;
         /* the strip b[:, j0:j0 + width), read in place by fewer rows than a tile;
@@ -560,9 +552,9 @@ def known_operands() -> tuple[np.ndarray, np.ndarray]:
     """The fixed 23x37 @ 37x41 operands whose products the library must reproduce.
 
     ``load`` checks the products of the last 1, 7 and 23 rows of ``a``
-    with ``b``: a single row, fewer rows than a tile, and two 8-row tiles
-    and a 7-row one (without AVX-512: a 4-row and a 3-row tile, and five
-    4-row tiles and a 3-row one).  41 columns fill one 24-column block and a
+    with ``b``: a 1-row and a 7-row tile reading ``b`` in place, and two
+    8-row tiles and a 7-row one over the pack (without AVX-512: the 1-row
+    tile, a 4-row and a 3-row tile, and five 4-row tiles and a 3-row one).  41 columns fill one 24-column block and a
     tail of 17 (without AVX-512: 12- or 6-column blocks and a tail).  The entries are
     exact binary fractions at magnitudes 1e-150, 1 and 1e150, with every
     fourth one taken from ``EDGE_VALUES``.
@@ -589,7 +581,11 @@ def _cpu_flags() -> str:
 
 
 def _bind(path: Path) -> dict[str, Callable]:
-    """The library's functions, as ``Kernel`` fields; raises OSError or AttributeError when it cannot be opened."""
+    """The library's functions, as ``Kernel`` fields.
+
+    Raises OSError when it cannot be opened, AttributeError for a missing
+    function and ValueError for a missing ``wordfuse_matmul_strip``.
+    """
     library = ctypes.CDLL(str(path))
     product = library.wordfuse_matmul
     product.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
@@ -722,7 +718,7 @@ def load(reference: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Kernel:
         if built:
             _build(cc, path)
         functions = _bind(path)
-    except (OSError, AttributeError, subprocess.SubprocessError) as err:
+    except (OSError, AttributeError, ValueError, subprocess.SubprocessError) as err:
         return Kernel(None, f"build error: {err}")
     a, b = known_operands()
     for rows in KNOWN_ROWS:

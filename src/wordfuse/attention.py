@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .fusion import FusionConfig, fuse_sequence
-from .lexicon import EmbeddingTable, bundle_tensors, check_bundle
+from .lexicon import EmbeddingTable, check_bundle, check_bundle_shapes
 from .numerics import as_matrix, matmul, require_finite, require_finite_result, softmax_rows
 from .segvote import Segmentation
 
@@ -147,9 +147,9 @@ def pipeline_forward(
         raise ValueError(
             f"hidden matrix has {h.shape[0]} rows, sentence has {len(seg.sentence)} characters"
         )
-    for name, tensor in bundle_tensors(bundle, table.dim, h.shape[1]):
-        if name in ("W1", "b1"):
-            require_finite(tensor, f"weight bundle: {name}")
+    check_bundle_shapes(bundle, table.dim, h.shape[1])
+    require_finite(bundle["W1"], "weight bundle: W1")
+    require_finite(bundle["b1"], "weight bundle: b1")
     cfg.validate(h.shape[1])
     try:
         with np.errstate(over="ignore", invalid="ignore"):

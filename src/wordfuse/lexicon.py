@@ -14,7 +14,7 @@ matrix text file, resolved relative to the bundle).  Bias vectors are stored
 as 1 x d_h matrices so the same tensor codec covers everything.  In memory a
 bundle is a dict from tensor name to 2-D array, as ``load_bundle`` and
 ``init_bundle`` return it; ``project`` and the pipeline read the tensors
-from it by name, and ``bundle_tensors`` is the one check of their shapes.
+from it by name, and ``check_bundle_shapes`` is the one check of their shapes.
 """
 
 from __future__ import annotations
@@ -305,11 +305,12 @@ def load_bundle(path: str | os.PathLike, matrix_files: list[Path] | None = None)
     return tensors
 
 
-def bundle_tensors(bundle: Mapping[str, np.ndarray], d_w: int, d_h: int) -> Iterator[tuple[str, np.ndarray]]:
-    """Each tensor of ``bundle`` with its name, in BUNDLE_TENSORS order, once it is found present and shaped.
+def check_bundle_shapes(bundle: Mapping[str, np.ndarray], d_w: int, d_h: int) -> None:
+    """Refuse a bundle unless every tensor is present and shaped as BUNDLE_SHAPES says.
 
-    A ValueError reads ``weight bundle: NAME is RxC, expected R'xC'``, or
-    names the missing tensor.
+    The tensors are checked in BUNDLE_TENSORS order: a ValueError reads
+    ``weight bundle: NAME is RxC, expected R'xC'``, or names the missing
+    tensor.
     """
     dims = {"d_w": d_w, "d_h": d_h, 1: 1}
     for name, shape in BUNDLE_SHAPES.items():
@@ -318,21 +319,20 @@ def bundle_tensors(bundle: Mapping[str, np.ndarray], d_w: int, d_h: int) -> Iter
         got, expected = np.shape(bundle[name]), tuple(dims[d] for d in shape)
         if got != expected:
             raise ValueError(f"weight bundle: {name} is {_dims(got)}, expected {_dims(expected)}")
-        yield name, bundle[name]
 
 
 def check_bundle(bundle: Mapping[str, np.ndarray], d_w: int, d_h: int) -> None:
     """Refuse a bundle unless every tensor is present, finite and shaped as BUNDLE_SHAPES says.
 
-    The tensors are checked one at a time, in BUNDLE_TENSORS order: a
-    ValueError reads ``weight bundle: NAME is RxC, expected R'xC'``, or
-    names the missing or non-finite tensor
-    (``weight bundle: NAME contains non-finite entries``).  The loaders and
+    ``check_bundle_shapes`` runs first; then the first non-finite tensor in
+    BUNDLE_TENSORS order is a ValueError reading
+    ``weight bundle: NAME contains non-finite entries``.  The loaders and
     ``init_bundle`` never return a non-finite tensor, so ``pipeline_forward``
     checks the finiteness of most tensors only when a stage fails; see there.
     """
-    for name, tensor in bundle_tensors(bundle, d_w, d_h):
-        require_finite(tensor, f"weight bundle: {name}")
+    check_bundle_shapes(bundle, d_w, d_h)
+    for name in BUNDLE_TENSORS:
+        require_finite(bundle[name], f"weight bundle: {name}")
 
 
 def _dims(shape: tuple[int, ...]) -> str:

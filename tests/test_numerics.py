@@ -287,6 +287,17 @@ class TestMatmulKernels:
         assert list(tmp_path.iterdir()) == [blocked]  # no temporary file left behind
 
     @needs_cc
+    @pytest.mark.parametrize("symbol", ["wordfuse_matmul_strip", "wordfuse_parse_list"])
+    def test_library_without_a_symbol_falls_back(self, tmp_path, monkeypatch, symbol):
+        # ctypes raises ValueError for a missing variable, AttributeError for a missing function
+        renamed = _kernel.SOURCE.replace(symbol, f"{symbol}_renamed")
+        assert renamed != _kernel.SOURCE
+        monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path)
+        monkeypatch.setattr(_kernel, "SOURCE", renamed)
+        kernel = _kernel.load(numerics.matmul_numpy)
+        assert kernel.matmul is None and kernel.detail.startswith("build error: ") and symbol in kernel.detail
+
+    @needs_cc
     @pytest.mark.skipif("fma" not in _kernel._cpu_flags().split(), reason="the CPU has no FMA unit")
     def test_fma_build_fails_the_known_answer_check_and_the_property(self, tmp_path, monkeypatch):
         monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path)
