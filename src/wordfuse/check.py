@@ -171,9 +171,10 @@ def _check_matmul_oracle(rng, cases):
     if numerics.matmul_kernel().matmul is not None:
         kernels.append(("C", numerics.matmul))
     for _ in range(cases):
-        # up to 23 rows and 40 columns: one row, fewer rows than a tile, two
-        # 8-row tiles of the C kernel and remainder rows, one 24-column block and
-        # its tail (built for AVX-512; 4-row tiles, 12- or 6-column blocks otherwise)
+        # up to 23 rows and 40 columns, every product over packed strips of b: one
+        # row, fewer rows than a tile, two 8-row tiles of the C kernel and remainder
+        # rows, one 24-column block and its tail (built for AVX-512; 4-row tiles,
+        # 12- or 6-column blocks otherwise)
         r, inner, c = int(rng.integers(1, 24)), int(rng.integers(1, 41)), int(rng.integers(1, 41))
         a = _matmul_operand(rng, (r, inner))
         b = _matmul_operand(rng, (inner, c))

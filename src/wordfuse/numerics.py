@@ -4,7 +4,10 @@ Everything here is deliberately boring: row-major float64 matrices,
 a portable PRNG, a text matrix format, and the text-file reader and
 atomic writer every input and output goes through (JSON ones through
 ``read_json`` or ``parse_json``, and ``check_record``).  Every result is
-reproducible bit for bit across runs and platforms.
+reproducible bit for bit across runs on one machine.  Across CPUs it is
+not: ``cosine``'s ``np.dot`` runs the OpenBLAS kernel the CPU picks, and
+``np.exp`` in ``softmax_rows`` and ``np.tanh`` in ``lexicon.project_rows``
+give different last bits on NumPy's AVX-512, AVX2 and baseline paths.
 
 ``matmul`` pins its accumulation order: output entries sum their products
 over the inner index in ascending order, one rounded multiply and one

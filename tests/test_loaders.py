@@ -241,6 +241,82 @@ class TestParser:
         assert kernel.detail.startswith("known-answer mismatch: ") and kernel.detail.endswith("unlike float()")
 
 
+# Runs the loaders over the files argv[3] lists as (kind, path) pairs (JSON), then the known-answer
+# inputs and each of them alone at the end of a buffer, with a word and in a list, all through the
+# library at argv[1].  Every input reaches the C as an exact NumPy buffer of len + 1 bytes whose last
+# byte is NUL, as its contract asks, so under ASan a read past buf[len] is reported.  With argv[2] ==
+# "short" it prints HARD_DOUBLES into an output buffer one byte short, which ASan must report.
+SANITIZED_TEXT = """
+import ctypes, json, sys
+import numpy as np
+from wordfuse import _kernel, lexicon, numerics
+
+class Exact:
+    def __init__(self, data):
+        self.buf = np.zeros(len(data) + 1, np.uint8)
+        self.buf[:-1] = np.frombuffer(data, np.uint8)
+    def __len__(self):
+        return len(self.buf) - 1
+    @property
+    def _as_parameter_(self):
+        return ctypes.c_char_p(self.buf.ctypes.data)
+
+library = sys.argv[1]
+if sys.argv[2] == "short":
+    printer = ctypes.CDLL(library).wordfuse_format_rows
+    printer.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 2 + [ctypes.c_char_p, ctypes.c_int64] * 2 \
+        + [ctypes.c_void_p]
+    values = np.array(_kernel.HARD_DOUBLES)
+    out = np.empty(len(", ".join(map(repr, _kernel.HARD_DOUBLES))) - 1, np.uint8)
+    printer(values.ctypes.data, 1, len(values), b", ", 2, b"", 0, out.ctypes.data)
+bound = _kernel._bind(library)
+calls = []
+def exact(function):
+    return lambda data, *args: calls.append(1) or function(Exact(data), *args)
+kernel = _kernel.Kernel(bound["matmul"], library, exact(bound["parse_rows"]), exact(bound["parse_list"]),
+                        bound["format_rows"])
+numerics.matmul_kernel = lambda: kernel
+assert _kernel._parses_like_float(kernel.parse_rows, kernel.parse_list)
+assert _kernel._prints_like_repr(kernel.format_rows)
+for token in _kernel.HARD_DECIMALS + _kernel.REFUSED_TOKENS:
+    kernel.parse_rows(token.encode(), 0, 1, 1, False)
+    kernel.parse_rows(f"w {token}".encode(), 0, 1, 1, True)
+    kernel.parse_list(f"[{token}]".encode(), 0, 1)
+loaders = {"emb": lexicon.load_embeddings, "mat": numerics.read_matrix, "bundle": lexicon.load_bundle}
+for kind, path in json.loads(sys.argv[3]):
+    try:
+        loaders[kind](path)
+    except (ValueError, OSError):
+        pass
+print("ok", len(calls))
+"""
+
+
+def test_parser_and_printer_under_address_and_undefined_behaviour_sanitizers(tmp_path, sanitized):
+    library, env = sanitized
+    files = []
+    for i, (kind, _, mutate) in enumerate(CASES):
+        make = KINDS[kind][0]
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            path = tmp_path / f"{i}-{seed}.{kind}"
+            path.write_bytes(mutate(make(rng), rng).encode("utf-8", errors="surrogateescape"))
+            files.append((kind, str(path)))
+
+    def run(mode):
+        return subprocess.run([sys.executable, "-c", SANITIZED_TEXT, str(library), mode, json.dumps(files)],
+                              capture_output=True, text=True, env=env, timeout=300)
+
+    done = run("whole")
+    assert done.returncode == 0 and done.stdout.startswith("ok "), done.stderr[-4000:]
+    # the known-answer checks, three calls per token, then at least one call for most files
+    tokens = len(_kernel.HARD_DECIMALS) + len(_kernel.REFUSED_TOKENS)
+    assert int(done.stdout.split()[1]) > 2 + len(_kernel.REFUSED_TOKENS) + 3 * tokens + len(files) // 2
+    short = run("short")
+    assert short.returncode != 0, short.stdout
+    assert "AddressSanitizer: heap-buffer-overflow" in short.stderr, short.stderr[-4000:]
+
+
 # matrices whose text takes every part of repr()'s layout, each row of
 # check._BUNDLE_EDGE_VALUES among them
 EDGE_MATRICES = {

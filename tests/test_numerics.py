@@ -321,18 +321,14 @@ class TestMatmulKernels:
                                   input=_kernel.SOURCE, capture_output=True, text=True, timeout=300)
             assert done.returncode == 0, (flags, done.stderr)
 
-    @needs_cc
-    def test_matmul_under_address_and_undefined_behaviour_sanitizers(self, tmp_path):
-        libasan = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True, text=True,
-                                 timeout=60).stdout.strip()
-        if not os.path.isabs(libasan):  # cc prints the bare name when it has no such file
-            pytest.skip("cc has no libasan")
-        library = tmp_path / "sanitized.so"
-        sanitize = ["-fsanitize=address,undefined", "-fno-sanitize-recover=undefined"]
-        built = subprocess.run(["cc", *_kernel.FLAGS, *sanitize, "-x", "c", "-", "-o", str(library)],
-                               input=_kernel.SOURCE, capture_output=True, text=True, timeout=300)
-        assert built.returncode == 0, built.stderr
-        env = dict(os.environ, PYTHONPATH=SRC, LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0")
+    def test_c_source_is_package_data(self):
+        # an install without _kernel.c could not import wordfuse at all
+        tomllib = pytest.importorskip("tomllib")
+        config = tomllib.loads((Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8"))
+        assert config["tool"]["setuptools"]["package-data"][Path(_kernel.__file__).parent.name] == ["_kernel.c"]
+
+    def test_matmul_under_address_and_undefined_behaviour_sanitizers(self, sanitized):
+        library, env = sanitized
         # row tiles with and without remainder rows, column blocks with and without a tail, zero sizes
         shapes = [[23, 37, 41], [16, 5, 48], [13, 9, 30], [1, 1, 1], [1, 37, 41], [3, 37, 41], [7, 37, 41],
                   [9, 768, 25], [25, 40, 80], [8, 3, 7], [3, 0, 5], [0, 3, 5], [3, 5, 0], [0, 0, 0]]
