@@ -23,10 +23,10 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 from . import check as checkmod
 from . import lexicon, numerics, segvote
-from ._child import _in_child
 from .attention import pipeline_forward
 from .fusion import FusionConfig
 from .segvote import Segmentation, WordSpan
@@ -62,12 +62,6 @@ def _input_overwritten(outputs, inputs) -> tuple[str, str] | None:
     return None
 
 
-def _load_weights(path: str) -> tuple[dict, list]:
-    """The bundle's tensors and the matrix files it names, which are inputs too."""
-    matrix_files = []
-    return lexicon.load_bundle(path, matrix_files), matrix_files
-
-
 def cmd_vote(args) -> int:
     if args.output and _input_overwritten([args.output], [args.input]):
         return _fail(f"--output {args.output} is the input file; inputs are never overwritten")
@@ -99,8 +93,6 @@ def cmd_vote(args) -> int:
 
 
 def cmd_init_weights(args) -> int:
-    if args.dw < 1 or args.dh < 1:
-        return _fail(f"dimensions must be positive, got --dw {args.dw} --dh {args.dh}")
     bundle = lexicon.init_bundle(args.seed, args.dw, args.dh)
     lexicon.save_bundle(bundle, args.output)
     print(f"wrote {args.output}", file=sys.stderr)
@@ -158,11 +150,14 @@ def cmd_fuse(args) -> int:
     if clash:
         return _fail(_FUSE_CLASH.format(*clash))
 
-    # the bundle parses in a second process while this one reads the other
-    # inputs; errors are still reported in input order.  Both use the compiled
-    # parser, loaded here once rather than in each process
+    # the bundle parses on a second thread while this one reads the other
+    # inputs (the compiled parser leaves the GIL); errors are still reported
+    # in input order, and an earlier one waits for the parse to end.  The
+    # library is loaded here, not on both threads at once
     numerics.matmul_kernel()
-    with _in_child(_load_weights, settings["weights"]) as weights:
+    matrix_files = []  # the matrix files the bundle names, which are inputs too
+    with ThreadPoolExecutor(1) as pool:
+        weights = pool.submit(lexicon.load_bundle, settings["weights"], matrix_files)
         with numerics.located("hidden states"):
             hidden = numerics.read_matrix(settings["hidden"])
         with numerics.located("segmentation"):
@@ -170,7 +165,7 @@ def cmd_fuse(args) -> int:
         with numerics.located("embeddings"):
             table = lexicon.load_embeddings(settings["embeddings"])
         with numerics.located("weight bundle"):
-            bundle, matrix_files = weights()
+            bundle = weights.result()
     clash = _input_overwritten(outputs, matrix_files)
     if clash:
         return _fail(_FUSE_CLASH.format(*clash))

@@ -15,6 +15,9 @@ as 1 x d_h matrices so the same tensor codec covers everything.  In memory a
 bundle is a dict from tensor name to 2-D array, as ``load_bundle`` and
 ``init_bundle`` return it; ``project`` and the pipeline read the tensors
 from it by name, and ``check_bundle_shapes`` is the one check of their shapes.
+
+The compiled loaders read a file in blocks (see ``numerics``), a bundle one
+tensor at a time; the Python readers, for any other file, read it whole.
 """
 
 from __future__ import annotations
@@ -97,15 +100,10 @@ def _compiled_rows(path: str | os.PathLike) -> tuple[int, list[str], np.ndarray]
     ``str.split()`` keeps whole, so every line splits as ``_read_rows``
     splits it.
     """
-    data = numerics.compiled_input(path)
-    parsed = numerics.parse_rows(data, _EMBEDDING_HEADER, words=True)
+    parsed = numerics.parse_rows(path, _EMBEDDING_HEADER, words=True)
     if parsed is None:
         return None
-    rows, spans = parsed
-    try:
-        words = [data[start:end].decode("utf-8") for start, end in spans.tolist()]
-    except UnicodeDecodeError:
-        return None
+    rows, words = parsed
     if any(word.split() != [word] for word in words):
         return None
     return rows.shape[1], list(map(_nfc, words)), rows
@@ -259,24 +257,30 @@ def _compiled_bundle(path: str | os.PathLike) -> dict[str, np.ndarray] | None:
     That layout is ``json.dumps`` of the ``BUNDLE_TENSORS`` in order, each
     inline and no other key, with a newline after it.  Any other bundle,
     an equal JSON value included, gets None and goes through ``read_json``.
+    The file is read one tensor at a time, through the ``]`` that ends its
+    data list, so at most one tensor's text is held at once.
     """
-    data = numerics.compiled_input(path)
-    if data is None:
+    f = numerics.compiled_file(path)
+    if f is None:
         return None
     parse_list = numerics.matmul_kernel().parse_list
-    tensors, pos = {}, 0
-    for name in BUNDLE_TENSORS:
-        opening = b"}, " if tensors else b"{"
-        head = _TENSOR_HEAD.match(data, pos + len(opening)) if data.startswith(opening, pos) else None
-        if head is None or head[1] != name.encode():
-            return None
-        rows, cols = int(head[2]), int(head[3])
-        parsed = parse_list(data, head.end(), rows * cols)
-        if parsed is None:
-            return None
-        values, pos = parsed
-        tensors[name] = values.reshape(rows, cols)
-    return tensors if len(data) == pos + 3 and data.endswith(b"}}\n") else None
+    tensors = {}
+    with f:
+        for name in BUNDLE_TENSORS:
+            opening, start = b"}, " if tensors else b"{", f.tell()
+            text = numerics.read_through(f, b"]")
+            head = _TENSOR_HEAD.match(text, len(opening)) if text.startswith(opening) else None
+            if head is None or head[1] != name.encode():
+                return None
+            rows, cols = int(head[2]), int(head[3])
+            parsed = parse_list(text, head.end(), rows * cols)
+            if parsed is None:
+                return None
+            values, end = parsed
+            tensors[name] = values.reshape(rows, cols)
+            f.seek(start + end)
+            del text, head  # the match holds the text too; both go before the next tensor's is read
+        return tensors if f.read(4) == b"}}\n" else None
 
 
 def load_bundle(path: str | os.PathLike, matrix_files: list[Path] | None = None) -> dict[str, np.ndarray]:

@@ -29,9 +29,11 @@ addends are -0.0, so the accumulator is never -0.0 and adding either zero
 leaves it unchanged.
 
 The same library parses number text for ``read_matrix`` and the loaders
-of ``lexicon`` (``compiled_input`` and ``parse_rows``); a file it does not
-take, or any file without it, goes through ``float()`` and ``json``.  It
-also prints numbers as ``repr()`` prints them for ``format_rows``, the one
+of ``lexicon``.  They read a file ``READ_BLOCK`` bytes (1 MiB) at a time,
+so they hold a piece of whole lines (``parse_rows``) or one bundle tensor
+of text, never the whole file; a file the parser does not take, or any
+file without it, goes through ``float()`` and ``json``.  It also
+prints numbers as ``repr()`` prints them for ``format_rows``, the one
 printer behind ``write_matrix`` and ``lexicon.save_bundle``; without it
 ``repr()`` itself does.
 
@@ -51,7 +53,7 @@ import re
 import stat
 import sys
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import BinaryIO, Iterable, Mapping
 
 import numpy as np
 
@@ -478,8 +480,13 @@ def check_record(record, fields: Mapping[str, str], required: Iterable[str] = ()
     return record
 
 
-def compiled_input(path: str | os.PathLike) -> bytes | None:
-    """The bytes of ``path`` for the compiled parser, or None to read it with Python alone.
+# the bytes a compiled loader reads at a time; a header, line or bundle tensor
+# longer than this grows the block that holds it
+READ_BLOCK = 1 << 20
+
+
+def compiled_file(path: str | os.PathLike) -> BinaryIO | None:
+    """``path`` opened for the compiled parser, or None to read it with Python alone.
 
     None when no library loaded, and for anything but a regular file: a FIFO
     or ``/dev/stdin`` can be read only once, and the Python reader must see
@@ -488,23 +495,68 @@ def compiled_input(path: str | os.PathLike) -> bytes | None:
     if matmul_kernel().parse_rows is None:
         return None
     try:
-        return Path(path).read_bytes() if stat.S_ISREG(os.stat(path).st_mode) else None
+        return open(path, "rb") if stat.S_ISREG(os.stat(path).st_mode) else None
     except OSError:
         return None
 
 
-def parse_rows(data: bytes | None, header: re.Pattern, words: bool = False
-               ) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """The numbers, and with ``words`` the word spans, of a headed table by the compiled parser.
+def read_through(f: BinaryIO, end: bytes) -> bytes:
+    """The next ``READ_BLOCK`` bytes of ``f`` and as many more blocks as it takes to hold an ``end`` byte.
+
+    The blocks are joined once; the text is empty at the end of the file.
+    """
+    chunks = []
+    while chunk := f.read(READ_BLOCK):
+        chunks.append(chunk)
+        if end in chunk:
+            break
+    return b"".join(chunks)
+
+
+def parse_rows(path: str | os.PathLike, header: re.Pattern, words: bool = False
+               ) -> tuple[np.ndarray, list[str] | None] | None:
+    """The numbers, and with ``words`` the words, of a headed table file by the compiled parser, or None.
 
     ``header`` matches the first line, ``\\n`` included, with the row and
-    column counts as its groups.  None when ``data`` is None, the header does
-    not match, or a line does not fit ``_kernel.SOURCE``'s layout.
+    column counts as its groups.  Each piece of whole lines after it, a
+    block cut after its last ``\\n``, fills the next rows through
+    ``Kernel.parse_rows``.  None when ``compiled_file`` gives no file, or
+    the header, a line or a word (not UTF-8) does not fit.
     """
-    head = None if data is None else header.match(data)
-    if head is None:
+    f = compiled_file(path)
+    if f is None:
         return None
-    return matmul_kernel().parse_rows(data, head.end(), int(head[1]), int(head[2]), words)
+    parse = matmul_kernel().parse_rows
+    with f:
+        head = header.match(read_through(f, b"\n"))
+        if head is None:
+            return None
+        rows, cols = int(head[1]), int(head[2])
+        # Kernel.parse_rows' check of its input, made of the file before the header sizes an allocation
+        if 2 * rows * cols > os.fstat(f.fileno()).st_size - head.end() + 1:
+            return None
+        values, found, done = np.empty((rows, cols)), [] if words else None, 0
+        f.seek(head.end())
+        while piece := read_through(f, b"\n"):
+            cut = piece.rfind(b"\n") + 1
+            if 0 < cut < len(piece):  # what follows the last "\n" starts the next piece
+                f.seek(cut - len(piece), os.SEEK_CUR)
+                piece = piece[:cut]
+            # whole lines, the file's last one perhaps without its "\n", and only whitespace
+            # after the last row.  NumPy counts the "\n" bytes about 4x faster than bytes.count
+            newlines = np.count_nonzero(np.frombuffer(piece, np.uint8) == ord("\n"))
+            lines = min(rows - done, newlines + (not piece.endswith(b"\n")))
+            parsed = parse(piece, 0, lines, cols, words)
+            if parsed is None:
+                return None
+            values[done : done + lines] = parsed[0]
+            if words:
+                try:
+                    found += [piece[s:e].decode("utf-8") for s, e in parsed[1].tolist()]
+                except UnicodeDecodeError:
+                    return None
+            done += lines
+    return (values, found) if done == rows else None
 
 
 # a header the compiled parser takes: positive ASCII counts, one space, a newline
@@ -519,7 +571,7 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
     compiled parser when it is loaded; any other file is parsed below, with
     the same values and errors.
     """
-    parsed = parse_rows(compiled_input(path), _MATRIX_HEADER)
+    parsed = parse_rows(path, _MATRIX_HEADER)
     if parsed is not None:
         return parsed[0]
     text = read_text(path, splitlines=True)

@@ -57,14 +57,6 @@ def no_library(monkeypatch) -> None:
     monkeypatch.setattr(numerics, "matmul_kernel", lambda: no_library)
 
 
-@pytest.fixture(params=[True, False], ids=["forked", "inline"])
-def forked(request, monkeypatch) -> bool:
-    """Run the test as is, then with os.fork hidden so the fork helper runs inline."""
-    if not request.param:
-        monkeypatch.delattr(os, "fork")
-    return request.param
-
-
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Fail a test that leaves a child process running or unreaped."""

@@ -2,10 +2,10 @@ import dataclasses
 import hashlib
 import json
 import os
-import pickle
 import resource
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -208,8 +208,10 @@ class TestInitWeights:
         assert all(np.array_equal(loaded[k], direct[k]) for k in lexicon.BUNDLE_TENSORS)
 
     def test_rejects_non_positive_dims(self, tmp_path):
-        res = run_cli("init-weights", "--dw", 0, "--dh", 8, "--output", tmp_path / "w.json")
-        assert res.returncode == 1
+        out = tmp_path / "w.json"
+        res = run_cli("init-weights", "--dw", 0, "--dh", 8, "--output", out)
+        assert (res.returncode, res.stderr) == (1, "error: dimensions must be positive, got d_w=0 d_h=8\n")
+        assert not out.exists()
 
     def test_bundle_larger_than_memory_refused_before_allocating(self, tmp_path, capsys):
         # 8e17 bytes: refused before any allocation, on any host
@@ -603,11 +605,11 @@ class TestCheckBundle:
         assert str(info.value) == f"weight bundle: {name} contains non-finite entries"
 
 
-class TestFuseBundleInChild:
-    """fuse parses the weight bundle in a forked child while it reads the other inputs."""
+class TestFuseBundleOnThread:
+    """fuse parses the weight bundle on a second thread while it reads the other inputs."""
 
-    def test_library_loads_once_before_the_child(self, fuse_files, tmp_path, capsys, monkeypatch):
-        # the child inherits the parent's library instead of loading (or building) its own
+    def test_library_loads_once_before_the_thread(self, fuse_files, tmp_path, capsys, monkeypatch):
+        # the thread uses the library the main thread loaded instead of loading (or building) its own
         loads, real = tmp_path / "loads", _kernel.load
 
         def load(reference):
@@ -623,7 +625,7 @@ class TestFuseBundleInChild:
             numerics.matmul_kernel.cache_clear()
         assert loads.read_text(encoding="utf-8") == f"{os.getpid()}\n"
 
-    def test_embeddings_error_reported_before_bundle_error(self, fuse_files, tmp_path, capsys, forked):
+    def test_embeddings_error_reported_before_bundle_error(self, fuse_files, tmp_path, capsys):
         embeddings = tmp_path / "bad_vecs.txt"
         embeddings.write_text("2 x\n", encoding="utf-8")
         weights = tmp_path / "bad_bundle.json"
@@ -633,7 +635,7 @@ class TestFuseBundleInChild:
         assert err == f"error: embeddings: {embeddings}: line 1: non-integer header '2 x'\n"
 
     @pytest.mark.parametrize("case", ["missing", "not-json", "bad-tensor"])
-    def test_bundle_errors_unchanged(self, fuse_files, tmp_path, capsys, forked, case):
+    def test_bundle_errors_unchanged(self, fuse_files, tmp_path, capsys, case):
         weights = tmp_path / "bundle.json"
         if case == "not-json":
             weights.write_text("{not json", encoding="utf-8")
@@ -657,7 +659,7 @@ class TestFuseBundleInChild:
         [("ok", 0), ("hidden", 1), ("segmentation", 1), ("embeddings", 1), ("bundle", 1),
          ("missing-bundle", 1), ("matrix-file-output", 1), ("dimensions", 1), ("heads", 1)],
     )
-    def test_no_child_left_on_any_return(self, fuse_files, tmp_path, capsys, case, code):
+    def test_no_thread_left_on_any_return(self, fuse_files, tmp_path, capsys, case, code):
         bad = tmp_path / "bad"
         bad.write_text("{oops", encoding="utf-8")
         files, extra = dict(fuse_files), {}
@@ -679,46 +681,43 @@ class TestFuseBundleInChild:
             lexicon.save_bundle(lexicon.init_bundle(42, 4, 16), files["weights"])
         elif case == "heads":
             extra["heads"] = 3
+        before = threading.enumerate()
         got, err = run_main(fuse_args(files, **extra), capsys)
         assert got == code, err
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert threading.enumerate() == before
 
-    def test_loader_that_cannot_be_pickled(self, fuse_files, tmp_path, capsys, monkeypatch):
-        # a local closure, like the wrappers a tracer installs, cannot be pickled;
-        # the child inherits it instead
-        marker = tmp_path / "loader_pid"
-        real = lexicon.load_bundle
+    def test_bundle_loads_off_the_main_thread(self, fuse_files, capsys, monkeypatch):
+        # a wrapper such as a tracer installs is called where the CLI looks the loader up
+        threads, real = [], lexicon.load_bundle
 
         def wrapped(*args, **kwargs):
-            marker.write_text(str(os.getpid()), encoding="utf-8")
+            threads.append(threading.current_thread())
             return real(*args, **kwargs)
 
-        with pytest.raises((pickle.PicklingError, AttributeError)):
-            pickle.dumps(wrapped)
         monkeypatch.setattr(lexicon, "load_bundle", wrapped)
         code, err = run_main(fuse_args(fuse_files), capsys)
         assert (code, err) == (0, f"wrote {fuse_files['output']}\n")
         assert hashlib.sha256(fuse_files["output"].read_bytes()).hexdigest() == FUSED_GOLDEN_SHA256
-        assert int(marker.read_text(encoding="utf-8")) != os.getpid()
+        assert len(threads) == 1 and threads[0] is not threading.main_thread()
 
-    def test_child_without_result_is_internal_error(self, fuse_files):
-        script = (
-            "import os, sys\n"
-            "from wordfuse import cli, lexicon\n"
-            "lexicon.load_bundle = lambda *args, **kwargs: os._exit(3)\n"
-            "sys.exit(cli.main(sys.argv[1:]))\n"
-        )
-        res = subprocess.run([sys.executable, "-c", script, *map(str, fuse_args(fuse_files))],
-                             capture_output=True, text=True, encoding="utf-8", timeout=120)
-        assert res.returncode == 2, res.stderr
-        assert res.stderr.startswith("internal error: RuntimeError(")
-        assert "without a result" in res.stderr
+    def test_out_of_memory_in_the_bundle_load(self, fuse_files, capsys, monkeypatch):
+        def load_bundle(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(lexicon, "load_bundle", load_bundle)
+        assert run_main(fuse_args(fuse_files), capsys) == (1, "error: fuse: out of memory\n")
+        assert not fuse_files["output"].exists()
+
+    def test_bug_in_the_bundle_load_is_internal_error(self, fuse_files, capsys, monkeypatch):
+        def load_bundle(*args, **kwargs):
+            raise RuntimeError("a bug")
+
+        monkeypatch.setattr(lexicon, "load_bundle", load_bundle)
+        assert run_main(fuse_args(fuse_files), capsys) == (2, "internal error: RuntimeError('a bug')\n")
         assert not fuse_files["output"].exists()
 
     def test_success_prints_only_the_written_path(self, fuse_files):
-        # -W always would print the DeprecationWarning that Python 3.12+ gives
-        # for a fork in a process with threads (BLAS starts some)
+        # -W always prints every DeprecationWarning the run gives, and there must be none
         res = subprocess.run(
             [sys.executable, "-W", "always::DeprecationWarning", "-m", "wordfuse.cli",
              *map(str, fuse_args(fuse_files))],
@@ -835,7 +834,7 @@ class TestLocatedInputErrors:
         code, err = run_main(argv[: argv.index("--output")] + ["--config", config], capsys)
         assert (code, err) == (1, f"error: {config}: output: lone surrogate U+D800 at character 3\n")
 
-    def test_bundle_path_lone_surrogate(self, fuse_files, tmp_path, capsys, forked):
+    def test_bundle_path_lone_surrogate(self, fuse_files, tmp_path, capsys):
         raw = json.loads(fuse_files["weights"].read_text(encoding="utf-8"))
         raw["W1"] = "w\ud800.txt"
         bundle = tmp_path / "sb.json"
@@ -864,7 +863,7 @@ class TestLocatedInputErrors:
          ("weights", b'{"W1":\n\n"\xfe"}\n', "weight bundle: ", 3)],
         ids=["hidden", "segmentation", "weights"],
     )
-    def test_fuse_input_not_utf8(self, fuse_files, tmp_path, capsys, forked, key, data, prefix, line):
+    def test_fuse_input_not_utf8(self, fuse_files, tmp_path, capsys, key, data, prefix, line):
         bad = tmp_path / f"bad_{key}"
         bad.write_bytes(data)
         code, err = run_main(fuse_args(dict(fuse_files, **{key: bad})), capsys)
@@ -877,7 +876,7 @@ class TestLocatedInputErrors:
          ("weights", 1, "weight bundle: ")],
         ids=["segmentation", "segmentation-two-lines", "weights"],
     )
-    def test_fuse_input_nested_too_deeply(self, fuse_files, tmp_path, capsys, forked, key, lines, prefix):
+    def test_fuse_input_nested_too_deeply(self, fuse_files, tmp_path, capsys, key, lines, prefix):
         bad = tmp_path / f"deep_{key}"
         bad.write_text(("[" * 100000 + "]" * 100000 + "\n") * lines, encoding="utf-8")
         code, err = run_main(fuse_args(dict(fuse_files, **{key: bad})), capsys)
@@ -885,7 +884,7 @@ class TestLocatedInputErrors:
         assert not fuse_files["output"].exists()
 
     @pytest.mark.parametrize("key", ["hidden", "weights"])
-    def test_matrix_header_larger_than_the_file(self, fuse_files, tmp_path, capsys, forked, key):
+    def test_matrix_header_larger_than_the_file(self, fuse_files, tmp_path, capsys, key):
         # the header must not size an allocation: 10**11 values would be a MemoryError, exit 2
         matrix = tmp_path / "huge.txt"
         matrix.write_text("1 100000000000\n1.0\n", encoding="utf-8")

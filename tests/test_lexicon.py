@@ -168,7 +168,7 @@ def edge_bundle(rng, shapes):
 
 class TestSaveBundle:
     """save_bundle prints through the compiled library, or without it through repr(), in this
-    process, with or without os.fork; either way the bytes are the serial writer's."""
+    process; either way the bytes are the serial writer's."""
 
     @pytest.mark.parametrize(
         "shapes",
@@ -180,7 +180,7 @@ class TestSaveBundle:
         ],
         ids=["1x1", "1xd", "odd", "mixed"],
     )
-    def test_bytes_equal_serial_writer(self, tmp_path, rng, no_library, forked, shapes):
+    def test_bytes_equal_serial_writer(self, tmp_path, rng, no_library, shapes):
         bundle = edge_bundle(rng, shapes)
         path = tmp_path / "bundle.json"
         lexicon.save_bundle(bundle, path)

@@ -15,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -149,16 +150,29 @@ KINDS = {
 CASES = [(kind, name, mutate) for name, kinds, mutate in MUTATIONS for kind in kinds.split()]
 
 
+# numerics.READ_BLOCK of a few bytes, one per seed: every header, line and
+# bundle tensor then straddles block edges, and the blocks grow to hold them
+SMALL_BLOCKS = (1, 2, 3, 7)
+
+
+def in_blocks(monkeypatch, block, run, *args):
+    """What ``run(*args)`` gives when the compiled loaders read ``block`` bytes at a time."""
+    with monkeypatch.context() as m:
+        m.setattr(numerics, "READ_BLOCK", block)
+        return run(*args)
+
+
 @pytest.mark.parametrize(("kind", "name", "mutate"), CASES, ids=[f"{k}-{n}" for k, n, _ in CASES])
 def test_compiled_and_python_readers_agree(tmp_path, monkeypatch, kind, name, mutate):
     make, load = KINDS[kind]
     path = tmp_path / kind
-    for seed in range(4):
+    for seed, block in enumerate(SMALL_BLOCKS):
         rng = np.random.default_rng(seed)
         text = mutate(make(rng), rng)
         path.write_bytes(text.encode("utf-8", errors="surrogateescape"))
         compiled, python = both_ways(monkeypatch, outcome, load, path)
-        assert compiled == python, f"seed {seed}: {text[:200]!r}"
+        small = in_blocks(monkeypatch, block, outcome, load, path)
+        assert compiled == small == python, f"seed {seed}: {text[:200]!r}"
 
 
 @needs_parser
@@ -168,13 +182,23 @@ def test_valid_files_take_the_compiled_path(tmp_path, monkeypatch, kind):
     path = tmp_path / kind
     path.write_text(make(np.random.default_rng(0)), encoding="utf-8")
     want = snapshot(load(path))
+    paths = [path]
+    if kind != "bundle":  # a table's last line may lack its newline; a bundle's may not
+        paths.append(tmp_path / f"{kind} without its final newline")
+        paths[1].write_text(path.read_text(encoding="utf-8").rstrip("\n"), encoding="utf-8")
 
     def python_reader(*args):
         raise AssertionError("the Python reader ran")
 
     for module, name in [(numerics, "read_text"), (lexicon, "_read_rows")]:
         monkeypatch.setattr(module, name, python_reader)
-    assert snapshot(load(path)) == want
+    for p in paths:
+        for block in (numerics.READ_BLOCK, *SMALL_BLOCKS):
+            assert in_blocks(monkeypatch, block, lambda: snapshot(load(p))) == want
+
+
+# blocks shorter than every tensor head: smaller ones read the 95 MB bundle too slowly
+PAPER_SHAPE_BLOCK = 17
 
 
 @needs_parser
@@ -183,8 +207,40 @@ def test_paper_shape_bundle_takes_the_compiled_path(tmp_path, monkeypatch):
     bundle = lexicon.init_bundle(2022, 200, 768)
     lexicon.save_bundle(bundle, path)
     monkeypatch.setattr(numerics, "read_text", lambda path: pytest.fail("read_json ran"))
-    loaded = lexicon.load_bundle(path)
-    assert all(loaded[name].tobytes() == bundle[name].tobytes() for name in lexicon.BUNDLE_TENSORS)
+    for block in (numerics.READ_BLOCK, PAPER_SHAPE_BLOCK):
+        loaded = in_blocks(monkeypatch, block, lexicon.load_bundle, path)
+        assert all(loaded[name].tobytes() == bundle[name].tobytes() for name in lexicon.BUNDLE_TENSORS)
+
+
+def large_text(kind: str, rng) -> str:
+    """A file of about 4 MB, most of it numbers: 500 entries or rows of 400, or a bundle at d_w 40, d_h 160."""
+    m = rng.standard_normal((500, 400))
+    if kind == "mat":
+        return "500 400\n" + numerics.format_rows(m)
+    if kind == "emb":
+        return "500 400\n" + "".join(f"w{i} {row}" for i, row in enumerate(numerics.format_rows(m).splitlines(True)))
+    bundle = lexicon.init_bundle(int(rng.integers(1000)), 40, 160)
+    serial = {name: {"rows": t.shape[0], "cols": t.shape[1], "data": t.ravel().tolist()} for name, t in bundle.items()}
+    return json.dumps(serial) + "\n"
+
+
+@needs_parser
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_compiled_loaders_never_hold_the_whole_text(tmp_path, monkeypatch, kind):
+    # beyond what they return, at most a few blocks (here 64 KiB) or one bundle tensor's text
+    path = tmp_path / kind
+    text = large_text(kind, np.random.default_rng(5))
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(numerics, "READ_BLOCK", 1 << 16)
+    monkeypatch.setattr(numerics, "read_text", lambda *args, **kwargs: pytest.fail("the Python reader ran"))
+    monkeypatch.setattr(lexicon, "_read_rows", lambda path: pytest.fail("the Python reader ran"))
+    tracemalloc.start()
+    try:
+        value = KINDS[kind][1](path)
+        held, peak = tracemalloc.get_traced_memory()  # held: value, all traced since start()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < len(text) / 2, (peak, held, len(text))
 
 
 @pytest.mark.parametrize("text", ["2 2\n1.5 -0.0\n1e-05 7\n", "2 2\r\n1.5 -0.0\r\n1e-05 7\r\n"],
@@ -241,10 +297,11 @@ class TestParser:
         assert kernel.detail.startswith("known-answer mismatch: ") and kernel.detail.endswith("unlike float()")
 
 
-# Runs the loaders over the files argv[3] lists as (kind, path) pairs (JSON), then the known-answer
-# inputs and each of them alone at the end of a buffer, with a word and in a list, all through the
-# library at argv[1].  Every input reaches the C as an exact NumPy buffer of len + 1 bytes whose last
-# byte is NUL, as its contract asks, so under ASan a read past buf[len] is reported.  With argv[2] ==
+# Runs the known-answer inputs and each of them alone at the end of a buffer, with a word and in a
+# list, then the loaders over the files argv[3] lists as (kind, path) pairs (JSON), reading each in
+# blocks of 1 MiB and of 3 bytes, all through the library at argv[1].  Every input, each block piece
+# too, reaches the C as an exact NumPy buffer of len + 1 bytes whose last byte is NUL, as its
+# contract asks, so under ASan a read past buf[len] is reported.  With argv[2] ==
 # "short" it prints HARD_DOUBLES into an output buffer one byte short, which ASan must report.
 SANITIZED_TEXT = """
 import ctypes, json, sys
@@ -284,10 +341,12 @@ for token in _kernel.HARD_DECIMALS + _kernel.REFUSED_TOKENS:
     kernel.parse_list(f"[{token}]".encode(), 0, 1)
 loaders = {"emb": lexicon.load_embeddings, "mat": numerics.read_matrix, "bundle": lexicon.load_bundle}
 for kind, path in json.loads(sys.argv[3]):
-    try:
-        loaders[kind](path)
-    except (ValueError, OSError):
-        pass
+    for block in (1 << 20, 3):
+        numerics.READ_BLOCK = block
+        try:
+            loaders[kind](path)
+        except (ValueError, OSError):
+            pass
 print("ok", len(calls))
 """
 
