@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import shutil
 import subprocess
@@ -55,6 +56,37 @@ def no_library(monkeypatch) -> None:
 
     no_library = _kernel.Kernel(None, "no library: the Python paths alone")
     monkeypatch.setattr(numerics, "matmul_kernel", lambda: no_library)
+
+
+class InlineExecutor(concurrent.futures.Executor):
+    """An executor that runs each submitted call at once on the calling thread."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+
+@pytest.fixture(params=[True, False], ids=["forked", "inline"])
+def forked(request, monkeypatch) -> bool:
+    """Run the test with the bundle load forked off onto fuse's second thread, then inline.
+
+    Inline, ``cmd_fuse``'s executor runs the load on the main thread before the
+    other inputs are read, so nothing overlaps; the result and every message
+    must not depend on that.  The value tells a test that calls a loader or a
+    writer itself whether to call it on a second thread.
+    """
+    if not request.param:
+        from wordfuse import cli
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", InlineExecutor)
+    return request.param
 
 
 @pytest.fixture(autouse=True)

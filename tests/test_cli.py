@@ -605,8 +605,8 @@ class TestCheckBundle:
         assert str(info.value) == f"weight bundle: {name} contains non-finite entries"
 
 
-class TestFuseBundleOnThread:
-    """fuse parses the weight bundle on a second thread while it reads the other inputs."""
+class TestFuseBundleInChild:
+    """fuse parses the weight bundle in a child thread while it reads the other inputs."""
 
     def test_library_loads_once_before_the_thread(self, fuse_files, tmp_path, capsys, monkeypatch):
         # the thread uses the library the main thread loaded instead of loading (or building) its own
@@ -625,7 +625,7 @@ class TestFuseBundleOnThread:
             numerics.matmul_kernel.cache_clear()
         assert loads.read_text(encoding="utf-8") == f"{os.getpid()}\n"
 
-    def test_embeddings_error_reported_before_bundle_error(self, fuse_files, tmp_path, capsys):
+    def test_embeddings_error_reported_before_bundle_error(self, fuse_files, tmp_path, capsys, forked):
         embeddings = tmp_path / "bad_vecs.txt"
         embeddings.write_text("2 x\n", encoding="utf-8")
         weights = tmp_path / "bad_bundle.json"
@@ -635,7 +635,7 @@ class TestFuseBundleOnThread:
         assert err == f"error: embeddings: {embeddings}: line 1: non-integer header '2 x'\n"
 
     @pytest.mark.parametrize("case", ["missing", "not-json", "bad-tensor"])
-    def test_bundle_errors_unchanged(self, fuse_files, tmp_path, capsys, case):
+    def test_bundle_errors_unchanged(self, fuse_files, tmp_path, capsys, forked, case):
         weights = tmp_path / "bundle.json"
         if case == "not-json":
             weights.write_text("{not json", encoding="utf-8")
@@ -834,7 +834,7 @@ class TestLocatedInputErrors:
         code, err = run_main(argv[: argv.index("--output")] + ["--config", config], capsys)
         assert (code, err) == (1, f"error: {config}: output: lone surrogate U+D800 at character 3\n")
 
-    def test_bundle_path_lone_surrogate(self, fuse_files, tmp_path, capsys):
+    def test_bundle_path_lone_surrogate(self, fuse_files, tmp_path, capsys, forked):
         raw = json.loads(fuse_files["weights"].read_text(encoding="utf-8"))
         raw["W1"] = "w\ud800.txt"
         bundle = tmp_path / "sb.json"
@@ -863,7 +863,7 @@ class TestLocatedInputErrors:
          ("weights", b'{"W1":\n\n"\xfe"}\n', "weight bundle: ", 3)],
         ids=["hidden", "segmentation", "weights"],
     )
-    def test_fuse_input_not_utf8(self, fuse_files, tmp_path, capsys, key, data, prefix, line):
+    def test_fuse_input_not_utf8(self, fuse_files, tmp_path, capsys, forked, key, data, prefix, line):
         bad = tmp_path / f"bad_{key}"
         bad.write_bytes(data)
         code, err = run_main(fuse_args(dict(fuse_files, **{key: bad})), capsys)
@@ -876,7 +876,7 @@ class TestLocatedInputErrors:
          ("weights", 1, "weight bundle: ")],
         ids=["segmentation", "segmentation-two-lines", "weights"],
     )
-    def test_fuse_input_nested_too_deeply(self, fuse_files, tmp_path, capsys, key, lines, prefix):
+    def test_fuse_input_nested_too_deeply(self, fuse_files, tmp_path, capsys, forked, key, lines, prefix):
         bad = tmp_path / f"deep_{key}"
         bad.write_text(("[" * 100000 + "]" * 100000 + "\n") * lines, encoding="utf-8")
         code, err = run_main(fuse_args(dict(fuse_files, **{key: bad})), capsys)
@@ -884,7 +884,7 @@ class TestLocatedInputErrors:
         assert not fuse_files["output"].exists()
 
     @pytest.mark.parametrize("key", ["hidden", "weights"])
-    def test_matrix_header_larger_than_the_file(self, fuse_files, tmp_path, capsys, key):
+    def test_matrix_header_larger_than_the_file(self, fuse_files, tmp_path, capsys, forked, key):
         # the header must not size an allocation: 10**11 values would be a MemoryError, exit 2
         matrix = tmp_path / "huge.txt"
         matrix.write_text("1 100000000000\n1.0\n", encoding="utf-8")

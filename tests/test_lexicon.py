@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ def edge_bundle(rng, shapes):
 
 class TestSaveBundle:
     """save_bundle prints through the compiled library, or without it through repr(), in this
-    process; either way the bytes are the serial writer's."""
+    process, on the main thread or a second one; either way the bytes are the serial writer's."""
 
     @pytest.mark.parametrize(
         "shapes",
@@ -180,10 +181,14 @@ class TestSaveBundle:
         ],
         ids=["1x1", "1xd", "odd", "mixed"],
     )
-    def test_bytes_equal_serial_writer(self, tmp_path, rng, no_library, shapes):
+    def test_bytes_equal_serial_writer(self, tmp_path, rng, no_library, forked, shapes):
         bundle = edge_bundle(rng, shapes)
         path = tmp_path / "bundle.json"
-        lexicon.save_bundle(bundle, path)
+        if forked:
+            with ThreadPoolExecutor(1) as pool:
+                pool.submit(lexicon.save_bundle, bundle, path).result()
+        else:
+            lexicon.save_bundle(bundle, path)
         want = oracles.bundle_json_serial({k: v.tolist() for k, v in bundle.items()}, lexicon.BUNDLE_TENSORS)
         assert path.read_bytes() == want
 
