@@ -16,19 +16,23 @@
    nothing.  The build's -ffp-contract=off forbids fusing the multiply and
    the add into one FMA, which rounds once instead of twice.
 
-   wordfuse_parse_rows and wordfuse_parse_list parse number text.  A token
-   must match -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?; strtod converts
-   it, and the token is refused unless strtod stopped exactly at its end and
+   wordfuse_parse_rows and wordfuse_parse_list parse number text, one piece of
+   a file at a time: whole lines of a table, or numbers of a JSON list cut at
+   its ", " separators and its ']'.  A token must match
+   -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.  Its digits are read eight
+   at a time where eight remain in the piece (one 64-bit word: a test that all
+   eight are ASCII digits, then three multiplies).  A value m * 10**e with at
+   most 19 significant digits and |e| <= 27 is converted by Eisel-Lemire (D.
+   Lemire, "Number parsing at a gigabyte per second", Software: Practice and
+   Experience 51(8), 2021): m times the 128-bit power of five of G, the table
+   the printer uses, gives the double's bits rounded once, the bits Python's
+   float() gives.  strtod converts every other token, and any whose product is
+   in doubt; the token is refused unless strtod stopped exactly at its end and
    the value is finite, so a locale whose decimal point is not '.' refuses
-   every fraction instead of misreading it.  On x86-64 most tokens skip strtod
-   by Clinger's fast path, carried into the x87's 64-bit mantissa: a value
-   m * 10**e with at most 19 significant digits and |e| <= 27 has m and
-   10**|e| exact there, so one multiply or divide rounds it once, to 64 bits.
-   Rounding that to a double gives the value rounded once to 53 bits, the bits
-   Python's float() gives, unless the 64-bit result lies exactly halfway
-   between two doubles; such a token goes to strtod too.  Either function
-   refuses the whole input when anything does not fit, and the caller then
-   runs its Python reader.
+   every fraction that reaches strtod instead of misreading it.  Either
+   function refuses the whole piece when anything does not fit, and the caller
+   then runs its Python reader.  buf[len] must be readable and must not
+   continue a number: strtod may look at it.
 
    wordfuse_format_rows prints numbers as Python's repr() prints them: the
    shortest decimal that reads back to the same double, the closest one when
@@ -38,7 +42,6 @@
    ten, rounded to odd, and the one-digit-shorter decimal is taken when
    exactly one of its neighbours lies in the interval. */
 
-#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -128,82 +131,141 @@ void wordfuse_matmul(const double *restrict a, const double *restrict b, double 
     }
 }
 
+/* G[j + 292] = floor(10**j * 2**(127 - floor(j * log2(10)))) + 1 for j in [-292, 324], high half first */
+static const uint64_t G[617][2];
+
+/* floor(x / 2**n) for an int x of either sign */
+static int floor_shift(int x, int n)
+{
+    return x >= 0 ? x >> n : -((-x + (1 << n) - 1) >> n);
+}
+
 #define DIGIT(p) ((p) < end && (unsigned)(*(p) - '0') < 10)
 
-/* exact powers of ten in x87 extended precision, whose 64-bit mantissa holds 5**27 */
-static const long double POW10[28] = {1e0L,  1e1L,  1e2L,  1e3L,  1e4L,  1e5L,  1e6L,  1e7L,  1e8L,  1e9L,
-                                      1e10L, 1e11L, 1e12L, 1e13L, 1e14L, 1e15L, 1e16L, 1e17L, 1e18L, 1e19L,
-                                      1e20L, 1e21L, 1e22L, 1e23L, 1e24L, 1e25L, 1e26L, 1e27L};
+/* The digits at p, before end, appended to *m (mod 2**64); returns their end.
+   On a little-endian target eight at a time while eight remain: one test of
+   the word, and its value by three multiplies */
+static const char *digits(const char *p, const char *end, uint64_t *m)
+{
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    for (uint64_t v; end - p >= 8; p += 8) {
+        memcpy(&v, p, sizeof v);
+        if (((v + 0x4646464646464646) | (v - 0x3030303030303030)) & 0x8080808080808080)
+            break;  /* a byte that is no digit */
+        v -= 0x3030303030303030;
+        v = v * 10 + (v >> 8);  /* a pair of digits in the low byte of each 16 bits */
+        v = ((v & 0x000000FF000000FF) * 0x000F424000000064 + ((v >> 16) & 0x000000FF000000FF) * 0x0000271000000001)
+            >> 32;
+        *m = *m * 100000000 + v;
+    }
+#endif
+    for (; DIGIT(p); ++p)
+        *m = *m * 10 + (uint64_t)(*p - '0');
+    return p;
+}
+
+/* The bits of the double nearest m * 10**e10, ties to even, for 0 < m < 2**64
+   and |e10| <= 27, by Eisel-Lemire; 0 leaves the token to strtod.  w, m
+   shifted up to its top bit, times the 128-bit 5**e10 of G (G - 1, exactly
+   5**e10, when e10 >= 0; G, rounded up, otherwise) gives the double's 53
+   bits, one more to round by, and the bits below them.  Every such value
+   lies between 1e-27 and 2e46, so its exponent is a normal double's. */
+static int eisel_lemire(uint64_t m, int e10, uint64_t *bits)
+{
+    const uint64_t *g = G[292 + e10];
+    const uint64_t high_g = g[0], low_g = e10 >= 0 ? 0 : g[1];  /* 5**e10 < 2**64 fills G - 1's high word */
+    const int lz = __builtin_clzll(m);
+    const uint64_t w = m << lz;
+    unsigned __int128 product = (unsigned __int128)w * high_g;
+    /* the low word adds less than w: it changes the kept bits only when the 9 below them are all ones */
+    if (((uint64_t)(product >> 64) & 0x1FF) == 0x1FF)
+        product += (uint64_t)(((unsigned __int128)w * low_g) >> 64);
+    const uint64_t high = (uint64_t)(product >> 64), low = (uint64_t)product;
+    if (low == UINT64_MAX)  /* a carry may still be missing: doubtful */
+        return 0;
+    const int upper = (int)(high >> 63), shift = upper + 9;
+    uint64_t mantissa = high >> shift;
+    int biased = floor_shift(217706 * e10, 16) + 1086 + upper - lz;
+    /* exactly halfway between two doubles, which only -4 <= e10 <= 23 allows: round down to even */
+    if (low <= 1 && e10 >= -4 && e10 <= 23 && (mantissa & 3) == 1 && mantissa << shift == high)
+        mantissa &= ~UINT64_C(1);
+    mantissa = (mantissa + (mantissa & 1)) >> 1;
+    if (mantissa >> 53) {  /* rounded up to the next power of two */
+        mantissa >>= 1;
+        ++biased;
+    }
+    *bits = (mantissa & ~(UINT64_C(1) << 52)) | (uint64_t)biased << 52;
+    return 1;
+}
 
 /* The number token at s, before end: its end, or NULL when it does not match
    the grammar, strtod stops elsewhere or the value is not finite.  *integral
    says whether the token has neither a fraction nor an exponent. */
 static const char *number(const char *s, const char *end, double *value, int *integral)
 {
-    const char *p = s + (s < end && *s == '-');
-    uint64_t m = 0;       /* the significant digits, while there are at most 19 */
-    int sig = 0;          /* significant digits seen, leading zeros excluded */
-    int64_t e10 = 0, e = 0;
+    const int negative = s < end && *s == '-';
+    const char *p = s + negative;
+    uint64_t m = 0;  /* the significant digits, while there are at most 19 */
+    int64_t sig = 0, e10 = 0, e = 0;  /* sig counts the digits from the first nonzero one */
     if (!DIGIT(p))
         return NULL;
     if (*p == '0')
         ++p;
-    else
-        for (; DIGIT(p); ++p, ++sig)
-            m = m * 10 + (uint64_t)(*p - '0');
+    else {
+        const char *first = p;
+        p = digits(p, end, &m);
+        sig = p - first;
+    }
     *integral = 1;
     if (p < end && *p == '.') {
         if (!DIGIT(p + 1))
             return NULL;
-        for (++p; DIGIT(p); ++p, --e10) {
-            sig += sig || *p != '0';
-            m = m * 10 + (uint64_t)(*p - '0');
-        }
+        const char *fraction = ++p;
+        if (!sig)  /* the zeros of 0.00... */
+            while (p < end && *p == '0')
+                ++p;
+        const char *first = p;
+        p = digits(p, end, &m);
+        sig += p - first;
+        e10 = fraction - p;
         *integral = 0;
     }
     if (p < end && (*p == 'e' || *p == 'E')) {
         ++p;
-        const int negative = p < end && *p == '-';
+        const int below = p < end && *p == '-';
         p += p < end && (*p == '+' || *p == '-');
         if (!DIGIT(p))
             return NULL;
         for (; DIGIT(p); ++p)
             e = e < 100000 ? e * 10 + (*p - '0') : e;
-        e10 += negative ? -e : e;
+        e10 += below ? -e : e;
         *integral = 0;
     }
-#if defined(__x86_64__) && LDBL_MANT_DIG == 64
-    /* m and 10**|e10| are exact in extended precision, so q is the value rounded
-       once to 64 bits; rounding q to a double again gives the value rounded once
-       to 53 bits unless q lies exactly halfway between two doubles */
-    if (sig <= 19 && e10 >= -27 && e10 <= 27) {
-        const long double q = e10 < 0 ? (long double)m / POW10[-e10] : (long double)m * POW10[e10];
-        uint64_t mantissa;
-        memcpy(&mantissa, &q, sizeof mantissa);
-        if ((mantissa & 0x7FF) != 0x400) {
-            *value = *s == '-' ? -(double)q : (double)q;
-            return p;
-        }
+    uint64_t bits = 0;
+    if (sig <= 19 && e10 >= -27 && e10 <= 27 && (!m || eisel_lemire(m, (int)e10, &bits))) {
+        bits |= (uint64_t)negative << 63;
+        memcpy(value, &bits, sizeof bits);
+        return p;
     }
-#endif
     char *stop;
     *value = strtod(s, &stop);
     return stop == p && isfinite(*value) ? p : NULL;
 }
 
-/* Reads `rows` lines of buf[start:len).  With `spans`, a line starts with a
-   word, the bytes before its first space, whose [start, end) offsets are
-   stored in spans; then come `cols` numbers, each after one or more spaces
-   (the first of a line without a word after zero or more), then spaces and
-   a '\n' or the end of buf.  Only ASCII whitespace may follow the last line.
-   The numbers go to out, row after row.  Returns 0, or -1 when anything
-   does not fit.  buf[len] must be readable: strtod may look at it. */
-int64_t wordfuse_parse_rows(const char *buf, int64_t start, int64_t len, int64_t rows, int64_t cols,
-                            double *restrict out, int64_t *restrict spans)
+/* Reads the lines of the piece buf[0:len), at most `rows` of them.  With
+   `spans`, a line starts with a word, the bytes before its first space, whose
+   [start, end) offsets in buf are stored in spans; then come `cols` numbers,
+   each after one or more spaces (the first of a line without a word after
+   zero or more), then spaces and a '\n' or the end of the piece.  Only ASCII
+   whitespace may follow the `rows`-th line.  The numbers go to out, row after
+   row.  Returns the lines read, or -1 when anything does not fit. */
+int64_t wordfuse_parse_rows(const char *buf, int64_t len, int64_t rows, int64_t cols, double *restrict out,
+                            int64_t *restrict spans)
 {
-    const char *p = buf + start, *const end = buf + len;
+    const char *p = buf, *const end = buf + len;
     int integral;
-    for (int64_t i = 0; i < rows; ++i) {
+    int64_t i = 0;
+    for (; i < rows && p < end; ++i) {
         if (spans) {
             const char *word = p;
             while (p < end && *p != ' ' && *p != '\n')
@@ -228,29 +290,27 @@ int64_t wordfuse_parse_rows(const char *buf, int64_t start, int64_t len, int64_t
     for (; p < end; ++p)
         if (*p != ' ' && (*p < '\t' || *p > '\r'))
             return -1;
-    return 0;
+    return i;
 }
 
-/* Reads "[x, y, ...]" at buf + start: exactly `count` numbers, each with a
-   fraction or an exponent, separated by ", ".  Returns the offset just past
-   the ']', or -1 when anything does not fit. */
-int64_t wordfuse_parse_list(const char *buf, int64_t start, int64_t len, int64_t count, double *restrict out)
+/* Reads the piece buf[0:len) of a JSON list: numbers separated by ", ", each
+   with a fraction or an exponent, to exactly the piece's end, and at most
+   `count` of them.  Returns how many it read, or -1 when anything does not
+   fit. */
+int64_t wordfuse_parse_list(const char *buf, int64_t len, int64_t count, double *restrict out)
 {
-    const char *p = buf + start, *const end = buf + len;
+    const char *p = buf, *const end = buf + len;
     int integral;
-    if (p == end || *p++ != '[')
-        return -1;
-    for (int64_t i = 0; i < count; ++i) {
-        if (i && (end - p < 2 || *p++ != ',' || *p++ != ' '))
+    for (int64_t i = 0; i < count;) {
+        if (!(p = number(p, end, out + i++, &integral)) || integral)
             return -1;
-        if (!(p = number(p, end, out + i, &integral)) || integral)
+        if (p == end)
+            return i;
+        if (end - p < 2 || *p++ != ',' || *p++ != ' ')
             return -1;
     }
-    return p < end && *p == ']' ? p + 1 - buf : -1;
+    return -1;  /* more numbers than owed */
 }
-
-/* G[j + 292] = floor(10**j * 2**(127 - floor(j * log2(10)))) + 1 for j in [-292, 324], high half first */
-static const uint64_t G[617][2];
 
 /* floor(g * c / 2**128) with its last bit set when the bits below are not all zero (round to odd) */
 static uint64_t round_to_odd(const uint64_t g[2], uint64_t c)
@@ -258,12 +318,6 @@ static uint64_t round_to_odd(const uint64_t g[2], uint64_t c)
     const unsigned __int128 low = (unsigned __int128)c * g[1];
     const unsigned __int128 y = (unsigned __int128)c * g[0] + (uint64_t)(low >> 64);
     return (uint64_t)(y >> 64) | ((uint64_t)y > 1);
-}
-
-/* floor(x / 2**n) for an int x of either sign */
-static int floor_shift(int x, int n)
-{
-    return x >= 0 ? x >> n : -((-x + (1 << n) - 1) >> n);
 }
 
 /* The shortest decimal d * 10**e that rounds to the positive finite double of

@@ -40,6 +40,9 @@ from typing import Callable
 
 import numpy as np
 
+# what the parsers read: bytes, or a view of a block that a loader reuses
+Buffer = bytes | bytearray | memoryview | np.ndarray
+
 
 def _powers_of_ten() -> str:
     """The C table ``G`` of Schubfach's 617 constants, from exact Python integers.
@@ -70,11 +73,38 @@ _DIGEST = 32  # bytes of the SHA-256 that ends each cached library
 EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e-150, -1e-150, 1e150, -1e150)
 
 
+def _ties_to_even() -> tuple[str, ...]:
+    """Decimals ``m * 10**e``, ``m`` below 10**19, exactly halfway between two doubles.
+
+    Such a value is ``h * 2**k`` with ``h`` odd and of 54 bits, and it rounds
+    to the neighbour whose last bit is even: down when ``h % 4 == 1``, up when
+    it is 3.  ``m`` exists only for ``e`` in -4..23; for each, one decimal
+    rounds down and one up (at ``e = 23`` only ``1e23`` and its doubles, which
+    round down).
+    """
+    ties = []
+    for e in range(-4, 24):
+        five = 5 ** abs(e)
+        for rest in (1, 3):
+            if e < 0:  # m = h * 5**-e
+                m = ((1 << 53) + rest) * five
+            else:  # m = h / 5**e, odd
+                m = next((t for t in range((1 << 53) // five + 1 | 1, ((1 << 54) - 1) // five + 1, 2)
+                          if t * five % 4 == rest), None)
+            if m is not None:
+                ties.append(f"{m}e{e}")
+    return tuple(ties)
+
+
 # decimals a parser gets wrong unless it rounds correctly, each as float() reads it:
 # halfway cases between adjacent doubles (ties to even, and just off a tie;
 # 2**60 + 128 is one that the fast path must leave to strtod), 17-20 digit
 # mantissas, 2**53 - 1 and 2**53 + 1, the smallest normal double and its
-# neighbours, subnormals, underflow to zero, -0 and the largest finite value
+# neighbours, subnormals, underflow to zero, -0 and the largest finite value;
+# then Eisel-Lemire's edges: the exponents +-27 at the end of its domain and
+# +-28 just outside, 19 and 20 digits, products that the second word of G
+# changes, values that round up to a power of two, and a tie to even at
+# every exponent that has one
 HARD_DECIMALS = (
     "0", "-0", "-0.0", "0.1", "1e23", "8.98846567431158e307", "9007199254740991", "9007199254740993",
     "9007199254740995", "9007199254740993.0000000001", "1152921504606847104", "1.152921504606847105e18",
@@ -85,6 +115,10 @@ HARD_DECIMALS = (
     "2.2250738585072012e-308", "2.2250738585072014e-308", "4.9406564584124654e-324", "5e-324",
     "2.4703282292062327e-324", "2.4703282292062328e-324", "1e-320", "1e-400", "-1e-400", "0e999",
     "1.7976931348623157e308", "1.7976931348623158E+308", "123456.789e-3", "1e-22", "9007199254740992e22",
+    "1e27", "-1e-27", "1e28", "1e-28", "0.000000000000000000000000001", "9999999999999999999e27",
+    "-9.999999999999999999e-9", "18446744073709551615e-27", "3.350674348601666386e-9", "59657.8779432673",
+    "6520.538730767988", "7767649247336353.5", "0.99999999999999999", "-9007199254740991.5",
+    *_ties_to_even(),
 )
 # tokens outside the grammar, or whose value is not finite: each must be refused
 REFUSED_TOKENS = (
@@ -110,13 +144,15 @@ HARD_DOUBLES = (
 class Kernel:
     """What ``load`` found: the C library's functions, or None and why NumPy and Python run.
 
-    ``parse_rows(data, start, rows, cols, words)`` returns the ``rows x cols``
-    numbers of the lines ``wordfuse_parse_rows`` reads from ``data[start:]``
-    and, with ``words``, a ``(rows, 2)`` array of each word's byte span.
-    ``parse_list(data, start, count)`` returns the numbers of the JSON list
-    at ``data[start]`` and the offset after it.  Either returns None when
-    anything does not fit, and allocates nothing before checking that
-    ``data`` is long enough to hold the numbers a header promises.
+    ``parse_rows(data, out, spans)`` parses a piece of whole lines, the bytes
+    of ``data``, by ``wordfuse_parse_rows`` into the rows of ``out`` and, when
+    ``spans`` is given, each line's word span into the rows of ``spans``.
+    ``parse_list(data, out)`` parses a piece of a JSON list into ``out``.
+    Each returns how many rows or numbers it read, at most ``len(out)``, or
+    None when anything does not fit.  ``out`` is a C-contiguous float64
+    array, ``spans`` an ``(len(out), 2)`` C-contiguous int64 array, and the
+    byte after ``data`` must be readable and end any number, as the NUL
+    after a ``bytes`` object's own buffer does.
     ``format_rows(m, sep, end)`` is ``sep.join(map(repr, row)) + end`` for
     each row of a 2-D array of finite float64 values, joined, where ``sep``
     and ``end`` are ASCII.
@@ -124,8 +160,8 @@ class Kernel:
 
     matmul: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     detail: str
-    parse_rows: Callable[[bytes, int, int, int, bool], tuple[np.ndarray, np.ndarray | None] | None] | None = None
-    parse_list: Callable[[bytes, int, int], tuple[np.ndarray, int] | None] | None = None
+    parse_rows: Callable[[Buffer, np.ndarray, np.ndarray | None], int | None] | None = None
+    parse_list: Callable[[Buffer, np.ndarray], int | None] | None = None
     format_rows: Callable[[np.ndarray, str, str], str] | None = None
 
     @property
@@ -181,9 +217,8 @@ def _bind(path: Path) -> dict[str, Callable]:
     product.restype = None
     strip = ctypes.c_int64.in_dll(library, "wordfuse_matmul_strip").value
     rows_fn, list_fn = library.wordfuse_parse_rows, library.wordfuse_parse_list
-    # c_char_p passes a bytes object's own buffer, which ends with a NUL byte
-    rows_fn.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 2
-    list_fn.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
+    rows_fn.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 2
+    list_fn.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 2 + [ctypes.c_void_p]
     rows_fn.restype = list_fn.restype = ctypes.c_int64
     print_rows = library.wordfuse_format_rows
     print_rows.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 2 + [ctypes.c_char_p, ctypes.c_int64] * 2 \
@@ -197,22 +232,16 @@ def _bind(path: Path) -> dict[str, Callable]:
         product(a.ctypes.data, b.ctypes.data, out.ctypes.data, a.shape[0], a.shape[1], b.shape[1], pack.ctypes.data)
         return out
 
-    def parse_rows(data: bytes, start: int, rows: int, cols: int, words: bool):
-        # a number and its separator take at least two bytes; the last line may lack its newline
-        if 2 * rows * cols > len(data) - start + 1:
-            return None
-        out = np.empty((rows, cols))
-        spans = np.empty((rows, 2), dtype=np.int64) if words else None
-        if rows_fn(data, start, len(data), rows, cols, out.ctypes.data, None if spans is None else spans.ctypes.data):
-            return None
-        return out, spans
+    def parse_rows(data: Buffer, out: np.ndarray, spans: np.ndarray | None = None) -> int | None:
+        text = np.frombuffer(data, np.uint8)
+        read = rows_fn(text.ctypes.data, len(text), *out.shape, out.ctypes.data,
+                       None if spans is None else spans.ctypes.data)
+        return None if read < 0 else read
 
-    def parse_list(data: bytes, start: int, count: int):
-        if 2 * count > len(data) - start:  # '[', ']' and a ", " or more per number
-            return None
-        out = np.empty(count)
-        end = list_fn(data, start, len(data), count, out.ctypes.data)
-        return None if end < 0 else (out, end)
+    def parse_list(data: Buffer, out: np.ndarray) -> int | None:
+        text = np.frombuffer(data, np.uint8)
+        read = list_fn(text.ctypes.data, len(text), len(out), out.ctypes.data)
+        return None if read < 0 else read
 
     def format_rows(m: np.ndarray, sep: str, end: str) -> str:
         x = np.require(m, np.float64, "CA")
@@ -232,15 +261,15 @@ def _bind(path: Path) -> dict[str, Callable]:
 
 def _parses_like_float(parse_rows, parse_list) -> bool:
     """Whether ``HARD_DECIMALS`` give ``float()``'s bits, in a row and in a list, and ``REFUSED_TOKENS`` are refused."""
-    want = np.array([float(s) for s in HARD_DECIMALS])
-    row = parse_rows(" ".join(HARD_DECIMALS).encode(), 0, 1, len(HARD_DECIMALS), False)
+    row = np.empty((1, len(HARD_DECIMALS)))
     fractions = [s for s in HARD_DECIMALS if not s.lstrip("-").isdigit()]  # lists take no integers
-    listed = parse_list(f"[{', '.join(fractions)}]".encode(), 0, len(fractions))
+    listed = np.empty(len(fractions))
     return (
-        row is not None and np.array_equal(row[0].view(np.uint64), want[None, :].view(np.uint64))
-        and listed is not None
-        and np.array_equal(listed[0].view(np.uint64), np.array([float(s) for s in fractions]).view(np.uint64))
-        and all(parse_rows(f"{s}\n".encode(), 0, 1, 1, False) is None for s in REFUSED_TOKENS)
+        parse_rows(" ".join(HARD_DECIMALS).encode(), row) == 1
+        and np.array_equal(row.view(np.uint64), np.array([[float(s) for s in HARD_DECIMALS]]).view(np.uint64))
+        and parse_list(", ".join(fractions).encode(), listed) == len(fractions)
+        and np.array_equal(listed.view(np.uint64), np.array([float(s) for s in fractions]).view(np.uint64))
+        and all(parse_rows(f"{s}\n".encode(), np.empty((1, 1))) is None for s in REFUSED_TOKENS)
     )
 
 

@@ -545,6 +545,27 @@ def _halfway_decimal(rng) -> str:
     return "-" * int(rng.integers(2)) + token
 
 
+def _fast_path_decimal(rng) -> str:
+    """A token in Eisel-Lemire's domain or at its edge, either sign.
+
+    ``repr()`` of a random finite double, or a mantissa times ``10**e`` for
+    ``e`` in -27..27: of 1-19 random digits, or 10**19 - 1 or 2**64 - 1,
+    which is one digit too long; perhaps with a point among its digits.
+    """
+    if rng.uniform() < 0.3:
+        x = float(np.array(rng.integers(0, 0x7FF0000000000000, dtype=np.uint64)).view(np.float64))
+        return repr(-x if rng.integers(2) else x)
+    kind, e = int(rng.integers(21)), int(rng.integers(-27, 28))
+    if kind < 19:
+        digits = str(int(rng.integers(10**kind, 10 ** (kind + 1), dtype=np.uint64)))
+    else:
+        digits = str(10**19 - 1 if kind == 19 else 2**64 - 1)
+    point = int(rng.integers(1, len(digits) + 1))
+    if point < len(digits):  # the same value with a point: d.ddd e(e + digits after the point)
+        digits, e = f"{digits[:point]}.{digits[point:]}", e + len(digits) - point
+    return "-" * int(rng.integers(2)) + f"{digits}e{e}"
+
+
 # ways to put a token outside the grammar, each given the token and a random integer
 _DEFECTS = [
     lambda t, i: "+" + t.lstrip("-"),
@@ -561,10 +582,16 @@ _DEFECTS = [
 
 def _check_number_parsing(rng, cases):
     kernel = numerics.matmul_kernel()
+
+    def parsed(token: str) -> np.ndarray | None:
+        out = np.empty((1, 1))
+        return out if kernel.parse_rows(f"{token}\n".encode(), out) == 1 else None
+
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.txt"
         for _ in range(cases):
-            tokens = [_random_decimal(rng) for _ in range(6)] + [_halfway_decimal(rng) for _ in range(2)]
+            tokens = ([_random_decimal(rng) for _ in range(6)] + [_halfway_decimal(rng) for _ in range(2)]
+                      + [_fast_path_decimal(rng) for _ in range(8)])
             finite = [t for t in tokens if math.isfinite(float(t))]
             want = np.array([float(t) for t in finite])
             if finite:  # the public reader, whichever parser runs
@@ -574,22 +601,27 @@ def _check_number_parsing(rng, cases):
             if kernel.parse_rows is None:
                 continue
             for token in tokens:
-                got = kernel.parse_rows(f"{token}\n".encode(), 0, 1, 1, False)
+                got = parsed(token)
                 if token not in finite:
                     _require(got is None, f"non-finite {token!r} was not refused")
                 else:
-                    _require(got is not None and got[0].tobytes() == np.float64(float(token)).tobytes(),
-                             f"{token!r} parsed to {None if got is None else got[0][0, 0]!r}, "
+                    _require(got is not None and got.tobytes() == np.float64(float(token)).tobytes(),
+                             f"{token!r} parsed to {None if got is None else got[0, 0]!r}, "
                              f"float() gives {float(token)!r}")
             listed = [t for t in finite if not t.lstrip("-").isdigit()]  # lists take no integers
-            if listed:
-                got = kernel.parse_list(f"[{', '.join(listed)}]".encode(), 0, len(listed))
-                _require(got is not None and got[0].tobytes() == np.array([float(t) for t in listed]).tobytes(),
+            if listed:  # in pieces cut at random separators, as the bundle loader hands them over
+                cuts = rng.choice(len(listed) - 1, int(rng.integers(min(3, len(listed) - 1) + 1)), replace=False)
+                bounds = [0, *sorted(int(c) + 1 for c in cuts), len(listed)]
+                out, done = np.empty(len(listed)), 0
+                for start, end in zip(bounds, bounds[1:]):
+                    read = kernel.parse_list(", ".join(listed[start:end]).encode(), out[done:])
+                    _require(read == end - start, f"the piece {', '.join(listed[start:end])!r} was refused")
+                    done += read
+                _require(out.tobytes() == np.array([float(t) for t in listed]).tobytes(),
                          f"the list [{', '.join(listed)}] differs from float()")
-            for token in tokens[:4]:
+            for token in tokens[:4] + tokens[8:10]:
                 bad = _DEFECTS[int(rng.integers(len(_DEFECTS)))](token, int(rng.integers(1 << 30)))
-                _require(kernel.parse_rows(f"{bad}\n".encode(), 0, 1, 1, False) is None,
-                         f"{bad!r}, outside the grammar, was not refused")
+                _require(parsed(bad) is None, f"{bad!r}, outside the grammar, was not refused")
 
 
 def _hard_double(rng) -> float:

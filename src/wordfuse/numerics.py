@@ -29,10 +29,11 @@ addends are -0.0, so the accumulator is never -0.0 and adding either zero
 leaves it unchanged.
 
 The same library parses number text for ``read_matrix`` and the loaders
-of ``lexicon``.  They read a file ``READ_BLOCK`` bytes (1 MiB) at a time,
-so they hold a piece of whole lines (``parse_rows``) or one bundle tensor
-of text, never the whole file; a file the parser does not take, or any
-file without it, goes through ``float()`` and ``json``.  It also
+of ``lexicon``.  They read a file ``READ_BLOCK`` bytes (1 MiB) at a time
+into one buffer per load (``Blocks``) and parse each block's piece of
+whole lines (``parse_rows``) or of a bundle's data list in place, so they
+hold one block of text, never the whole file; a file the parser does not
+take, or any file without it, goes through ``float()`` and ``json``.  It also
 prints numbers as ``repr()`` prints them for ``format_rows``, the one
 printer behind ``write_matrix`` and ``lexicon.save_bundle``; without it
 ``repr()`` itself does.
@@ -53,7 +54,7 @@ import re
 import stat
 import sys
 from pathlib import Path
-from typing import BinaryIO, Iterable, Mapping
+from typing import BinaryIO, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -480,8 +481,8 @@ def check_record(record, fields: Mapping[str, str], required: Iterable[str] = ()
     return record
 
 
-# the bytes a compiled loader reads at a time; a header, line or bundle tensor
-# longer than this grows the block that holds it
+# the bytes a compiled loader reads at a time; a header, line or number longer
+# than this grows the buffer that holds it
 READ_BLOCK = 1 << 20
 
 
@@ -500,17 +501,38 @@ def compiled_file(path: str | os.PathLike) -> BinaryIO | None:
         return None
 
 
-def read_through(f: BinaryIO, end: bytes) -> bytes:
-    """The next ``READ_BLOCK`` bytes of ``f`` and as many more blocks as it takes to hold an ``end`` byte.
+class Blocks:
+    """A file read a block at a time into one buffer, reused for every block.
 
-    The blocks are joined once; the text is empty at the end of the file.
+    ``cut(at, find)`` reads the block that starts at file offset ``at`` into
+    ``buf[:length]`` and returns ``find(buf, length)``, the length of the
+    piece the caller parses from it; while that is negative and the block
+    fills the buffer, the buffer is doubled and the block read on.  The
+    buffer starts at ``READ_BLOCK + 1`` bytes, so a block ends with a NUL
+    byte that stops the parser's ``strtod``.  The caller reads the bytes
+    after its piece again with the next block.  Each load makes its own, as
+    ``fuse`` runs two at once.
     """
-    chunks = []
-    while chunk := f.read(READ_BLOCK):
-        chunks.append(chunk)
-        if end in chunk:
-            break
-    return b"".join(chunks)
+
+    def __init__(self, f: BinaryIO):
+        self.f, self.buf, self.length = f, bytearray(READ_BLOCK + 1), 0
+
+    def cut(self, at: int, find: Callable[[bytearray, int], int]) -> int:
+        self.f.seek(at)
+        self.length = self.f.readinto(memoryview(self.buf)[:-1])
+        while (found := find(self.buf, self.length)) < 0 and self.length == len(self.buf) - 1:
+            grown = bytearray(2 * len(self.buf) - 1)
+            grown[: self.length] = memoryview(self.buf)[: self.length]
+            self.buf = grown
+            self.length += self.f.readinto(memoryview(grown)[self.length : -1])
+        self.buf[self.length] = 0
+        return found
+
+
+def _whole_lines(buf: bytearray, length: int) -> int:
+    """The length of ``buf[:length]`` through its last ``\\n``, or -1 when it has none."""
+    last = buf.rfind(b"\n", 0, length)
+    return last + 1 if last >= 0 else -1
 
 
 def parse_rows(path: str | os.PathLike, header: re.Pattern, words: bool = False
@@ -518,44 +540,44 @@ def parse_rows(path: str | os.PathLike, header: re.Pattern, words: bool = False
     """The numbers, and with ``words`` the words, of a headed table file by the compiled parser, or None.
 
     ``header`` matches the first line, ``\\n`` included, with the row and
-    column counts as its groups.  Each piece of whole lines after it, a
-    block cut after its last ``\\n``, fills the next rows through
-    ``Kernel.parse_rows``.  None when ``compiled_file`` gives no file, or
-    the header, a line or a word (not UTF-8) does not fit.
+    column counts as its groups.  Each block after it is cut after its last
+    ``\\n`` (at the end of the file, after its last byte), and that piece of
+    whole lines fills the next rows through ``Kernel.parse_rows``.  None
+    when ``compiled_file`` gives no file, or the header, a line or a word
+    (not UTF-8) does not fit.
     """
     f = compiled_file(path)
     if f is None:
         return None
     parse = matmul_kernel().parse_rows
     with f:
-        head = header.match(read_through(f, b"\n"))
+        blocks = Blocks(f)
+        blocks.cut(0, _whole_lines)
+        head = header.match(blocks.buf, 0, blocks.length)
         if head is None:
             return None
         rows, cols = int(head[1]), int(head[2])
-        # Kernel.parse_rows' check of its input, made of the file before the header sizes an allocation
+        # a number and its separator take at least two bytes, the last line may lack its
+        # newline: a header that promises more than the file holds sizes no allocation
         if 2 * rows * cols > os.fstat(f.fileno()).st_size - head.end() + 1:
             return None
-        values, found, done = np.empty((rows, cols)), [] if words else None, 0
-        f.seek(head.end())
-        while piece := read_through(f, b"\n"):
-            cut = piece.rfind(b"\n") + 1
-            if 0 < cut < len(piece):  # what follows the last "\n" starts the next piece
-                f.seek(cut - len(piece), os.SEEK_CUR)
-                piece = piece[:cut]
-            # whole lines, the file's last one perhaps without its "\n", and only whitespace
-            # after the last row.  NumPy counts the "\n" bytes about 4x faster than bytes.count
-            newlines = np.count_nonzero(np.frombuffer(piece, np.uint8) == ord("\n"))
-            lines = min(rows - done, newlines + (not piece.endswith(b"\n")))
-            parsed = parse(piece, 0, lines, cols, words)
-            if parsed is None:
+        values, found = np.empty((rows, cols)), [] if words else None
+        spans = np.empty((rows, 2), np.int64) if words else None
+        done, at = 0, head.end()
+        while True:
+            length = blocks.cut(at, _whole_lines)
+            length = blocks.length if length < 0 else length  # the file's last line, without its "\n"
+            if not length:
+                break
+            read = parse(memoryview(blocks.buf)[:length], values[done:], None if spans is None else spans[done:])
+            if read is None:
                 return None
-            values[done : done + lines] = parsed[0]
             if words:
                 try:
-                    found += [piece[s:e].decode("utf-8") for s, e in parsed[1].tolist()]
+                    found += [blocks.buf[s:e].decode("utf-8") for s, e in spans[done : done + read].tolist()]
                 except UnicodeDecodeError:
                     return None
-            done += lines
+            done, at = done + read, at + length
     return (values, found) if done == rows else None
 
 

@@ -978,11 +978,14 @@ class TestCheck:
     def test_number_property_catches_a_wrong_parser(self, monkeypatch, fault, also_failed):
         real = numerics.matmul_kernel()
 
-        def parse_rows(data, start, rows, cols, words):
+        def parse_rows(data, out, spans=None):
             if fault == "float() spellings":  # all that float() takes, outside the grammar too
-                return np.array([float(t) for t in data[start:].split()]).reshape(rows, cols), None
-            values, spans = real.parse_rows(data, start, rows, cols, words) or (None, None)
-            return values is not None and ((values.view(np.uint64) ^ np.uint64(1)).view(np.float64), spans)
+                out[...] = np.array([float(t) for t in bytes(data).split()]).reshape(out.shape)
+                return len(out)
+            read = real.parse_rows(data, out, spans)
+            if read is not None:
+                out[:read].view(np.uint64)[...] ^= np.uint64(1)
+            return read
 
         monkeypatch.setattr(numerics, "matmul_kernel", lambda: dataclasses.replace(real, parse_rows=parse_rows))
         results = {r.name: r for r in cli.checkmod.run_checks(cases=20)}

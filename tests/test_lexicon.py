@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -193,16 +192,11 @@ class TestSaveBundle:
         assert path.read_bytes() == want
 
     @pytest.mark.parametrize("library", [True, False], ids=["library", "no-library"])
-    def test_forks_nothing(self, tmp_path, monkeypatch, request, library):
+    def test_writes_the_frozen_bytes(self, tmp_path, request, library):
         if not library:
             request.getfixturevalue("no_library")
         elif numerics.matmul_kernel().format_rows is None:
             pytest.skip("the compiled library did not load")
-
-        def no_child():
-            raise AssertionError("save_bundle forked")
-
-        monkeypatch.setattr(os, "fork", no_child)
         lexicon.save_bundle(lexicon.init_bundle(42, 4, 8), tmp_path / "bundle.json")
         assert hashlib.sha256((tmp_path / "bundle.json").read_bytes()).hexdigest() == BUNDLE_SEED42_SHA256
 
@@ -224,11 +218,7 @@ class TestSaveBundle:
          ("no columns", "b1 is 1x0: dimensions must be positive"),
          ("no rows", "Wk1 is 0x4: dimensions must be positive")],
     )
-    def test_bad_tensor_refused_before_any_child(self, tmp_path, monkeypatch, fault, message):
-        def no_child():
-            raise AssertionError("save_bundle forked before checking its tensors")
-
-        monkeypatch.setattr(os, "fork", no_child)
+    def test_bad_tensor_refused_before_writing(self, tmp_path, fault, message):
         bundle = dict(lexicon.init_bundle(5, 2, 4))
         if fault == "missing":
             del bundle["W2"]

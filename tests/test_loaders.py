@@ -197,8 +197,9 @@ def test_valid_files_take_the_compiled_path(tmp_path, monkeypatch, kind):
             assert in_blocks(monkeypatch, block, lambda: snapshot(load(p))) == want
 
 
-# blocks shorter than every tensor head: smaller ones read the 95 MB bundle too slowly
-PAPER_SHAPE_BLOCK = 17
+# a block that is no power of two, so block edges fall at other places in every
+# tensor; a block shorter than a number would take one Python step per number
+PAPER_SHAPE_BLOCK = 4099
 
 
 @needs_parser
@@ -227,7 +228,7 @@ def large_text(kind: str, rng) -> str:
 @needs_parser
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_compiled_loaders_never_hold_the_whole_text(tmp_path, monkeypatch, kind):
-    # beyond what they return, at most a few blocks (here 64 KiB) or one bundle tensor's text
+    # beyond what they return, at most a few blocks (here 64 KiB); a bundle tensor's text is 0.5 MB
     path = tmp_path / kind
     text = large_text(kind, np.random.default_rng(5))
     path.write_text(text, encoding="utf-8")
@@ -240,7 +241,7 @@ def test_compiled_loaders_never_hold_the_whole_text(tmp_path, monkeypatch, kind)
         held, peak = tracemalloc.get_traced_memory()  # held: value, all traced since start()
     finally:
         tracemalloc.stop()
-    assert peak - held < len(text) / 2, (peak, held, len(text))
+    assert peak - held < 4 * numerics.READ_BLOCK, (peak, held, len(text))
 
 
 @pytest.mark.parametrize("text", ["2 2\n1.5 -0.0\n1e-05 7\n", "2 2\r\n1.5 -0.0\r\n1e-05 7\r\n"],
@@ -259,7 +260,9 @@ class TestParser:
     kernel = numerics.matmul_kernel()
 
     def parse(self, text: str, rows: int, cols: int, words: bool = False):
-        return self.kernel.parse_rows(text.encode(), 0, rows, cols, words)
+        """The values and word spans of ``rows`` lines of ``text``, or None."""
+        out, spans = np.empty((rows, cols)), np.empty((rows, 2), np.int64) if words else None
+        return (out, spans) if self.kernel.parse_rows(text.encode(), out, spans) == rows else None
 
     def test_hard_decimals_give_float_bits(self):
         got = self.parse(" ".join(_kernel.HARD_DECIMALS), 1, len(_kernel.HARD_DECIMALS))
@@ -269,7 +272,7 @@ class TestParser:
     @pytest.mark.parametrize("token", _kernel.REFUSED_TOKENS)
     def test_refused_tokens(self, token):
         assert self.parse(f"{token}\n", 1, 1) is None
-        assert self.kernel.parse_list(f"[{token}]".encode(), 0, 1) is None
+        assert self.kernel.parse_list(token.encode(), np.empty(1)) is None
 
     def test_word_spans_are_byte_offsets(self):
         text = "重庆 1.5 2\n<unk> -0.0 3e2\n"
@@ -278,15 +281,28 @@ class TestParser:
         assert [data[s:e].decode() for s, e in spans.tolist()] == ["重庆", "<unk>"]
         assert values.tolist() == [[1.5, 2.0], [-0.0, 300.0]]
 
-    def test_list_takes_only_the_layout_save_bundle_writes(self):
-        assert self.kernel.parse_list(b"[0.5, -1e-05]}", 0, 2)[1] == 13
-        for text in (b"[0.5,-1e-05]", b"[0.5, -1e-05 ]", b"[0.5, 1]", b"[0.5, -1e-05, 2.0]", b"[0.5]"):
-            assert self.kernel.parse_list(text, 0, 2) is None, text
+    def test_rows_read_at_most_the_lines_owed(self):
+        out = np.empty((3, 1))
+        assert self.kernel.parse_rows(b"1.5\n2.5\n", out) == 2 and out[:2].tolist() == [[1.5], [2.5]]
+        assert self.kernel.parse_rows(b"1.5\n2.5\n \t\n", out[:2]) == 2  # then whitespace alone
+        assert self.kernel.parse_rows(b"1.5\n2.5\n3.5\n", out[:2]) is None
 
-    def test_header_sized_allocations_are_checked_first(self):
-        # 10**15 doubles would be 8 PB; the length check refuses before np.empty
-        assert self.kernel.parse_rows(b"1.0\n", 0, 1, 10**15, False) is None
-        assert self.kernel.parse_list(b"[1.0]", 0, 10**15) is None
+    def test_list_takes_only_the_layout_save_bundle_writes(self):
+        out = np.empty(2)
+        assert self.kernel.parse_list(b"0.5, -1e-05", out) == 2 and out.tolist() == [0.5, -1e-05]
+        assert self.kernel.parse_list(b"0.5", out) == 1  # the caller counts what a list holds in all
+        for text in (b"0.5,-1e-05", b"0.5, -1e-05 ", b" 0.5", b"0.5, 1", b"0.5, -1e-05, 2.0", b"0.5, ", b", 0.5",
+                     b"", b"[0.5]"):
+            assert self.kernel.parse_list(text, out) is None, text
+
+    def test_header_sized_allocations_are_checked_first(self, tmp_path, monkeypatch):
+        # 10**15 doubles would be 8 PB: the loaders refuse before np.empty, then the Python readers name the fault
+        monkeypatch.setattr(np, "empty", lambda *args, **kwargs: pytest.fail("np.empty ran"))
+        path = tmp_path / "table"
+        path.write_text("1 1000000000000000\n1.0\n", encoding="utf-8")
+        assert numerics.parse_rows(path, numerics._MATRIX_HEADER) is None
+        path.write_text('{"W1": {"rows": 1, "cols": 1000000000000000, "data": [1.0]}}\n', encoding="utf-8")
+        assert lexicon._compiled_bundle(path) is None
 
     def test_a_wrong_parser_fails_the_known_answer_check(self, tmp_path, monkeypatch):
         # strtof rounds to single precision: the hard decimals that reach it then differ
@@ -297,31 +313,21 @@ class TestParser:
         assert kernel.detail.startswith("known-answer mismatch: ") and kernel.detail.endswith("unlike float()")
 
 
-# Runs the known-answer inputs and each of them alone at the end of a buffer, with a word and in a
+# Runs the known-answer inputs and each of them alone at the end of a piece, with a word and in a
 # list, then the loaders over the files argv[3] lists as (kind, path) pairs (JSON), reading each in
-# blocks of 1 MiB and of 3 bytes, all through the library at argv[1].  Every input, each block piece
-# too, reaches the C as an exact NumPy buffer of len + 1 bytes whose last byte is NUL, as its
-# contract asks, so under ASan a read past buf[len] is reported.  With argv[2] ==
-# "short" it prints HARD_DOUBLES into an output buffer one byte short, which ASan must report.
+# blocks of 1 MiB and of 1, 2, 3 and 7 bytes, all through the library at argv[1].  Every piece
+# reaches the C as an exact NumPy buffer of len + 1 bytes whose last byte is NUL, as its contract
+# asks, so under ASan a read past buf[len] is reported.  With argv[2] == "short" it prints
+# HARD_DOUBLES into an output buffer one byte short, which ASan must report.
 SANITIZED_TEXT = """
 import ctypes, json, sys
 import numpy as np
 from wordfuse import _kernel, lexicon, numerics
 
-class Exact:
-    def __init__(self, data):
-        self.buf = np.zeros(len(data) + 1, np.uint8)
-        self.buf[:-1] = np.frombuffer(data, np.uint8)
-    def __len__(self):
-        return len(self.buf) - 1
-    @property
-    def _as_parameter_(self):
-        return ctypes.c_char_p(self.buf.ctypes.data)
-
 library = sys.argv[1]
 if sys.argv[2] == "short":
     printer = ctypes.CDLL(library).wordfuse_format_rows
-    printer.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 2 + [ctypes.c_char_p, ctypes.c_int64] * 2 \
+    printer.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 2 + [ctypes.c_char_p, ctypes.c_int64] * 2 \\
         + [ctypes.c_void_p]
     values = np.array(_kernel.HARD_DOUBLES)
     out = np.empty(len(", ".join(map(repr, _kernel.HARD_DOUBLES))) - 1, np.uint8)
@@ -329,19 +335,24 @@ if sys.argv[2] == "short":
 bound = _kernel._bind(library)
 calls = []
 def exact(function):
-    return lambda data, *args: calls.append(1) or function(Exact(data), *args)
+    def call(data, *args):
+        calls.append(1)
+        buf = np.zeros(len(memoryview(data)) + 1, np.uint8)
+        buf[:-1] = np.frombuffer(data, np.uint8)
+        return function(buf[:-1], *args)
+    return call
 kernel = _kernel.Kernel(bound["matmul"], library, exact(bound["parse_rows"]), exact(bound["parse_list"]),
                         bound["format_rows"])
 numerics.matmul_kernel = lambda: kernel
 assert _kernel._parses_like_float(kernel.parse_rows, kernel.parse_list)
 assert _kernel._prints_like_repr(kernel.format_rows)
 for token in _kernel.HARD_DECIMALS + _kernel.REFUSED_TOKENS:
-    kernel.parse_rows(token.encode(), 0, 1, 1, False)
-    kernel.parse_rows(f"w {token}".encode(), 0, 1, 1, True)
-    kernel.parse_list(f"[{token}]".encode(), 0, 1)
+    kernel.parse_rows(token.encode(), np.empty((1, 1)))
+    kernel.parse_rows(f"w {token}".encode(), np.empty((1, 1)), np.empty((1, 2), np.int64))
+    kernel.parse_list(token.encode(), np.empty(1))
 loaders = {"emb": lexicon.load_embeddings, "mat": numerics.read_matrix, "bundle": lexicon.load_bundle}
 for kind, path in json.loads(sys.argv[3]):
-    for block in (1 << 20, 3):
+    for block in (1 << 20, 1, 2, 3, 7):
         numerics.READ_BLOCK = block
         try:
             loaders[kind](path)
