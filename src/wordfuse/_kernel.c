@@ -16,10 +16,12 @@
    nothing.  The build's -ffp-contract=off forbids fusing the multiply and
    the add into one FMA, which rounds once instead of twice.
 
-   wordfuse_parse_rows and wordfuse_parse_list parse number text, one piece of
-   a file at a time: whole lines of a table, or numbers of a JSON list cut at
-   its ", " separators and its ']'.  A token must match
-   -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.  Its digits are read eight
+   wordfuse_parse_rows parses number text, one piece of a file at a time:
+   whole lines of a table, or numbers of a JSON list read as lines of one
+   number each, ended by ',' in place of '\n' and cut after a ',' or at the
+   list's ']'.  A token must match
+   -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and must not be -0, which
+   JSON reads as the integer 0 and float() as -0.0.  Its digits are read eight
    at a time where eight remain in the piece (one 64-bit word: a test that all
    eight are ASCII digits, then three multiplies).  A value m * 10**e with at
    most 19 significant digits and |e| <= 27 is converted by Eisel-Lemire (D.
@@ -29,10 +31,10 @@
    float() gives.  strtod converts every other token, and any whose product is
    in doubt; the token is refused unless strtod stopped exactly at its end and
    the value is finite, so a locale whose decimal point is not '.' refuses
-   every fraction that reaches strtod instead of misreading it.  Either
-   function refuses the whole piece when anything does not fit, and the caller
-   then runs its Python reader.  buf[len] must be readable and must not
-   continue a number: strtod may look at it.
+   every fraction that reaches strtod instead of misreading it.  The function
+   refuses the whole piece when anything does not fit, and the caller then
+   runs its Python reader.  buf[len] must be readable and must not continue a
+   number: strtod may look at it.
 
    wordfuse_format_rows prints numbers as Python's repr() prints them: the
    shortest decimal that reads back to the same double, the closest one when
@@ -199,9 +201,8 @@ static int eisel_lemire(uint64_t m, int e10, uint64_t *bits)
 }
 
 /* The number token at s, before end: its end, or NULL when it does not match
-   the grammar, strtod stops elsewhere or the value is not finite.  *integral
-   says whether the token has neither a fraction nor an exponent. */
-static const char *number(const char *s, const char *end, double *value, int *integral)
+   the grammar, is -0, strtod stops elsewhere or the value is not finite. */
+static const char *number(const char *s, const char *end, double *value)
 {
     const int negative = s < end && *s == '-';
     const char *p = s + negative;
@@ -216,7 +217,6 @@ static const char *number(const char *s, const char *end, double *value, int *in
         p = digits(p, end, &m);
         sig = p - first;
     }
-    *integral = 1;
     if (p < end && *p == '.') {
         if (!DIGIT(p + 1))
             return NULL;
@@ -228,7 +228,6 @@ static const char *number(const char *s, const char *end, double *value, int *in
         p = digits(p, end, &m);
         sig += p - first;
         e10 = fraction - p;
-        *integral = 0;
     }
     if (p < end && (*p == 'e' || *p == 'E')) {
         ++p;
@@ -239,8 +238,9 @@ static const char *number(const char *s, const char *end, double *value, int *in
         for (; DIGIT(p); ++p)
             e = e < 100000 ? e * 10 + (*p - '0') : e;
         e10 += below ? -e : e;
-        *integral = 0;
     }
+    if (!m && negative && p == s + 2)
+        return NULL;  /* -0: the integer 0 to JSON, -0.0 to float() (m first: it is 0 only for zeros) */
     uint64_t bits = 0;
     if (sig <= 19 && e10 >= -27 && e10 <= 27 && (!m || eisel_lemire(m, (int)e10, &bits))) {
         bits |= (uint64_t)negative << 63;
@@ -256,14 +256,14 @@ static const char *number(const char *s, const char *end, double *value, int *in
    `spans`, a line starts with a word, the bytes before its first space, whose
    [start, end) offsets in buf are stored in spans; then come `cols` numbers,
    each after one or more spaces (the first of a line without a word after
-   zero or more), then spaces and a '\n' or the end of the piece.  Only ASCII
-   whitespace may follow the `rows`-th line.  The numbers go to out, row after
-   row.  Returns the lines read, or -1 when anything does not fit. */
+   zero or more), then spaces and the byte `eol` or the end of the piece.  The
+   `rows`-th line ends with '\n' in place of `eol`, so a list's last number
+   takes no ','; only ASCII whitespace may follow it.  The numbers go to out,
+   row after row.  Returns the lines read, or -1 when anything does not fit. */
 int64_t wordfuse_parse_rows(const char *buf, int64_t len, int64_t rows, int64_t cols, double *restrict out,
-                            int64_t *restrict spans)
+                            int64_t *restrict spans, char eol)
 {
     const char *p = buf, *const end = buf + len;
-    int integral;
     int64_t i = 0;
     for (; i < rows && p < end; ++i) {
         if (spans) {
@@ -279,37 +279,18 @@ int64_t wordfuse_parse_rows(const char *buf, int64_t len, int64_t rows, int64_t 
             const char *gap = p;
             while (p < end && *p == ' ')
                 ++p;
-            if ((p == gap && (spans || j)) || !(p = number(p, end, out++, &integral)))
+            if ((p == gap && (spans || j)) || !(p = number(p, end, out++)))
                 return -1;
         }
         while (p < end && *p == ' ')
             ++p;
-        if (p < end && *p++ != '\n')
+        if (p < end && *p++ != (i + 1 < rows ? eol : '\n'))
             return -1;
     }
     for (; p < end; ++p)
         if (*p != ' ' && (*p < '\t' || *p > '\r'))
             return -1;
     return i;
-}
-
-/* Reads the piece buf[0:len) of a JSON list: numbers separated by ", ", each
-   with a fraction or an exponent, to exactly the piece's end, and at most
-   `count` of them.  Returns how many it read, or -1 when anything does not
-   fit. */
-int64_t wordfuse_parse_list(const char *buf, int64_t len, int64_t count, double *restrict out)
-{
-    const char *p = buf, *const end = buf + len;
-    int integral;
-    for (int64_t i = 0; i < count;) {
-        if (!(p = number(p, end, out + i++, &integral)) || integral)
-            return -1;
-        if (p == end)
-            return i;
-        if (end - p < 2 || *p++ != ',' || *p++ != ' ')
-            return -1;
-    }
-    return -1;  /* more numbers than owed */
 }
 
 /* floor(g * c / 2**128) with its last bit set when the bits below are not all zero (round to odd) */

@@ -100,13 +100,13 @@ def _ties_to_even() -> tuple[str, ...]:
 # halfway cases between adjacent doubles (ties to even, and just off a tie;
 # 2**60 + 128 is one that the fast path must leave to strtod), 17-20 digit
 # mantissas, 2**53 - 1 and 2**53 + 1, the smallest normal double and its
-# neighbours, subnormals, underflow to zero, -0 and the largest finite value;
+# neighbours, subnormals, underflow to zero, -0.0 and the largest finite value;
 # then Eisel-Lemire's edges: the exponents +-27 at the end of its domain and
 # +-28 just outside, 19 and 20 digits, products that the second word of G
 # changes, values that round up to a power of two, and a tie to even at
 # every exponent that has one
 HARD_DECIMALS = (
-    "0", "-0", "-0.0", "0.1", "1e23", "8.98846567431158e307", "9007199254740991", "9007199254740993",
+    "0", "-0.0", "0.1", "1e23", "8.98846567431158e307", "9007199254740991", "9007199254740993",
     "9007199254740995", "9007199254740993.0000000001", "1152921504606847104", "1.152921504606847105e18",
     "1.00000000000000011102230246251565404236316680908203125",
     "1.00000000000000011102230246251565404236316680908203124",
@@ -120,9 +120,10 @@ HARD_DECIMALS = (
     "6520.538730767988", "7767649247336353.5", "0.99999999999999999", "-9007199254740991.5",
     *_ties_to_even(),
 )
-# tokens outside the grammar, or whose value is not finite: each must be refused
+# tokens outside the grammar, whose value is not finite, or -0, which JSON reads
+# as the integer 0 and float() as -0.0: each must be refused
 REFUSED_TOKENS = (
-    "+1", "1_0", "\u0661", "01", "-01", "1.", ".5", "-", "1e", "1e+", "1.e5", "--1", "1..2", "1,5", "0x10",
+    "-0", "+1", "1_0", "\u0661", "01", "-01", "1.", ".5", "-", "1e", "1e+", "1.e5", "--1", "1..2", "1,5", "0x10",
     "inf", "-inf", "nan", "Infinity", "1e400", "-1e400", "1.7976931348623159e308", "1\t", "1a", "",
 )
 # doubles a printer gets wrong unless it finds repr()'s digits and layout: powers of
@@ -144,15 +145,17 @@ HARD_DOUBLES = (
 class Kernel:
     """What ``load`` found: the C library's functions, or None and why NumPy and Python run.
 
-    ``parse_rows(data, out, spans)`` parses a piece of whole lines, the bytes
-    of ``data``, by ``wordfuse_parse_rows`` into the rows of ``out`` and, when
-    ``spans`` is given, each line's word span into the rows of ``spans``.
-    ``parse_list(data, out)`` parses a piece of a JSON list into ``out``.
-    Each returns how many rows or numbers it read, at most ``len(out)``, or
-    None when anything does not fit.  ``out`` is a C-contiguous float64
-    array, ``spans`` an ``(len(out), 2)`` C-contiguous int64 array, and the
-    byte after ``data`` must be readable and end any number, as the NUL
-    after a ``bytes`` object's own buffer does.
+    ``parse_rows(data, out, spans, eol)`` parses a piece of whole lines, the
+    bytes of ``data``, by ``wordfuse_parse_rows`` into the rows of ``out``
+    and, when ``spans`` is given, each line's word span into the rows of
+    ``spans``.  A line ends with the ASCII character ``eol``: ``"\\n"`` for
+    a table, ``","`` for a piece of a JSON list, one number to a line; the
+    last line owed ends with ``"\\n"`` or the piece, so a list's last number
+    takes no ``","``.  It returns how many rows it read, at most
+    ``len(out)``, or None when anything does not fit.  ``out`` is a
+    C-contiguous float64 array, ``spans`` an ``(len(out), 2)`` C-contiguous
+    int64 array, and the byte after ``data`` must be readable and end any
+    number, as the NUL after a ``bytes`` object's own buffer does.
     ``format_rows(m, sep, end)`` is ``sep.join(map(repr, row)) + end`` for
     each row of a 2-D array of finite float64 values, joined, where ``sep``
     and ``end`` are ASCII.
@@ -160,8 +163,7 @@ class Kernel:
 
     matmul: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     detail: str
-    parse_rows: Callable[[Buffer, np.ndarray, np.ndarray | None], int | None] | None = None
-    parse_list: Callable[[Buffer, np.ndarray], int | None] | None = None
+    parse_rows: Callable[[Buffer, np.ndarray, np.ndarray | None, str], int | None] | None = None
     format_rows: Callable[[np.ndarray, str, str], str] | None = None
 
     @property
@@ -216,10 +218,9 @@ def _bind(path: Path) -> dict[str, Callable]:
     product.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
     product.restype = None
     strip = ctypes.c_int64.in_dll(library, "wordfuse_matmul_strip").value
-    rows_fn, list_fn = library.wordfuse_parse_rows, library.wordfuse_parse_list
-    rows_fn.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 2
-    list_fn.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 2 + [ctypes.c_void_p]
-    rows_fn.restype = list_fn.restype = ctypes.c_int64
+    rows_fn = library.wordfuse_parse_rows
+    rows_fn.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 2 + [ctypes.c_char]
+    rows_fn.restype = ctypes.c_int64
     print_rows = library.wordfuse_format_rows
     print_rows.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 2 + [ctypes.c_char_p, ctypes.c_int64] * 2 \
         + [ctypes.c_void_p]
@@ -232,15 +233,10 @@ def _bind(path: Path) -> dict[str, Callable]:
         product(a.ctypes.data, b.ctypes.data, out.ctypes.data, a.shape[0], a.shape[1], b.shape[1], pack.ctypes.data)
         return out
 
-    def parse_rows(data: Buffer, out: np.ndarray, spans: np.ndarray | None = None) -> int | None:
+    def parse_rows(data: Buffer, out: np.ndarray, spans: np.ndarray | None = None, eol: str = "\n") -> int | None:
         text = np.frombuffer(data, np.uint8)
         read = rows_fn(text.ctypes.data, len(text), *out.shape, out.ctypes.data,
-                       None if spans is None else spans.ctypes.data)
-        return None if read < 0 else read
-
-    def parse_list(data: Buffer, out: np.ndarray) -> int | None:
-        text = np.frombuffer(data, np.uint8)
-        read = list_fn(text.ctypes.data, len(text), len(out), out.ctypes.data)
+                       None if spans is None else spans.ctypes.data, eol.encode("ascii"))
         return None if read < 0 else read
 
     def format_rows(m: np.ndarray, sep: str, end: str) -> str:
@@ -256,20 +252,20 @@ def _bind(path: Path) -> dict[str, Callable]:
             raise RuntimeError(f"wordfuse_format_rows wrote {length} bytes to a buffer of {size}")
         return str(memoryview(out)[:length], "ascii")
 
-    return {"matmul": matmul, "parse_rows": parse_rows, "parse_list": parse_list, "format_rows": format_rows}
+    return {"matmul": matmul, "parse_rows": parse_rows, "format_rows": format_rows}
 
 
-def _parses_like_float(parse_rows, parse_list) -> bool:
+def _parses_like_float(parse_rows) -> bool:
     """Whether ``HARD_DECIMALS`` give ``float()``'s bits, in a row and in a list, and ``REFUSED_TOKENS`` are refused."""
-    row = np.empty((1, len(HARD_DECIMALS)))
-    fractions = [s for s in HARD_DECIMALS if not s.lstrip("-").isdigit()]  # lists take no integers
-    listed = np.empty(len(fractions))
+    want = np.array([float(s) for s in HARD_DECIMALS])
+    row, listed = np.empty((1, len(want))), np.empty((len(want), 1))
     return (
-        parse_rows(" ".join(HARD_DECIMALS).encode(), row) == 1
-        and np.array_equal(row.view(np.uint64), np.array([[float(s) for s in HARD_DECIMALS]]).view(np.uint64))
-        and parse_list(", ".join(fractions).encode(), listed) == len(fractions)
-        and np.array_equal(listed.view(np.uint64), np.array([float(s) for s in fractions]).view(np.uint64))
-        and all(parse_rows(f"{s}\n".encode(), np.empty((1, 1))) is None for s in REFUSED_TOKENS)
+        parse_rows(" ".join(HARD_DECIMALS).encode(), row, None, "\n") == 1
+        and parse_rows(", ".join(HARD_DECIMALS).encode(), listed, None, ",") == len(want)
+        and np.array_equal(row.view(np.uint64), want[None, :].view(np.uint64))
+        and np.array_equal(listed.view(np.uint64), want[:, None].view(np.uint64))
+        and all(parse_rows(f"{s}\n".encode(), np.empty((1, 1)), None, eol) is None
+                for s in REFUSED_TOKENS for eol in "\n,")
     )
 
 
@@ -343,7 +339,7 @@ def load(reference: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Kernel:
         got, want = functions["matmul"](a[-rows:], b), reference(a[-rows:], b)
         if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
             return Kernel(None, f"known-answer mismatch: {path} differs from the NumPy loop")
-    if not _parses_like_float(functions["parse_rows"], functions["parse_list"]):
+    if not _parses_like_float(functions["parse_rows"]):
         return Kernel(None, f"known-answer mismatch: {path} parses numbers unlike float()")
     if not _prints_like_repr(functions["format_rows"]):
         return Kernel(None, f"known-answer mismatch: {path} prints numbers unlike repr()")

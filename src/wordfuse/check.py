@@ -580,6 +580,10 @@ _DEFECTS = [
 ]
 
 
+# the spaces a bundle's data list may hold around each "," and still take the compiled path
+_LIST_SEPARATORS = (", ", ",", " ,", " , ")
+
+
 def _check_number_parsing(rng, cases):
     kernel = numerics.matmul_kernel()
 
@@ -600,25 +604,37 @@ def _check_number_parsing(rng, cases):
                          f"read_matrix of {' '.join(finite)!r} differs from float()")
             if kernel.parse_rows is None:
                 continue
-            for token in tokens:
+            # -0 in every case: JSON reads it as the integer 0, float() as -0.0, so the parser refuses it
+            for token in tokens + ["-0"]:
                 got = parsed(token)
-                if token not in finite:
+                if token == "-0":
+                    _require(got is None, "-0, which JSON reads as 0 and float() as -0.0, was not refused")
+                elif token not in finite:
                     _require(got is None, f"non-finite {token!r} was not refused")
                 else:
                     _require(got is not None and got.tobytes() == np.float64(float(token)).tobytes(),
                              f"{token!r} parsed to {None if got is None else got[0, 0]!r}, "
                              f"float() gives {float(token)!r}")
-            listed = [t for t in finite if not t.lstrip("-").isdigit()]  # lists take no integers
-            if listed:  # in pieces cut at random separators, as the bundle loader hands them over
-                cuts = rng.choice(len(listed) - 1, int(rng.integers(min(3, len(listed) - 1) + 1)), replace=False)
-                bounds = [0, *sorted(int(c) + 1 for c in cuts), len(listed)]
-                out, done = np.empty(len(listed)), 0
+            listed = [t for t in finite if t != "-0"]
+            if listed:  # with any spaces around each ",", in pieces cut after a "," as the bundle loader cuts
+                seps = rng.choice(_LIST_SEPARATORS, len(listed) - 1).tolist()
+                text = listed[0] + "".join(sep + t for sep, t in zip(seps, listed[1:]))
+                commas = [i + 1 for i, c in enumerate(text) if c == ","]
+                cuts = rng.choice(commas, min(len(commas), int(rng.integers(4))), replace=False) if commas else []
+                bounds = [0, *sorted(map(int, cuts)), len(text)]
+                out, done = np.empty((len(listed), 1)), 0
                 for start, end in zip(bounds, bounds[1:]):
-                    read = kernel.parse_list(", ".join(listed[start:end]).encode(), out[done:])
-                    _require(read == end - start, f"the piece {', '.join(listed[start:end])!r} was refused")
+                    read = kernel.parse_rows(text[start:end].encode(), out[done:], None, ",")
+                    _require(read is not None, f"the list piece {text[start:end]!r} was refused")
                     done += read
-                _require(out.tobytes() == np.array([float(t) for t in listed]).tobytes(),
-                         f"the list [{', '.join(listed)}] differs from float()")
+                _require(done == len(listed) and out.tobytes() == np.array([float(t) for t in listed]).tobytes(),
+                         f"the list [{text}] differs from float()")
+                at = int(rng.integers(len(listed) + 1))
+                # -0 among the numbers, or a "," after the last one owed
+                for bad, count in ((", ".join([*listed[:at], "-0", *listed[at:]]), len(listed) + 1),
+                                   (text + ",", len(listed))):
+                    _require(kernel.parse_rows(bad.encode(), np.empty((count, 1)), None, ",") is None,
+                             f"the list [{bad}] was not refused")
             for token in tokens[:4] + tokens[8:10]:
                 bad = _DEFECTS[int(rng.integers(len(_DEFECTS)))](token, int(rng.integers(1 << 30)))
                 _require(parsed(bad) is None, f"{bad!r}, outside the grammar, was not refused")

@@ -187,6 +187,8 @@ def cmd_fuse(args) -> int:
 def cmd_check(args) -> int:
     if args.cases < 1:
         return _fail(f"--cases must be >= 1, got {args.cases}")
+    if args.seed < 0:
+        return _fail(f"--seed must be >= 0, got {args.seed}")
     print(f"matmul kernel: {numerics.matmul_kernel()}")
     results = checkmod.run_checks(seed=args.seed, cases=args.cases)
     width = max(len(r.name) for r in results)

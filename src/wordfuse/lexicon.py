@@ -17,8 +17,9 @@ bundle is a dict from tensor name to 2-D array, as ``load_bundle`` and
 from it by name, and ``check_bundle_shapes`` is the one check of their shapes.
 
 The compiled loaders read a file in blocks (see ``numerics``): a table in
-pieces of whole lines, a bundle in pieces of each tensor's data list.  The
-Python readers, for any other file, read it whole.
+pieces of whole lines, a bundle in pieces of each tensor's data list, read
+as lines of one number ended by ``,``.  The Python readers, for any other
+file, read it whole.
 """
 
 from __future__ import annotations
@@ -248,9 +249,9 @@ def _tensor(obj, base_dir: Path) -> np.ndarray:
     return m
 
 
-# the start of each tensor as save_bundle writes it, after the "{" or "}, " that precedes it,
-# through the "[" of its data list
-_TENSOR_HEAD = re.compile(rb'(\{|\}, )"(\w+)": \{"rows": ([1-9][0-9]*), "cols": ([1-9][0-9]*), "data": \[')
+# the start of each tensor as save_bundle writes it, after the "{" or the "]}, " that ends the
+# tensor before it, through the "[" of its data list
+_TENSOR_HEAD = re.compile(rb'(\{|\]\}, )"(\w+)": \{"rows": ([1-9][0-9]*), "cols": ([1-9][0-9]*), "data": \[')
 
 
 def _through_bracket(buf: bytearray, length: int) -> int:
@@ -260,58 +261,46 @@ def _through_bracket(buf: bytearray, length: int) -> int:
 
 
 def _list_piece(buf: bytearray, length: int) -> int:
-    """The length of the list numbers that start ``buf[:length]``: up to its first ``]``, or else its last ``", "``.
+    """The length of the list numbers that start ``buf[:length]``: to its first ``]``, or else through its last ``,``.
 
-    -1 when it has neither; the caller tells which ends the piece by the byte after it.
+    -1 when it has neither.
     """
     close = buf.find(b"]", 0, length)
-    return close if close >= 0 else buf.rfind(b", ", 0, length)
+    if close >= 0:
+        return close
+    comma = buf.rfind(b",", 0, length)
+    return comma + 1 if comma >= 0 else -1
 
 
 def _compiled_bundle(path: str | os.PathLike) -> dict[str, np.ndarray] | None:
     """The tensors of a bundle in the layout ``save_bundle`` writes, by the compiled parser, or None.
 
     That layout is ``json.dumps`` of the ``BUNDLE_TENSORS`` in order, each
-    inline and no other key, with a newline after it.  Any other bundle,
-    an equal JSON value included, gets None and goes through ``read_json``.
-    Each block of a data list is cut at its ``]``, or else at its last
-    ``", "``, and that piece of numbers fills the tensor's next entries
-    through ``Kernel.parse_list``; the next block starts after the cut.
+    inline and no other key, with a newline after it; inside a data list
+    any spaces may stand around the ``,``.  Any other bundle, an equal JSON
+    value included, gets None and goes through ``read_json``.  A data list
+    is read by ``Blocks.numbers`` as lines of one number ended by ``,``,
+    each block cut at its ``]``, or else after its last ``,``.
     """
     f = numerics.compiled_file(path)
     if f is None:
         return None
-    parse_list = numerics.matmul_kernel().parse_list
-    size = os.fstat(f.fileno()).st_size
     tensors = {}
     with f:
         blocks, at = numerics.Blocks(f), 0
         for name in BUNDLE_TENSORS:
             blocks.cut(at, _through_bracket)
             head = _TENSOR_HEAD.match(blocks.buf, 0, blocks.length)
-            if head is None or head[1] != (b"}, " if tensors else b"{") or head[2] != name.encode():
+            if head is None or head[1] != (b"]}, " if tensors else b"{") or head[2] != name.encode():
                 return None
             rows, cols = int(head[3]), int(head[4])
-            at += head.end()
-            # the list's numbers and separators take at least two bytes each, with "]": a head that
-            # promises more than the file holds sizes no allocation
-            if 2 * rows * cols > size - at + 1:
+            parsed = blocks.numbers(at + head.end(), rows * cols, 1, _list_piece, ",")
+            if parsed is None:
                 return None
-            values, done = np.empty(rows * cols), 0
-            while True:
-                length = blocks.cut(at, _list_piece)
-                read = None if length < 0 else parse_list(memoryview(blocks.buf)[:length], values[done:])
-                if read is None:
-                    return None
-                done, at = done + read, at + length + 1
-                if blocks.buf[length] == ord("]"):
-                    break
-                at += 1  # the space of ", "
-            if done != rows * cols:
-                return None
+            values, _, at = parsed
             tensors[name] = values.reshape(rows, cols)
         f.seek(at)
-        return tensors if f.read(4) == b"}}\n" else None
+        return tensors if f.read(5) == b"]}}\n" else None
 
 
 def load_bundle(path: str | os.PathLike, matrix_files: list[Path] | None = None) -> dict[str, np.ndarray]:

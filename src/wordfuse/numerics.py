@@ -30,10 +30,11 @@ leaves it unchanged.
 
 The same library parses number text for ``read_matrix`` and the loaders
 of ``lexicon``.  They read a file ``READ_BLOCK`` bytes (1 MiB) at a time
-into one buffer per load (``Blocks``) and parse each block's piece of
-whole lines (``parse_rows``) or of a bundle's data list in place, so they
-hold one block of text, never the whole file; a file the parser does not
-take, or any file without it, goes through ``float()`` and ``json``.  It also
+into one buffer per load and parse each block's piece in place
+(``Blocks.numbers``): whole lines of a table (``parse_rows``), or numbers of
+a bundle's data list, read as lines ended by ``,``.  So they hold one block
+of text, never the whole file; a file the parser does not take, or any file
+without it, goes through ``float()`` and ``json``.  It also
 prints numbers as ``repr()`` prints them for ``format_rows``, the one
 printer behind ``write_matrix`` and ``lexicon.save_bundle``; without it
 ``repr()`` itself does.
@@ -507,11 +508,12 @@ class Blocks:
     ``cut(at, find)`` reads the block that starts at file offset ``at`` into
     ``buf[:length]`` and returns ``find(buf, length)``, the length of the
     piece the caller parses from it; while that is negative and the block
-    fills the buffer, the buffer is doubled and the block read on.  The
-    buffer starts at ``READ_BLOCK + 1`` bytes, so a block ends with a NUL
-    byte that stops the parser's ``strtod``.  The caller reads the bytes
-    after its piece again with the next block.  Each load makes its own, as
-    ``fuse`` runs two at once.
+    fills the buffer, the buffer is doubled and the block read on, and at the
+    end of the file the piece is all that is left.  The buffer starts at
+    ``READ_BLOCK + 1`` bytes, so a block ends with a NUL byte that stops the
+    parser's ``strtod``.  The caller reads the bytes after its piece again
+    with the next block.  Each load makes its own, as ``fuse`` runs two at
+    once.
     """
 
     def __init__(self, f: BinaryIO):
@@ -526,7 +528,37 @@ class Blocks:
             self.buf = grown
             self.length += self.f.readinto(memoryview(grown)[self.length : -1])
         self.buf[self.length] = 0
-        return found
+        return self.length if found < 0 else found
+
+    def numbers(self, at: int, rows: int, cols: int, find: Callable[[bytearray, int], int], eol: str,
+                words: bool = False) -> tuple[np.ndarray, list[str] | None, int] | None:
+        """``rows`` lines of ``cols`` numbers from file offset ``at``, their words and the offset after them, or None.
+
+        Each piece that ``cut(at, find)`` gives fills the next rows through
+        ``Kernel.parse_rows``, each line ended by ``eol`` and, with
+        ``words``, started by a word; an empty piece ends them.  None when
+        a piece, or a word (not UTF-8), does not fit, or the pieces hold
+        other than ``rows`` lines.
+        """
+        # a number and the byte that ends it take at least two bytes, the last line may lack its end:
+        # a header that promises more than the file holds sizes no allocation
+        if 2 * rows * cols > os.fstat(self.f.fileno()).st_size - at + 1:
+            return None
+        parse = matmul_kernel().parse_rows
+        values, found = np.empty((rows, cols)), [] if words else None
+        spans = np.empty((rows, 2), np.int64) if words else None
+        done = 0
+        while length := self.cut(at, find):
+            read = parse(memoryview(self.buf)[:length], values[done:], None if spans is None else spans[done:], eol)
+            if read is None:
+                return None
+            if words:
+                try:
+                    found += [self.buf[s:e].decode("utf-8") for s, e in spans[done : done + read].tolist()]
+                except UnicodeDecodeError:
+                    return None
+            done, at = done + read, at + length
+        return (values, found, at) if done == rows else None
 
 
 def _whole_lines(buf: bytearray, length: int) -> int:
@@ -540,45 +572,20 @@ def parse_rows(path: str | os.PathLike, header: re.Pattern, words: bool = False
     """The numbers, and with ``words`` the words, of a headed table file by the compiled parser, or None.
 
     ``header`` matches the first line, ``\\n`` included, with the row and
-    column counts as its groups.  Each block after it is cut after its last
-    ``\\n`` (at the end of the file, after its last byte), and that piece of
-    whole lines fills the next rows through ``Kernel.parse_rows``.  None
-    when ``compiled_file`` gives no file, or the header, a line or a word
-    (not UTF-8) does not fit.
+    column counts as its groups.  ``Blocks.numbers`` reads the lines after
+    it, each block cut after its last ``\\n`` (at the end of the file, after
+    its last byte).  None when ``compiled_file`` gives no file, or the
+    header or a line does not fit.
     """
     f = compiled_file(path)
     if f is None:
         return None
-    parse = matmul_kernel().parse_rows
     with f:
         blocks = Blocks(f)
         blocks.cut(0, _whole_lines)
         head = header.match(blocks.buf, 0, blocks.length)
-        if head is None:
-            return None
-        rows, cols = int(head[1]), int(head[2])
-        # a number and its separator take at least two bytes, the last line may lack its
-        # newline: a header that promises more than the file holds sizes no allocation
-        if 2 * rows * cols > os.fstat(f.fileno()).st_size - head.end() + 1:
-            return None
-        values, found = np.empty((rows, cols)), [] if words else None
-        spans = np.empty((rows, 2), np.int64) if words else None
-        done, at = 0, head.end()
-        while True:
-            length = blocks.cut(at, _whole_lines)
-            length = blocks.length if length < 0 else length  # the file's last line, without its "\n"
-            if not length:
-                break
-            read = parse(memoryview(blocks.buf)[:length], values[done:], None if spans is None else spans[done:])
-            if read is None:
-                return None
-            if words:
-                try:
-                    found += [blocks.buf[s:e].decode("utf-8") for s, e in spans[done : done + read].tolist()]
-                except UnicodeDecodeError:
-                    return None
-            done, at = done + read, at + length
-    return (values, found) if done == rows else None
+        parsed = head and blocks.numbers(head.end(), int(head[1]), int(head[2]), _whole_lines, "\n", words)
+    return parsed and parsed[:2]
 
 
 # a header the compiled parser takes: positive ASCII counts, one space, a newline

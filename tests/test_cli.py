@@ -973,19 +973,30 @@ class TestCheck:
     @pytest.mark.skipif(numerics.matmul_kernel().parse_rows is None, reason="the compiled library did not load")
     @pytest.mark.parametrize(("fault", "also_failed"), [
         ("last bit", {"matrix text format round-trips exactly"}),
-        ("float() spellings", set()),
+        ("float() spellings", {"malformed input is refused with a located message"}),
+        ("-0 read as -0.0", set()),
     ])
-    def test_number_property_catches_a_wrong_parser(self, monkeypatch, fault, also_failed):
+    def test_number_property_catches_a_wrong_parser(self, tmp_path, monkeypatch, fault, also_failed):
         real = numerics.matmul_kernel()
-
-        def parse_rows(data, out, spans=None):
-            if fault == "float() spellings":  # all that float() takes, outside the grammar too
-                out[...] = np.array([float(t) for t in bytes(data).split()]).reshape(out.shape)
-                return len(out)
-            read = real.parse_rows(data, out, spans)
-            if read is not None:
-                out[:read].view(np.uint64)[...] ^= np.uint64(1)
-            return read
+        if fault == "-0 read as -0.0":  # a library built without the refusal, which its known-answer check refuses
+            monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path)
+            refusal = "!m && negative && p == s + 2"
+            assert _kernel.SOURCE.count(refusal) == 1
+            monkeypatch.setattr(_kernel, "SOURCE", _kernel.SOURCE.replace(refusal, "0"))
+            refused = _kernel.load(numerics.matmul_numpy)
+            assert refused.parse_rows is None and refused.detail.endswith("parses numbers unlike float()")
+            (library,) = tmp_path.glob("*.so")
+            parse_rows = _kernel._bind(library)["parse_rows"]
+        else:
+            def parse_rows(data, out, spans=None, eol="\n"):
+                if fault == "float() spellings":  # all that float() takes, outside the grammar too
+                    values = [float(t) for t in bytes(data).replace(eol.encode(), b" ").split()]
+                    out.flat[: len(values)] = values
+                    return len(values) // out.shape[1]
+                read = real.parse_rows(data, out, spans, eol)
+                if read is not None:
+                    out[:read].view(np.uint64)[...] ^= np.uint64(1)
+                return read
 
         monkeypatch.setattr(numerics, "matmul_kernel", lambda: dataclasses.replace(real, parse_rows=parse_rows))
         results = {r.name: r for r in cli.checkmod.run_checks(cases=20)}
@@ -995,6 +1006,10 @@ class TestCheck:
     def test_rejects_non_positive_cases(self):
         res = run_cli("check", "--cases", 0)
         assert res.returncode == 1
+
+    def test_rejects_a_negative_seed_naming_the_flag(self, capsys):
+        code, err = run_main(["check", "--seed", "-1"], capsys)
+        assert (code, err) == (1, "error: --seed must be >= 0, got -1\n")
 
 
 # ``wordfuse argv...`` with the matmul library cached in argv[1]

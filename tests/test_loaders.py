@@ -101,6 +101,14 @@ def truncated(text, rng):
     return body[: int(rng.integers(body.rfind("\n") + 2, len(body)))]
 
 
+def in_data(text, change):
+    """``text`` with ``change`` applied to the text of each bundle data list, ``[`` through ``]``."""
+    return re.sub(r"\[[^]]*\]", lambda m: change(m.group()), text)
+
+
+# spacings of a data list that json reads to the same values, other than save_bundle's ", "
+DATA_SEPARATORS = (",", " ,", " , ", "  ,  ")
+
 NUMBER_TOKENS = ["1_0", "\u0661", "+1", "01", "1.", "1e400", "-1e400", "1e-400", "-1e-400", "-0", "7",
                  "1E5", "0x10", "inf", "NaN", "Infinity", ".5", "1e"]
 
@@ -131,6 +139,12 @@ MUTATIONS = [
     *[(f"number {tok}", "emb mat bundle", lambda t, rng, tok=tok: replace_number(t, rng, tok))
       for tok in NUMBER_TOKENS],
     ("integers in data", "bundle", lambda t, rng: t.replace("0.1", "1").replace("3.0", "3")),
+    ("big integers in data", "bundle",
+     lambda t, rng: t.replace("0.1", "9007199254740993").replace("3.0", "12345678901234567890")),
+    *[(f"data separated by {sep!r}", "bundle", lambda t, rng, sep=sep: in_data(t, lambda d: d.replace(", ", sep)))
+      for sep in DATA_SEPARATORS],
+    ("-0 first in data", "bundle", lambda t, rng: in_data(t, lambda d: "[-0" + d[d.index(","):])),
+    ("trailing comma in data", "bundle", lambda t, rng: in_data(t, lambda d: d.replace("]", ",]"))),
     ("wrong rows", "bundle", lambda t, rng: t.replace('"rows": 1', '"rows": 2', 1)),
     ("huge rows", "bundle", lambda t, rng: t.replace('"rows": 2', '"rows": 100000000000', 1)),
     ("key order", "bundle", lambda t, rng: json.dumps(dict(reversed(json.loads(t).items()))) + "\n"),
@@ -175,26 +189,46 @@ def test_compiled_and_python_readers_agree(tmp_path, monkeypatch, kind, name, mu
         assert compiled == small == python, f"seed {seed}: {text[:200]!r}"
 
 
+# bundle mutations that json reads to the values the compiled loader reads
+COMPILED_LAYOUTS = ("big integers in data", *[f"data separated by {sep!r}" for sep in DATA_SEPARATORS])
+
+
 @needs_parser
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_valid_files_take_the_compiled_path(tmp_path, monkeypatch, kind):
     make, load = KINDS[kind]
-    path = tmp_path / kind
-    path.write_text(make(np.random.default_rng(0)), encoding="utf-8")
-    want = snapshot(load(path))
-    paths = [path]
-    if kind != "bundle":  # a table's last line may lack its newline; a bundle's may not
-        paths.append(tmp_path / f"{kind} without its final newline")
-        paths[1].write_text(path.read_text(encoding="utf-8").rstrip("\n"), encoding="utf-8")
+    rng = np.random.default_rng(0)
+    text = make(rng)
+    if kind == "bundle":  # and the other layouts of a data list that it takes
+        texts = [text, *[mutate(text, rng) for name, _, mutate in MUTATIONS if name in COMPILED_LAYOUTS]]
+    else:  # a table's last line may lack its newline; a bundle's may not
+        texts = [text, text.rstrip("\n")]
+    assert len(set(texts)) == len(texts)
+    paths = [tmp_path / f"{kind}-{i}" for i in range(len(texts))]
+    for path, t in zip(paths, texts):
+        path.write_text(t, encoding="utf-8")
+    with monkeypatch.context() as m:
+        m.setattr(numerics, "matmul_kernel", lambda: NO_LIBRARY)
+        wants = [snapshot(load(path)) for path in paths]
 
     def python_reader(*args):
         raise AssertionError("the Python reader ran")
 
     for module, name in [(numerics, "read_text"), (lexicon, "_read_rows")]:
         monkeypatch.setattr(module, name, python_reader)
-    for p in paths:
+    for path, want in zip(paths, wants):
         for block in (numerics.READ_BLOCK, *SMALL_BLOCKS):
-            assert in_blocks(monkeypatch, block, lambda: snapshot(load(p))) == want
+            assert in_blocks(monkeypatch, block, lambda: snapshot(load(path))) == want
+
+
+@needs_parser
+def test_minus_zero_in_data_takes_the_python_reader(tmp_path):
+    # json reads -0 as the integer 0, so the tensor holds +0.0, where float("-0") is -0.0
+    path = tmp_path / "bundle"
+    mutate = next(mutate for name, _, mutate in MUTATIONS if name == "-0 first in data")
+    path.write_text(mutate(bundle_text(np.random.default_rng(0)), None), encoding="utf-8")
+    assert lexicon._compiled_bundle(path) is None
+    assert all(m[0, 0] == 0 and not np.signbit(m[0, 0]) for m in lexicon.load_bundle(path).values())
 
 
 # a block that is no power of two, so block edges fall at other places in every
@@ -272,7 +306,7 @@ class TestParser:
     @pytest.mark.parametrize("token", _kernel.REFUSED_TOKENS)
     def test_refused_tokens(self, token):
         assert self.parse(f"{token}\n", 1, 1) is None
-        assert self.kernel.parse_list(token.encode(), np.empty(1)) is None
+        assert self.kernel.parse_rows(f"0.5, {token}".encode(), np.empty((2, 1)), None, ",") is None
 
     def test_word_spans_are_byte_offsets(self):
         text = "重庆 1.5 2\n<unk> -0.0 3e2\n"
@@ -287,13 +321,17 @@ class TestParser:
         assert self.kernel.parse_rows(b"1.5\n2.5\n \t\n", out[:2]) == 2  # then whitespace alone
         assert self.kernel.parse_rows(b"1.5\n2.5\n3.5\n", out[:2]) is None
 
-    def test_list_takes_only_the_layout_save_bundle_writes(self):
-        out = np.empty(2)
-        assert self.kernel.parse_list(b"0.5, -1e-05", out) == 2 and out.tolist() == [0.5, -1e-05]
-        assert self.kernel.parse_list(b"0.5", out) == 1  # the caller counts what a list holds in all
-        for text in (b"0.5,-1e-05", b"0.5, -1e-05 ", b" 0.5", b"0.5, 1", b"0.5, -1e-05, 2.0", b"0.5, ", b", 0.5",
-                     b"", b"[0.5]"):
-            assert self.kernel.parse_list(text, out) is None, text
+    def test_list_takes_spaces_around_commas_and_integers_but_no_trailing_comma(self):
+        out = np.empty((3, 1))
+        for text in (b"0.5, -1e-05, 7", b"0.5,-1e-05,7", b" 0.5 ,-1e-05 , 7 ", b"0.5, -1e-05, 7 \n"):
+            assert self.kernel.parse_rows(text, out, None, ",") == 3, text
+            assert out.ravel().tolist() == [0.5, -1e-05, 7.0]
+        # a piece cut after a "," or an empty one: the caller counts what a list holds in all
+        assert self.kernel.parse_rows(b"0.5, -1e-05,", out, None, ",") == 2
+        assert self.kernel.parse_rows(b"", out, None, ",") == 0
+        for text in (b"0.5, -1e-05, 7,", b"0.5, -1e-05, 7 , ", b"0.5, -1e-05, 7, 2.0", b"0.5,, 7", b", 0.5",
+                     b"0.5\t, 7", b"0.5,\n7", b"[0.5]", b"0.5, -0, 7"):
+            assert self.kernel.parse_rows(text, out, None, ",") is None, text
 
     def test_header_sized_allocations_are_checked_first(self, tmp_path, monkeypatch):
         # 10**15 doubles would be 8 PB: the loaders refuse before np.empty, then the Python readers name the fault
@@ -313,9 +351,10 @@ class TestParser:
         assert kernel.detail.startswith("known-answer mismatch: ") and kernel.detail.endswith("unlike float()")
 
 
-# Runs the known-answer inputs and each of them alone at the end of a piece, with a word and in a
-# list, then the loaders over the files argv[3] lists as (kind, path) pairs (JSON), reading each in
-# blocks of 1 MiB and of 1, 2, 3 and 7 bytes, all through the library at argv[1].  Every piece
+# Runs the known-answer inputs and each of them alone at the end of a piece, with a word and as a
+# list of lines ended by ",", then the loaders over the files argv[3] lists as (kind, path) pairs
+# (JSON), reading each in blocks of 1 MiB and of 1, 2, 3 and 7 bytes, all through the library at
+# argv[1]: the one parser with both ends of line, "\n" and ",".  Every piece
 # reaches the C as an exact NumPy buffer of len + 1 bytes whose last byte is NUL, as its contract
 # asks, so under ASan a read past buf[len] is reported.  With argv[2] == "short" it prints
 # HARD_DOUBLES into an output buffer one byte short, which ASan must report.
@@ -341,15 +380,14 @@ def exact(function):
         buf[:-1] = np.frombuffer(data, np.uint8)
         return function(buf[:-1], *args)
     return call
-kernel = _kernel.Kernel(bound["matmul"], library, exact(bound["parse_rows"]), exact(bound["parse_list"]),
-                        bound["format_rows"])
+kernel = _kernel.Kernel(bound["matmul"], library, exact(bound["parse_rows"]), bound["format_rows"])
 numerics.matmul_kernel = lambda: kernel
-assert _kernel._parses_like_float(kernel.parse_rows, kernel.parse_list)
+assert _kernel._parses_like_float(kernel.parse_rows)
 assert _kernel._prints_like_repr(kernel.format_rows)
 for token in _kernel.HARD_DECIMALS + _kernel.REFUSED_TOKENS:
     kernel.parse_rows(token.encode(), np.empty((1, 1)))
     kernel.parse_rows(f"w {token}".encode(), np.empty((1, 1)), np.empty((1, 2), np.int64))
-    kernel.parse_list(token.encode(), np.empty(1))
+    kernel.parse_rows(token.encode(), np.empty((1, 1)), None, ",")
 loaders = {"emb": lexicon.load_embeddings, "mat": numerics.read_matrix, "bundle": lexicon.load_bundle}
 for kind, path in json.loads(sys.argv[3]):
     for block in (1 << 20, 1, 2, 3, 7):
@@ -381,7 +419,7 @@ def test_parser_and_printer_under_address_and_undefined_behaviour_sanitizers(tmp
     assert done.returncode == 0 and done.stdout.startswith("ok "), done.stderr[-4000:]
     # the known-answer checks, three calls per token, then at least one call for most files
     tokens = len(_kernel.HARD_DECIMALS) + len(_kernel.REFUSED_TOKENS)
-    assert int(done.stdout.split()[1]) > 2 + len(_kernel.REFUSED_TOKENS) + 3 * tokens + len(files) // 2
+    assert int(done.stdout.split()[1]) > 2 + 2 * len(_kernel.REFUSED_TOKENS) + 3 * tokens + len(files) // 2
     short = run("short")
     assert short.returncode != 0, short.stdout
     assert "AddressSanitizer: heap-buffer-overflow" in short.stderr, short.stderr[-4000:]
@@ -433,8 +471,8 @@ def test_a_wrong_printer_is_refused_and_everything_falls_back(tmp_path, monkeypa
     kernel = _kernel.load(numerics.matmul_numpy)
     assert kernel.detail.startswith("known-answer mismatch: ")
     assert kernel.detail.endswith("prints numbers unlike repr()")
-    functions = (kernel.matmul, kernel.parse_rows, kernel.parse_list, kernel.format_rows)
-    assert functions == (None,) * 4
+    functions = (kernel.matmul, kernel.parse_rows, kernel.format_rows)
+    assert functions == (None,) * 3
     # with that kernel, the products, the loaders and the writers all take their Python paths
     monkeypatch.setattr(numerics, "matmul_kernel", lambda: kernel)
     used, loop = [], numerics.matmul_numpy

@@ -230,8 +230,7 @@ class TestMatmulKernels:
             assert (kernel.name, kernel.detail) == ("NumPy", "no C compiler: 'cc' is not on PATH")
         else:
             assert kernel.name == "C", f"cc is on PATH but the C kernel did not load: {kernel}"
-            assert kernel.parse_rows is not None and kernel.parse_list is not None, \
-                f"cc is on PATH but the number parser did not load: {kernel}"
+            assert kernel.parse_rows is not None, f"cc is on PATH but the number parser did not load: {kernel}"
             assert kernel.format_rows is not None, f"cc is on PATH but the number printer did not load: {kernel}"
 
     def test_known_operands_cover_tiles_widths_and_edge_values(self):
@@ -287,7 +286,7 @@ class TestMatmulKernels:
         assert list(tmp_path.iterdir()) == [blocked]  # no temporary file left behind
 
     @needs_cc
-    @pytest.mark.parametrize("symbol", ["wordfuse_matmul_strip", "wordfuse_parse_list"])
+    @pytest.mark.parametrize("symbol", ["wordfuse_matmul_strip", "wordfuse_parse_rows"])
     def test_library_without_a_symbol_falls_back(self, tmp_path, monkeypatch, symbol):
         # ctypes raises ValueError for a missing variable, AttributeError for a missing function
         renamed = _kernel.SOURCE.replace(symbol, f"{symbol}_renamed")
@@ -312,6 +311,20 @@ class TestMatmulKernels:
         failure = results["matmul matches the naive triple loop bit-for-bit"].failure
         assert failure is not None and failure.startswith("C kernel, ")
         assert sum(not r.passed for r in results.values()) == 1
+
+    @needs_cc
+    @pytest.mark.parametrize("build", ["default target", "byte-at-a-time digits"])
+    def test_builds_this_cpu_does_not_use_pass_the_known_answer_checks(self, tmp_path, monkeypatch, build):
+        # the SSE2 tile of a build without -march=native, and the digit loop of big-endian targets
+        if build == "default target":
+            monkeypatch.setattr(_kernel, "FLAGS", tuple(f for f in _kernel.FLAGS if f != "-march=native"))
+        else:
+            swar = "#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__"
+            assert _kernel.SOURCE.count(swar) == 1
+            monkeypatch.setattr(_kernel, "SOURCE", _kernel.SOURCE.replace(swar, "#if 0"))
+        monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path)
+        kernel = _kernel.load(numerics.matmul_numpy)
+        assert kernel.name == "C" and kernel.detail.startswith(str(tmp_path)), kernel.detail
 
     @needs_cc
     def test_source_compiles_without_warnings(self):
