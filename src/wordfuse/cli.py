@@ -25,7 +25,6 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from . import check as checkmod
 from . import lexicon, numerics, segvote
 from .attention import pipeline_forward
 from .fusion import FusionConfig
@@ -163,7 +162,7 @@ def cmd_fuse(args) -> int:
         with numerics.located("segmentation"):
             seg = _read_segmentation(settings["segmentation"])
         with numerics.located("embeddings"):
-            table = lexicon.load_embeddings(settings["embeddings"])
+            table = lexicon.load_embeddings(settings["embeddings"], seg.words)
         with numerics.located("weight bundle"):
             bundle = weights.result()
     clash = _input_overwritten(outputs, matrix_files)
@@ -185,12 +184,17 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.cases < 1:
-        return _fail(f"--cases must be >= 1, got {args.cases}")
-    if args.seed < 0:
-        return _fail(f"--seed must be >= 0, got {args.seed}")
+    # imported here: the other commands never need it, and its import is a noticeable share of a cold start
+    from . import check
+
+    seed = check.DEFAULT_SEED if args.seed is None else args.seed
+    cases = check.DEFAULT_CASES if args.cases is None else args.cases
+    if cases < 1:
+        return _fail(f"--cases must be >= 1, got {cases}")
+    if seed < 0:
+        return _fail(f"--seed must be >= 0, got {seed}")
     print(f"matmul kernel: {numerics.matmul_kernel()}")
-    results = checkmod.run_checks(seed=args.seed, cases=args.cases)
+    results = check.run_checks(seed=seed, cases=cases)
     width = max(len(r.name) for r in results)
     print(f"{'PROPERTY':<{width}}  CASES  RESULT")
     for r in results:
@@ -198,7 +202,7 @@ def cmd_check(args) -> int:
         if not r.passed:
             print(f"{'':<{width}}         {r.failure}")
     failed = sum(not r.passed for r in results)
-    print(f"{len(results)} properties: {len(results) - failed} passed, {failed} failed (seed {args.seed})")
+    print(f"{len(results)} properties: {len(results) - failed} passed, {failed} failed (seed {seed})")
     return 0 if failed == 0 else 1
 
 
@@ -241,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuse.set_defaults(func=cmd_fuse)
 
     p_check = sub.add_parser("check", help="run the randomized invariant suite")
-    p_check.add_argument("--seed", type=int, default=checkmod.DEFAULT_SEED)
-    p_check.add_argument("--cases", type=int, default=checkmod.DEFAULT_CASES)
+    p_check.add_argument("--seed", type=int)
+    p_check.add_argument("--cases", type=int)
     p_check.set_defaults(func=cmd_check)
     return parser
 

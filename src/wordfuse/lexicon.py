@@ -6,7 +6,9 @@ equality after NFC normalization (applied both at load and at lookup).
 
 Out-of-vocabulary words fall back to the vector stored under ``<unk>`` when
 the file provides one, else to all zeros.  Embeddings are frozen: nothing in
-this package trains or updates them.
+this package trains or updates them.  A table may hold only the words a
+caller names and ``<unk>``, as ``fuse`` loads it for one sentence; every
+entry of the file is still read and checked.
 
 The weight bundle is a JSON object carrying every trainable tensor of the
 pipeline as ``{"rows": r, "cols": c, "data": [...]}`` (or a string path to a
@@ -31,7 +33,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -93,22 +95,58 @@ def _logical_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
 _EMBEDDING_HEADER = re.compile(rb"([0-9]+) ([1-9][0-9]*)\n")
 
 
-def _compiled_rows(path: str | os.PathLike) -> tuple[int, list[str], np.ndarray] | None:
-    """``(dim, words, rows)`` of an embeddings file by the compiled parser, or None.
+def _normalized(words: list[str]) -> list[str] | None:
+    """The NFC forms of words the compiled parser read, or None when one would not split as ``_read_rows`` splits it."""
+    if any(word.split() != [word] for word in words):
+        return None
+    return list(map(_nfc, words))
+
+
+def _subset(dim: int, words: list[str], rows: np.ndarray, keep: set[str] | None
+            ) -> tuple[int, list[str], np.ndarray, int]:
+    """``(dim, words, rows, duplicates)`` of the entries whose words are in ``keep`` (all with None).
+
+    ``duplicates`` counts the entries whose word an earlier one has, over
+    every entry.
+    """
+    duplicates = len(words) - len(set(words))
+    if keep is not None:
+        chosen = [i for i, word in enumerate(words) if word in keep]
+        words, rows = [words[i] for i in chosen], rows[chosen]
+    return dim, words, rows, duplicates
+
+
+def _compiled_rows(path: str | os.PathLike, keep: set[str] | None = None
+                   ) -> tuple[int, list[str], np.ndarray, int] | None:
+    """``(dim, words, rows, duplicates)`` of an embeddings file by the compiled parser, or None; see ``_subset``.
 
     It takes only files whose entries follow the header at once, each a word
     and its numbers separated by spaces and ended by ``\\n``, with nothing
     but whitespace after the last entry.  A word must be UTF-8 that
     ``str.split()`` keeps whole, so every line splits as ``_read_rows``
-    splits it.
+    splits it.  With ``keep``, every entry is parsed and checked as without
+    it, but only the rows of its words are copied out of each block.
     """
-    parsed = numerics.parse_rows(path, _EMBEDDING_HEADER, words=True)
+    if keep is None:
+        parsed = numerics.parse_rows(path, _EMBEDDING_HEADER, words=True)
+        words = None if parsed is None else _normalized(parsed[1])
+        return None if words is None else _subset(parsed[0].shape[1], words, parsed[0], None)
+    entries, seen = 0, set()
+
+    def chosen(piece: list[str]) -> list[int] | None:
+        nonlocal entries
+        piece = _normalized(piece)
+        if piece is None:
+            return None
+        entries += len(piece)
+        seen.update(piece)
+        return [i for i, word in enumerate(piece) if word in keep]
+
+    parsed = numerics.parse_rows(path, _EMBEDDING_HEADER, words=True, keep=chosen)
     if parsed is None:
         return None
     rows, words = parsed
-    if any(word.split() != [word] for word in words):
-        return None
-    return rows.shape[1], list(map(_nfc, words)), rows
+    return rows.shape[1], list(map(_nfc, words)), rows, entries - len(seen)
 
 
 def _read_rows(path: str | os.PathLike) -> tuple[int, list[str], np.ndarray]:
@@ -179,17 +217,21 @@ def _read_rows(path: str | os.PathLike) -> tuple[int, list[str], np.ndarray]:
     return dim, words, rows
 
 
-def load_embeddings(path: str | os.PathLike) -> EmbeddingTable:
+def load_embeddings(path: str | os.PathLike, words: Iterable[str] | None = None) -> EmbeddingTable:
     """Load a word2vec-style text file; duplicate words keep the last vector.
 
-    The compiled parser reads a file in its layout (``_compiled_rows``);
-    any other file, or every file when no library loaded, is read by
-    ``_read_rows``, which gives the same table or the same error.  Each
-    table vector is a row of one ``(count, dim)`` array.
+    With ``words``, the table keeps the vectors of those words (after NFC)
+    and of ``<unk>`` alone, as ``fuse`` needs for one sentence; every entry
+    is still read and checked, so the same file gives the same error, and
+    ``duplicates`` still counts over every entry.  The compiled parser
+    reads a file in its layout (``_compiled_rows``), keeping only those
+    rows of each block; any other file, or every file when no library
+    loaded, is read whole by ``_read_rows``, which gives the same table or
+    the same error.  The table vectors are rows of one array.
     """
-    dim, words, rows = _compiled_rows(path) or _read_rows(path)
-    vectors = dict(zip(words, rows))
-    duplicates = len(words) - len(vectors)
+    keep = None if words is None else {_nfc(word) for word in words} | {UNK_TOKEN}
+    dim, found, rows, duplicates = _compiled_rows(path, keep) or _subset(*_read_rows(path), keep)
+    vectors = dict(zip(found, rows))
     if duplicates:
         log.warning("%s: %d duplicate words, last occurrence kept", path, duplicates)
 

@@ -33,11 +33,12 @@ of ``lexicon``.  They read a file ``READ_BLOCK`` bytes (1 MiB) at a time
 into one buffer per load and parse each block's piece in place
 (``Blocks.numbers``): whole lines of a table (``parse_rows``), or numbers of
 a bundle's data list, read as lines ended by ``,``.  So they hold one block
-of text, never the whole file; a file the parser does not take, or any file
-without it, goes through ``float()`` and ``json``.  It also
-prints numbers as ``repr()`` prints them for ``format_rows``, the one
-printer behind ``write_matrix`` and ``lexicon.save_bundle``; without it
-``repr()`` itself does.
+of text, never the whole file; a table's words may also choose which of its
+rows to keep.  A file the parser does not take, or any file without it,
+goes through ``float()`` and ``json``.  It also prints numbers as
+``repr()`` prints them for ``format_rows``, the one printer behind
+``write_matrix`` and ``lexicon.save_bundle``; without it ``repr()`` itself
+does.
 
 ``init_matrix`` draws a block of the SplitMix64 stream at once from the
 closed form of its states; it yields the same bits as the scalar
@@ -531,7 +532,8 @@ class Blocks:
         return self.length if found < 0 else found
 
     def numbers(self, at: int, rows: int, cols: int, find: Callable[[bytearray, int], int], eol: str,
-                words: bool = False) -> tuple[np.ndarray, list[str] | None, int] | None:
+                words: bool = False, keep: Callable[[list[str]], list[int] | None] | None = None
+                ) -> tuple[np.ndarray, list[str] | None, int] | None:
         """``rows`` lines of ``cols`` numbers from file offset ``at``, their words and the offset after them, or None.
 
         Each piece that ``cut(at, find)`` gives fills the next rows through
@@ -539,26 +541,52 @@ class Blocks:
         ``words``, started by a word; an empty piece ends them.  None when
         a piece, or a word (not UTF-8), does not fit, or the pieces hold
         other than ``rows`` lines.
+
+        With ``words``, ``keep`` may choose rows: it gets each piece's words
+        and gives the indexes of the rows to keep, or None to refuse the
+        file.  Each piece is then parsed into one reused array, sized from
+        the buffer's length and never from ``rows``, and only the rows kept,
+        and their words, are returned, in file order.
         """
         # a number and the byte that ends it take at least two bytes, the last line may lack its end:
         # a header that promises more than the file holds sizes no allocation
         if 2 * rows * cols > os.fstat(self.f.fileno()).st_size - at + 1:
             return None
         parse = matmul_kernel().parse_rows
-        values, found = np.empty((rows, cols)), [] if words else None
-        spans = np.empty((rows, 2), np.int64) if words else None
+        size = 0 if keep else rows
+        values, found = np.empty((size, cols)), [] if words else None
+        spans = np.empty((size, 2), np.int64) if words else None
+        kept = [np.empty((0, cols))]
         done = 0
         while length := self.cut(at, find):
-            read = parse(memoryview(self.buf)[:length], values[done:], None if spans is None else spans[done:], eol)
+            if keep:
+                # a line of a word and cols numbers takes at least 2 * cols + 1 bytes, so a piece holds
+                # fewer lines than this; the array grows only with the buffer
+                most = len(self.buf) // (2 * cols + 1) + 1
+                if most > len(values):
+                    values, spans = np.empty((most, cols)), np.empty((most, 2), np.int64)
+                into, into_spans = values[: rows - done], spans[: rows - done]
+            else:
+                into, into_spans = values[done:], None if spans is None else spans[done:]
+            read = parse(memoryview(self.buf)[:length], into, into_spans, eol)
             if read is None:
                 return None
             if words:
                 try:
-                    found += [self.buf[s:e].decode("utf-8") for s, e in spans[done : done + read].tolist()]
+                    piece = [self.buf[s:e].decode("utf-8") for s, e in into_spans[:read].tolist()]
                 except UnicodeDecodeError:
                     return None
+                if keep:
+                    chosen = keep(piece)
+                    if chosen is None:
+                        return None
+                    kept.append(into[chosen])
+                    piece = [piece[i] for i in chosen]
+                found += piece
             done, at = done + read, at + length
-        return (values, found, at) if done == rows else None
+        if done != rows:
+            return None
+        return (np.concatenate(kept) if keep else values), found, at
 
 
 def _whole_lines(buf: bytearray, length: int) -> int:
@@ -567,15 +595,17 @@ def _whole_lines(buf: bytearray, length: int) -> int:
     return last + 1 if last >= 0 else -1
 
 
-def parse_rows(path: str | os.PathLike, header: re.Pattern, words: bool = False
+def parse_rows(path: str | os.PathLike, header: re.Pattern, words: bool = False,
+               keep: Callable[[list[str]], list[int] | None] | None = None
                ) -> tuple[np.ndarray, list[str] | None] | None:
     """The numbers, and with ``words`` the words, of a headed table file by the compiled parser, or None.
 
     ``header`` matches the first line, ``\\n`` included, with the row and
     column counts as its groups.  ``Blocks.numbers`` reads the lines after
     it, each block cut after its last ``\\n`` (at the end of the file, after
-    its last byte).  None when ``compiled_file`` gives no file, or the
-    header or a line does not fit.
+    its last byte), and with ``keep`` returns only the rows it chooses.
+    None when ``compiled_file`` gives no file, or the header or a line does
+    not fit.
     """
     f = compiled_file(path)
     if f is None:
@@ -584,7 +614,7 @@ def parse_rows(path: str | os.PathLike, header: re.Pattern, words: bool = False
         blocks = Blocks(f)
         blocks.cut(0, _whole_lines)
         head = header.match(blocks.buf, 0, blocks.length)
-        parsed = head and blocks.numbers(head.end(), int(head[1]), int(head[2]), _whole_lines, "\n", words)
+        parsed = head and blocks.numbers(head.end(), int(head[1]), int(head[2]), _whole_lines, "\n", words, keep)
     return parsed and parsed[:2]
 
 

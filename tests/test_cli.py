@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import BUNDLE_SEED42_SHA256
-from wordfuse import _kernel, cli, lexicon, numerics
+from wordfuse import _kernel, check, cli, lexicon, numerics
 
 # fuse output on the golden inputs (fuse_files below), frozen byte for byte
 FUSED_GOLDEN_SHA256 = "60635a410daf94ab588a407eb1190d709367cc3e96a1e154e3a1e4cafdd2b6ec"
@@ -727,6 +727,78 @@ class TestFuseBundleInChild:
         assert hashlib.sha256(fuse_files["output"].read_bytes()).hexdigest() == FUSED_GOLDEN_SHA256
 
 
+def with_entries(golden_embeddings, entries: bytes, count: int):
+    """The golden embeddings text with ``entries``, ``count`` entry lines of ``不用`` not in the sentence, first."""
+    header, body = golden_embeddings.read_bytes().split(b"\n", 1)
+    total, dim = map(int, header.split())
+    return f"{total + count} {dim}\n".encode() + entries + body
+
+
+class TestFuseKeepsTheSentenceRows:
+    """fuse keeps the embeddings of its sentence's words alone, but reads and checks every entry."""
+
+    @pytest.mark.parametrize(
+        ("entry", "problem"),
+        [(b"\xe4\xb8\x8d\xe7\x94\xa8 0.5 1e400 0.25 0.125\n", "non-finite value in vector"),
+         (b"\xe4\xb8\x8d\xe7\x94\xa8 0.5 0.25 0.125\n", "expected a word and 4 values, got 4 fields"),
+         (b"\xe4\xb8\x8d\xff 0.5 0.25 0.125 1.0\n", "not valid UTF-8: invalid start byte")],
+        ids=["1e400", "field count", "bad UTF-8 word"],
+    )
+    def test_a_bad_entry_of_an_unused_word_is_refused(self, fuse_files, tmp_path, capsys, forked, entry, problem):
+        embeddings = tmp_path / "vecs.txt"
+        embeddings.write_bytes(with_entries(fuse_files["embeddings"], entry, 1))
+        with pytest.raises(ValueError) as full:
+            lexicon.load_embeddings(embeddings)
+        assert str(full.value) == f"{embeddings}: line 2: {problem}"
+        code, err = run_main(fuse_args(dict(fuse_files, embeddings=embeddings)), capsys)
+        assert (code, err) == (1, f"error: embeddings: {full.value}\n")
+        assert not fuse_files["output"].exists()
+
+    def test_duplicates_of_an_unused_word_are_still_logged(self, fuse_files, tmp_path, capsys, caplog):
+        embeddings = tmp_path / "vecs.txt"
+        embeddings.write_bytes(with_entries(fuse_files["embeddings"], "不用 0.5 0.25 0.125 1.0\n".encode() * 2, 2))
+        code, err = run_main(fuse_args(dict(fuse_files, embeddings=embeddings)), capsys)
+        assert code == 0, err
+        assert [r.getMessage() for r in caplog.records if r.name == lexicon.log.name] == [
+            f"{embeddings}: 1 duplicate words, last occurrence kept"]
+        assert hashlib.sha256(fuse_files["output"].read_bytes()).hexdigest() == FUSED_GOLDEN_SHA256
+
+
+EDGE_PATHS = ["directory", "/dev/null", "empty file", "missing file"]
+
+
+class TestFusePathEdgeCases:
+    """Each path argument of fuse replaced in turn by something it cannot read or write."""
+
+    @pytest.mark.parametrize("case", EDGE_PATHS)
+    @pytest.mark.parametrize("key", ["config", "embeddings", "weights", "hidden", "segmentation"])
+    def test_an_unusable_input_exits_one_naming_it(self, fuse_files, tmp_path, capsys, key, case):
+        path = {"directory": tmp_path / "dir", "/dev/null": os.devnull, "empty file": tmp_path / "empty",
+                "missing file": tmp_path / "missing"}[case]
+        if case == "directory":
+            path.mkdir()
+        elif case == "empty file":
+            path.write_bytes(b"")
+        files, extra = dict(fuse_files), {}
+        if key == "config":
+            extra["config"] = path
+        else:
+            files[key] = path
+        code, err = run_main(fuse_args(files, **extra), capsys)
+        assert code == 1 and str(path) in err, err
+        assert not fuse_files["output"].exists()
+
+    # /dev/null, an empty file and a missing file are outputs fuse can write
+    @pytest.mark.parametrize("case", ["directory", "file in a missing directory"])
+    def test_an_unwritable_output_exits_one_naming_it(self, fuse_files, tmp_path, capsys, case):
+        out = tmp_path / "dir" if case == "directory" else tmp_path / "missing" / "fused.txt"
+        if case == "directory":
+            out.mkdir()
+        code, err = run_main(fuse_args(dict(fuse_files, output=out)), capsys)
+        assert code == 1 and str(out) in err, err
+        assert list(out.iterdir()) == [] if case == "directory" else not out.parent.exists()
+
+
 def run_cli_file_limit(limit, *argv):
     """``run_cli`` in a process that may not write past ``limit`` bytes of any file."""
 
@@ -934,7 +1006,7 @@ class TestCheck:
         monkeypatch.setattr(numerics, "softmax_rows", lambda m: real(m) * (1.0 + 1e-6))
         assert cli.main(["check", "--cases", "10"]) == 1
         rows = [line for line in capsys.readouterr().out.splitlines() if line.endswith(("PASS", "FAIL"))]
-        assert len(rows) == len(cli.checkmod.PROPERTIES)
+        assert len(rows) == len(check.PROPERTIES)
         assert [row for row in rows if row.endswith("FAIL")] == [
             row for row in rows if row.startswith("softmax rows sum to one")
         ]
@@ -946,7 +1018,7 @@ class TestCheck:
     def test_bundle_property_catches_a_wrong_python_printer(self, monkeypatch, no_library):
         # the printer numerics.format_rows runs without the library: -0.0 + 0.0 is 0.0
         monkeypatch.setattr(numerics, "repr", lambda x: repr(x + 0.0), raising=False)
-        results = {r.name: r for r in cli.checkmod.run_checks(cases=5)}
+        results = {r.name: r for r in check.run_checks(cases=5)}
         assert not results["saved bundle equals the serial JSON encoding"].passed
         assert sum(not r.passed for r in results.values()) == 1
 
@@ -955,7 +1027,7 @@ class TestCheck:
         kernel = numerics.matmul_kernel()
         wrong = dataclasses.replace(kernel, format_rows=lambda m, sep, end: kernel.format_rows(m + 0.0, sep, end))
         monkeypatch.setattr(numerics, "matmul_kernel", lambda: wrong)
-        results = {r.name: r for r in cli.checkmod.run_checks(cases=5)}
+        results = {r.name: r for r in check.run_checks(cases=5)}
         assert not results["saved bundle equals the serial JSON encoding"].passed
         assert sum(not r.passed for r in results.values()) == 1
 
@@ -965,7 +1037,7 @@ class TestCheck:
         real = numerics.check_record
         monkeypatch.setattr(numerics, "check_record", lambda record, fields, required=(), closed=None:
                             real(record, {}, required))
-        results = {r.name: r for r in cli.checkmod.run_checks(cases=5)}
+        results = {r.name: r for r in check.run_checks(cases=5)}
         failed = results["malformed input is refused with a located message"]
         assert not failed.passed and "TypeError" in failed.failure
         assert sum(not r.passed for r in results.values()) == 1
@@ -999,7 +1071,7 @@ class TestCheck:
                 return read
 
         monkeypatch.setattr(numerics, "matmul_kernel", lambda: dataclasses.replace(real, parse_rows=parse_rows))
-        results = {r.name: r for r in cli.checkmod.run_checks(cases=20)}
+        results = {r.name: r for r in check.run_checks(cases=20)}
         failed = {name for name, r in results.items() if not r.passed}
         assert failed == {"number text parses to float()'s bits", *also_failed}
 

@@ -10,12 +10,16 @@ library, as on a machine without ``cc``).  ``numerics.write_matrix`` and
 same bytes as ``repr()`` and ``json.dumps`` do without it.
 """
 
+import dataclasses
+import functools
 import json
 import os
 import re
+import string
 import subprocess
 import sys
 import tracemalloc
+import unicodedata
 from pathlib import Path
 
 import numpy as np
@@ -189,20 +193,60 @@ def test_compiled_and_python_readers_agree(tmp_path, monkeypatch, kind, name, mu
         assert compiled == small == python, f"seed {seed}: {text[:200]!r}"
 
 
+# words of embeddings_text and a word it lacks: with the two entries of é, one named in
+# another NFC form, and without them, so that their duplicate is not a word kept
+SUBSETS = (["重庆", "e\u0301", "不在"], ["a", "不在"])
+
+
+def load_subset(path, words=SUBSETS[0]):
+    return lexicon.load_embeddings(path, words)
+
+
+def load_restricted(path, words):
+    """The full load of ``path``, its vectors restricted to ``words`` and ``<unk>``."""
+    table = lexicon.load_embeddings(path)
+    keep = {unicodedata.normalize("NFC", word) for word in words} | {lexicon.UNK_TOKEN}
+    return dataclasses.replace(table, vectors={w: v for w, v in table.vectors.items() if w in keep})
+
+
+EMB_CASES = [(name, mutate) for kind, name, mutate in CASES if kind == "emb"]
+
+
+@pytest.mark.parametrize(("name", "mutate"), EMB_CASES, ids=[name for name, _ in EMB_CASES])
+def test_a_subset_load_is_the_full_load_restricted(tmp_path, monkeypatch, name, mutate):
+    path = tmp_path / "emb"
+    for seed, block in enumerate(SMALL_BLOCKS):
+        rng = np.random.default_rng(seed)
+        text = mutate(embeddings_text(rng), rng)
+        path.write_bytes(text.encode("utf-8", errors="surrogateescape"))
+        for words in SUBSETS:
+            want = outcome(functools.partial(load_restricted, words=words), path)
+            load = functools.partial(load_subset, words=words)
+            compiled, python = both_ways(monkeypatch, outcome, load, path)
+            small = in_blocks(monkeypatch, block, outcome, load, path)
+            assert want == compiled == small == python, f"seed {seed}, {words}: {text[:200]!r}"
+
+
 # bundle mutations that json reads to the values the compiled loader reads
 COMPILED_LAYOUTS = ("big integers in data", *[f"data separated by {sep!r}" for sep in DATA_SEPARATORS])
 
 
+# each loader, and a subset load of embeddings
+LOADS = dict(KINDS, **{"emb subset": (embeddings_text, load_subset)})
+
+
 @needs_parser
-@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("kind", sorted(LOADS))
 def test_valid_files_take_the_compiled_path(tmp_path, monkeypatch, kind):
-    make, load = KINDS[kind]
+    make, load = LOADS[kind]
     rng = np.random.default_rng(0)
     text = make(rng)
     if kind == "bundle":  # and the other layouts of a data list that it takes
         texts = [text, *[mutate(text, rng) for name, _, mutate in MUTATIONS if name in COMPILED_LAYOUTS]]
     else:  # a table's last line may lack its newline; a bundle's may not
         texts = [text, text.rstrip("\n")]
+    if kind.startswith("emb"):  # and entries as short as an entry can be, many to a block of 64
+        texts.append("26 3\n" + "\n".join(f"{c} {i % 10} 0 7" for i, c in enumerate(string.ascii_lowercase)))
     assert len(set(texts)) == len(texts)
     paths = [tmp_path / f"{kind}-{i}" for i in range(len(texts))]
     for path, t in zip(paths, texts):
@@ -217,7 +261,7 @@ def test_valid_files_take_the_compiled_path(tmp_path, monkeypatch, kind):
     for module, name in [(numerics, "read_text"), (lexicon, "_read_rows")]:
         monkeypatch.setattr(module, name, python_reader)
     for path, want in zip(paths, wants):
-        for block in (numerics.READ_BLOCK, *SMALL_BLOCKS):
+        for block in (numerics.READ_BLOCK, *SMALL_BLOCKS, 64):
             assert in_blocks(monkeypatch, block, lambda: snapshot(load(path))) == want
 
 
@@ -276,6 +320,26 @@ def test_compiled_loaders_never_hold_the_whole_text(tmp_path, monkeypatch, kind)
     finally:
         tracemalloc.stop()
     assert peak - held < 4 * numerics.READ_BLOCK, (peak, held, len(text))
+
+
+@needs_parser
+def test_a_subset_load_never_holds_the_whole_array(tmp_path, monkeypatch):
+    path = tmp_path / "emb"
+    path.write_text(large_text("emb", np.random.default_rng(5)), encoding="utf-8")
+    monkeypatch.setattr(numerics, "READ_BLOCK", 1 << 16)
+    monkeypatch.setattr(lexicon, "_read_rows", lambda path: pytest.fail("the Python reader ran"))
+    words = [f"w{i}" for i in range(0, 500, 50)]
+    tracemalloc.start()
+    try:
+        table = lexicon.load_embeddings(path, words)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(table.vectors) == sorted(words)
+    # beyond the rows it keeps: the block, the array each piece is parsed into, sized for the
+    # shortest lines of 400 numbers (4 blocks), and the set of every word (about 1 block); the
+    # whole array would take 24 blocks
+    assert peak - held < 8 * numerics.READ_BLOCK, (peak, held)
 
 
 @pytest.mark.parametrize("text", ["2 2\n1.5 -0.0\n1e-05 7\n", "2 2\r\n1.5 -0.0\r\n1e-05 7\r\n"],
@@ -388,14 +452,16 @@ for token in _kernel.HARD_DECIMALS + _kernel.REFUSED_TOKENS:
     kernel.parse_rows(token.encode(), np.empty((1, 1)))
     kernel.parse_rows(f"w {token}".encode(), np.empty((1, 1)), np.empty((1, 2), np.int64))
     kernel.parse_rows(token.encode(), np.empty((1, 1)), None, ",")
-loaders = {"emb": lexicon.load_embeddings, "mat": numerics.read_matrix, "bundle": lexicon.load_bundle}
+loaders = {"emb": [lexicon.load_embeddings, lambda path: lexicon.load_embeddings(path, ["a", "x"])],
+           "mat": [numerics.read_matrix], "bundle": [lexicon.load_bundle]}
 for kind, path in json.loads(sys.argv[3]):
     for block in (1 << 20, 1, 2, 3, 7):
         numerics.READ_BLOCK = block
-        try:
-            loaders[kind](path)
-        except (ValueError, OSError):
-            pass
+        for load in loaders[kind]:
+            try:
+                load(path)
+            except (ValueError, OSError):
+                pass
 print("ok", len(calls))
 """
 
