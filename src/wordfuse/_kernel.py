@@ -126,18 +126,38 @@ REFUSED_TOKENS = (
     "-0", "+1", "1_0", "\u0661", "01", "-01", "1.", ".5", "-", "1e", "1e+", "1.e5", "--1", "1..2", "1,5", "0x10",
     "inf", "-inf", "nan", "Infinity", "1e400", "-1e400", "1.7976931348623159e308", "1\t", "1a", "",
 )
+
+
+def _digit_layouts() -> tuple[float, ...]:
+    """For each count of significant digits from 1 to 17, a double ``repr()`` prints with that many in each layout.
+
+    The layouts are the exponent form (``d.ddde-05``), ``0.000ddd``,
+    ``d.ddd`` (from 2 digits) and an integer with trailing zeros (up to 16
+    digits).  The digits are 1 to 9 repeated, with the last one chosen so
+    that the text is ``repr()``'s; every other double is negative.
+    """
+    layouts = (lambda s: f"{s[0]}.{s[1:]}e-05".replace(".e", "e"), lambda s: f"0.000{s}",
+               lambda s: f"{s[0]}.{s[1:]}", lambda s: f"{s:0<16}.0")
+    doubles = []
+    for n in range(1, 18):
+        for layout in layouts[:2] + layouts[2:3] * (n > 1) + layouts[3:] * (n < 17):
+            texts = (layout(("123456789" * 2)[: n - 1] + last) for last in "987654321")
+            doubles.append(float(next(t for t in texts if repr(float(t)) == t)) * (-1) ** len(doubles))
+    return tuple(doubles)
+
+
 # doubles a printer gets wrong unless it finds repr()'s digits and layout: powers of
 # two with their neighbours (the interval below a power of two is half as wide),
 # the smallest normal and its neighbours, the smallest subnormal and the largest
 # double, 2**53 - 2 and 2**53 + 2, the switches to and from the exponent form
 # (9.999999999999999e-05, 0.0001, 9999999999999998.0, 1e+16), 17-digit values,
-# three-digit exponents, integers and both zeros
+# three-digit exponents, integers and both zeros; then every digit count in every layout
 HARD_DOUBLES = (
     1.0, 0.5, 2.0, 0.9999999999999999, 1.0000000000000002, 2.2250738585072014e-308, 2.225073858507201e-308,
     2.225073858507202e-308, 5e-324, -1e-323, 2.5e-320, 1.7976931348623157e308, 8.98846567431158e307,
     1.8014398509481984e16, 9007199254740990.0, 9007199254740994.0, 9.999999999999999e-05, 0.0001, 0.001,
     9999999999999998.0, 1e16, 0.30000000000000004, -0.3333333333333333, 1.2345678901234568e17, 1e23,
-    1e-100, -1e100, 1e-05, 4.35, 0.1, 100.0, -1.5, 123456.789, -0.0, 0.0,
+    1e-100, -1e100, 1e-05, 4.35, 0.1, 100.0, -1.5, 123456.789, -0.0, 0.0, *_digit_layouts(),
 )
 
 
@@ -156,15 +176,20 @@ class Kernel:
     C-contiguous float64 array, ``spans`` an ``(len(out), 2)`` C-contiguous
     int64 array, and the byte after ``data`` must be readable and end any
     number, as the NUL after a ``bytes`` object's own buffer does.
-    ``format_rows(m, sep, end)`` is ``sep.join(map(repr, row)) + end`` for
-    each row of a 2-D array of finite float64 values, joined, where ``sep``
-    and ``end`` are ASCII.
+    ``format_rows(values, col, cols, sep, end, out)`` prints a piece of rows
+    of ``cols`` numbers: the finite float64 ``values``, the first at column
+    ``col``, each as ``repr()`` prints it, ``sep`` before every number not
+    at column 0 and ``end`` after every number at column ``cols - 1``.
+    ``sep`` and ``end`` are ASCII of at most 8 bytes.  It prints into the
+    uint8 array ``out``, or into a new one when ``out`` is None or too
+    small, and returns a view of the text and the array to pass next time.
     """
 
     matmul: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     detail: str
     parse_rows: Callable[[Buffer, np.ndarray, np.ndarray | None, str], int | None] | None = None
-    format_rows: Callable[[np.ndarray, str, str], str] | None = None
+    format_rows: Callable[[np.ndarray, int, int, str, str, np.ndarray | None], tuple[memoryview, np.ndarray]] \
+        | None = None
 
     @property
     def name(self) -> str:
@@ -222,9 +247,10 @@ def _bind(path: Path) -> dict[str, Callable]:
     rows_fn.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 2 + [ctypes.c_char]
     rows_fn.restype = ctypes.c_int64
     print_rows = library.wordfuse_format_rows
-    print_rows.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 2 + [ctypes.c_char_p, ctypes.c_int64] * 2 \
+    print_rows.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_char_p, ctypes.c_int64] * 2 \
         + [ctypes.c_void_p]
     print_rows.restype = ctypes.c_int64
+    slack = ctypes.c_int64.in_dll(library, "wordfuse_format_slack").value
 
     def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``a @ b`` for C-contiguous, aligned float64 ``a`` and ``b`` whose inner sizes match; any size may be 0."""
@@ -239,18 +265,23 @@ def _bind(path: Path) -> dict[str, Callable]:
                        None if spans is None else spans.ctypes.data, eol.encode("ascii"))
         return None if read < 0 else read
 
-    def format_rows(m: np.ndarray, sep: str, end: str) -> str:
-        x = np.require(m, np.float64, "CA")
-        rows, cols = x.shape
-        sep_bytes, end_bytes = sep.encode("ascii"), end.encode("ascii")
-        # a number prints in at most 24 bytes
-        size = rows * (24 * cols + max(cols - 1, 0) * len(sep_bytes) + len(end_bytes))
-        out = np.empty(size, dtype=np.uint8)
-        length = print_rows(x.ctypes.data, rows, cols, sep_bytes, len(sep_bytes), end_bytes, len(end_bytes),
-                            out.ctypes.data)
+    def format_rows(values: np.ndarray, col: int, cols: int, sep: str, end: str, out: np.ndarray | None
+                    ) -> tuple[memoryview, np.ndarray]:
+        x = np.require(values, np.float64, "CA")
+        count, sep_bytes, end_bytes = x.size, sep.encode("ascii"), end.encode("ascii")
+        if max(len(sep_bytes), len(end_bytes)) > 8:
+            raise ValueError(f"separator {sep!r} or row end {end!r} is longer than 8 bytes")
+        # a number prints in at most 24 bytes; of the numbers, (col + count - 1) // cols + (col == 0)
+        # start a row and take no separator, and (col + count) // cols end one
+        size = 24 * count + (count - (col + count - 1) // cols - (col == 0)) * len(sep_bytes) \
+            + (col + count) // cols * len(end_bytes)
+        if out is None or len(out) < size + slack:
+            out = np.empty(size + slack, dtype=np.uint8)
+        length = print_rows(x.ctypes.data, count, cols, col, sep_bytes.ljust(8, b"\0"), len(sep_bytes),
+                            end_bytes.ljust(8, b"\0"), len(end_bytes), out.ctypes.data)
         if not 0 <= length <= size:
-            raise RuntimeError(f"wordfuse_format_rows wrote {length} bytes to a buffer of {size}")
-        return str(memoryview(out)[:length], "ascii")
+            raise RuntimeError(f"wordfuse_format_rows wrote {length} bytes where at most {size} fit")
+        return memoryview(out)[:length], out
 
     return {"matmul": matmul, "parse_rows": parse_rows, "format_rows": format_rows}
 
@@ -270,12 +301,17 @@ def _parses_like_float(parse_rows) -> bool:
 
 
 def _prints_like_repr(format_rows) -> bool:
-    """Whether ``HARD_DOUBLES`` print as ``repr()`` prints them, in a list, in a row and in a column."""
-    values, want = np.array(HARD_DOUBLES), [repr(x) for x in HARD_DOUBLES]
-    return (
-        format_rows(values[None, :], ", ", "") == ", ".join(want)
-        and format_rows(values[None, :], " ", "\n") == " ".join(want) + "\n"
-        and format_rows(values[:, None], " ", "\n") == "".join(f"{text}\n" for text in want)
+    """Whether ``HARD_DOUBLES`` print as ``repr()`` prints them: in a list, a row, a column and rows from mid-row."""
+    values, texts = np.array(HARD_DOUBLES), [repr(x) for x in HARD_DOUBLES]
+
+    def want(col, cols, sep, end):
+        return "".join(sep * ((col + i) % cols > 0) + text + end * ((col + i) % cols == cols - 1)
+                       for i, text in enumerate(texts))
+
+    return all(
+        bytes(format_rows(values, col, cols, sep, end, None)[0]) == want(col, cols, sep, end).encode()
+        for col, cols, sep, end in ((0, len(values), ", ", ""), (0, len(values), " ", "\n"), (0, 1, " ", "\n"),
+                                    (3, 7, " ", "\n"))
     )
 
 

@@ -240,8 +240,11 @@ def _check_bundle_serial(rng, cases):
         path = Path(tmp) / "bundle.json"
         for _ in range(cases):
             bundle = {}
-            for name in lexicon.BUNDLE_TENSORS:
-                shape = (int(rng.integers(1, 4)), int(rng.integers(1, 8)))
+            longer = int(rng.integers(8 * len(lexicon.BUNDLE_TENSORS)))  # the tensor longer than a piece, if any
+            for i, name in enumerate(lexicon.BUNDLE_TENSORS):
+                rows = int(rng.integers(1, 4))
+                wide = numerics.WRITE_BLOCK // rows + 1 if i == longer else 0
+                shape = (rows, wide + int(rng.integers(1, 8)))
                 m = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 31, size=shape)
                 pick = rng.uniform(size=shape) < 0.3
                 m[pick] = rng.choice(_BUNDLE_EDGE_VALUES, size=int(pick.sum()))
@@ -644,19 +647,27 @@ def _hard_double(rng) -> float:
     """A finite double of a kind printers get wrong, either sign.
 
     Any bit pattern, a subnormal, a power of two or of ten or a neighbour
-    of one, or one of the 64 doubles on either side of a switch of
-    ``repr()``'s layout: 0.0001 and 1e16.
+    of one, one of the 64 doubles on either side of a switch of
+    ``repr()``'s layout (0.0001 and 1e16), a decimal of 1 to 17 significant
+    digits whose point lies next to a switch of layout, or a value drawn as
+    a bundle's weights are, uniform in +-1/sqrt(768).
     """
-    kind = int(rng.integers(5))
+    kind = int(rng.integers(7))
     if kind < 2:  # any finite bit pattern, or a subnormal one
         bits = rng.integers(1, 0x7FF0000000000000 if kind == 0 else 1 << 52, dtype=np.uint64)
         x = float(np.array(bits).view(np.float64))
     elif kind < 4:
         x = math.ldexp(1.0, int(rng.integers(-1074, 1024))) if kind == 2 else float(f"1e{rng.integers(-323, 309)}")
         x = math.nextafter(x, (0.0, x, math.inf)[int(rng.integers(3))])
-    else:
+    elif kind == 4:
         bits = np.array([0.0001, 1e16][int(rng.integers(2))]).view(np.int64) + int(rng.integers(-64, 65))
         x = float(bits.view(np.float64))
+    elif kind == 5:  # 0.<digits> * 10**point: each side of the exponent form, 0.ddd, d.ddd and an integer
+        n = int(rng.integers(1, 18))
+        point = int(rng.choice([-5, -4, -3, 0, 1, n - 1, n, n + 1, 16, 17]))
+        x = float(f"{rng.integers(10 ** (n - 1), 10 ** n)}e{point - n}")
+    else:
+        x = rng.uniform(-1.0, 1.0) / math.sqrt(768)
     return -x if rng.integers(2) else x
 
 
@@ -680,7 +691,7 @@ def _check_number_printing(rng, cases):
             written = path.read_text(encoding="utf-8")
             _require(written == f"{rows} {cols}\n{lines}",
                      f"write_matrix: {_misprinted([rows, cols, *values], written)}")
-            listed = numerics.format_rows(m.reshape(1, -1), ", ", "")
+            listed = b"".join(map(bytes, numerics.print_rows(m.reshape(1, -1), ", ", ""))).decode("ascii")
             _require(listed == ", ".join(map(repr, values)), f"list: {_misprinted(values, listed)}")
 
 

@@ -85,7 +85,7 @@ def cmd_vote(args) -> int:
         )
     text = "".join(line + "\n" for line in out_lines)
     if args.output:
-        numerics.write_atomic(args.output, [text])
+        numerics.write_atomic(args.output, [text.encode("utf-8")])
     else:
         sys.stdout.write(text)
     return 0
@@ -178,7 +178,7 @@ def cmd_fuse(args) -> int:
         numerics.write_matrix(result.mixed, f"{out}.mixed")
         numerics.write_matrix(result.h1, f"{out}.h1")
         numerics.write_matrix(result.h2, f"{out}.h2")
-        numerics.write_atomic(f"{out}.omega.json", [json.dumps(list(result.omega)) + "\n"])
+        numerics.write_atomic(f"{out}.omega.json", [(json.dumps(list(result.omega)) + "\n").encode("ascii")])
     print(f"wrote {out}", file=sys.stderr)
     return 0
 

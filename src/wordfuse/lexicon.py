@@ -405,15 +405,15 @@ def _dims(shape: tuple[int, ...]) -> str:
     return "x".join(map(str, shape))
 
 
-def _bundle_pieces(matrices: list[np.ndarray]) -> Iterator[str]:
-    """The text of a bundle, one piece at a time: each tensor's numbers are printed as it is written."""
+def _bundle_pieces(matrices: list[np.ndarray]) -> Iterator[bytes | memoryview]:
+    """The bytes of a bundle, one piece at a time: each tensor's numbers are printed as they are written."""
     opening = "{"
     for name, m in zip(BUNDLE_TENSORS, matrices):
-        yield f'{opening}{json.dumps(name)}: {{"rows": {m.shape[0]}, "cols": {m.shape[1]}, "data": ['
-        yield numerics.format_rows(m.reshape(1, -1), ", ", "")
-        yield "]}"
+        yield f'{opening}{json.dumps(name)}: {{"rows": {m.shape[0]}, "cols": {m.shape[1]}, "data": ['.encode("ascii")
+        yield from numerics.print_rows(m.reshape(1, -1), ", ", "")
+        yield b"]}"
         opening = ", "
-    yield "}\n"
+    yield b"}\n"
 
 
 def save_bundle(tensors: Mapping[str, np.ndarray], path: str | os.PathLike) -> None:
@@ -421,13 +421,14 @@ def save_bundle(tensors: Mapping[str, np.ndarray], path: str | os.PathLike) -> N
 
     The file holds ``json.dumps(bundle) + "\\n"`` byte for byte, where
     ``bundle`` maps each name to ``{"rows": r, "cols": c, "data": [...]}``:
-    ``numerics.format_rows`` prints each tensor's data as one row of
+    ``numerics.print_rows`` prints each tensor's data as one row of
     ``repr()`` texts joined by ``", "``, as ``json.dumps`` prints a list of
-    floats.  Printing the numbers is nearly all the work; the pieces are
-    written one at a time with ``numerics.write_atomic``.  Every tensor is
-    checked before anything is printed: one ``load_bundle`` would refuse,
-    without rows or columns or with non-finite entries, is a ValueError
-    naming it.
+    floats.  Printing the numbers is nearly all the work; the pieces, a
+    few thousand numbers each, are written one at a time with
+    ``numerics.write_atomic``, so no tensor's whole text is held.  Every
+    tensor is checked before anything is printed: one ``load_bundle``
+    would refuse, without rows or columns or with non-finite entries, is a
+    ValueError naming it.
     """
     missing = [name for name in BUNDLE_TENSORS if name not in tensors]
     if missing:

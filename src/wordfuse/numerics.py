@@ -36,9 +36,10 @@ a bundle's data list, read as lines ended by ``,``.  So they hold one block
 of text, never the whole file; a table's words may also choose which of its
 rows to keep.  A file the parser does not take, or any file without it,
 goes through ``float()`` and ``json``.  It also prints numbers as
-``repr()`` prints them for ``format_rows``, the one printer behind
-``write_matrix`` and ``lexicon.save_bundle``; without it ``repr()`` itself
-does.
+``repr()`` prints them for ``print_rows``, the one printer behind
+``write_matrix`` and ``lexicon.save_bundle``, ``WRITE_BLOCK`` numbers at a
+time into one reused buffer whose bytes go straight to the file; without it
+``repr()`` itself does.
 
 ``init_matrix`` draws a block of the SplitMix64 stream at once from the
 closed form of its states; it yields the same bits as the scalar
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -56,7 +58,7 @@ import re
 import stat
 import sys
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Mapping
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -277,8 +279,8 @@ def _open_stream(path: str | os.PathLike) -> bool:
     return False
 
 
-def write_atomic(path: str | os.PathLike, pieces: Iterable[str]) -> None:
-    """Write text pieces to ``path`` so that it ends up complete or as it was.
+def write_atomic(path: str | os.PathLike, pieces: Iterable[bytes | memoryview]) -> None:
+    """Write byte pieces to ``path`` so that it ends up complete or as it was.
 
     The pieces go, one at a time, into a new file in the directory of the
     resolved path (a symlink's target is replaced, the link kept), which
@@ -288,12 +290,14 @@ def write_atomic(path: str | os.PathLike, pieces: Iterable[str]) -> None:
     synced to disk, so this holds when the process fails (a file size
     limit, a full disk, Ctrl-C), not when the machine does.  What is
     already open (``/dev/null``, a FIFO, ``/dev/stdout``; see
-    ``_open_stream``) is appended to in place and never truncated.
+    ``_open_stream``) is appended to in place and never truncated.  Each
+    piece is written before the next is asked for, so a piece may be a view
+    of a buffer that the next one reuses.
     """
     tmp = None
     try:
         if _open_stream(path):
-            with open(path, "a", encoding="utf-8") as f:
+            with open(path, "ab") as f:
                 f.writelines(pieces)
             return
         directory, name = os.path.split(os.path.realpath(path))
@@ -304,7 +308,7 @@ def write_atomic(path: str | os.PathLike, pieces: Iterable[str]) -> None:
             except FileExistsError:
                 continue
             tmp = candidate
-        with open(fd, "w", encoding="utf-8") as f:
+        with open(fd, "wb") as f:
             f.writelines(pieces)
         os.replace(tmp, os.path.join(directory, name))
     except BaseException as err:
@@ -316,29 +320,53 @@ def write_atomic(path: str | os.PathLike, pieces: Iterable[str]) -> None:
         raise
 
 
-def format_rows(m: np.ndarray, sep: str = " ", end: str = "\n") -> str:
-    """``sep.join(map(repr, row)) + end`` for each row of a finite 2-D float64 array, joined.
+# the numbers a writer prints at a time into one reused buffer
+WRITE_BLOCK = 1 << 14
 
-    The compiled printer prints the numbers when the library loaded,
-    ``repr()`` otherwise; ``sep`` and ``end`` are ASCII.
+
+def print_rows(m: np.ndarray, sep: str = " ", end: str = "\n") -> Iterator[bytes | memoryview]:
+    """The text of ``sep.join(map(repr, row)) + end`` for each row of a finite 2-D float64 array, in pieces.
+
+    Each piece holds the ASCII text of the next ``WRITE_BLOCK`` numbers, so
+    a row may span pieces.  The compiled printer prints them when the
+    library loaded, into one buffer that every piece reuses: a piece is
+    valid until the next is asked for, as ``write_atomic`` takes them.
+    Otherwise ``repr()`` does.  ``sep`` and ``end`` are ASCII of at most 8
+    bytes.
     """
-    printer = matmul_kernel().format_rows
-    if printer is not None:
-        return printer(m, sep, end)
-    return "".join(sep.join(map(repr, row)) + end for row in m.tolist())
+    x = np.require(m, np.float64, "CA")
+    cols, flat = x.shape[1], x.reshape(-1)
+    printer, out = matmul_kernel().format_rows, None
+    for start in range(0, flat.size, WRITE_BLOCK):
+        values, col = flat[start : start + WRITE_BLOCK], start % cols
+        if printer is None:
+            yield _repr_rows(values.tolist(), col, cols, sep, end)
+        else:
+            text, out = printer(values, col, cols, sep, end, out)
+            yield text
+
+
+def _repr_rows(values: list[float], col: int, cols: int, sep: str, end: str) -> bytes:
+    """The piece of ``print_rows`` that holds ``values``, the first at column ``col``, by ``repr()``."""
+    texts, parts, at = list(map(repr, values)), [], 0
+    while at < len(texts):
+        stop = min(len(texts), at + cols - col)  # the end of this row, or of the piece
+        parts.append(sep * (col > 0) + sep.join(texts[at:stop]) + end * (col + stop - at == cols))
+        at, col = stop, 0
+    return "".join(parts).encode("ascii")
 
 
 def write_matrix(m, path: str | os.PathLike) -> None:
     """Write the text format: header "rows cols", then one line per row.
 
     Floats are serialized with the shortest decimal representation that
-    round-trips, ``repr()``'s (see ``format_rows``), so write -> read ->
+    round-trips, ``repr()``'s (see ``print_rows``), so write -> read ->
     write is byte-stable.  The file is written with ``write_atomic``; a
     matrix ``read_matrix`` would refuse, without rows or columns or with
     non-finite entries, is a ValueError before anything is written.
     """
     m = as_stored_matrix(m)
-    write_atomic(path, [f"{m.shape[0]} {m.shape[1]}\n", format_rows(m)])
+    write_atomic(path, itertools.chain([f"{m.shape[0]} {m.shape[1]}\n".encode("ascii")], print_rows(m)))
 
 
 def not_utf8(path: str | os.PathLike, err: UnicodeDecodeError, first_line: int = 1,
@@ -376,11 +404,17 @@ def read_text(path: str | os.PathLike, splitlines: bool = False) -> str:
 
 @contextlib.contextmanager
 def located(where: str | os.PathLike):
-    """Prefix ``where: `` to the message of a ValueError raised in the block."""
+    """Prefix ``where: `` to the message of a ValueError or an OSError raised in the block.
+
+    An OSError keeps its class; its message, which names the file, becomes
+    its only argument.
+    """
     try:
         yield
     except ValueError as err:
         raise ValueError(f"{where}: {err}") from None
+    except OSError as err:
+        raise type(err)(f"{where}: {err}") from None
 
 
 def parse_json(text: str):

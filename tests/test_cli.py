@@ -643,9 +643,9 @@ class TestFuseBundleInChild:
             bundle = json.loads(fuse_files["weights"].read_text(encoding="utf-8"))
             bundle["W2"]["data"][0] = None
             weights.write_text(json.dumps(bundle), encoding="utf-8")
-        # the messages the sequential loader gave, word for word
+        # the messages the sequential loader gave, word for word, each after the input's role
         want = {
-            "missing": f"error: [Errno 2] No such file or directory: {str(weights)!r}\n",
+            "missing": f"error: weight bundle: [Errno 2] No such file or directory: {str(weights)!r}\n",
             "not-json": f"error: weight bundle: {weights}: not valid JSON: Expecting property name "
                         "enclosed in double quotes: line 1 column 2 (char 1)\n",
             "bad-tensor": f"error: weight bundle: {weights}: W2: data: element 0: expected a JSON number, got null\n",
@@ -767,6 +767,11 @@ class TestFuseKeepsTheSentenceRows:
 EDGE_PATHS = ["directory", "/dev/null", "empty file", "missing file"]
 
 
+# how fuse's messages name each input
+ROLES = {"hidden": "hidden states", "segmentation": "segmentation", "embeddings": "embeddings",
+         "weights": "weight bundle"}
+
+
 class TestFusePathEdgeCases:
     """Each path argument of fuse replaced in turn by something it cannot read or write."""
 
@@ -787,6 +792,8 @@ class TestFusePathEdgeCases:
         code, err = run_main(fuse_args(files, **extra), capsys)
         assert code == 1 and str(path) in err, err
         assert not fuse_files["output"].exists()
+        if key != "config":  # an OS error too, for a directory or a missing file, names the input's role
+            assert err.startswith(f"error: {ROLES[key]}: " + "[Errno " * (case in ("directory", "missing file"))), err
 
     # /dev/null, an empty file and a missing file are outputs fuse can write
     @pytest.mark.parametrize("case", ["directory", "file in a missing directory"])
@@ -1016,7 +1023,7 @@ class TestCheck:
         assert res.returncode == 0, res.stdout
 
     def test_bundle_property_catches_a_wrong_python_printer(self, monkeypatch, no_library):
-        # the printer numerics.format_rows runs without the library: -0.0 + 0.0 is 0.0
+        # the printer numerics.print_rows runs without the library: -0.0 + 0.0 is 0.0
         monkeypatch.setattr(numerics, "repr", lambda x: repr(x + 0.0), raising=False)
         results = {r.name: r for r in check.run_checks(cases=5)}
         assert not results["saved bundle equals the serial JSON encoding"].passed
@@ -1025,7 +1032,7 @@ class TestCheck:
     @pytest.mark.skipif(numerics.matmul_kernel().format_rows is None, reason="the compiled library did not load")
     def test_bundle_property_catches_a_wrong_compiled_printer(self, monkeypatch):
         kernel = numerics.matmul_kernel()
-        wrong = dataclasses.replace(kernel, format_rows=lambda m, sep, end: kernel.format_rows(m + 0.0, sep, end))
+        wrong = dataclasses.replace(kernel, format_rows=lambda values, *args: kernel.format_rows(values + 0.0, *args))
         monkeypatch.setattr(numerics, "matmul_kernel", lambda: wrong)
         results = {r.name: r for r in check.run_checks(cases=5)}
         assert not results["saved bundle equals the serial JSON encoding"].passed

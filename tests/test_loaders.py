@@ -291,13 +291,18 @@ def test_paper_shape_bundle_takes_the_compiled_path(tmp_path, monkeypatch):
         assert all(loaded[name].tobytes() == bundle[name].tobytes() for name in lexicon.BUNDLE_TENSORS)
 
 
+def printed(m: np.ndarray, sep: str = " ", end: str = "\n") -> str:
+    """The text ``numerics.print_rows`` gives, its pieces joined (each is copied before the next reuses its buffer)."""
+    return b"".join(map(bytes, numerics.print_rows(m, sep, end))).decode("ascii")
+
+
 def large_text(kind: str, rng) -> str:
     """A file of about 4 MB, most of it numbers: 500 entries or rows of 400, or a bundle at d_w 40, d_h 160."""
     m = rng.standard_normal((500, 400))
     if kind == "mat":
-        return "500 400\n" + numerics.format_rows(m)
+        return "500 400\n" + printed(m)
     if kind == "emb":
-        return "500 400\n" + "".join(f"w{i} {row}" for i, row in enumerate(numerics.format_rows(m).splitlines(True)))
+        return "500 400\n" + "".join(f"w{i} {row}" for i, row in enumerate(printed(m).splitlines(True)))
     bundle = lexicon.init_bundle(int(rng.integers(1000)), 40, 160)
     serial = {name: {"rows": t.shape[0], "cols": t.shape[1], "data": t.ravel().tolist()} for name, t in bundle.items()}
     return json.dumps(serial) + "\n"
@@ -420,8 +425,11 @@ class TestParser:
 # (JSON), reading each in blocks of 1 MiB and of 1, 2, 3 and 7 bytes, all through the library at
 # argv[1]: the one parser with both ends of line, "\n" and ",".  Every piece
 # reaches the C as an exact NumPy buffer of len + 1 bytes whose last byte is NUL, as its contract
-# asks, so under ASan a read past buf[len] is reported.  With argv[2] == "short" it prints
-# HARD_DOUBLES into an output buffer one byte short, which ASan must report.
+# asks, so under ASan a read past buf[len] is reported.  The printer's known-answer check runs
+# with buffers of the exact size its contract asks, the most the text can take plus
+# wordfuse_format_slack bytes, and so do the longest texts, which take all of that but the slack,
+# and HARD_DOUBLES printed in pieces of 1, 2, 3 and 7 numbers.  With argv[2] == "short" it prints
+# the longest texts as a list into a buffer one byte short, which ASan must report.
 SANITIZED_TEXT = """
 import ctypes, json, sys
 import numpy as np
@@ -430,11 +438,12 @@ from wordfuse import _kernel, lexicon, numerics
 library = sys.argv[1]
 if sys.argv[2] == "short":
     printer = ctypes.CDLL(library).wordfuse_format_rows
-    printer.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 2 + [ctypes.c_char_p, ctypes.c_int64] * 2 \\
+    printer.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_char_p, ctypes.c_int64] * 2 \\
         + [ctypes.c_void_p]
-    values = np.array(_kernel.HARD_DOUBLES)
-    out = np.empty(len(", ".join(map(repr, _kernel.HARD_DOUBLES))) - 1, np.uint8)
-    printer(values.ctypes.data, 1, len(values), b", ", 2, b"", 0, out.ctypes.data)
+    slack = ctypes.c_int64.in_dll(ctypes.CDLL(library), "wordfuse_format_slack").value
+    values = np.full(9, -2.2250738585072014e-308)
+    out = np.empty(24 * 9 + 2 * 8 + slack - 1, np.uint8)
+    printer(values.ctypes.data, 9, 9, 0, b", ".ljust(8, b"\\0"), 2, bytes(8), 0, out.ctypes.data)
 bound = _kernel._bind(library)
 calls = []
 def exact(function):
@@ -448,6 +457,14 @@ kernel = _kernel.Kernel(bound["matmul"], library, exact(bound["parse_rows"]), bo
 numerics.matmul_kernel = lambda: kernel
 assert _kernel._parses_like_float(kernel.parse_rows)
 assert _kernel._prints_like_repr(kernel.format_rows)
+longest = np.full(9, -2.2250738585072014e-308)
+for cols, sep, end in ((9, ", ", ""), (3, " ", "\\n")):
+    assert bytes(kernel.format_rows(longest, 0, cols, sep, end, None)[0]).count(b"e-308") == 9
+values = np.resize(_kernel.HARD_DOUBLES, (len(_kernel.HARD_DOUBLES), 3))
+for block in (1, 2, 3, 7):
+    numerics.WRITE_BLOCK = block
+    text = b"".join(map(bytes, numerics.print_rows(values)))
+    assert text == "".join(" ".join(map(repr, row)) + "\\n" for row in values.tolist()).encode()
 for token in _kernel.HARD_DECIMALS + _kernel.REFUSED_TOKENS:
     kernel.parse_rows(token.encode(), np.empty((1, 1)))
     kernel.parse_rows(f"w {token}".encode(), np.empty((1, 1)), np.empty((1, 2), np.int64))
@@ -529,16 +546,55 @@ def test_save_bundle_prints_as_json_dumps_either_way(tmp_path, monkeypatch, name
     assert compiled == python == want
 
 
+# pieces of fewer numbers than any tensor holds, so each one straddles pieces, and its rows end
+# inside pieces and at their edges
+SMALL_PIECE_SHAPES = [(3, 5), (1, 8), (4, 3), (2, 9), (5, 2), (1, 11), (8, 1), (3, 3), (2, 4), (1, 13)]
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+def test_writers_print_the_same_bytes_in_small_pieces(tmp_path, monkeypatch, block):
+    rng = np.random.default_rng(block)
+    values = VALUES + check._BUNDLE_EDGE_VALUES.tolist() + list(_kernel.HARD_DOUBLES)
+    assert len(SMALL_PIECE_SHAPES) == len(lexicon.BUNDLE_TENSORS)
+    bundle = {name: rng.choice(values, size=shape) for name, shape in zip(lexicon.BUNDLE_TENSORS, SMALL_PIECE_SHAPES)}
+    monkeypatch.setattr(numerics, "WRITE_BLOCK", block)
+    for m in bundle.values():
+        want = f"{m.shape[0]} {m.shape[1]}\n" + "".join(" ".join(map(repr, row)) + "\n" for row in m.tolist())
+        compiled, python = both_ways(monkeypatch, written, tmp_path, numerics.write_matrix, m)
+        assert compiled == python == want.encode()
+    want = oracles.bundle_json_serial({t: m.tolist() for t, m in bundle.items()}, lexicon.BUNDLE_TENSORS)
+    compiled, python = both_ways(monkeypatch, written, tmp_path, lexicon.save_bundle, bundle)
+    assert compiled == python == want
+
+
+@pytest.mark.skipif(numerics.matmul_kernel().format_rows is None, reason="the compiled library did not load")
+def test_save_bundle_never_holds_a_tensors_text(tmp_path):
+    # beyond what it returns, at most a few pieces of text, 26 bytes a number at most; at paper shape
+    # the text of a 768x768 tensor takes about 12 MB
+    bundle = lexicon.init_bundle(2022, 200, 768)
+    tracemalloc.start()
+    try:
+        lexicon.save_bundle(bundle, tmp_path / "bundle.json")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 3 * 26 * numerics.WRITE_BLOCK, (peak, held)
+
+
 @needs_parser
 def test_a_wrong_printer_is_refused_and_everything_falls_back(tmp_path, monkeypatch):
-    # the exponent form one place early: 1e+16 stays right, 9999999999999998.0 does not
+    # the exponent form one place early: 1e+16 stays right, 9999999999999998.0 does not; or a
+    # fraction of 9 digits copied as a word of 8, which only the digit-count doubles show
     monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path)
-    monkeypatch.setattr(_kernel, "SOURCE", _kernel.SOURCE.replace("point > 16", "point > 15"))
-    kernel = _kernel.load(numerics.matmul_numpy)
-    assert kernel.detail.startswith("known-answer mismatch: ")
-    assert kernel.detail.endswith("prints numbers unlike repr()")
-    functions = (kernel.matmul, kernel.parse_rows, kernel.format_rows)
-    assert functions == (None,) * 3
+    source = _kernel.SOURCE
+    for fault in (("point > 16", "point > 15"), ("n - point <= 8", "n - point <= 9")):
+        assert source.count(fault[0]) == 1
+        monkeypatch.setattr(_kernel, "SOURCE", source.replace(*fault))
+        kernel = _kernel.load(numerics.matmul_numpy)
+        assert kernel.detail.startswith("known-answer mismatch: ")
+        assert kernel.detail.endswith("prints numbers unlike repr()")
+        functions = (kernel.matmul, kernel.parse_rows, kernel.format_rows)
+        assert functions == (None,) * 3
     # with that kernel, the products, the loaders and the writers all take their Python paths
     monkeypatch.setattr(numerics, "matmul_kernel", lambda: kernel)
     used, loop = [], numerics.matmul_numpy

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import os
@@ -360,8 +361,13 @@ class TestMatmulKernels:
     @pytest.mark.parametrize(("shape", "sep", "end"), [((1, 37), ", ", ""), ((5, 7), " ", "\n"), ((9, 1), " ", "\n")],
                              ids=["list", "rows", "column"])
     def test_longest_texts_fill_the_printer_buffer_exactly(self, monkeypatch, shape, sep, end):
+        # the text takes 24 bytes a number plus separators and row ends, and the buffer 8 bytes more,
+        # wordfuse_format_slack: the C's fixed-size copies may run past the text's end
         longest = -2.2250738585072014e-308
         assert len(repr(longest)) == 24
+        kernel = numerics.matmul_kernel()
+        slack = ctypes.c_int64.in_dll(ctypes.CDLL(kernel.detail), "wordfuse_format_slack").value
+        assert slack == 8
         sizes = []
 
         class RecordingNumPy:
@@ -373,9 +379,14 @@ class TestMatmulKernels:
                 return np.empty(size, dtype)
 
         monkeypatch.setattr(_kernel, "np", RecordingNumPy())
-        text = numerics.matmul_kernel().format_rows(np.full(shape, longest), sep, end)
-        assert text == "".join(sep.join(map(repr, row)) + end for row in np.full(shape, longest).tolist())
-        assert sizes == [len(text)]
+        m = np.full(shape, longest)
+        text, out = kernel.format_rows(m.ravel(), 0, shape[1], sep, end, None)
+        assert bytes(text) == "".join(sep.join(map(repr, row)) + end for row in m.tolist()).encode()
+        assert sizes == [len(text) + slack] and len(out) == sizes[0]
+        # the buffer is reused while it holds the piece, and replaced when it does not
+        assert kernel.format_rows(m.ravel()[1:], 1, shape[1], sep, end, out)[1] is out
+        kernel.format_rows(m.ravel(), 0, shape[1], sep, end, out[:-1])
+        assert sizes == [len(text) + slack] * 2
 
     @needs_cc
     def test_truncated_or_garbage_library_is_rebuilt(self, tmp_path):
@@ -571,7 +582,7 @@ class TestWriteAtomic:
         os.chmod(path, 0o600)
         old_umask = os.umask(0o027)
         try:
-            numerics.write_atomic(path, ["new ", "text\n"])
+            numerics.write_atomic(path, [b"new ", b"text\n"])
         finally:
             os.umask(old_umask)
         assert path.read_text(encoding="utf-8") == "new text\n"
@@ -584,7 +595,7 @@ class TestWriteAtomic:
         target.write_text("old\n", encoding="utf-8")
         link = tmp_path / "link.txt"
         link.symlink_to(target)
-        numerics.write_atomic(link, ["new\n"])
+        numerics.write_atomic(link, [b"new\n"])
         assert link.is_symlink()
         assert target.read_text(encoding="utf-8") == "new\n"
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["link.txt", "out.txt", "real"]
@@ -596,7 +607,7 @@ class TestWriteAtomic:
             path.write_text("old\n", encoding="utf-8")
 
         def pieces():
-            yield "partial"
+            yield b"partial"
             raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
@@ -610,7 +621,7 @@ class TestWriteAtomic:
         os.mkfifo(fifo)
         reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
         try:
-            numerics.write_atomic(fifo, ["through ", "the pipe\n"])
+            numerics.write_atomic(fifo, [b"through ", b"the pipe\n"])
             assert os.read(reader, 100) == b"through the pipe\n"
         finally:
             os.close(reader)
@@ -628,7 +639,7 @@ class TestWriteAtomic:
                 path = tmp_path / "out.txt"
                 path.symlink_to(f"/dev/fd/{fd}")
             inode = log.stat().st_ino
-            numerics.write_atomic(path, ["new ", "text\n"])
+            numerics.write_atomic(path, [b"new ", b"text\n"])
         finally:
             os.close(fd)
         assert log.read_text(encoding="utf-8") == "earlier\nnew text\n"
@@ -637,14 +648,14 @@ class TestWriteAtomic:
 
     def test_directory_refused(self, tmp_path):
         with pytest.raises(IsADirectoryError) as info:
-            numerics.write_atomic(tmp_path, ["x"])
+            numerics.write_atomic(tmp_path, [b"x"])
         assert str(info.value) == f"[Errno 21] Is a directory: {str(tmp_path)!r}"
         assert list(tmp_path.iterdir()) == []
 
     def test_os_error_names_the_output(self, tmp_path):
         path = tmp_path / "absent" / "out.txt"
         with pytest.raises(FileNotFoundError) as info:
-            numerics.write_atomic(path, ["x"])
+            numerics.write_atomic(path, [b"x"])
         assert str(info.value) == f"[Errno 2] No such file or directory: {str(path)!r}"
 
 
