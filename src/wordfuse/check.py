@@ -262,8 +262,14 @@ def _check_vote_partition(rng, cases):
         sentence = _random_sentence(rng)
         toks = [_random_tokenization(rng, sentence) for _ in range(int(rng.integers(1, 5)))]
         seg = segvote.vote(sentence, toks)  # constructor enforces the partition
-        again = segvote.vote(sentence, toks)
-        _require(seg == again, "vote is not deterministic")
+        _require(seg == segvote.vote(sentence, toks), "vote is not deterministic")
+        tables = [dict(zip(itertools.accumulate(map(len, t), initial=0), t)) for t in toks]
+        for span, word in zip(seg.spans, seg.words):
+            here = [table[span.start] for table in tables if span.start in table]
+            _require(word in here, f"voted word {word!r} at {span.start} was proposed by no voter")
+            rank = (here.count(word), len(word))
+            _require(all((here.count(w), len(w)) <= rank for w in here),
+                     f"voted word {word!r} at {span.start} has a smaller (count, length) than another proposal")
 
 
 def _check_vote_unanimity(rng, cases):

@@ -92,6 +92,8 @@ def cmd_vote(args) -> int:
 
 
 def cmd_init_weights(args) -> int:
+    if not 0 <= args.seed < 2**64:  # SplitMix64 would silently reduce it mod 2**64
+        return _fail(f"--seed must be in [0, 2**64), got {args.seed}")
     bundle = lexicon.init_bundle(args.seed, args.dw, args.dh)
     lexicon.save_bundle(bundle, args.output)
     print(f"wrote {args.output}", file=sys.stderr)

@@ -19,12 +19,18 @@ wrong for CJK text.  Word spans are (start, end) with end inclusive.
 Tokenizations arrive as plain word lists (data, not tokenizer calls); the
 expected JSON-lines record shape is
 ``{"sentence": "...", "tokenizations": [["w1", "w2", ...], ...]}``.
+
+Each voter's partition is checked once, by one test: its words are non-empty
+and join to the sentence (a voter that fails is walked word by word to name
+the index).  Spans from outside are checked by ``Segmentation.__post_init__``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from itertools import accumulate
+from typing import Iterator, NamedTuple, Sequence
 
 
 class WordSpan(NamedTuple):
@@ -58,29 +64,26 @@ class Segmentation:
         return [self.sentence[s.start : s.end + 1] for s in self.spans]
 
 
+def _starts(sentence: str, words: Sequence[str]) -> Iterator[int]:
+    """The start of each word (then the sentence's length), once the words partition the sentence."""
+    if not (all(words) and "".join(words) == sentence):
+        cursor = 0
+        for word in words:
+            if not word:
+                raise ValueError(f"empty word at character index {cursor}")
+            # report the first character where the word and sentence diverge
+            for idx, ch in enumerate(word, start=cursor):
+                if idx >= len(sentence) or sentence[idx] != ch:
+                    raise ValueError(f"tokenization diverges from sentence at character index {idx}")
+            cursor += len(word)
+        raise ValueError(f"tokenization diverges from sentence at character index {cursor}")
+    return accumulate(map(len, words), initial=0)
+
+
 def validate_tokenization(sentence: str, words: Sequence[str]) -> Segmentation:
     """Convert a word list into spans, checking it partitions the sentence."""
-    spans = []
-    cursor = 0
-    for word in words:
-        if not word:
-            raise ValueError(f"empty word at character index {cursor}")
-        end = cursor + len(word)
-        if sentence[cursor:end] != word:
-            # report the first character where the word and sentence diverge
-            for offset, ch in enumerate(word):
-                idx = cursor + offset
-                if idx >= len(sentence) or sentence[idx] != ch:
-                    raise ValueError(
-                        f"tokenization diverges from sentence at character index {idx}"
-                    )
-        spans.append(WordSpan(cursor, end - 1))
-        cursor = end
-    if cursor != len(sentence):
-        raise ValueError(
-            f"tokenization diverges from sentence at character index {cursor}"
-        )
-    return Segmentation(sentence, tuple(spans))
+    starts = _starts(sentence, words)
+    return Segmentation(sentence, tuple(WordSpan(s, s + len(w) - 1) for s, w in zip(starts, words)))
 
 
 def vote(sentence: str, tokenizations: Sequence[Sequence[str]]) -> Segmentation:
@@ -91,23 +94,15 @@ def vote(sentence: str, tokenizations: Sequence[Sequence[str]]) -> Segmentation:
     """
     if not tokenizations:
         raise ValueError("vote needs at least one tokenization")
-    proposals = []  # per tokenization: word-start index -> word
-    for t in tokenizations:
-        seg = validate_tokenization(sentence, t)
-        proposals.append({span.start: sentence[span.start : span.end + 1] for span in seg.spans})
+    tables = [dict(zip(_starts(sentence, t), t)) for t in tokenizations]  # word start -> word
 
     spans = []
     cursor = 0
-    n = len(sentence)
-    while cursor < n:
-        counts: dict[str, int] = {}
-        for table in proposals:
-            word = table.get(cursor)
-            if word is not None:
-                counts[word] = counts.get(word, 0) + 1
+    while cursor < len(sentence):
         # never empty: each voter partitions the sentence, so the cursor lands
         # where the last winner's voter starts its next word (0 at first)
-        best, _ = max(counts.items(), key=lambda kv: (kv[1], len(kv[0])))
+        words = [table[cursor] for table in tables if cursor in table]
+        best = max(words, key=lambda w: (words.count(w), len(w)))
         spans.append(WordSpan(cursor, cursor + len(best) - 1))
         cursor += len(best)
     return Segmentation(sentence, tuple(spans))
@@ -137,26 +132,14 @@ def agreement_stats(tokenizations: Sequence[Sequence[str]]) -> AgreementReport:
     totals = {sum(len(w) for w in t) for t in tokenizations}
     if len(totals) != 1:
         raise ValueError(f"tokenizations cover different lengths: {sorted(totals)}")
-
-    start_sets = []
-    for t in tokenizations:
-        starts, cursor = set(), 0
-        for word in t:
-            if not word:
-                raise ValueError("empty word in tokenization")
-            starts.add(cursor)
-            cursor += len(word)
-        start_sets.append(starts)
-
-    counts: dict[int, int] = {}
-    for starts in start_sets:
-        for s in starts:
-            counts[s] = counts.get(s, 0) + 1
-    shared = set.intersection(*start_sets)
-    union = set.union(*start_sets)
+    if not all(all(t) for t in tokenizations):
+        raise ValueError("empty word in tokenization")
+    # each tokenization's running sums end at the shared total, which starts no word
+    (total,) = totals
+    start_sets = [set(accumulate(map(len, t), initial=0)) - {total} for t in tokenizations]
     return AgreementReport(
         num_tokenizations=len(tokenizations),
-        start_counts=dict(sorted(counts.items())),
-        shared_starts=tuple(sorted(shared)),
-        all_starts=tuple(sorted(union)),
+        start_counts=dict(sorted(Counter(s for starts in start_sets for s in starts).items())),
+        shared_starts=tuple(sorted(set.intersection(*start_sets))),
+        all_starts=tuple(sorted(set.union(*start_sets))),
     )

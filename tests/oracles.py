@@ -84,6 +84,27 @@ def cosine_direct(u, v):
     return dot / (nu * nv)
 
 
+def tokenization_error(sentence, words):
+    """The message for a word list that does not partition sentence, or None.
+
+    Walks word by word and character by character to the first place the
+    words go wrong: an empty word, or the first index where the words and
+    the sentence differ (past the end of either counts as a difference).
+    """
+    cursor = 0
+    for word in words:
+        if not word:
+            return f"empty word at character index {cursor}"
+        for offset, ch in enumerate(word):
+            idx = cursor + offset
+            if idx >= len(sentence) or sentence[idx] != ch:
+                return f"tokenization diverges from sentence at character index {idx}"
+        cursor += len(word)
+    if cursor != len(sentence):
+        return f"tokenization diverges from sentence at character index {cursor}"
+    return None
+
+
 def vote_brute_force(sentence, tokenizations):
     """Majority-then-granularity voting, re-derived from scratch."""
     span_lists = []

@@ -124,10 +124,18 @@ class TestVote:
              "tokenizations: expected a JSON list of word lists, got list"),
             ('{"sentence": "abc", "tokenizations": [["ab"]]}',
              "tokenizations: tokenization diverges from sentence at character index 2"),
+            ('{"sentence": "abc", "tokenizations": [["abc"], ["ab", "", "c"]]}',
+             "tokenizations: empty word at character index 2"),
+            ('{"sentence": "abc", "tokenizations": [["ab", "cd"]]}',
+             "tokenizations: tokenization diverges from sentence at character index 3"),
+            ('{"sentence": "abcd", "tokenizations": [["a", "bxd"]]}',
+             "tokenizations: tokenization diverges from sentence at character index 2"),
+            ('{"sentence": "ab", "tokenizations": []}', "tokenizations: vote needs at least one tokenization"),
             ("[" * 100000 + "]" * 100000, "JSON nested too deeply"),
         ],
         ids=["no-sentence", "no-tokenizations", "list", "string", "numeric-sentence",
-             "flat-tokenizations", "diverging", "deep"],
+             "flat-tokenizations", "diverging", "empty-word", "past-the-end", "diverging-inside-a-word",
+             "no-voters", "deep"],
     )
     def test_bad_record_names_line_and_field(self, tmp_path, capsys, record, problem):
         src = tmp_path / "v1.jsonl"
@@ -767,6 +775,17 @@ class TestFuseKeepsTheSentenceRows:
 EDGE_PATHS = ["directory", "/dev/null", "empty file", "missing file"]
 
 
+def edge_path(tmp_path, case):
+    """The path of an EDGE_PATHS case, or of a "file in a missing directory", made ready under tmp_path."""
+    path = {"directory": tmp_path / "dir", "/dev/null": os.devnull, "empty file": tmp_path / "empty",
+            "missing file": tmp_path / "missing", "file in a missing directory": tmp_path / "nodir" / "out"}[case]
+    if case == "directory":
+        path.mkdir()
+    elif case == "empty file":
+        path.write_bytes(b"")
+    return path
+
+
 # how fuse's messages name each input
 ROLES = {"hidden": "hidden states", "segmentation": "segmentation", "embeddings": "embeddings",
          "weights": "weight bundle"}
@@ -778,12 +797,7 @@ class TestFusePathEdgeCases:
     @pytest.mark.parametrize("case", EDGE_PATHS)
     @pytest.mark.parametrize("key", ["config", "embeddings", "weights", "hidden", "segmentation"])
     def test_an_unusable_input_exits_one_naming_it(self, fuse_files, tmp_path, capsys, key, case):
-        path = {"directory": tmp_path / "dir", "/dev/null": os.devnull, "empty file": tmp_path / "empty",
-                "missing file": tmp_path / "missing"}[case]
-        if case == "directory":
-            path.mkdir()
-        elif case == "empty file":
-            path.write_bytes(b"")
+        path = edge_path(tmp_path, case)
         files, extra = dict(fuse_files), {}
         if key == "config":
             extra["config"] = path
@@ -804,6 +818,34 @@ class TestFusePathEdgeCases:
         code, err = run_main(fuse_args(dict(fuse_files, output=out)), capsys)
         assert code == 1 and str(out) in err, err
         assert list(out.iterdir()) == [] if case == "directory" else not out.parent.exists()
+
+
+class TestVoteAndInitWeightsPathEdgeCases:
+    """The paths of vote and init-weights replaced in turn by something they may not read or write."""
+
+    @pytest.mark.parametrize("case", EDGE_PATHS)
+    def test_vote_input(self, tmp_path, capsys, case):
+        path, out = edge_path(tmp_path, case), tmp_path / "voted.jsonl"
+        code, err = run_main(["vote", "--input", path, "--output", out], capsys)
+        assert code in (0, 1), err
+        if code == 1:
+            assert str(path) in err and not out.exists(), err
+        else:  # nothing to read: no records
+            assert (err, out.read_bytes()) == ("", b"")
+
+    @pytest.mark.parametrize("command", ["vote", "init-weights"])
+    @pytest.mark.parametrize("case", [*EDGE_PATHS, "file in a missing directory"])
+    def test_output(self, golden, tmp_path, capsys, command, case):
+        out = edge_path(tmp_path, case)
+        argv = {"vote": ["vote", "--input", golden / "vote_record.jsonl"],
+                "init-weights": ["init-weights", "--dw", 4, "--dh", 8]}[command]
+        code, err = run_main([*argv, "--output", out], capsys)
+        assert code in (0, 1), err
+        if code == 1:
+            assert str(out) in err, err
+            assert list(out.iterdir()) == [] if case == "directory" else not out.parent.exists()
+        elif out != os.devnull:
+            assert out.stat().st_size > 0
 
 
 def run_cli_file_limit(limit, *argv):
@@ -1089,6 +1131,21 @@ class TestCheck:
     def test_rejects_a_negative_seed_naming_the_flag(self, capsys):
         code, err = run_main(["check", "--seed", "-1"], capsys)
         assert (code, err) == (1, "error: --seed must be >= 0, got -1\n")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 42])
+    def test_init_weights_refuses_a_seed_outside_64_bits(self, tmp_path, capsys, seed):
+        # SplitMix64 reduces its seed mod 2**64, so 2**64 + 42 would write the bundle of seed 42
+        out = tmp_path / "w.json"
+        code, err = run_main(["init-weights", "--seed", seed, "--dw", 4, "--dh", 8, "--output", out], capsys)
+        assert (code, err) == (1, f"error: --seed must be in [0, 2**64), got {seed}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_init_weights_takes_the_ends_of_the_seed_range(self, tmp_path, capsys, seed):
+        out = tmp_path / "w.json"
+        code, err = run_main(["init-weights", "--seed", seed, "--dw", 4, "--dh", 8, "--output", out], capsys)
+        assert (code, err) == (0, f"wrote {out}\n")
+        assert np.array_equal(lexicon.load_bundle(out)["W1"], lexicon.init_bundle(seed, 4, 8)["W1"])
 
 
 # ``wordfuse argv...`` with the matmul library cached in argv[1]

@@ -142,6 +142,56 @@ class TestVote:
                     assert got == want, (sentence, pair)
 
 
+@st.composite
+def voter(draw, sentence):
+    """One tokenization of sentence: a word ends after each character drawn as a cut."""
+    cuts = draw(st.lists(st.booleans(), min_size=len(sentence) - 1, max_size=len(sentence) - 1))
+    ends = [i + 1 for i, cut in enumerate(cuts) if cut] + [len(sentence)]
+    return [sentence[start:end] for start, end in zip([0, *ends], ends)]
+
+
+@st.composite
+def one_defect(draw, sentence):
+    """A tokenization of sentence with an empty word, a wrong character, an extra word or a missing tail."""
+    words = draw(voter(sentence))
+    kind = draw(st.sampled_from(["empty word", "wrong character", "extra word", "missing tail"]))
+    if kind == "empty word":
+        words.insert(draw(st.integers(0, len(words))), "")
+    elif kind == "wrong character":
+        i = draw(st.integers(0, len(words) - 1))
+        j = draw(st.integers(0, len(words[i]) - 1))
+        words[i] = words[i][:j] + "x" + words[i][j + 1 :]
+    elif kind == "extra word":
+        words.append(draw(st.text(alphabet="abx", min_size=1, max_size=3)))
+    else:
+        del words[draw(st.integers(0, len(words) - 1)) :]
+    return words
+
+
+class TestAgainstOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), sentence=st.text(alphabet="ab", min_size=1, max_size=14))
+    def test_vote_matches_brute_force(self, data, sentence):
+        voters = data.draw(st.lists(voter(sentence), min_size=1, max_size=5))
+        assert segvote.vote(sentence, voters).words == oracles.vote_brute_force(sentence, voters)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), sentence=st.text(alphabet="ab", min_size=1, max_size=14))
+    def test_a_defect_gets_the_reference_message(self, data, sentence):
+        bad = data.draw(one_defect(sentence))
+        message = oracles.tokenization_error(sentence, bad)
+        assert message is not None
+        with pytest.raises(ValueError) as err:
+            segvote.validate_tokenization(sentence, bad)
+        assert str(err.value) == message
+        # among good voters, vote reports the bad one's problem
+        voters = data.draw(st.lists(voter(sentence), max_size=3))
+        voters.insert(data.draw(st.integers(0, len(voters))), bad)
+        with pytest.raises(ValueError) as err:
+            segvote.vote(sentence, voters)
+        assert str(err.value) == message
+
+
 class TestAgreementStats:
     def test_identical_pair_full_agreement(self):
         report = segvote.agreement_stats([["ab", "cd"], ["ab", "cd"]])
@@ -167,3 +217,27 @@ class TestAgreementStats:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             segvote.agreement_stats([["ab"], ["abc"]])
+
+    @pytest.mark.parametrize(
+        ("tokenizations", "message"),
+        [
+            ([["ab"]], "agreement_stats needs at least two tokenizations"),
+            ([["ab"], ["abc"]], "tokenizations cover different lengths: [2, 3]"),
+            ([["a", ""], ["abc"]], "tokenizations cover different lengths: [1, 3]"),
+            ([["a", "", "b"], ["ab"]], "empty word in tokenization"),
+        ],
+    )
+    def test_messages(self, tokenizations, message):
+        with pytest.raises(ValueError) as err:
+            segvote.agreement_stats(tokenizations)
+        assert str(err.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), sentence=st.text(alphabet="ab", min_size=1, max_size=14))
+    def test_counts_each_voters_word_starts(self, data, sentence):
+        voters = data.draw(st.lists(voter(sentence), min_size=2, max_size=5))
+        starts = [{len("".join(words[:i])) for i in range(len(words))} for words in voters]
+        report = segvote.agreement_stats(voters)
+        assert report.start_counts == {s: sum(s in ss for ss in starts) for s in sorted(set.union(*starts))}
+        assert report.shared_starts == tuple(sorted(set.intersection(*starts)))
+        assert report.all_starts == tuple(sorted(set.union(*starts)))
