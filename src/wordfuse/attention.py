@@ -21,6 +21,7 @@ bundle by name: ``Wq1``, ``Wk1``, ``Wv1`` for the plain branch and ``Wq2``,
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -106,6 +107,12 @@ def fuse_heads_output(h1, h2, mu: float) -> np.ndarray:
     return mu * h1 + (1.0 - mu) * h2
 
 
+def _quietly(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with NumPy's overflow warnings silenced: a new thread starts from the defaults."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return fn(*args, **kwargs)
+
+
 @dataclass(frozen=True)
 class PipelineResult:
     """Final output plus the intermediates worth dumping for debugging."""
@@ -139,6 +146,15 @@ def pipeline_forward(
     overflow warnings are silenced meanwhile: the stages check their own
     results.  The branch fusion is a convex combination of finite values
     and needs no check.
+
+    The two branches run side by side: the masked one on a second thread
+    while this one computes the plain one.  The compiled matmul runs
+    outside Python's interpreter lock and each branch reads its own three
+    weights, so on two cores they overlap; every entry is computed as when
+    they ran in turn, so the bytes do not change.  The call waits for both
+    branches and leaves no thread behind.  When both fail, the plain
+    branch's error is the one raised, as when they ran in turn.  Both
+    branches' temporaries are live at once, so peak memory rises a little.
     """
     h = as_matrix(h, "h")
     if h.shape[0] == 0:
@@ -153,10 +169,15 @@ def pipeline_forward(
     cfg.validate(h.shape[1])
     try:
         with np.errstate(over="ignore", invalid="ignore"):
+            # the projection loads the compiled library on this thread, before a second one calls it
             mixed, omega = fuse_sequence(h, seg, table, bundle, cfg)
             mask = MaskSpec(n=mixed.shape[0], omega=frozenset(omega))
-            h1 = attend(mixed, bundle["Wq1"], bundle["Wk1"], bundle["Wv1"], cfg.heads, mask=None)
-            h2 = attend(mixed, bundle["Wq2"], bundle["Wk2"], bundle["Wv2"], cfg.heads, mask=mask)
+            # leaving the pool waits for the masked branch, so a plain branch's error is raised first
+            with ThreadPoolExecutor(1) as pool:
+                masked = pool.submit(_quietly, attend, mixed, bundle["Wq2"], bundle["Wk2"], bundle["Wv2"],
+                                     cfg.heads, mask=mask)
+                h1 = attend(mixed, bundle["Wq1"], bundle["Wk1"], bundle["Wv1"], cfg.heads, mask=None)
+                h2 = masked.result()
     except ValueError:
         check_bundle(bundle, table.dim, h.shape[1])
         raise

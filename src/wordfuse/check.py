@@ -436,6 +436,42 @@ def _check_fusion_linear(rng, cases):
         _require(np.array_equal(attention.fuse_heads_output(h1, h2, 0.0), h2), "mu=0 != h2")
 
 
+def _value_error(fn, *args) -> str:
+    """The message of the ValueError ``fn(*args)`` raises, or "" when it returns."""
+    try:
+        fn(*args)
+    except ValueError as err:
+        return str(err)
+    return ""
+
+
+def _check_branches_together(rng, cases):
+    for _ in range(cases):
+        n, heads = int(rng.integers(1, 9)), int(rng.choice([1, 2, 4]))
+        d_w, d_h = int(rng.integers(1, 5)), heads * int(rng.integers(1, 5))
+        seg = _random_segmentation(rng, n)
+        vectors = {word: rng.standard_normal(d_w) for word in seg.words if rng.uniform() < 0.8}
+        table = lexicon.EmbeddingTable(dim=d_w, vectors=vectors, unk=rng.standard_normal(d_w))
+        bundle = lexicon.init_bundle(int(rng.integers(2**63)), d_w, d_h)
+        cfg = fusion.FusionConfig(lam=float(rng.uniform()), mu=float(rng.uniform()), heads=heads)
+        h = rng.standard_normal((n, d_h))
+        got = attention.pipeline_forward(h, seg, table, bundle, cfg)
+        plain = [bundle[name] for name in ("Wq1", "Wk1", "Wv1")]
+        masked = [bundle[name] for name in ("Wq2", "Wk2", "Wv2")]
+        h1 = attention.attend(got.mixed, *plain, heads)
+        h2 = attention.attend(got.mixed, *masked, heads, attention.MaskSpec(n, frozenset(got.omega)))
+        for name, want in (("h1", h1), ("h2", h2), ("fused", attention.fuse_heads_output(h1, h2, cfg.mu))):
+            _require(getattr(got, name).tobytes() == want.tobytes(), f"{name} differs from the branches run in turn")
+        # scores near 1e400 in both branches: the plain branch's overflow is the one named
+        big = h * 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            mixed, omega = fusion.fuse_sequence(big, seg, table, bundle, cfg)
+            alone = _value_error(attention.attend, mixed, *masked, heads, attention.MaskSpec(n, frozenset(omega)))
+        _require(alone.startswith("overflow in masked attention scores: "), f"masked branch alone: {alone!r}")
+        both = _value_error(attention.pipeline_forward, big, seg, table, bundle, cfg)
+        _require(both.startswith("overflow in plain attention scores: "), f"both branches overflow: {both!r}")
+
+
 def _check_projection_finite(rng, cases):
     for _ in range(cases):
         d_w, d_h = int(rng.integers(1, 9)), int(rng.integers(1, 9))
@@ -722,6 +758,7 @@ PROPERTIES: list[tuple[str, Callable]] = [
     ("full omega reproduces the unmasked branch", _check_vacuous_mask),
     ("single-head attention matches the naive oracle", _check_attention_oracle),
     ("branch fusion is linear in mu with exact endpoints", _check_fusion_linear),
+    ("branches run together equal branches run in turn", _check_branches_together),
     ("projection output stays finite", _check_projection_finite),
     ("malformed input is refused with a located message", _check_malformed_refused),
     ("number text parses to float()'s bits", _check_number_parsing),
@@ -730,7 +767,11 @@ PROPERTIES: list[tuple[str, Callable]] = [
 
 
 def run_checks(seed: int = DEFAULT_SEED, cases: int = DEFAULT_CASES) -> list[CheckResult]:
-    """Run every property; returns one result per property, in listed order."""
+    """Run every property; returns one result per property, in listed order.
+
+    Any other exception the code under test raises is that property's
+    failure too, recorded as ``TypeName: message``; the next property runs.
+    """
     results = []
     for name, fn in PROPERTIES:
         rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
@@ -739,4 +780,6 @@ def run_checks(seed: int = DEFAULT_SEED, cases: int = DEFAULT_CASES) -> list[Che
             results.append(CheckResult(name, cases))
         except CheckFailure as failure:
             results.append(CheckResult(name, cases, str(failure)))
+        except Exception as err:  # noqa: BLE001 - one broken property must not hide the others
+            results.append(CheckResult(name, cases, f"{type(err).__name__}: {err}"))
     return results

@@ -1,4 +1,6 @@
+import threading
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -284,6 +286,54 @@ class TestPipelineForward:
             warnings.simplefilter("error")  # a RuntimeWarning would escape as an exception
             with pytest.raises(ValueError, match=f"^overflow in {stage}: "):
                 attention.pipeline_forward(h, seg, table, bundle, FusionConfig())
+
+    @pytest.mark.parametrize("library", [True, False], ids=["library", "no library"])
+    def test_masked_overflow_alone_is_named_without_warnings(self, rng, request, library):
+        # NumPy's loop warns where the C kernel does not: the masked branch's own thread must silence it
+        if not library:
+            request.getfixturevalue("no_library")
+        h, seg, table, bundle = self.make_setup(rng)
+        bundle = dict(bundle, Wq2=np.eye(4) * 1e200, Wk2=np.eye(4) * 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^overflow in masked attention scores: "):
+                attention.pipeline_forward(h, seg, table, bundle, FusionConfig())
+
+    @pytest.mark.parametrize("fails", [None, "plain", "masked"])
+    def test_no_thread_is_left_running(self, rng, fails):
+        h, seg, table, bundle = self.make_setup(rng)
+        if fails:
+            bundle = dict(bundle, **{f"Wv{1 + (fails == 'masked')}": np.full((4, 4), 1e308)})
+            h = np.full_like(h, 10.0)
+        before = threading.enumerate()
+        with pytest.raises(ValueError, match=f"^overflow in {fails} attention output: ") if fails else nullcontext():
+            attention.pipeline_forward(h, seg, table, bundle, FusionConfig())
+        assert threading.enumerate() == before
+
+    def test_masked_branch_runs_off_the_main_thread(self, rng, monkeypatch):
+        # a wrapper such as a tracer installs is called where pipeline_forward looks attend up
+        calls, real = [], attention.attend
+
+        def wrapped(*args, **kwargs):
+            calls.append((kwargs.get("mask", args[5] if len(args) > 5 else None) is None, threading.current_thread()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(attention, "attend", wrapped)
+        h, seg, table, bundle = self.make_setup(rng)
+        attention.pipeline_forward(h, seg, table, bundle, FusionConfig())
+        threads = dict(calls)
+        assert len(calls) == len(threads) == 2
+        assert threads[True] is threading.main_thread() and threads[False] is not threading.main_thread()
+
+    def test_bytes_equal_the_branches_in_turn_without_the_library(self, rng, no_library):
+        h, seg, table, bundle = self.make_setup(rng, d_h=8)
+        cfg = FusionConfig(lam=0.3, mu=0.7, heads=2)
+        got = attention.pipeline_forward(h, seg, table, bundle, cfg)
+        mask = MaskSpec(h.shape[0], frozenset(got.omega))
+        h1 = attention.attend(got.mixed, bundle["Wq1"], bundle["Wk1"], bundle["Wv1"], cfg.heads)
+        h2 = attention.attend(got.mixed, bundle["Wq2"], bundle["Wk2"], bundle["Wv2"], cfg.heads, mask)
+        assert got.h1.tobytes() == h1.tobytes() and got.h2.tobytes() == h2.tobytes()
+        assert got.fused.tobytes() == attention.fuse_heads_output(h1, h2, cfg.mu).tobytes()
 
     def test_missing_tensor_is_a_value_error(self, rng):
         h, seg, table, bundle = self.make_setup(rng)

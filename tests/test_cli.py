@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import BUNDLE_SEED42_SHA256
-from wordfuse import _kernel, check, cli, lexicon, numerics
+from wordfuse import _kernel, check, cli, lexicon, numerics, segvote
 
 # fuse output on the golden inputs (fuse_files below), frozen byte for byte
 FUSED_GOLDEN_SHA256 = "60635a410daf94ab588a407eb1190d709367cc3e96a1e154e3a1e4cafdd2b6ec"
@@ -848,6 +848,44 @@ class TestVoteAndInitWeightsPathEdgeCases:
             assert out.stat().st_size > 0
 
 
+# the golden inputs, by the argument that takes each: fuse's, then vote's --input
+GOLDEN_INPUTS = {"toy_embeddings.txt": "embeddings", "bundle_seed42.json": "weights", "hidden_6x8.txt": "hidden",
+                 "vote_record.jsonl": "input"}
+
+
+def damaged(data: bytes, how: str, rng) -> list[bytes]:
+    """16 copies of ``data``, each cut short or with one bit of a byte flipped, at seeded places."""
+    if how == "truncated":
+        return [data[:at] for at in sorted(rng.choice(len(data), size=16, replace=False))]
+    copies = []
+    for at, bit in zip(rng.integers(0, len(data), 16), rng.integers(0, 8, 16)):
+        copy = bytearray(data)
+        copy[at] ^= 1 << bit
+        copies.append(bytes(copy))
+    return copies
+
+
+class TestDamagedGoldenInputs:
+    """Each golden input of fuse and vote, cut short or with a bit flipped, exits 0 or 1 and names itself."""
+
+    @pytest.mark.parametrize("how", ["truncated", "flipped"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
+    def test_exits_zero_or_one_naming_the_input(self, golden, fuse_files, tmp_path, capsys, name, how):
+        key, path, out = GOLDEN_INPUTS[name], tmp_path / name, tmp_path / "out"
+        if key == "input":
+            argv, named = ["vote", "--input", path, "--output", out], f"error: {path}: "
+        else:
+            argv, named = fuse_args(dict(fuse_files, **{key: path, "output": out})), f"error: {ROLES[key]}: "
+        for data in damaged((golden / name).read_bytes(), how, np.random.default_rng(list(f"{name} {how}".encode()))):
+            path.write_bytes(data)
+            code, err = run_main(argv, capsys)
+            assert code in (0, 1), (data, err)
+            if code == 1:
+                assert err.startswith(named) and not out.exists(), (data, err)
+            else:
+                out.unlink()
+
+
 def run_cli_file_limit(limit, *argv):
     """``run_cli`` in a process that may not write past ``limit`` bytes of any file."""
 
@@ -1059,6 +1097,21 @@ class TestCheck:
         assert [row for row in rows if row.endswith("FAIL")] == [
             row for row in rows if row.startswith("softmax rows sum to one")
         ]
+
+    def test_a_property_that_raises_still_prints_the_whole_table(self, monkeypatch, capsys):
+        def vote(sentence, tokenizations):
+            raise ValueError("a broken vote")
+
+        monkeypatch.setattr(segvote, "vote", vote)
+        assert cli.main(["check", "--cases", "5"]) == 1
+        out = capsys.readouterr().out
+        rows = [line for line in out.splitlines() if line.endswith(("PASS", "FAIL"))]
+        assert [row.split("  ")[0] for row in rows] == [name for name, _ in check.PROPERTIES]
+        # the malformed-input property builds its valid records by vote
+        assert {row.split("  ")[0] for row in rows if row.endswith("FAIL")} == {
+            "vote always yields a valid deterministic partition", "unanimous voters keep their segmentation",
+            "a single voter is returned unchanged", "malformed input is refused with a located message"}
+        assert out.count("ValueError: a broken vote") == 4
 
     def test_seed_changes_are_still_green(self):
         res = run_cli("check", "--cases", 15, "--seed", 777)

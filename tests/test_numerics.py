@@ -145,6 +145,20 @@ for rows, inner, cols in shapes:
         raw.wordfuse_matmul(a.ctypes.data, b.ctypes.data, out.ctypes.data, rows, inner, cols, pack.ctypes.data)
     got, want = matmul(a, b), numerics.matmul_numpy(a, b)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (rows, inner, cols)
+# one pipeline at the paper's width: the two attention branches call the library on two threads at once
+from wordfuse import attention, lexicon, segvote
+from wordfuse.fusion import FusionConfig
+kernel = _kernel.Kernel(**_kernel._bind(library), detail=str(library))
+numerics.matmul_kernel = lambda: kernel
+sentence = "abcdefghijklmnop"
+seg = segvote.validate_tokenization(sentence, ["ab", "c", "defg", "hij", "klmnop"])
+table = lexicon.EmbeddingTable(dim=8, vectors={w: rng.standard_normal(8) for w in seg.words}, unk=np.zeros(8))
+bundle = lexicon.init_bundle(5, 8, 768)
+result = attention.pipeline_forward(rng.standard_normal((16, 768)), seg, table, bundle, FusionConfig(heads=12))
+h1 = attention.attend(result.mixed, bundle["Wq1"], bundle["Wk1"], bundle["Wv1"], 12)
+h2 = attention.attend(result.mixed, bundle["Wq2"], bundle["Wk2"], bundle["Wv2"], 12,
+                      attention.MaskSpec(16, frozenset(result.omega)))
+assert result.h1.tobytes() == h1.tobytes() and result.h2.tobytes() == h2.tobytes()
 print("ok")
 """
 
