@@ -11,7 +11,8 @@ so masked columns get an attention weight of exactly zero.  It computes
 keys, values and scores only at the omega positions: the softmax still sees
 the full n x n matrix (-inf outside omega), and the value product skips the
 masked columns, whose products with a zero weight are exact zeros that
-cannot change a pinned-order sum.
+cannot change a pinned-order sum.  The plain branch takes the same path
+with every column in omega.
 
 ``pipeline_forward`` takes the six attention matrices from the weight
 bundle by name: ``Wq1``, ``Wk1``, ``Wv1`` for the plain branch and ``Wq2``,
@@ -46,17 +47,17 @@ class MaskSpec:
 
 
 def _head_probabilities(h, wq, wk, heads, mask):
-    """Per-head n x n probabilities and the visible columns (None: all of them).
+    """Per-head n x n probabilities and the visible columns (all of them when ``mask`` is None).
 
-    Keys and scores are computed only at the visible columns.  Masked scores
-    are ``score / scale + 0.0``, as if the 0 / -inf mask had been added, so
-    the softmax input is the same matrix either way.  Scores that overflow
-    are a ValueError naming the branch, raised before the softmax sees them.
+    Keys and scores are computed only at the visible columns.  Scores are
+    ``score / scale + 0.0``, as if the 0 / -inf mask had been added, so the
+    softmax input is the same matrix either way.  Scores that overflow are a
+    ValueError naming the branch, raised before the softmax sees them.
     """
     n, d_h = h.shape
-    visible = None if mask is None else np.array(sorted(mask.omega))
+    visible = np.arange(n) if mask is None else np.array(sorted(mask.omega))
     q = matmul(h, wq)
-    k = matmul(h if visible is None else h[visible], wk)
+    k = matmul(h[visible], wk)
     scale = math.sqrt(d_h)  # full width by definition, independent of heads
     width = d_h // heads
     probs = []
@@ -64,11 +65,9 @@ def _head_probabilities(h, wq, wk, heads, mask):
         cols = slice(i * width, (i + 1) * width)
         scores = matmul(q[:, cols], k[:, cols].T) / scale
         require_finite_result(scores, f"{_branch(mask)} attention scores")
-        if visible is not None:
-            full = np.full((n, n), -np.inf)
-            full[:, visible] = scores + 0.0
-            scores = full
-        probs.append(softmax_rows(scores))
+        full = np.full((n, n), -np.inf)
+        full[:, visible] = scores + 0.0
+        probs.append(softmax_rows(full))
     return probs, visible
 
 
@@ -80,21 +79,19 @@ def attend(h, wq, wk, wv, heads: int = 1, mask: MaskSpec | None = None) -> np.nd
     """Self-attention with column-sliced heads, concatenated back in order.
 
     ``heads`` must divide the width of ``h`` and ``mask`` must be for its
-    rows: ``pipeline_forward`` checks the one and builds the other.  An
-    overflow in the scores or in the output is a ValueError naming the
-    branch and the step.
+    rows: ``pipeline_forward`` checks the one and builds the other.  No
+    mask is the mask that leaves every column visible.  An overflow in the
+    scores or in the output is a ValueError naming the branch and the step;
+    NumPy's overflow warnings are silenced meanwhile, on whichever thread
+    this runs.
     """
-    h = as_matrix(h, "h")
-    probs, visible = _head_probabilities(h, wq, wk, heads, mask)
-    if visible is not None:
-        h = h[visible]
-        probs = [p[:, visible] for p in probs]
-    v = matmul(h, wv)
-    width = h.shape[1] // heads
-    outs = [
-        matmul(p, v[:, i * width : (i + 1) * width]) for i, p in enumerate(probs)
-    ]
-    return require_finite_result(np.concatenate(outs, axis=1), f"{_branch(mask)} attention output")
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = as_matrix(h, "h")
+        probs, visible = _head_probabilities(h, wq, wk, heads, mask)
+        v = matmul(h[visible], wv)
+        width = h.shape[1] // heads
+        outs = [matmul(p[:, visible], v[:, i * width : (i + 1) * width]) for i, p in enumerate(probs)]
+        return require_finite_result(np.concatenate(outs, axis=1), f"{_branch(mask)} attention output")
 
 
 def masked_attention_weights(h, wq, wk, heads: int = 1, mask: MaskSpec | None = None) -> np.ndarray:
@@ -105,12 +102,6 @@ def masked_attention_weights(h, wq, wk, heads: int = 1, mask: MaskSpec | None = 
 def fuse_heads_output(h1, h2, mu: float) -> np.ndarray:
     """Convex combination mu*h1 + (1-mu)*h2 of the two branch outputs."""
     return mu * h1 + (1.0 - mu) * h2
-
-
-def _quietly(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)`` with NumPy's overflow warnings silenced: a new thread starts from the defaults."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return fn(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -142,10 +133,10 @@ def pipeline_forward(
     each call: an inf or NaN in one reaches every row of its stage's
     result, and when any stage fails ``check_bundle`` names such a tensor
     instead of the stage.  ``tanh`` would turn an inf in ``x W1 + b1`` into
-    +-1, which no stage check sees, so those two are scanned first.  NumPy's
-    overflow warnings are silenced meanwhile: the stages check their own
-    results.  The branch fusion is a convex combination of finite values
-    and needs no check.
+    +-1, which no stage check sees, so those two are scanned first.  Each
+    stage silences NumPy's overflow warnings and checks its own result.  The
+    branch fusion is a convex combination of finite values and needs no
+    check.
 
     The two branches run side by side: the masked one on a second thread
     while this one computes the plain one.  The compiled matmul runs
@@ -168,16 +159,14 @@ def pipeline_forward(
     require_finite(bundle["b1"], "weight bundle: b1")
     cfg.validate(h.shape[1])
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            # the projection loads the compiled library on this thread, before a second one calls it
-            mixed, omega = fuse_sequence(h, seg, table, bundle, cfg)
-            mask = MaskSpec(n=mixed.shape[0], omega=frozenset(omega))
-            # leaving the pool waits for the masked branch, so a plain branch's error is raised first
-            with ThreadPoolExecutor(1) as pool:
-                masked = pool.submit(_quietly, attend, mixed, bundle["Wq2"], bundle["Wk2"], bundle["Wv2"],
-                                     cfg.heads, mask=mask)
-                h1 = attend(mixed, bundle["Wq1"], bundle["Wk1"], bundle["Wv1"], cfg.heads, mask=None)
-                h2 = masked.result()
+        # the projection loads the compiled library on this thread, before a second one calls it
+        mixed, omega = fuse_sequence(h, seg, table, bundle, cfg)
+        mask = MaskSpec(n=mixed.shape[0], omega=frozenset(omega))
+        # leaving the pool waits for the masked branch, so a plain branch's error is raised first
+        with ThreadPoolExecutor(1) as pool:
+            masked = pool.submit(attend, mixed, bundle["Wq2"], bundle["Wk2"], bundle["Wv2"], cfg.heads, mask=mask)
+            h1 = attend(mixed, bundle["Wq1"], bundle["Wk1"], bundle["Wv1"], cfg.heads, mask=None)
+            h2 = masked.result()
     except ValueError:
         check_bundle(bundle, table.dim, h.shape[1])
         raise

@@ -43,6 +43,9 @@ _CONFIG_FIELDS = {"lambda": "number", "mu": "number", "heads": "integer",
 
 _FUSE_CLASH = "output {} is the input file {}; inputs are never overwritten"
 
+# the whitespace JSON allows around a value; str.strip() would also take NBSP, U+3000 and the like
+_JSON_WHITESPACE = " \t\r\n"
+
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -67,7 +70,7 @@ def cmd_vote(args) -> int:
     out_lines = []
     # JSON lines end at "\n" alone: U+2028, U+2029 and U+0085 may stand raw in a JSON string
     for lineno, line in enumerate(numerics.read_text(args.input).split("\n"), start=1):
-        if not line.strip():
+        if not line.strip(_JSON_WHITESPACE):
             continue
         with numerics.located(f"{args.input}: line {lineno}"):
             record = numerics.check_record(numerics.parse_json(line), _VOTE_FIELDS, required=_VOTE_FIELDS)
@@ -102,13 +105,13 @@ def cmd_init_weights(args) -> int:
 
 def _read_segmentation(path: str) -> Segmentation:
     """The record of a segmentation file: a JSON object, or a JSON-lines file of one record."""
-    text = numerics.read_text(path).strip()
+    text = numerics.read_text(path).strip(_JSON_WHITESPACE)
     with numerics.located(path):
         try:
             record = numerics.parse_json(text)
         except ValueError as err:
             try:
-                count = len([numerics.parse_json(line) for line in text.split("\n") if line.strip()])
+                count = len([numerics.parse_json(line) for line in text.split("\n") if line.strip(_JSON_WHITESPACE)])
             except ValueError:
                 raise err from None
             raise ValueError(f"{count} records, fuse takes exactly one") from None  # 0 if empty

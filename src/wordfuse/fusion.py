@@ -60,20 +60,10 @@ class WordAnalysis:
     key: int  # absolute character index of the key character
 
 
-def score_word(rows, v) -> np.ndarray:
-    """Cosine similarity of each character row against the word vector."""
-    return np.array([cosine(r, v) for r in rows])
-
-
-def select_key(scores) -> int:
-    """Index of the highest score; the first one on exact ties."""
-    return int(np.argmax(scores))
-
-
 def analyze_word(rows: np.ndarray, span: WordSpan, v: np.ndarray) -> WordAnalysis:
-    """Scores and key of the word at ``span``, whose k x d_h character ``rows`` are given."""
-    scores = score_word(rows, v)
-    return WordAnalysis(span=span, v=v, scores=scores, key=span.start + select_key(scores))
+    """Cosine of each of the word's k x d_h character ``rows`` against ``v``, and the key: the first maximum."""
+    scores = np.array([cosine(r, v) for r in rows])
+    return WordAnalysis(span=span, v=v, scores=scores, key=span.start + int(np.argmax(scores)))
 
 
 def inject_word(rows: np.ndarray, wa: WordAnalysis, cfg: FusionConfig) -> np.ndarray:
@@ -129,21 +119,23 @@ def fuse_sequence(
     change the result.
     The sentence's distinct words (after NFC normalization) are projected in
     one batched call; rows are independent, so each word vector is the same
-    bytes as a single-word ``project``.  An overflow in the projection or in
-    injection and mixing is a ValueError naming that stage.  ``h`` (one row
-    per character of the sentence), ``bundle`` and ``cfg`` are used as given:
+    bytes as projecting that word alone.  An overflow in the projection or
+    in injection and mixing is a ValueError naming that stage; NumPy's
+    overflow warnings are silenced meanwhile.  ``h`` (one row per character
+    of the sentence), ``bundle`` and ``cfg`` are used as given:
     ``pipeline_forward`` checks them.
     """
-    words = [_nfc(word) for word in seg.words]
-    distinct = list(dict.fromkeys(words))
-    embedded = np.array([lookup(table, word) for word in distinct]).reshape(len(distinct), table.dim)
-    projected = require_finite_result(project_rows(embedded, bundle), "word projection")
-    vectors = dict(zip(distinct, projected))
-    out = np.array(h, dtype=np.float64)  # the one copy
-    omega: set[int] = set()
-    for span, word in zip(seg.spans, words):
-        at = slice(span.start, span.end + 1)
-        wa = analyze_word(out[at], span, vectors[word])
-        out[at] = mix_word(inject_word(out[at], wa, cfg), span, wa.key, cfg.lam)
-        omega.add(wa.key)
-    return require_finite_result(out, "word injection and mixing"), omega
+    with np.errstate(over="ignore", invalid="ignore"):
+        words = [_nfc(word) for word in seg.words]
+        distinct = list(dict.fromkeys(words))
+        embedded = np.array([lookup(table, word) for word in distinct]).reshape(len(distinct), table.dim)
+        projected = require_finite_result(project_rows(embedded, bundle), "word projection")
+        vectors = dict(zip(distinct, projected))
+        out = np.array(h, dtype=np.float64)  # the one copy
+        omega: set[int] = set()
+        for span, word in zip(seg.spans, words):
+            at = slice(span.start, span.end + 1)
+            wa = analyze_word(out[at], span, vectors[word])
+            out[at] = mix_word(inject_word(out[at], wa, cfg), span, wa.key, cfg.lam)
+            omega.add(wa.key)
+        return require_finite_result(out, "word injection and mixing"), omega

@@ -15,7 +15,7 @@ pipeline as ``{"rows": r, "cols": c, "data": [...]}`` (or a string path to a
 matrix text file, resolved relative to the bundle).  Bias vectors are stored
 as 1 x d_h matrices so the same tensor codec covers everything.  In memory a
 bundle is a dict from tensor name to 2-D array, as ``load_bundle`` and
-``init_bundle`` return it; ``project`` and the pipeline read the tensors
+``init_bundle`` return it; ``project_rows`` and the pipeline read the tensors
 from it by name, and ``check_bundle_shapes`` is the one check of their shapes.
 
 The compiled loaders read a file in blocks (see ``numerics``): a table in
@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from . import numerics
-from .numerics import as_vector, matmul, require_finite
+from .numerics import matmul, require_finite
 
 log = logging.getLogger(__name__)
 
@@ -255,15 +255,10 @@ def project_rows(x, bundle: Mapping[str, np.ndarray]) -> np.ndarray:
     ``bundle`` is a weight bundle, as ``check_bundle`` accepts it; the 1 x d_h
     bias rows broadcast over the rows of ``x``.  Rows never mix under the
     pinned matmul order and tanh acts per element, so row i equals
-    ``project(x[i])`` byte for byte.
+    ``project_rows(x[i:i + 1])`` byte for byte.
     """
     hidden = np.tanh(matmul(x, bundle["W1"]) + bundle["b1"])
     return matmul(hidden, bundle["W2"]) + bundle["b2"]
-
-
-def project(x, bundle: Mapping[str, np.ndarray]) -> np.ndarray:
-    """tanh(x W1 + b1) W2 + b2 for a single word vector."""
-    return project_rows(as_vector(x, "x")[None, :], bundle)[0]
 
 
 # the fields of a bundle and of a tensor stored inline, by numerics.JSON_FIELD_KINDS

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from wordfuse import attention, lexicon, numerics
+from wordfuse import attention, fusion, lexicon, numerics
 from wordfuse.attention import MaskSpec
 from wordfuse.check import naive_attend
 from wordfuse.fusion import FusionConfig
@@ -298,6 +298,41 @@ class TestPipelineForward:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^overflow in masked attention scores: "):
                 attention.pipeline_forward(h, seg, table, bundle, FusionConfig())
+
+    @pytest.mark.parametrize("library", [True, False], ids=["library", "no library"])
+    @pytest.mark.parametrize("stage", ["word projection", "word injection and mixing",
+                                       "plain attention scores", "masked attention scores"])
+    def test_each_stage_silences_its_own_overflow_on_a_fresh_thread(self, rng, request, stage, library):
+        # a new thread starts from NumPy's default error state, which warns on overflow
+        if not library:
+            request.getfixturevalue("no_library")
+        h, seg, table, bundle = self.make_setup(rng)
+        if stage == "word projection":
+            # x W1 steps to +inf, then adds -inf: NaN
+            table.vectors = {word: np.array([1e10, 1e10, 0.0]) for word in table.vectors}
+            bundle = dict(bundle, W1=np.tile([[1e300], [-1e300], [0.0]], (1, 4)))
+        if stage.startswith("word"):
+            h = np.full_like(h, 1e308 if stage == "word injection and mixing" else 1.0)
+            fn, args = fusion.fuse_sequence, (h, seg, table, bundle, FusionConfig())
+        else:
+            big = np.eye(4) * 1e200
+            mask = MaskSpec(5, frozenset({0, 3})) if stage.startswith("masked") else None
+            fn, args = attention.attend, (h, big, big, np.eye(4), 1, mask)
+        raised = []
+
+        def run():
+            try:
+                fn(*args)
+            except Exception as err:  # noqa: BLE001 - handed back to the test's thread
+                raised.append(err)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would be the exception raised
+            thread = threading.Thread(target=run)
+            thread.start()
+            thread.join()
+        assert len(raised) == 1 and type(raised[0]) is ValueError, raised
+        assert str(raised[0]).startswith(f"overflow in {stage}: ")
 
     @pytest.mark.parametrize("fails", [None, "plain", "masked"])
     def test_no_thread_is_left_running(self, rng, fails):

@@ -60,6 +60,11 @@ def run_main(argv, capsys):
     return code, capsys.readouterr().err
 
 
+# characters str.strip() takes for whitespace that JSON does not
+NON_JSON_SPACE = ["\xa0", "\u3000", "\u2028", "\x0b", "\x0c", "\x1f"]
+NON_JSON_SPACE_IDS = ["NBSP", "U+3000", "U+2028", "VT", "FF", "U+001F"]
+
+
 class TestVote:
     def test_headline_record(self, golden, tmp_path):
         out = tmp_path / "out.jsonl"
@@ -162,6 +167,16 @@ class TestVote:
         code, err = run_main(fuse_args(dict(fuse_files, segmentation=voted)), capsys)
         assert (code, err) == (0, f"wrote {fuse_files['output']}\n")
         assert hashlib.sha256(fuse_files["output"].read_bytes()).hexdigest() == FUSED_GOLDEN_SHA256
+
+    @pytest.mark.parametrize("char", NON_JSON_SPACE, ids=NON_JSON_SPACE_IDS)
+    def test_line_of_non_json_whitespace_is_not_valid_json(self, golden, tmp_path, capsys, char):
+        # JSON whitespace is space, tab, CR and LF alone: a line of anything else is not a blank line
+        src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        record = (golden / "vote_record.jsonl").read_text(encoding="utf-8")
+        src.write_text(record + f" {char}\t\r\n" + record, encoding="utf-8")
+        code, err = run_main(["vote", "--input", src, "--output", out], capsys)
+        assert code == 1 and err.startswith(f"error: {src}: line 2: not valid JSON: "), err
+        assert not out.exists()
 
     def test_missing_input_file(self, tmp_path):
         res = run_cli("vote", "--input", tmp_path / "nope.jsonl")
@@ -386,6 +401,14 @@ class TestFuse:
         res = run_cli(*fuse_args(dict(fuse_files, segmentation=seg)))
         assert res.returncode == 1, res.stderr
         assert "2 records" in res.stderr
+        assert not fuse_files["output"].exists()
+
+    @pytest.mark.parametrize("char", NON_JSON_SPACE, ids=NON_JSON_SPACE_IDS)
+    def test_trailing_non_json_whitespace_is_not_valid_json(self, fuse_files, capsys, char):
+        seg = fuse_files["segmentation"]
+        seg.write_text(seg.read_text(encoding="utf-8") + f"\t{char} \n", encoding="utf-8")
+        code, err = run_main(fuse_args(fuse_files), capsys)
+        assert code == 1 and err.startswith(f"error: segmentation: {seg}: not valid JSON: Extra data: line 2 "), err
         assert not fuse_files["output"].exists()
 
     def test_config_debug_flag_must_be_boolean(self, fuse_files, tmp_path):
@@ -866,17 +889,31 @@ def damaged(data: bytes, how: str, rng) -> list[bytes]:
 
 
 class TestDamagedGoldenInputs:
-    """Each golden input of fuse and vote, cut short or with a bit flipped, exits 0 or 1 and names itself."""
+    """Each input file of fuse and vote, cut short or with a bit flipped, exits 0 or 1 and names itself.
+
+    The golden inputs, a config file of the four settings, and the segmentation file vote writes
+    from the golden record.
+    """
 
     @pytest.mark.parametrize("how", ["truncated", "flipped"])
-    @pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
+    @pytest.mark.parametrize("name", [*sorted(GOLDEN_INPUTS), "config", "segmentation"])
     def test_exits_zero_or_one_naming_the_input(self, golden, fuse_files, tmp_path, capsys, name, how):
-        key, path, out = GOLDEN_INPUTS[name], tmp_path / name, tmp_path / "out"
-        if key == "input":
-            argv, named = ["vote", "--input", path, "--output", out], f"error: {path}: "
+        path, out = tmp_path / name, tmp_path / "out"
+        files = dict(fuse_files, output=out)
+        if name == "config":
+            path.write_text(json.dumps({"lambda": 0.3, "mu": 0.7, "heads": 2, "debug_intermediates": False}) + "\n")
+            argv, named = fuse_args(files, config=path), f"error: {path}: "
+        elif name == "segmentation":
+            assert run_main(["vote", "--input", golden / "vote_record.jsonl", "--output", path], capsys) == (0, "")
+            argv, named = fuse_args(dict(files, segmentation=path)), "error: segmentation: "
         else:
-            argv, named = fuse_args(dict(fuse_files, **{key: path, "output": out})), f"error: {ROLES[key]}: "
-        for data in damaged((golden / name).read_bytes(), how, np.random.default_rng(list(f"{name} {how}".encode()))):
+            key = GOLDEN_INPUTS[name]
+            path.write_bytes((golden / name).read_bytes())
+            if key == "input":
+                argv, named = ["vote", "--input", path, "--output", out], f"error: {path}: "
+            else:
+                argv, named = fuse_args(dict(files, **{key: path})), f"error: {ROLES[key]}: "
+        for data in damaged(path.read_bytes(), how, np.random.default_rng(list(f"{name} {how}".encode()))):
             path.write_bytes(data)
             code, err = run_main(argv, capsys)
             assert code in (0, 1), (data, err)

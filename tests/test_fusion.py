@@ -79,18 +79,26 @@ class TestFusionConfig:
 
 
 class TestScoreAndKey:
-    def test_score_word_is_per_row_cosine(self, rng):
+    def test_scores_are_per_row_cosine(self, rng):
         rows = rng.standard_normal((4, 6))
         v = rng.standard_normal(6)
-        got = fusion.score_word(rows, v)
+        got = fusion.analyze_word(rows, WordSpan(0, 3), v).scores
         want = [numerics.cosine(rows[i], v) for i in range(4)]
         assert got.tolist() == want
 
-    def test_select_key_is_argmax(self):
-        assert fusion.select_key(np.array([0.1, 0.9, 0.3])) == 1
+    @staticmethod
+    def key_of(cosines, start=3):
+        """The key analyze_word picks for rows with these cosines against the first unit vector."""
+        rows = np.array([[c, math.sqrt(1.0 - c * c)] for c in cosines])
+        wa = fusion.analyze_word(rows, WordSpan(start, start + len(cosines) - 1), np.array([1.0, 0.0]))
+        assert wa.scores == pytest.approx(cosines, abs=1e-15)
+        return wa.key - start
 
-    def test_select_key_first_max_on_tie(self):
-        assert fusion.select_key(np.array([0.5, 0.5, 0.2])) == 0
+    def test_key_is_argmax(self):
+        assert self.key_of([0.1, 0.9, 0.3]) == 1
+
+    def test_key_first_max_on_tie(self):
+        assert self.key_of([0.5, 0.5, 0.2]) == 0
 
     def test_analyze_word_key_is_absolute(self, rng):
         h = rng.standard_normal((6, 4))
@@ -235,7 +243,7 @@ class TestFuseSequence:
         omega = set()
         for span in seg.spans:
             word = seg.sentence[span.start : span.end + 1]
-            v = lexicon.project(lexicon.lookup(self.table, word), self.bundle)
+            v = lexicon.project_rows(lexicon.lookup(self.table, word)[None, :], self.bundle)[0]
             rows = want[span.start : span.end + 1]
             wa = fusion.analyze_word(rows, span, v)
             omega.add(wa.key)

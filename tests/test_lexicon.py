@@ -256,7 +256,7 @@ class TestProjection:
             d_w, d_h = int(rng.integers(1, 8)), int(rng.integers(1, 8))
             bundle = projection_bundle(rng, d_w, d_h)
             x = rng.standard_normal(d_w)
-            got = lexicon.project(x, bundle)
+            got = lexicon.project_rows(x[None, :], bundle)[0]
             want = oracles.project_straight_line(
                 x.tolist(),
                 bundle["W1"].tolist(),
@@ -274,7 +274,7 @@ class TestProjection:
             got = lexicon.project_rows(x, bundle)
             assert got.shape == (rows, d_h)
             for i in range(rows):
-                want = lexicon.project(x[i], bundle)
+                want = lexicon.project_rows(x[i][None, :], bundle)[0]
                 assert got[i].tobytes() == want.tobytes()
 
     def test_bias_rows_broadcast_like_flat_biases(self, rng):
@@ -290,13 +290,13 @@ class TestProjection:
         with pytest.raises(ValueError):
             lexicon.project_rows(np.zeros((2, 4)), bundle)
         with pytest.raises(ValueError):
-            lexicon.project(np.zeros(4), bundle)
+            lexicon.project_rows(np.zeros(4)[None, :], bundle)[0]
 
     def test_output_bounded_by_tanh_then_affine(self, rng):
         # with W2 = I and b2 = 0 the output is exactly tanh(x W1 + b1)
         d = 4
         bundle = {"W1": rng.standard_normal((3, d)), "b1": np.zeros((1, d)), "W2": np.eye(d), "b2": np.zeros((1, d))}
-        out = lexicon.project(rng.standard_normal(3), bundle)
+        out = lexicon.project_rows(rng.standard_normal(3)[None, :], bundle)[0]
         assert np.all(np.abs(out) < 1.0)
 
 
