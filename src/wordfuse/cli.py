@@ -38,7 +38,7 @@ FUSE_PATHS = ("embeddings", "weights", "hidden", "segmentation", "output")
 _VOTE_FIELDS = {"sentence": "string", "tokenizations": "list of word lists"}
 _SEGMENTATION_FIELDS = {"sentence": "string", "spans": "list of [start, end] integer pairs",
                         "words": "list of strings"}
-_CONFIG_FIELDS = {"lambda": "number", "mu": "number", "heads": "integer",
+_CONFIG_FIELDS = {"lambda": "number in [0, 1]", "mu": "number in [0, 1]", "heads": "positive integer",
                   "debug_intermediates": "boolean", **dict.fromkeys(FUSE_PATHS, "string")}
 
 _FUSE_CLASH = "output {} is the input file {}; inputs are never overwritten"

@@ -20,14 +20,15 @@ from it by name, and ``check_bundle_shapes`` is the one check of their shapes.
 
 The compiled loaders read a file in blocks (see ``numerics``): a table in
 pieces of whole lines, a bundle in pieces of each tensor's data list, read
-as lines of one number ended by ``,``.  The Python readers, for any other
-file, read it whole.
+as lines of one number ended by ``,``.  For any other file, the Python
+bundle reader reads it whole, and the embeddings reader line by line.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import re
 import unicodedata
@@ -102,23 +103,9 @@ def _normalized(words: list[str]) -> list[str] | None:
     return list(map(_nfc, words))
 
 
-def _subset(dim: int, words: list[str], rows: np.ndarray, keep: set[str] | None
-            ) -> tuple[int, list[str], np.ndarray, int]:
-    """``(dim, words, rows, duplicates)`` of the entries whose words are in ``keep`` (all with None).
-
-    ``duplicates`` counts the entries whose word an earlier one has, over
-    every entry.
-    """
-    duplicates = len(words) - len(set(words))
-    if keep is not None:
-        chosen = [i for i, word in enumerate(words) if word in keep]
-        words, rows = [words[i] for i in chosen], rows[chosen]
-    return dim, words, rows, duplicates
-
-
 def _compiled_rows(path: str | os.PathLike, keep: set[str] | None = None
                    ) -> tuple[int, list[str], np.ndarray, int] | None:
-    """``(dim, words, rows, duplicates)`` of an embeddings file by the compiled parser, or None; see ``_subset``.
+    """``(dim, words, rows, duplicates)`` of an embeddings file by the compiled parser, or None; see ``_read_rows``.
 
     It takes only files whose entries follow the header at once, each a word
     and its numbers separated by spaces and ended by ``\\n``, with nothing
@@ -130,7 +117,7 @@ def _compiled_rows(path: str | os.PathLike, keep: set[str] | None = None
     if keep is None:
         parsed = numerics.parse_rows(path, _EMBEDDING_HEADER, words=True)
         words = None if parsed is None else _normalized(parsed[1])
-        return None if words is None else _subset(parsed[0].shape[1], words, parsed[0], None)
+        return None if words is None else (parsed[0].shape[1], words, parsed[0], len(words) - len(set(words)))
     entries, seen = 0, set()
 
     def chosen(piece: list[str]) -> list[int] | None:
@@ -149,17 +136,21 @@ def _compiled_rows(path: str | os.PathLike, keep: set[str] | None = None
     return rows.shape[1], list(map(_nfc, words)), rows, entries - len(seen)
 
 
-def _read_rows(path: str | os.PathLike) -> tuple[int, list[str], np.ndarray]:
-    """``(dim, words, rows)`` of an embeddings file, read line by line in Python.
+def _read_rows(path: str | os.PathLike, keep: set[str] | None) -> tuple[int, list[str], np.ndarray, int]:
+    """``(dim, words, rows, duplicates)`` of an embeddings file, read line by line in Python.
 
-    Row i of ``rows`` belongs to ``words[i]``; the rows grow into one array
-    as entries arrive.  Trailing whitespace-only lines are ignored; a blank
-    line before the last entry is an entry with no fields.  A wrong header
-    comes first, then a wrong number of entries, then the first bad entry
-    line, as if every line had been checked in order.
+    Row i of ``rows`` belongs to ``words[i]``.  Every entry is checked, but
+    only those whose words are in ``keep`` (all with None) are kept, their
+    rows grown into one array as they arrive; ``duplicates`` counts the
+    entries whose word an earlier one has, over every entry.  Trailing
+    whitespace-only lines are ignored; a blank line before the last entry is
+    an entry with no fields.  A wrong header comes first, then a wrong number
+    of entries, then the first bad entry line, as if every line had been
+    checked in order.
     """
     count = dim = None
     words: list[str] = []
+    seen: set[str] = set()  # the word of every entry read
     entries = 0  # entry lines so far, blank ones before a later entry included
     blanks = 0  # blank lines not yet known to be inner or trailing
     error = None  # first bad entry line; reported once the entry count is known to be right
@@ -198,23 +189,26 @@ def _read_rows(path: str | os.PathLike) -> tuple[int, list[str], np.ndarray]:
         except ValueError:
             error = f"line {lineno}: invalid number in vector"
             continue
+        if not all(map(math.isfinite, values)):
+            error = f"line {lineno}: non-finite value in vector"
+            continue
+        word = _nfc(parts[0])
+        seen.add(word)
+        if keep is not None and word not in keep:
+            continue
         if len(words) == len(rows):
             grown = np.empty((min(count, 2 * len(rows) + 1), dim))
             grown[: len(rows)] = rows
             rows = grown
         rows[len(words)] = values
-        words.append(_nfc(parts[0]))
+        words.append(word)
     if count is None:
         raise ValueError(f"{path}: line 1: empty file, expected 'count dim' header")
     if entries != count:
         raise ValueError(f"{path}: expected {count} entries, found {entries}")
-    # the rows read all precede the first bad line, and row i sits on line i + 2
-    bad = np.flatnonzero(~np.isfinite(rows[: len(words)]).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{path}: line {bad[0] + 2}: non-finite value in vector")
     if error is not None:
         raise ValueError(f"{path}: {error}")
-    return dim, words, rows
+    return dim, words, rows[: len(words)], entries - len(seen)
 
 
 def load_embeddings(path: str | os.PathLike, words: Iterable[str] | None = None) -> EmbeddingTable:
@@ -226,11 +220,12 @@ def load_embeddings(path: str | os.PathLike, words: Iterable[str] | None = None)
     ``duplicates`` still counts over every entry.  The compiled parser
     reads a file in its layout (``_compiled_rows``), keeping only those
     rows of each block; any other file, or every file when no library
-    loaded, is read whole by ``_read_rows``, which gives the same table or
-    the same error.  The table vectors are rows of one array.
+    loaded, is read line by line by ``_read_rows``, which keeps the same
+    rows and gives the same table or the same error.  The table vectors are
+    rows of one array.
     """
     keep = None if words is None else {_nfc(word) for word in words} | {UNK_TOKEN}
-    dim, found, rows, duplicates = _compiled_rows(path, keep) or _subset(*_read_rows(path), keep)
+    dim, found, rows, duplicates = _compiled_rows(path, keep) or _read_rows(path, keep)
     vectors = dict(zip(found, rows))
     if duplicates:
         log.warning("%s: %d duplicate words, last occurrence kept", path, duplicates)
@@ -435,7 +430,7 @@ def save_bundle(tensors: Mapping[str, np.ndarray], path: str | os.PathLike) -> N
 def init_bundle(seed: int, d_w: int, d_h: int) -> dict[str, np.ndarray]:
     """Fresh deterministic bundle: seeded uniform weights, zero biases.
 
-    Matrices are drawn from one SplitMix64 stream in canonical order
+    Matrices are drawn from one SplitMix64 stream in BUNDLE_SHAPES order
     (W1, W2, then the six attention matrices); biases consume no draws.
     A bundle that would not fit in physical memory is refused before
     anything is allocated.
@@ -454,12 +449,8 @@ def init_bundle(seed: int, d_w: int, d_h: int) -> dict[str, np.ndarray]:
             f"more than the {have / 1e9:.3g} GB of physical memory"
         )
     rng = numerics.SplitMix64(seed)
-    bundle = {
-        "W1": numerics.init_matrix(rng, d_w, d_h),
-        "b1": np.zeros((1, d_h)),
-        "W2": numerics.init_matrix(rng, d_h, d_h),
-        "b2": np.zeros((1, d_h)),
+    dims = {"d_w": d_w, "d_h": d_h}
+    return {
+        name: np.zeros((1, dims[cols])) if rows == 1 else numerics.init_matrix(rng, dims[rows], dims[cols])
+        for name, (rows, cols) in BUNDLE_SHAPES.items()
     }
-    for name in ("Wq1", "Wk1", "Wv1", "Wq2", "Wk2", "Wv2"):
-        bundle[name] = numerics.init_matrix(rng, d_h, d_h)
-    return bundle

@@ -56,7 +56,6 @@ import math
 import os
 import re
 import stat
-import sys
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
@@ -472,10 +471,8 @@ JSON_FIELD_KINDS = {
     "list": lambda v: type(v) is list,
     "string": lambda v: type(v) is str and _no_surrogate(v, v),
     "boolean": lambda v: type(v) is bool,
-    "integer": lambda v: type(v) is int,
     "positive integer": lambda v: type(v) is int and v > 0,
-    # a number must fit a float: float() of a 400-digit integer raises OverflowError
-    "number": lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+    "number in [0, 1]": lambda v: type(v) in (int, float) and 0 <= v <= 1,
     "list of strings": lambda v: _strings(v) and _no_surrogate(v, "".join(v)),
     "list of word lists": lambda v: type(v) is list and all(map(_strings, v))
     and _no_surrogate(v, "".join(map("".join, v))),

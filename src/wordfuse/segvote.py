@@ -20,9 +20,9 @@ Tokenizations arrive as plain word lists (data, not tokenizer calls); the
 expected JSON-lines record shape is
 ``{"sentence": "...", "tokenizations": [["w1", "w2", ...], ...]}``.
 
-Each voter's partition is checked once, by one test: its words are non-empty
-and join to the sentence (a voter that fails is walked word by word to name
-the index).  Spans from outside are checked by ``Segmentation.__post_init__``.
+Each voter's partition is checked once, by one test, ``_starts``: its words
+are non-empty and join to the sentence (a voter that fails is walked word by
+word to name the index).  Spans from outside are checked by ``Segmentation.__post_init__``.
 """
 
 from __future__ import annotations
@@ -126,17 +126,16 @@ class AgreementReport:
 
 
 def agreement_stats(tokenizations: Sequence[Sequence[str]]) -> AgreementReport:
-    """Count shared word-start positions across tokenizations of one sentence."""
+    """Count shared word-start positions across tokenizations of one sentence.
+
+    The sentence is the first tokenization's words joined; each is checked
+    against it by ``_starts``, as ``vote`` checks its voters.
+    """
     if len(tokenizations) < 2:
         raise ValueError("agreement_stats needs at least two tokenizations")
-    totals = {sum(len(w) for w in t) for t in tokenizations}
-    if len(totals) != 1:
-        raise ValueError(f"tokenizations cover different lengths: {sorted(totals)}")
-    if not all(all(t) for t in tokenizations):
-        raise ValueError("empty word in tokenization")
-    # each tokenization's running sums end at the shared total, which starts no word
-    (total,) = totals
-    start_sets = [set(accumulate(map(len, t), initial=0)) - {total} for t in tokenizations]
+    sentence = "".join(tokenizations[0])
+    # each tokenization's starts end at the sentence's length, which starts no word
+    start_sets = [set(_starts(sentence, t)) - {len(sentence)} for t in tokenizations]
     return AgreementReport(
         num_tokenizations=len(tokenizations),
         start_counts=dict(sorted(Counter(s for starts in start_sets for s in starts).items())),

@@ -423,12 +423,12 @@ class TestFuse:
     @pytest.mark.parametrize(
         ("config", "named"),
         [
-            ({"heads": 2.7}, "heads: expected a JSON integer, got 2.7"),
-            ({"heads": True}, "heads: expected a JSON integer, got true"),
-            ({"mu": "0.5"}, 'mu: expected a JSON number, got "0.5"'),
-            ({"lambda": False}, "lambda: expected a JSON number, got false"),
+            ({"heads": 2.7}, "heads: expected a JSON positive integer, got 2.7"),
+            ({"heads": True}, "heads: expected a JSON positive integer, got true"),
+            ({"mu": "0.5"}, 'mu: expected a JSON number in [0, 1], got "0.5"'),
+            ({"lambda": False}, "lambda: expected a JSON number in [0, 1], got false"),
             ({"output": 5}, "output: expected a JSON string, got 5"),
-            ({"mu": 10**400}, "mu: expected a JSON number, got 1000"),
+            ({"mu": 10**400}, "mu: expected a JSON number in [0, 1], got 1000"),
             ({"lamda": 0.1}, "unknown config keys: lamda"),
         ],
         ids=["fractional-heads", "boolean-heads", "string-mu", "boolean-lambda", "numeric-output",
@@ -441,6 +441,24 @@ class TestFuse:
         assert res.returncode == 1, res.stderr
         assert f"{path}: {named}" in res.stderr
         assert not fuse_files["output"].exists()
+
+    @pytest.mark.parametrize(
+        ("config", "named"),
+        [({"lambda": 4.3}, "lambda: expected a JSON number in [0, 1], got 4.3"),
+         ({"mu": -0.25}, "mu: expected a JSON number in [0, 1], got -0.25"),
+         ({"heads": 0}, "heads: expected a JSON positive integer, got 0")],
+        ids=["lambda", "mu", "heads"],
+    )
+    def test_config_setting_out_of_range_refused_before_any_input_loads(
+            self, fuse_files, tmp_path, monkeypatch, capsys, config, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        loads = []
+        monkeypatch.setattr(lexicon, "load_bundle", lambda *args: loads.append(args))
+        code, err = run_main([*fuse_args(fuse_files), "--config", path], capsys)
+        assert (code, err) == (1, f"error: {path}: {named}\n")
+        assert not fuse_files["output"].exists()
+        assert loads == []
 
     @pytest.mark.parametrize(
         ("mutate", "field"),

@@ -113,17 +113,20 @@ class TestLoadEmbeddings:
             "2 0\n",  # bad header values
         ],
     )
-    def test_streamed_reader_matches_whole_file_reader(self, tmp_path, text):
+    @pytest.mark.parametrize("words", [None, ["foo", "\u00e9"]], ids=["all", "subset"])
+    def test_streamed_reader_matches_whole_file_reader(self, tmp_path, text, words):
         p = tmp_path / "e.txt"
         p.write_bytes(text.encode("utf-8"))
         try:
             dim, vectors, duplicates = oracles.load_embeddings_whole_file(p)
         except ValueError as err:
             with pytest.raises(ValueError) as got:
-                lexicon.load_embeddings(p)
+                lexicon.load_embeddings(p, words)
             assert str(got.value) == str(err)
             return
-        table = lexicon.load_embeddings(p)
+        if words is not None:
+            vectors = {w: v for w, v in vectors.items() if w in {*words, lexicon.UNK_TOKEN}}
+        table = lexicon.load_embeddings(p, words)
         assert (table.dim, table.duplicates) == (dim, duplicates)
         assert list(table.vectors) == list(vectors)
         for word, vec in vectors.items():

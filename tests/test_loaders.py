@@ -317,7 +317,7 @@ def test_compiled_loaders_never_hold_the_whole_text(tmp_path, monkeypatch, kind)
     path.write_text(text, encoding="utf-8")
     monkeypatch.setattr(numerics, "READ_BLOCK", 1 << 16)
     monkeypatch.setattr(numerics, "read_text", lambda *args, **kwargs: pytest.fail("the Python reader ran"))
-    monkeypatch.setattr(lexicon, "_read_rows", lambda path: pytest.fail("the Python reader ran"))
+    monkeypatch.setattr(lexicon, "_read_rows", lambda path, keep: pytest.fail("the Python reader ran"))
     tracemalloc.start()
     try:
         value = KINDS[kind][1](path)
@@ -332,7 +332,7 @@ def test_a_subset_load_never_holds_the_whole_array(tmp_path, monkeypatch):
     path = tmp_path / "emb"
     path.write_text(large_text("emb", np.random.default_rng(5)), encoding="utf-8")
     monkeypatch.setattr(numerics, "READ_BLOCK", 1 << 16)
-    monkeypatch.setattr(lexicon, "_read_rows", lambda path: pytest.fail("the Python reader ran"))
+    monkeypatch.setattr(lexicon, "_read_rows", lambda path, keep: pytest.fail("the Python reader ran"))
     words = [f"w{i}" for i in range(0, 500, 50)]
     tracemalloc.start()
     try:
@@ -345,6 +345,24 @@ def test_a_subset_load_never_holds_the_whole_array(tmp_path, monkeypatch):
     # shortest lines of 400 numbers (4 blocks), and the set of every word (about 1 block); the
     # whole array would take 24 blocks
     assert peak - held < 8 * numerics.READ_BLOCK, (peak, held)
+
+
+def test_the_python_reader_keeps_only_the_rows_asked_for(tmp_path, no_library):
+    # beyond the rows it keeps: one line and its numbers, and the set of every word (about 0.3 MB);
+    # the whole array would take 3.2 MB
+    path = tmp_path / "emb"
+    m = np.random.default_rng(6).standard_normal((4000, 100))
+    path.write_text("4000 100\n" + "".join(f"w{i} {row}" for i, row in enumerate(printed(m).splitlines(True))),
+                    encoding="utf-8")
+    words = [f"w{i}" for i in range(0, 4000, 400)]
+    tracemalloc.start()
+    try:
+        table = lexicon.load_embeddings(path, words)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(table.vectors) == sorted(words)
+    assert peak - held < 1 << 20, (peak, held)
 
 
 @pytest.mark.parametrize("text", ["2 2\n1.5 -0.0\n1e-05 7\n", "2 2\r\n1.5 -0.0\r\n1e-05 7\r\n"],

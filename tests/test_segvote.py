@@ -222,9 +222,10 @@ class TestAgreementStats:
         ("tokenizations", "message"),
         [
             ([["ab"]], "agreement_stats needs at least two tokenizations"),
-            ([["ab"], ["abc"]], "tokenizations cover different lengths: [2, 3]"),
-            ([["a", ""], ["abc"]], "tokenizations cover different lengths: [1, 3]"),
-            ([["a", "", "b"], ["ab"]], "empty word in tokenization"),
+            ([["ab"], ["abc"]], "tokenization diverges from sentence at character index 2"),
+            ([["a", ""], ["abc"]], "empty word at character index 1"),
+            ([["a", "", "b"], ["ab"]], "empty word at character index 1"),
+            ([["ab"], ["cd"]], "tokenization diverges from sentence at character index 0"),
         ],
     )
     def test_messages(self, tokenizations, message):
@@ -241,3 +242,24 @@ class TestAgreementStats:
         assert report.start_counts == {s: sum(s in ss for ss in starts) for s in sorted(set.union(*starts))}
         assert report.shared_starts == tuple(sorted(set.intersection(*starts)))
         assert report.all_starts == tuple(sorted(set.union(*starts)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), sentence=st.text(alphabet="ab", min_size=1, max_size=14))
+    def test_refuses_exactly_what_vote_refuses(self, data, sentence):
+        voters = data.draw(st.lists(voter(sentence), min_size=2, max_size=5))
+        for i in data.draw(st.lists(st.integers(0, len(voters) - 1), max_size=2, unique=True)):
+            words = voters[i]
+            j = data.draw(st.integers(0, len(words) - 1))
+            if data.draw(st.booleans()):  # one character changed
+                k = data.draw(st.integers(0, len(words[j]) - 1))
+                words[j] = words[j][:k] + "x" + words[j][k + 1:]
+            else:  # one word emptied
+                words[j] = ""
+        try:
+            segvote.vote("".join(voters[0]), voters)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                segvote.agreement_stats(voters)
+            assert str(got.value) == str(err)
+        else:
+            segvote.agreement_stats(voters)
