@@ -49,10 +49,10 @@ class MaskSpec:
 def _head_probabilities(h, wq, wk, heads, mask):
     """Per-head n x n probabilities and the visible columns (all of them when ``mask`` is None).
 
-    Keys and scores are computed only at the visible columns.  Scores are
-    ``score / scale + 0.0``, as if the 0 / -inf mask had been added, so the
-    softmax input is the same matrix either way.  Scores that overflow are a
-    ValueError naming the branch, raised before the softmax sees them.
+    Keys and scores are computed only at the visible columns.  Scores that
+    overflow are a ValueError naming the branch, raised before the softmax
+    sees them, so it gets what it assumes: finite visible columns, -inf
+    elsewhere.
     """
     n, d_h = h.shape
     visible = np.arange(n) if mask is None else np.array(sorted(mask.omega))
@@ -66,7 +66,7 @@ def _head_probabilities(h, wq, wk, heads, mask):
         scores = matmul(q[:, cols], k[:, cols].T) / scale
         require_finite_result(scores, f"{_branch(mask)} attention scores")
         full = np.full((n, n), -np.inf)
-        full[:, visible] = scores + 0.0
+        full[:, visible] = scores
         probs.append(softmax_rows(full))
     return probs, visible
 
@@ -78,15 +78,14 @@ def _branch(mask: MaskSpec | None) -> str:
 def attend(h, wq, wk, wv, heads: int = 1, mask: MaskSpec | None = None) -> np.ndarray:
     """Self-attention with column-sliced heads, concatenated back in order.
 
-    ``heads`` must divide the width of ``h`` and ``mask`` must be for its
-    rows: ``pipeline_forward`` checks the one and builds the other.  No
-    mask is the mask that leaves every column visible.  An overflow in the
-    scores or in the output is a ValueError naming the branch and the step;
-    NumPy's overflow warnings are silenced meanwhile, on whichever thread
-    this runs.
+    ``h`` is a 2-D float64 array, ``heads`` must divide its width and
+    ``mask`` must be for its rows: ``pipeline_forward`` checks these and
+    builds the mask.  No mask is the mask that leaves every column visible.
+    An overflow in the scores or in the output is a ValueError naming the
+    branch and the step; NumPy's overflow warnings are silenced meanwhile,
+    on whichever thread this runs.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        h = as_matrix(h, "h")
         probs, visible = _head_probabilities(h, wq, wk, heads, mask)
         v = matmul(h[visible], wv)
         width = h.shape[1] // heads
@@ -95,8 +94,8 @@ def attend(h, wq, wk, wv, heads: int = 1, mask: MaskSpec | None = None) -> np.nd
 
 
 def masked_attention_weights(h, wq, wk, heads: int = 1, mask: MaskSpec | None = None) -> np.ndarray:
-    """Post-softmax attention probabilities, shaped (heads, n, n)."""
-    return np.stack(_head_probabilities(as_matrix(h, "h"), wq, wk, heads, mask)[0])
+    """Post-softmax attention probabilities, shaped (heads, n, n); arguments as for ``attend``."""
+    return np.stack(_head_probabilities(h, wq, wk, heads, mask)[0])
 
 
 def fuse_heads_output(h1, h2, mu: float) -> np.ndarray:

@@ -108,13 +108,6 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    out = np.asarray(v, dtype=np.float64)
-    if out.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got ndim={out.ndim}")
-    return out
-
-
 def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
@@ -189,30 +182,20 @@ def matmul_kernel() -> _kernel.Kernel:
     return _kernel.load(matmul_numpy)
 
 
-def softmax_rows(m) -> np.ndarray:
+def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction; -inf entries map to exactly 0.
 
-    Rows may contain -inf (masked positions) but must keep at least one finite
-    entry; +inf and NaN are rejected.
+    ``m`` is a 2-D float64 array with no NaN or +inf, and every row keeps at
+    least one finite entry: the -inf entries are the masked positions.  The
+    attention scores ``pipeline_forward`` passes always are; nothing checks it.
     """
-    m = as_matrix(m, "m")
-    if np.isnan(m).any() or np.isposinf(m).any():
-        raise ValueError("softmax input contains NaN or +inf")
-    finite_rows = np.isfinite(m).any(axis=1)
-    if not finite_rows.all():
-        bad = int(np.argmin(finite_rows))
-        raise ValueError(f"fully masked row {bad}: every entry is -inf")
     shifted = m - m.max(axis=1, keepdims=True)
     e = np.exp(shifted)  # exp(-inf) == 0.0 exactly
     return e / e.sum(axis=1, keepdims=True)
 
 
-def cosine(u, v) -> float:
-    """Cosine similarity; 0.0 when either vector is degenerately small."""
-    u = as_vector(u, "u")
-    v = as_vector(v, "v")
-    if u.shape[0] != v.shape[0]:
-        raise ValueError(f"cosine length mismatch: {u.shape[0]} vs {v.shape[0]}")
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine similarity of two 1-D float64 arrays of one length (unchecked); 0.0 when either is degenerately small."""
     nu = math.sqrt(float(np.dot(u, u)))
     nv = math.sqrt(float(np.dot(v, v)))
     if nu < DEGENERATE_NORM or nv < DEGENERATE_NORM:
@@ -231,10 +214,9 @@ def init_matrix(rng: SplitMix64, rows: int, cols: int) -> np.ndarray:
     exactly, and each entry then goes through the same float64 operations,
     in the same order, as ``(next_unit() * 2.0 - 1.0) * bound``, so every
     entry matches the scalar generator bit for bit.  ``rng.state`` then advances by ``rows * cols``
-    draws, leaving ``rng`` where the scalar loop would.
+    draws, leaving ``rng`` where the scalar loop would.  ``rows`` and
+    ``cols`` are positive, as ``lexicon.init_bundle`` checks.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError(f"init_matrix needs positive dims, got {rows}x{cols}")
     count = rows * cols
     # array (not scalar) uint64 arithmetic: it wraps mod 2**64 without a warning
     z = np.arange(1, count + 1, dtype=np.uint64)

@@ -73,9 +73,9 @@ class InlineExecutor(concurrent.futures.Executor):
         return future
 
 
-@pytest.fixture(params=[True, False], ids=["forked", "inline"])
-def forked(request, monkeypatch) -> bool:
-    """Run the test with the bundle load forked off onto fuse's second thread, then inline.
+@pytest.fixture(params=[True, False], ids=["thread", "inline"])
+def threaded(request, monkeypatch) -> bool:
+    """Run the test with the bundle load on fuse's second thread, then inline.
 
     Inline, ``cmd_fuse``'s executor runs the load on the main thread before the
     other inputs are read, so nothing overlaps; the result and every message

@@ -1,12 +1,14 @@
-"""The package's public names and the README's Library usage section stay in step."""
+"""The package's public names and the README's Library usage section stay in step, and no definition is orphaned."""
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import wordfuse
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def library_usage_imports() -> list[str]:
@@ -30,3 +32,34 @@ def test_library_usage_imports_only_public_names():
     imported = library_usage_imports()
     assert "load_bundle" in imported
     assert sorted(set(imported) - set(wordfuse.__all__)) == []
+
+
+# definitions the package keeps for one caller outside it: name -> that caller
+OUTSIDE_CALLERS = {"agreement_stats": "perfbench/worker.py"}
+
+
+def names_used(tree: ast.AST) -> Counter:
+    """How often each name is read as a bare name or an attribute within ``tree``."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_module_level_definition_is_used_or_public():
+    # a helper whose last caller went away fails here instead of lingering
+    for name, caller in OUTSIDE_CALLERS.items():
+        assert name in (ROOT / caller).read_text(encoding="utf-8"), (name, caller)
+    package = ROOT / "src" / "wordfuse"
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    used = sum((names_used(tree) for tree in trees.values()), Counter())
+    orphans = sorted(
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and used[node.name] == names_used(node)[node.name]
+        and node.name not in [*wordfuse.__all__, *OUTSIDE_CALLERS]
+    )
+    assert orphans == []

@@ -21,6 +21,36 @@ def random_weight_set(rng, d_h):
     )
 
 
+@pytest.fixture
+def stage_inputs_asserted(monkeypatch) -> list[str]:
+    """Wrap ``softmax_rows`` and ``cosine`` where the stages call them, asserting the inputs each assumes.
+
+    The stages rely on ``pipeline_forward``'s checks instead of checking
+    these inputs again, so a wrong input is an AssertionError here, not a
+    wrong result.  The returned list gets one name per call.
+    """
+    calls: list[str] = []
+    real_softmax, real_cosine = attention.softmax_rows, fusion.cosine
+
+    def softmax_rows(m):
+        assert isinstance(m, np.ndarray) and m.dtype == np.float64 and m.ndim == 2, m
+        assert not np.isnan(m).any() and not np.isposinf(m).any(), "softmax input holds NaN or +inf"
+        assert np.isfinite(m).any(axis=1).all(), "softmax input has a row without a finite entry"
+        calls.append("softmax_rows")
+        return real_softmax(m)
+
+    def cosine(u, v):
+        for x in (u, v):
+            assert isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim == 1, x
+        assert u.shape == v.shape, (u.shape, v.shape)
+        calls.append("cosine")
+        return real_cosine(u, v)
+
+    monkeypatch.setattr(attention, "softmax_rows", softmax_rows)
+    monkeypatch.setattr(fusion, "cosine", cosine)
+    return calls
+
+
 class TestMaskSpec:
     def test_mask_matrix_pattern(self):
         mask = np.array(oracles.mask_matrix(4, {0, 2}))
@@ -275,7 +305,7 @@ class TestPipelineForward:
             ("masked attention output", 10.0, {"Wv2": np.full((4, 4), 1e308)}),
         ],
     )
-    def test_overflow_names_first_stage_without_warnings(self, rng, stage, h_value, tensors):
+    def test_overflow_names_first_stage_without_warnings(self, rng, stage_inputs_asserted, stage, h_value, tensors):
         h, seg, table, bundle = self.make_setup(rng)
         h = np.full_like(h, h_value)
         if "W1" in tensors:
@@ -286,6 +316,29 @@ class TestPipelineForward:
             warnings.simplefilter("error")  # a RuntimeWarning would escape as an exception
             with pytest.raises(ValueError, match=f"^overflow in {stage}: "):
                 attention.pipeline_forward(h, seg, table, bundle, FusionConfig())
+
+    def test_stages_get_the_inputs_they_assume(self, rng, stage_inputs_asserted):
+        # random sentences, some with hidden states large enough that the attention scores overflow
+        for _ in range(40):
+            n, heads = int(rng.integers(1, 65)), int(rng.choice([1, 2, 4]))
+            d_w, d_h = int(rng.integers(1, 9)), heads * int(rng.integers(1, 9))
+            sentence = "".join(chr(0x4E00 + int(c)) for c in rng.integers(0, 40, size=n))
+            cuts = np.flatnonzero(rng.uniform(size=n - 1) < 0.5) + 1
+            bounds = [0, *cuts.tolist(), n]
+            seg = Segmentation(sentence, tuple(WordSpan(a, b - 1) for a, b in zip(bounds, bounds[1:])))
+            table = lexicon.EmbeddingTable(
+                dim=d_w, vectors={w: rng.standard_normal(d_w) for w in seg.words}, unk=np.zeros(d_w), duplicates=0
+            )
+            bundle = lexicon.init_bundle(int(rng.integers(2**32)), d_w, d_h)
+            h = rng.standard_normal((n, d_h)) * rng.choice([1e-8, 1.0, 1e200])
+            cfg = FusionConfig(lam=float(rng.uniform()), mu=float(rng.uniform()), heads=heads)
+            stage_inputs_asserted.clear()
+            try:
+                attention.pipeline_forward(h, seg, table, bundle, cfg)
+            except ValueError as err:
+                assert str(err).startswith("overflow in "), err
+                continue
+            assert sorted(stage_inputs_asserted) == ["cosine"] * n + ["softmax_rows"] * (2 * heads)
 
     @pytest.mark.parametrize("library", [True, False], ids=["library", "no library"])
     def test_masked_overflow_alone_is_named_without_warnings(self, rng, request, library):

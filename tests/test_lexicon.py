@@ -183,10 +183,10 @@ class TestSaveBundle:
         ],
         ids=["1x1", "1xd", "odd", "mixed"],
     )
-    def test_bytes_equal_serial_writer(self, tmp_path, rng, no_library, forked, shapes):
+    def test_bytes_equal_serial_writer(self, tmp_path, rng, no_library, threaded, shapes):
         bundle = edge_bundle(rng, shapes)
         path = tmp_path / "bundle.json"
-        if forked:
+        if threaded:
             with ThreadPoolExecutor(1) as pool:
                 pool.submit(lexicon.save_bundle, bundle, path).result()
         else:

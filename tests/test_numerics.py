@@ -86,10 +86,6 @@ class TestInitMatrix:
             fresh.next_u64()
         assert shared.next_u64() == fresh.next_u64()
 
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            numerics.init_matrix(numerics.SplitMix64(1), 0, 4)
-
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2022])
     @pytest.mark.parametrize(("rows", "cols"), [(1, 1), (7, 13), (317, 331)])
     def test_matches_scalar_stream_bitwise(self, seed, rows, cols):
@@ -483,17 +479,6 @@ class TestSoftmaxRows:
     def test_minus_inf_gives_exact_zero(self):
         got = numerics.softmax_rows(np.array([[0.0, -np.inf, 1.0]]))
         assert got[0, 1] == 0.0
-
-    def test_fully_masked_row_is_an_error(self):
-        bad = np.array([[1.0, 2.0], [-np.inf, -np.inf]])
-        with pytest.raises(ValueError, match="fully masked row 1"):
-            numerics.softmax_rows(bad)
-
-    def test_rejects_nan_and_positive_inf(self):
-        with pytest.raises(ValueError):
-            numerics.softmax_rows(np.array([[np.nan, 0.0]]))
-        with pytest.raises(ValueError):
-            numerics.softmax_rows(np.array([[np.inf, 0.0]]))
 
     def test_shift_invariance(self, rng):
         row = rng.standard_normal((1, 5))
