@@ -318,6 +318,13 @@ class TestBundle:
             assert b[name].shape == (6, 6)
         assert np.all(b["b1"] == 0.0) and np.all(b["b2"] == 0.0)
 
+    @pytest.mark.parametrize(("d_w", "d_h"), [(0, 6), (3, 0), (-1, 6)], ids=["d_w zero", "d_h zero", "d_w negative"])
+    def test_rejects_non_positive_dims(self, d_w, d_h):
+        # the one guard before init_matrix, which no longer checks its dims
+        with pytest.raises(ValueError) as info:
+            lexicon.init_bundle(1, d_w, d_h)
+        assert str(info.value) == f"dimensions must be positive, got d_w={d_w} d_h={d_h}"
+
     def test_save_load_roundtrip_exact(self, tmp_path):
         b = lexicon.init_bundle(5, 2, 4)
         path = tmp_path / "bundle.json"
