@@ -114,18 +114,11 @@ def _random_sentence(rng, max_len=8) -> str:
     return "".join(_ALPHABET[i] for i in rng.integers(0, len(_ALPHABET), n))
 
 
-def _random_tokenization(rng, sentence: str) -> list[str]:
-    words, cursor = [], 0
-    while cursor < len(sentence):
-        length = int(rng.integers(1, min(4, len(sentence) - cursor) + 1))
-        words.append(sentence[cursor : cursor + length])
-        cursor += length
-    return words
-
-
-def _random_segmentation(rng, n: int) -> segvote.Segmentation:
-    sentence = "".join(_ALPHABET[i] for i in rng.integers(0, len(_ALPHABET), n))
-    return segvote.validate_tokenization(sentence, _random_tokenization(rng, sentence))
+def _random_segmentation(rng, sentence: str) -> segvote.Segmentation:
+    starts = [0]  # words of 1 to 4 characters
+    while starts[-1] < len(sentence):
+        starts.append(starts[-1] + int(rng.integers(1, min(4, len(sentence) - starts[-1]) + 1)))
+    return segvote.Segmentation(sentence, tuple(starts))
 
 
 def _random_span_instance(rng, max_len=6, max_dim=32):
@@ -260,22 +253,22 @@ def _check_bundle_serial(rng, cases):
 def _check_vote_partition(rng, cases):
     for _ in range(cases):
         sentence = _random_sentence(rng)
-        toks = [_random_tokenization(rng, sentence) for _ in range(int(rng.integers(1, 5)))]
+        toks = [_random_segmentation(rng, sentence).words for _ in range(int(rng.integers(1, 5)))]
         seg = segvote.vote(sentence, toks)  # constructor enforces the partition
         _require(seg == segvote.vote(sentence, toks), "vote is not deterministic")
         tables = [dict(zip(itertools.accumulate(map(len, t), initial=0), t)) for t in toks]
-        for span, word in zip(seg.spans, seg.words):
-            here = [table[span.start] for table in tables if span.start in table]
-            _require(word in here, f"voted word {word!r} at {span.start} was proposed by no voter")
+        for start, word in zip(seg.starts, seg.words):
+            here = [table[start] for table in tables if start in table]
+            _require(word in here, f"voted word {word!r} at {start} was proposed by no voter")
             rank = (here.count(word), len(word))
             _require(all((here.count(w), len(w)) <= rank for w in here),
-                     f"voted word {word!r} at {span.start} has a smaller (count, length) than another proposal")
+                     f"voted word {word!r} at {start} has a smaller (count, length) than another proposal")
 
 
 def _check_vote_unanimity(rng, cases):
     for _ in range(cases):
         sentence = _random_sentence(rng)
-        words = _random_tokenization(rng, sentence)
+        words = _random_segmentation(rng, sentence).words
         seg = segvote.vote(sentence, [words, list(words), list(words)])
         _require(seg.words == words, "unanimous tokenization was altered")
 
@@ -283,7 +276,7 @@ def _check_vote_unanimity(rng, cases):
 def _check_vote_single(rng, cases):
     for _ in range(cases):
         sentence = _random_sentence(rng)
-        words = _random_tokenization(rng, sentence)
+        words = _random_segmentation(rng, sentence).words
         _require(segvote.vote(sentence, [words]).words == words, "single voter was altered")
 
 
@@ -353,9 +346,8 @@ def _check_omega_keys(rng, cases):
     cfg = fusion.FusionConfig()
     table = lexicon.EmbeddingTable(dim=3, vectors={}, unk=np.zeros(3))
     for _ in range(cases):
-        n = int(rng.integers(1, 9))
-        d_h = int(rng.integers(2, 9))
-        seg = _random_segmentation(rng, n)
+        seg = _random_segmentation(rng, _random_sentence(rng))
+        n, d_h = len(seg.sentence), int(rng.integers(2, 9))
         bundle = {
             "W1": rng.standard_normal((3, d_h)),
             "b1": rng.standard_normal((1, d_h)),
@@ -363,9 +355,9 @@ def _check_omega_keys(rng, cases):
             "b2": rng.standard_normal((1, d_h)),
         }
         _, omega = fusion.fuse_sequence(rng.standard_normal((n, d_h)), seg, table, bundle, cfg)
-        _require(len(omega) == len(seg.spans), "omega size != word count")
-        _require(all(any(s.start <= i <= s.end for s in seg.spans) for i in omega),
-                 "omega index outside every span")
+        _require(len(omega) == len(seg.words), "omega size != word count")
+        for key, start, end in zip(sorted(omega), seg.starts, seg.starts[1:]):
+            _require(start <= key < end, f"the word at [{start}, {end}) holds no key, or more than one")
 
 
 def _check_attention_stochastic(rng, cases):
@@ -447,9 +439,9 @@ def _value_error(fn, *args) -> str:
 
 def _check_branches_together(rng, cases):
     for _ in range(cases):
-        n, heads = int(rng.integers(1, 9)), int(rng.choice([1, 2, 4]))
+        seg = _random_segmentation(rng, _random_sentence(rng))
+        n, heads = len(seg.sentence), int(rng.choice([1, 2, 4]))
         d_w, d_h = int(rng.integers(1, 5)), heads * int(rng.integers(1, 5))
-        seg = _random_segmentation(rng, n)
         vectors = {word: rng.standard_normal(d_w) for word in seg.words if rng.uniform() < 0.8}
         table = lexicon.EmbeddingTable(dim=d_w, vectors=vectors, unk=rng.standard_normal(d_w))
         bundle = lexicon.init_bundle(int(rng.integers(2**63)), d_w, d_h)
@@ -530,7 +522,7 @@ def _mutated(rng, record):
 def _valid_records(rng) -> dict:
     """One valid record of each JSON input kind."""
     sentence = _random_sentence(rng)
-    tokenizations = [_random_tokenization(rng, sentence) for _ in range(int(rng.integers(1, 4)))]
+    tokenizations = [_random_segmentation(rng, sentence).words for _ in range(int(rng.integers(1, 4)))]
     seg = segvote.vote(sentence, tokenizations)
     return {
         "vote": {"sentence": sentence, "tokenizations": tokenizations},

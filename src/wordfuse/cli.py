@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from . import lexicon, numerics, segvote
 from .attention import pipeline_forward
 from .fusion import FusionConfig
-from .segvote import Segmentation, WordSpan
+from .segvote import Segmentation
 
 FUSE_DEFAULTS = {"lambda": FusionConfig.lam, "mu": FusionConfig.mu, "heads": FusionConfig.heads,
                  "debug_intermediates": False}
@@ -121,9 +121,16 @@ def _read_segmentation(path: str) -> Segmentation:
             if words is None:
                 raise ValueError("record needs either 'spans' or 'words'")
             with numerics.located("words"):
-                return segvote.validate_tokenization(sentence, words)
+                return segvote.vote(sentence, [words])
+        starts = [0]  # each span's start, then the end of the last plus one
         with numerics.located("spans"):
-            seg = Segmentation(sentence, tuple(WordSpan(start, end) for start, end in spans))
+            for start, end in spans:
+                if start != starts[-1] or end < start:
+                    raise ValueError(f"spans are not a contiguous partition at index {starts[-1]}")
+                starts.append(end + 1)
+            if starts[-1] != len(sentence):
+                raise ValueError(f"spans cover {starts[-1]} characters, sentence has {len(sentence)}")
+        seg = Segmentation(sentence, tuple(starts))
         if words is not None and words != seg.words:
             raise ValueError("words: not the sentence's slices at spans")
         return seg

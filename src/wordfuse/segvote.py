@@ -14,7 +14,8 @@ Two distinct proposals can never tie on both count and length (same start
 plus same length means the same substring), so the scan is deterministic.
 
 All indices are Unicode scalar positions, never bytes — byte offsets are
-wrong for CJK text.  Word spans are (start, end) with end inclusive.
+wrong for CJK text.  A segmentation stores each word's start, then the sentence's
+length; its words and its spans, (start, end) with end inclusive, are views.
 
 Tokenizations arrive as plain word lists (data, not tokenizer calls); the
 expected JSON-lines record shape is
@@ -22,7 +23,7 @@ expected JSON-lines record shape is
 
 Each voter's partition is checked once, by one test, ``_starts``: its words
 are non-empty and join to the sentence (a voter that fails is walked word by
-word to name the index).  Spans from outside are checked by ``Segmentation.__post_init__``.
+word to name the index).  Starts from outside are checked by ``Segmentation.__post_init__``.
 """
 
 from __future__ import annotations
@@ -43,25 +44,25 @@ class WordSpan(NamedTuple):
 
 @dataclass(frozen=True)
 class Segmentation:
-    """A partition of a sentence into word spans, in order."""
+    """A partition of a sentence into words: each word's start, then the sentence's length."""
 
     sentence: str
-    spans: tuple[WordSpan, ...]
+    starts: tuple[int, ...]
 
     def __post_init__(self):
-        cursor = 0
-        for span in self.spans:
-            if span.start != cursor or span.end < span.start:
-                raise ValueError(f"spans are not a contiguous partition at index {cursor}")
-            cursor = span.end + 1
-        if cursor != len(self.sentence):
-            raise ValueError(
-                f"spans cover {cursor} characters, sentence has {len(self.sentence)}"
-            )
+        s = self.starts
+        if not (s and s[0] == 0 and s[-1] == len(self.sentence) and all(a < b for a, b in zip(s, s[1:]))):
+            raise ValueError(f"word starts must rise strictly from 0 to the sentence's length {len(self.sentence)}")
 
     @property
     def words(self) -> list[str]:
-        return [self.sentence[s.start : s.end + 1] for s in self.spans]
+        s = self.starts
+        return [self.sentence[a:b] for a, b in zip(s, s[1:])]
+
+    @property
+    def spans(self) -> list[WordSpan]:
+        s = self.starts
+        return [WordSpan(a, b - 1) for a, b in zip(s, s[1:])]
 
 
 def _starts(sentence: str, words: Sequence[str]) -> Iterator[int]:
@@ -80,12 +81,6 @@ def _starts(sentence: str, words: Sequence[str]) -> Iterator[int]:
     return accumulate(map(len, words), initial=0)
 
 
-def validate_tokenization(sentence: str, words: Sequence[str]) -> Segmentation:
-    """Convert a word list into spans, checking it partitions the sentence."""
-    starts = _starts(sentence, words)
-    return Segmentation(sentence, tuple(WordSpan(s, s + len(w) - 1) for s, w in zip(starts, words)))
-
-
 def vote(sentence: str, tokenizations: Sequence[Sequence[str]]) -> Segmentation:
     """Merge tokenizations with the majority and granularity rules.
 
@@ -96,16 +91,16 @@ def vote(sentence: str, tokenizations: Sequence[Sequence[str]]) -> Segmentation:
         raise ValueError("vote needs at least one tokenization")
     tables = [dict(zip(_starts(sentence, t), t)) for t in tokenizations]  # word start -> word
 
-    spans = []
+    starts = [0]
     cursor = 0
     while cursor < len(sentence):
         # never empty: each voter partitions the sentence, so the cursor lands
         # where the last winner's voter starts its next word (0 at first)
         words = [table[cursor] for table in tables if cursor in table]
         best = max(words, key=lambda w: (words.count(w), len(w)))
-        spans.append(WordSpan(cursor, cursor + len(best) - 1))
         cursor += len(best)
-    return Segmentation(sentence, tuple(spans))
+        starts.append(cursor)
+    return Segmentation(sentence, tuple(starts))
 
 
 @dataclass(frozen=True)

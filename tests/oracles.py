@@ -105,6 +105,22 @@ def tokenization_error(sentence, words):
     return None
 
 
+def span_partition_error(sentence, spans):
+    """The message for [start, end] pairs (end inclusive) that do not partition sentence, or None.
+
+    Walks the spans in order: each must start where the last one ended and
+    not end before it starts; the last must end at the sentence's end.
+    """
+    cursor = 0
+    for start, end in spans:
+        if start != cursor or end < start:
+            return f"spans are not a contiguous partition at index {cursor}"
+        cursor = end + 1
+    if cursor != len(sentence):
+        return f"spans cover {cursor} characters, sentence has {len(sentence)}"
+    return None
+
+
 def vote_brute_force(sentence, tokenizations):
     """Majority-then-granularity voting, re-derived from scratch."""
     span_lists = []

@@ -10,7 +10,7 @@ from wordfuse import attention, fusion, lexicon, numerics
 from wordfuse.attention import MaskSpec
 from wordfuse.check import naive_attend
 from wordfuse.fusion import FusionConfig
-from wordfuse.segvote import Segmentation, WordSpan
+from wordfuse.segvote import Segmentation
 
 
 def random_weight_set(rng, d_h):
@@ -228,7 +228,7 @@ class TestFuseHeadsOutput:
 class TestPipelineForward:
     def make_setup(self, rng, n=5, d_w=3, d_h=4):
         sentence = "abcde"[:n]
-        seg = Segmentation(sentence, (WordSpan(0, 1), WordSpan(2, n - 1)))
+        seg = Segmentation(sentence, (0, 2, n))
         entries = {
             sentence[0:2]: rng.standard_normal(d_w),
             sentence[2:n]: rng.standard_normal(d_w),
@@ -325,7 +325,7 @@ class TestPipelineForward:
             sentence = "".join(chr(0x4E00 + int(c)) for c in rng.integers(0, 40, size=n))
             cuts = np.flatnonzero(rng.uniform(size=n - 1) < 0.5) + 1
             bounds = [0, *cuts.tolist(), n]
-            seg = Segmentation(sentence, tuple(WordSpan(a, b - 1) for a, b in zip(bounds, bounds[1:])))
+            seg = Segmentation(sentence, tuple(bounds))
             table = lexicon.EmbeddingTable(
                 dim=d_w, vectors={w: rng.standard_normal(d_w) for w in seg.words}, unk=np.zeros(d_w), duplicates=0
             )

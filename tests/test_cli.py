@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import threading
 import numpy as np
 import pytest
 
+import oracles
 from oracles import BUNDLE_SEED42_SHA256
 from wordfuse import _kernel, check, cli, lexicon, numerics, segvote
 
@@ -275,7 +277,7 @@ class TestFuse:
     def test_matches_library_pipeline(self, fuse_files):
         from wordfuse import attention
         from wordfuse.fusion import FusionConfig
-        from wordfuse.segvote import Segmentation, WordSpan
+        from wordfuse.segvote import Segmentation
 
         res = run_cli(*fuse_args(fuse_files))
         assert res.returncode == 0, res.stderr
@@ -284,7 +286,7 @@ class TestFuse:
         hidden = numerics.read_matrix(fuse_files["hidden"])
         table = lexicon.load_embeddings(fuse_files["embeddings"])
         bundle = lexicon.load_bundle(fuse_files["weights"])
-        seg = Segmentation("重庆人和中学", (WordSpan(0, 1), WordSpan(2, 5)))
+        seg = Segmentation("重庆人和中学", (0, 2, 6))
         result = attention.pipeline_forward(hidden, seg, table, bundle, FusionConfig())
         assert np.array_equal(got, result.fused)
 
@@ -583,6 +585,69 @@ class TestFuse:
         assert before == after
 
 
+def perturbed_spans(rng, n):
+    """A partition of n characters into [start, end] pairs, then up to two edits that may break it."""
+    bounds = [0, *sorted(rng.sample(range(1, n), rng.randint(0, n - 1))), n] if n else [0]
+    spans = [[a, b - 1] for a, b in zip(bounds, bounds[1:])]
+    for _ in range(rng.randint(0, 2)):
+        kind, at = rng.randrange(4), rng.randint(0, len(spans))
+        if kind == 0 and at < len(spans):  # move one end
+            spans[at][rng.randrange(2)] += rng.choice([-2, -1, 1, 2])
+        elif kind == 1 and at < len(spans):
+            del spans[at]
+        elif kind == 2:
+            spans.insert(at, [rng.randint(-1, n + 1), rng.randint(-1, n + 1)])
+        elif at < len(spans):  # swap with the next span, or the first
+            other = (at + 1) % len(spans)
+            spans[at], spans[other] = spans[other], spans[at]
+    return spans
+
+
+class TestSegmentationSpans:
+    """A segmentation file's spans are refused with the first problem, in order."""
+
+    @pytest.mark.parametrize(
+        ("spans", "problem"),
+        [
+            ([[0, 1], [3, 5]], "spans are not a contiguous partition at index 2"),
+            ([[0, 2], [2, 5]], "spans are not a contiguous partition at index 3"),
+            ([[0, 1], [2, 1], [2, 5]], "spans are not a contiguous partition at index 2"),
+            ([[0, 1], [2, 1], [2, 3], [5, 5]], "spans are not a contiguous partition at index 2"),
+            ([[0, 1], [2, 4]], "spans cover 5 characters, sentence has 6"),
+            ([[0, 1], [2, 7]], "spans cover 8 characters, sentence has 6"),
+            ([], "spans cover 0 characters, sentence has 6"),
+        ],
+        ids=["gap", "overlap", "inverted", "inverted-then-gap", "short", "overrun", "none"],
+    )
+    def test_bad_spans_exit_one_with_the_first_problem(self, fuse_files, tmp_path, capsys, spans, problem):
+        seg = tmp_path / "bad_seg.json"
+        seg.write_text(json.dumps({"sentence": "重庆人和中学", "spans": spans}, ensure_ascii=False), encoding="utf-8")
+        code, err = run_main(fuse_args(dict(fuse_files, segmentation=seg)), capsys)
+        assert (code, err) == (1, f"error: segmentation: {seg}: spans: {problem}\n")
+        assert not fuse_files["output"].exists()
+
+    def test_reader_agrees_with_the_span_walk(self, tmp_path):
+        rng = random.Random(26)
+        path = tmp_path / "seg.json"
+        outcomes = {"read": 0, "refused": 0}
+        for _ in range(1500):
+            sentence = "".join(rng.choice("ab重庆") for _ in range(rng.randint(0, 8)))
+            spans = perturbed_spans(rng, len(sentence))
+            path.write_text(json.dumps({"sentence": sentence, "spans": spans}, ensure_ascii=False), encoding="utf-8")
+            problem = oracles.span_partition_error(sentence, spans)
+            if problem is None:
+                seg = cli._read_segmentation(str(path))
+                assert [list(s) for s in seg.spans] == spans
+                assert seg.words == [sentence[start : end + 1] for start, end in spans]
+                outcomes["read"] += 1
+            else:
+                with pytest.raises(ValueError) as err:
+                    cli._read_segmentation(str(path))
+                assert str(err.value) == f"{path}: spans: {problem}", spans
+                outcomes["refused"] += 1
+        assert min(outcomes.values()) >= 300, outcomes
+
+
 def altered(m, how):
     """``m`` with one row too many, one column too many, or a NaN, +inf or -inf in its first entry."""
     if how == "row":
@@ -602,7 +667,7 @@ class TestCheckBundle:
     def test_each_tensor_checked_once(self, fuse_files, tmp_path, capsys, name, how):
         from wordfuse import attention
         from wordfuse.fusion import FusionConfig
-        from wordfuse.segvote import Segmentation, WordSpan
+        from wordfuse.segvote import Segmentation
 
         bundle = lexicon.load_bundle(fuse_files["weights"])
         bad = altered(bundle[name], how)
@@ -618,7 +683,7 @@ class TestCheckBundle:
 
         hidden = numerics.read_matrix(fuse_files["hidden"])
         table = lexicon.load_embeddings(fuse_files["embeddings"])
-        seg = Segmentation("重庆人和中学", (WordSpan(0, 1), WordSpan(2, 5)))
+        seg = Segmentation("重庆人和中学", (0, 2, 6))
         with pytest.raises(ValueError) as info:
             attention.pipeline_forward(hidden, seg, table, dict(bundle, **{name: bad}), FusionConfig())
         assert str(info.value) == want
@@ -635,12 +700,12 @@ class TestCheckBundle:
         """An +inf in x W1 + b1 becomes 1 under tanh, so no stage result shows it; it is still named."""
         from wordfuse import attention, fusion
         from wordfuse.fusion import FusionConfig
-        from wordfuse.segvote import Segmentation, WordSpan
+        from wordfuse.segvote import Segmentation
 
         bundle = lexicon.load_bundle(fuse_files["weights"])
         table = lexicon.load_embeddings(fuse_files["embeddings"])
         hidden = numerics.read_matrix(fuse_files["hidden"])
-        seg = Segmentation("重庆人和中学", (WordSpan(0, 1), WordSpan(2, 5)))
+        seg = Segmentation("重庆人和中学", (0, 2, 6))
         # column 2 of both words' embeddings is positive: x W1 steps to +inf in column 3, never NaN
         assert (np.array([table.vectors[w] for w in seg.words])[:, 2] > 0).all()
         bad = bundle[name].copy()
@@ -1167,6 +1232,27 @@ class TestCheck:
             "vote always yields a valid deterministic partition", "unanimous voters keep their segmentation",
             "a single voter is returned unchanged", "malformed input is refused with a located message"}
         assert out.count("ValueError: a broken vote") == 4
+
+    def test_omega_property_catches_a_key_moved_into_the_next_word(self, monkeypatch):
+        from wordfuse import fusion
+
+        real, seen = fusion.fuse_sequence, []
+
+        def fuse_sequence(h, seg, *args):
+            fused, omega = real(h, seg, *args)
+            # the first word's key moves to the second word's last character, unless that is its key
+            if len(seg.starts) > 2 and seg.starts[2] - 1 not in omega:
+                omega = omega - {min(omega)} | {seg.starts[2] - 1}
+                seen.append((seg, omega))
+            return fused, omega
+
+        monkeypatch.setattr(fusion, "fuse_sequence", fuse_sequence)
+        with pytest.raises(check.CheckFailure, match="holds no key, or more than one"):
+            check._check_omega_keys(np.random.default_rng(0), 50)
+        assert seen
+        # the moved key still passes the older test: as many keys as words, each inside some word
+        for seg, omega in seen:
+            assert len(omega) == len(seg.words) and all(any(s.start <= i <= s.end for s in seg.spans) for i in omega)
 
     def test_seed_changes_are_still_green(self):
         res = run_cli("check", "--cases", 15, "--seed", 777)

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from wordfuse import fusion, lexicon, numerics
 from wordfuse.fusion import FusionConfig, WordAnalysis
-from wordfuse.segvote import Segmentation, WordSpan, validate_tokenization
+from wordfuse.segvote import Segmentation, WordSpan, vote
 
 
 # SHA-256 of fuse_sequence's mixed bytes, then its sorted omega as int64, on
@@ -32,7 +32,7 @@ def paper_shape_inputs():
         dim=200, vectors={w: rng.standard_normal(200) for w in known}, unk=rng.standard_normal(200)
     )
     h = rng.standard_normal((512, 768))
-    return h, validate_tokenization("".join(words), words), table
+    return h, vote("".join(words), [words]), table
 
 
 def random_analysis(rng, n, d_h, start, length):
@@ -235,7 +235,7 @@ class TestFuseSequence:
             "W2": rng.standard_normal((4, 4)),
             "b2": rng.standard_normal((1, 4)),
         }
-        self.seg = Segmentation("abc", (WordSpan(0, 1), WordSpan(2, 2)))
+        self.seg = Segmentation("abc", (0, 2, 3))
         self.cfg = FusionConfig()
 
     def per_word_reference(self, h, seg):
@@ -269,7 +269,7 @@ class TestFuseSequence:
     )
     def test_batched_projection_matches_per_word(self, rng, words):
         sentence = "".join(words)
-        seg = validate_tokenization(sentence, words)
+        seg = vote(sentence, [words])
         h = rng.standard_normal((len(sentence), 4))
         got, omega = fusion.fuse_sequence(h, seg, self.table, self.bundle, self.cfg)
         want, expect_omega = self.per_word_reference(h, seg)

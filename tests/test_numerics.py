@@ -147,7 +147,7 @@ from wordfuse.fusion import FusionConfig
 kernel = _kernel.Kernel(**_kernel._bind(library), detail=str(library))
 numerics.matmul_kernel = lambda: kernel
 sentence = "abcdefghijklmnop"
-seg = segvote.validate_tokenization(sentence, ["ab", "c", "defg", "hij", "klmnop"])
+seg = segvote.vote(sentence, [["ab", "c", "defg", "hij", "klmnop"]])
 table = lexicon.EmbeddingTable(dim=8, vectors={w: rng.standard_normal(8) for w in seg.words}, unk=np.zeros(8))
 bundle = lexicon.init_bundle(5, 8, 768)
 result = attention.pipeline_forward(rng.standard_normal((16, 768)), seg, table, bundle, FusionConfig(heads=12))

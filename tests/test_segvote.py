@@ -31,53 +31,48 @@ class TestWordSpan:
         assert len(WordSpan(2, 5)) == 4
         assert len(WordSpan(3, 3)) == 1
 
-    def test_inverted_span_rejected_by_segmentation(self):
-        with pytest.raises(ValueError):
-            Segmentation("abcde", (WordSpan(4, 2),))
-
 
 class TestSegmentation:
-    def test_words_property(self):
-        seg = Segmentation("abcde", (WordSpan(0, 1), WordSpan(2, 4)))
+    def test_words_and_spans_are_views_of_the_starts(self):
+        seg = Segmentation("abcde", (0, 2, 5))
         assert seg.words == ["ab", "cde"]
+        assert seg.spans == [WordSpan(0, 1), WordSpan(2, 4)]
 
-    def test_rejects_gap(self):
-        with pytest.raises(ValueError):
-            Segmentation("abcd", (WordSpan(0, 0), WordSpan(2, 3)))
+    @pytest.mark.parametrize(
+        "starts",
+        [(), (1, 4), (0, 2, 2, 4), (0, 3, 2, 4), (0, 2), (0, 2, 5)],
+        ids=["none", "first-not-0", "repeated", "falling", "short", "overrun"],
+    )
+    def test_rejects_bad_starts(self, starts):
+        with pytest.raises(ValueError, match="word starts must rise strictly from 0 to the sentence's length 4"):
+            Segmentation("abcd", starts)
 
-    def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            Segmentation("abcd", (WordSpan(0, 1), WordSpan(1, 3)))
-
-    def test_rejects_short_cover(self):
-        with pytest.raises(ValueError):
-            Segmentation("abcd", (WordSpan(0, 2),))
-
-    def test_empty_sentence_with_no_spans_is_permitted(self):
-        assert Segmentation("", ()).words == []
+    def test_empty_sentence_has_no_words(self):
+        assert Segmentation("", (0,)).words == []
 
 
-class TestValidateTokenization:
-    def test_accepts_and_builds_spans(self):
-        seg = segvote.validate_tokenization("abcd", ["ab", "c", "d"])
+class TestSingleVoter:
+    def test_builds_the_starts(self):
+        seg = segvote.vote("abcd", [["ab", "c", "d"]])
+        assert seg.starts == (0, 2, 3, 4)
         assert [(s.start, s.end) for s in seg.spans] == [(0, 1), (2, 2), (3, 3)]
 
     def test_reports_first_divergent_index(self):
         # "ce" placed at positions 2-3 first disagrees with "cd" at index 3
         with pytest.raises(ValueError, match="index 3"):
-            segvote.validate_tokenization("abcd", ["ab", "ce"])
+            segvote.vote("abcd", [["ab", "ce"]])
 
     def test_rejects_empty_word(self):
         with pytest.raises(ValueError):
-            segvote.validate_tokenization("ab", ["ab", ""])
+            segvote.vote("ab", [["ab", ""]])
 
     def test_rejects_overlong(self):
         with pytest.raises(ValueError):
-            segvote.validate_tokenization("ab", ["ab", "c"])
+            segvote.vote("ab", [["ab", "c"]])
 
     def test_rejects_short(self):
         with pytest.raises(ValueError):
-            segvote.validate_tokenization("abc", ["ab"])
+            segvote.vote("abc", [["ab"]])
 
 
 class TestVote:
@@ -182,7 +177,7 @@ class TestAgainstOracles:
         message = oracles.tokenization_error(sentence, bad)
         assert message is not None
         with pytest.raises(ValueError) as err:
-            segvote.validate_tokenization(sentence, bad)
+            segvote.vote(sentence, [bad])
         assert str(err.value) == message
         # among good voters, vote reports the bad one's problem
         voters = data.draw(st.lists(voter(sentence), max_size=3))

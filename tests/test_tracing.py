@@ -34,7 +34,7 @@ def test_tracer_reads_one_pipeline_forward():
     tracer.unit = "i0"
     tracer.install()
     try:
-        seg = segvote.vote("abcdef", [["ab", "c", "def"], ["ab", "cd", "ef"]])
+        seg = segvote.vote("abcdef", [["ab", "c", "def"], ["ab", "c", "de", "f"]])
         result = attention.pipeline_forward(h, seg, table, bundle, FusionConfig(heads=2))
     finally:
         tracer.uninstall()
@@ -45,6 +45,9 @@ def test_tracer_reads_one_pipeline_forward():
     assert layers["fusion.copied_bytes"] == 2 * h.nbytes
     assert layers["attention.omega_share"] == len(result.omega) / h.shape[0]
     assert 0.0 < layers["segvote.agreement"] <= 1.0
+    # mix_word gets a span of its word's length: "c" is the one single-character word
+    assert seg.words == ["ab", "c", "def"]
+    assert layers["fusion.single_char_share"] == sum(len(w) == 1 for w in seg.words) / len(seg.words)
 
 
 # names the tracer wraps that the package no longer has: lexicon.project was folded into project_rows
