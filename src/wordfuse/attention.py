@@ -124,12 +124,12 @@ def pipeline_forward(
     """The whole pipeline: fuse words in, then both attention branches.
 
     Before any stage, ``h`` must have rows, one per character of the
-    sentence; every bundle tensor must be present and shaped for the
-    table's width and the width of ``h``, ``W1`` and ``b1`` must be finite,
-    and ``cfg`` is validated against the width of ``h``.  The stages check
-    none of this again.  An overflow is a ValueError naming the first stage
-    whose result holds inf or NaN.  The other tensors are not scanned on
-    each call: an inf or NaN in one reaches every row of its stage's
+    sentence, and be finite; every bundle tensor must be present and shaped
+    for the table's width and the width of ``h``, ``W1`` and ``b1`` must be
+    finite, and ``cfg`` is validated against the width of ``h``.  The stages
+    check none of this again.  An overflow is a ValueError naming the first
+    stage whose result holds inf or NaN.  The other tensors are not scanned
+    on each call: an inf or NaN in one reaches every row of its stage's
     result, and when any stage fails ``check_bundle`` names such a tensor
     instead of the stage.  ``tanh`` would turn an inf in ``x W1 + b1`` into
     +-1, which no stage check sees, so those two are scanned first.  Each
@@ -153,6 +153,7 @@ def pipeline_forward(
         raise ValueError(
             f"hidden matrix has {h.shape[0]} rows, sentence has {len(seg.sentence)} characters"
         )
+    require_finite(h, "hidden matrix")
     check_bundle_shapes(bundle, table.dim, h.shape[1])
     require_finite(bundle["W1"], "weight bundle: W1")
     require_finite(bundle["b1"], "weight bundle: b1")

@@ -129,6 +129,16 @@ def _random_span_instance(rng, max_len=6, max_dim=32):
     return h, v, segvote.WordSpan(0, length - 1)
 
 
+def _exact_scale(rng, x: np.ndarray) -> int:
+    """A k at which every entry of ``2**k * x``, and every product of two, stays finite and normal.
+
+    The norm also stays above ``DEGENERATE_NORM``, so each step of a cosine scales exactly.
+    """
+    e_min, e_max = (int(np.frexp(m)[1]) for m in (np.abs(x).min(), np.abs(x).max()))
+    # 2**(k + e_min - 1) >= 2**-511, 2**(k + e_max - 1) >= 2**-39 > DEGENERATE_NORM, and k + e_max <= 1024
+    return int(rng.integers(max(-510 - e_min, -38 - e_max), 1024 - e_max, endpoint=True))
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -190,6 +200,10 @@ def _check_cosine_scale_invariant(rng, cases):
         _require(abs(base - scaled) <= 1e-12, f"|delta| = {abs(base - scaled):.3e}")
         _require(math.copysign(1.0, base) == math.copysign(1.0, scaled) or base == scaled == 0.0,
                  "sign changed under scaling")
+        # a power of two scales every step exactly, even where a squared norm would overflow
+        j, k = _exact_scale(rng, u), _exact_scale(rng, v)
+        exact = numerics.cosine(np.ldexp(u, j), np.ldexp(v, k))
+        _require(exact.hex() == base.hex(), f"cosine(2**{j} u, 2**{k} v) = {exact!r}, cosine(u, v) = {base!r}")
 
 
 def _check_init_matches_scalar_stream(rng, cases):
@@ -326,6 +340,11 @@ def _check_score_scale_invariance(rng, cases):
         scaled = fusion.analyze_word(h * scale, span, v)
         _require(np.all(np.abs(base.scores - scaled.scores) <= 1e-12), "scores changed under row scaling")
         _require(base.key == scaled.key, "key moved under row scaling")
+        ks = [_exact_scale(rng, row) for row in h]
+        exact = fusion.analyze_word(np.ldexp(h, np.array(ks)[:, None]), span, v)
+        _require(np.array_equal(exact.scores.view(np.uint64), base.scores.view(np.uint64)),
+                 f"scores changed bits under row scaling by 2**{ks}")
+        _require(exact.key == base.key, f"key moved under row scaling by 2**{ks}")
 
 
 def _check_lambda_monotone(rng, cases):
@@ -526,7 +545,8 @@ def _valid_records(rng) -> dict:
     seg = segvote.vote(sentence, tokenizations)
     return {
         "vote": {"sentence": sentence, "tokenizations": tokenizations},
-        "segmentation": {"sentence": sentence, "words": seg.words, "spans": [list(s) for s in seg.spans]},
+        "segmentation": {"sentence": sentence, "words": seg.words,
+                         "spans": [[a, b - 1] for a, b in zip(seg.starts, seg.starts[1:])]},
         "config": {"lambda": 0.9, "mu": 0.5, "heads": 1, "debug_intermediates": False, "output": "fused.txt"},
         "bundle": {name: {"rows": 1, "cols": 2, "data": rng.standard_normal(2).tolist()}
                    for name in lexicon.BUNDLE_TENSORS},

@@ -76,16 +76,9 @@ def cmd_vote(args) -> int:
             record = numerics.check_record(numerics.parse_json(line), _VOTE_FIELDS, required=_VOTE_FIELDS)
             with numerics.located("tokenizations"):
                 seg = segvote.vote(record["sentence"], record["tokenizations"])
-        out_lines.append(
-            json.dumps(
-                {
-                    "sentence": seg.sentence,
-                    "words": seg.words,
-                    "spans": [[s.start, s.end] for s in seg.spans],
-                },
-                ensure_ascii=False,
-            )
-        )
+        spans = [[a, b - 1] for a, b in zip(seg.starts, seg.starts[1:])]
+        out_lines.append(json.dumps({"sentence": seg.sentence, "words": seg.words, "spans": spans},
+                                    ensure_ascii=False))
     text = "".join(line + "\n" for line in out_lines)
     if args.output:
         numerics.write_atomic(args.output, [text.encode("utf-8")])

@@ -71,6 +71,8 @@ _UNIT_SCALE = 1.0 / (1 << 53)
 
 # norms below this are treated as zero vectors
 DEGENERATE_NORM = 1e-12
+# cosine scales a vector whose squared norm reaches this (a norm of 2**500): its square may have overflowed
+_SCALED_SQUARED_NORM = 2.0**1000
 
 
 class SplitMix64:
@@ -194,13 +196,30 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _unit_scaled(u: np.ndarray) -> np.ndarray:
+    """``u`` times the power of two that brings its largest magnitude into [0.5, 1)."""
+    return np.ldexp(u, -np.frexp(np.abs(u).max())[1])
+
+
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity of two 1-D float64 arrays of one length (unchecked); 0.0 when either is degenerately small."""
-    nu = math.sqrt(float(np.dot(u, u)))
-    nv = math.sqrt(float(np.dot(v, v)))
-    if nu < DEGENERATE_NORM or nv < DEGENERATE_NORM:
-        return 0.0
-    return float(np.dot(u, v)) / (nu * nv)
+    """Cosine similarity of two 1-D float64 arrays of one length (unchecked); 0.0 when either is degenerately small.
+
+    ``DEGENERATE_NORM`` is compared with the norms as computed.  A vector whose squared norm reaches
+    ``_SCALED_SQUARED_NORM`` (it may have overflowed) is then scaled by a power of two before the last dot:
+    exact while its entries and their products stay normal, so the bits stay.  No NumPy warning escapes.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        uu, vv = float(np.dot(u, u)), float(np.dot(v, v))
+        nu, nv = math.sqrt(uu), math.sqrt(vv)
+        if nu < DEGENERATE_NORM or nv < DEGENERATE_NORM:
+            return 0.0
+        if uu >= _SCALED_SQUARED_NORM:
+            u = _unit_scaled(u)
+            nu = math.sqrt(float(np.dot(u, u)))
+        if vv >= _SCALED_SQUARED_NORM:
+            v = _unit_scaled(v)
+            nv = math.sqrt(float(np.dot(v, v)))
+        return float(np.dot(u, v)) / (nu * nv)
 
 
 def init_matrix(rng: SplitMix64, rows: int, cols: int) -> np.ndarray:

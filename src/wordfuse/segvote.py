@@ -28,8 +28,7 @@ word to name the index).  Starts from outside are checked by ``Segmentation.__po
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
@@ -103,25 +102,14 @@ def vote(sentence: str, tokenizations: Sequence[Sequence[str]]) -> Segmentation:
     return Segmentation(sentence, tuple(starts))
 
 
-@dataclass(frozen=True)
-class AgreementReport:
-    """Boundary-agreement diagnostics over one sentence's tokenizations."""
+class AgreementReport(NamedTuple):
+    """Boundary agreement over one sentence's tokenizations."""
 
-    num_tokenizations: int
-    start_counts: dict[int, int] = field(compare=False)
-    shared_starts: tuple[int, ...] = ()
-    all_starts: tuple[int, ...] = ()
-
-    @property
-    def agreement(self) -> float:
-        """Fraction of proposed word starts shared by every tokenization."""
-        if not self.all_starts:
-            return 1.0
-        return len(self.shared_starts) / len(self.all_starts)
+    agreement: float  # share of proposed word starts that every tokenization proposes; 1.0 when none is
 
 
 def agreement_stats(tokenizations: Sequence[Sequence[str]]) -> AgreementReport:
-    """Count shared word-start positions across tokenizations of one sentence.
+    """The share of word starts that every tokenization of one sentence proposes.
 
     The sentence is the first tokenization's words joined; each is checked
     against it by ``_starts``, as ``vote`` checks its voters.
@@ -131,9 +119,5 @@ def agreement_stats(tokenizations: Sequence[Sequence[str]]) -> AgreementReport:
     sentence = "".join(tokenizations[0])
     # each tokenization's starts end at the sentence's length, which starts no word
     start_sets = [set(_starts(sentence, t)) - {len(sentence)} for t in tokenizations]
-    return AgreementReport(
-        num_tokenizations=len(tokenizations),
-        start_counts=dict(sorted(Counter(s for starts in start_sets for s in starts).items())),
-        shared_starts=tuple(sorted(set.intersection(*start_sets))),
-        all_starts=tuple(sorted(set.union(*start_sets))),
-    )
+    proposed = set.union(*start_sets)
+    return AgreementReport(len(set.intersection(*start_sets)) / len(proposed) if proposed else 1.0)

@@ -13,6 +13,15 @@ if str(TESTS_DIR) not in sys.path:
     sys.path.insert(0, str(TESTS_DIR))
 
 
+def pytest_report_header(config) -> list[str]:
+    """The numeric paths this run takes: the frozen digests hold only on the kernels they were made with."""
+    from wordfuse import numerics
+
+    lines = [f"matmul kernel: {numerics.matmul_kernel()}", f"numpy: {np.__version__}"]
+    return lines + [f"{name}={os.environ[name]}" for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+                    if name in os.environ]
+
+
 @pytest.fixture(scope="session")
 def sanitized(tmp_path_factory) -> tuple[Path, dict[str, str]]:
     """``_kernel.SOURCE`` built with AddressSanitizer and UBSan, and the environment of a child that loads it.

@@ -317,6 +317,16 @@ class TestPipelineForward:
             with pytest.raises(ValueError, match=f"^overflow in {stage}: "):
                 attention.pipeline_forward(h, seg, table, bundle, FusionConfig())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_hidden_matrix_is_named(self, rng, bad):
+        # not an overflow in the first stage, whose input it would be
+        h, seg, table, bundle = self.make_setup(rng)
+        h[3, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^hidden matrix contains non-finite entries$"):
+                attention.pipeline_forward(h, seg, table, bundle, FusionConfig())
+
     def test_stages_get_the_inputs_they_assume(self, rng, stage_inputs_asserted):
         # random sentences, some with hidden states large enough that the attention scores overflow
         for _ in range(40):

@@ -170,6 +170,29 @@ class TestVote:
         assert (code, err) == (0, f"wrote {fuse_files['output']}\n")
         assert hashlib.sha256(fuse_files["output"].read_bytes()).hexdigest() == FUSED_GOLDEN_SHA256
 
+    def test_output_bytes_match_the_word_span_route(self, tmp_path, capsys):
+        # each record as written through Segmentation.spans, one WordSpan per word
+        rand = random.Random(2027)
+        alphabet = "重庆人和中学ab \u2028\U00020000\U0001F600"  # astral, and U+2028 inside a record
+        records = [{"sentence": "", "tokenizations": [[]]}]
+        for _ in range(300):
+            sentence = "".join(rand.choice(alphabet) for _ in range(rand.randint(1, 12)))
+            voters = []
+            for _ in range(rand.randint(1, 5)):
+                p = rand.choice([0.0, 0.3, 0.6, 1.0])  # 1.0: single-character words only
+                cuts = [0, *(i for i in range(1, len(sentence)) if rand.random() < p), len(sentence)]
+                voters.append([sentence[a:b] for a, b in zip(cuts, cuts[1:])])
+            records.append({"sentence": sentence, "tokenizations": voters})
+        src, voted = tmp_path / "in.jsonl", tmp_path / "voted.jsonl"
+        src.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8")
+        assert run_main(["vote", "--input", src, "--output", voted], capsys) == (0, "")
+        want = []
+        for r in records:
+            seg = segvote.vote(r["sentence"], r["tokenizations"])
+            want.append(json.dumps({"sentence": r["sentence"], "words": seg.words,
+                                    "spans": [[s.start, s.end] for s in seg.spans]}, ensure_ascii=False) + "\n")
+        assert voted.read_bytes() == "".join(want).encode("utf-8")
+
     @pytest.mark.parametrize("char", NON_JSON_SPACE, ids=NON_JSON_SPACE_IDS)
     def test_line_of_non_json_whitespace_is_not_valid_json(self, golden, tmp_path, capsys, char):
         # JSON whitespace is space, tab, CR and LF alone: a line of anything else is not a blank line
@@ -1352,6 +1375,14 @@ class TestMatmulKernel:
         res = run_cli("check", "--cases", 5)
         assert res.returncode == 0, res.stdout + res.stderr
         assert res.stdout.startswith(f"matmul kernel: {numerics.matmul_kernel()}\n")
+
+    def test_pytest_header_names_the_numeric_paths(self, monkeypatch):
+        import conftest
+
+        monkeypatch.delenv("NPY_DISABLE_CPU_FEATURES", raising=False)
+        monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+        assert conftest.pytest_report_header(None) == [
+            f"matmul kernel: {numerics.matmul_kernel()}", f"numpy: {np.__version__}", "OPENBLAS_CORETYPE=Haswell"]
 
     def test_without_cc_output_bytes_are_unchanged(self, fuse_files, tmp_path):
         env = dict(os.environ, PATH=str(tmp_path))

@@ -6,6 +6,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -521,6 +522,24 @@ class TestCosine:
         v = np.array([3.0, 4.0])
         assert numerics.cosine(v, 2.0 * v) == pytest.approx(1.0, abs=1e-15)
         assert numerics.cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+
+    @pytest.mark.parametrize(("u", "v", "want"), [(1e200, 1.0, 1.0), (1e160, 1e160, 1.0), (1.7e308, -0.5, -1.0),
+                                                  (-1e300, 1e-300, 0.0)])
+    def test_squared_norm_past_the_double_range(self, u, v, want):
+        # the squared norms overflow; the last pair's v is degenerate, compared before any scaling
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert numerics.cosine(np.full(4, u), np.full(4, v)) == want
+
+    def test_power_of_two_scaling_keeps_the_bits(self, rng):
+        # magnitudes in [1, 100): 2**k keeps every entry, product and norm normal for k in [-38, 1016]
+        for _ in range(5):
+            a, b = (rng.uniform(1, 100, size=(2, 7)) * rng.choice([-1.0, 1.0], size=(2, 7)))
+            want = numerics.cosine(a, b).hex()
+            for k in range(-38, 1017):
+                assert numerics.cosine(np.ldexp(a, k), b).hex() == want, k
+                assert numerics.cosine(a, np.ldexp(b, k)).hex() == want, k
+                assert numerics.cosine(np.ldexp(a, k), np.ldexp(b, 978 - k)).hex() == want, k
 
 
 class TestMatrixIO:

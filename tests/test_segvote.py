@@ -189,21 +189,14 @@ class TestAgainstOracles:
 
 class TestAgreementStats:
     def test_identical_pair_full_agreement(self):
-        report = segvote.agreement_stats([["ab", "cd"], ["ab", "cd"]])
-        assert report.num_tokenizations == 2
-        assert report.shared_starts == (0, 2)
-        assert report.all_starts == (0, 2)
-        assert report.agreement == 1.0
+        assert segvote.agreement_stats([["ab", "cd"], ["ab", "cd"]]).agreement == 1.0
 
     def test_partial_agreement(self):
-        report = segvote.agreement_stats([["ab", "cd"], ["abcd"]])
-        assert report.shared_starts == (0,)
-        assert report.all_starts == (0, 2)
-        assert report.agreement == 0.5
+        assert segvote.agreement_stats([["ab", "cd"], ["abcd"]]).agreement == 0.5
+        assert segvote.agreement_stats([["a", "bc"], ["ab", "c"]]).agreement == 1 / 3
 
-    def test_start_counts(self):
-        report = segvote.agreement_stats([["a", "bc"], ["ab", "c"]])
-        assert report.start_counts == {0: 2, 1: 1, 2: 1}
+    def test_empty_sentence_agrees(self):
+        assert segvote.agreement_stats([[], []]).agreement == 1.0
 
     def test_needs_two_tokenizations(self):
         with pytest.raises(ValueError):
@@ -230,13 +223,11 @@ class TestAgreementStats:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), sentence=st.text(alphabet="ab", min_size=1, max_size=14))
-    def test_counts_each_voters_word_starts(self, data, sentence):
+    def test_agreement_is_the_shared_share_of_proposed_starts(self, data, sentence):
         voters = data.draw(st.lists(voter(sentence), min_size=2, max_size=5))
         starts = [{len("".join(words[:i])) for i in range(len(words))} for words in voters]
-        report = segvote.agreement_stats(voters)
-        assert report.start_counts == {s: sum(s in ss for ss in starts) for s in sorted(set.union(*starts))}
-        assert report.shared_starts == tuple(sorted(set.intersection(*starts)))
-        assert report.all_starts == tuple(sorted(set.union(*starts)))
+        shared, proposed = set.intersection(*starts), set.union(*starts)
+        assert segvote.agreement_stats(voters).agreement == len(shared) / len(proposed)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), sentence=st.text(alphabet="ab", min_size=1, max_size=14))
