@@ -498,6 +498,31 @@ def _check_projection_finite(rng, cases):
         _require(np.all(np.abs(inner) <= 1.0), "tanh layer escaped [-1, 1]")
 
 
+def _check_projection_memo(rng, cases):
+    for _ in range(max(1, cases // 4)):
+        d_w, d_h = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        vocab = sorted({_random_sentence(rng, 4) for _ in range(12)})
+        rows = lexicon._frozen(rng.standard_normal((len(vocab), d_w)))
+        vectors = {word: row for word, row in zip(vocab, rows) if rng.uniform() < 0.7}  # the rest are OOV
+        unk = lexicon._frozen(rng.standard_normal(d_w))
+        warm = lexicon.EmbeddingTable(dim=d_w, vectors=vectors, unk=unk)
+        bundle = lexicon.init_bundle(int(rng.integers(2**63)), d_w, d_h)
+        cfg = fusion.FusionConfig(lam=float(rng.uniform()), mu=float(rng.uniform()))
+        calls = 8
+        for call in range(calls):
+            if call == calls // 2:  # a new object for one projection tensor: the memo must not serve its rows
+                name = str(rng.choice(lexicon._PROJECTION_TENSORS))
+                bundle = {**bundle, name: lexicon._frozen(rng.standard_normal(bundle[name].shape))}
+            words = [vocab[i] for i in rng.integers(0, len(vocab), int(rng.integers(1, 6)))]
+            seg = segvote.Segmentation("".join(words), tuple(itertools.accumulate(map(len, words), initial=0)))
+            h = rng.standard_normal((len(seg.sentence), d_h))
+            got = attention.pipeline_forward(h, seg, warm, bundle, cfg)
+            want = attention.pipeline_forward(h, seg, lexicon.EmbeddingTable(dim=d_w, vectors=vectors, unk=unk),
+                                              bundle, cfg)
+            _require(got.fused.tobytes() == want.fused.tobytes() and got.omega == want.omega,
+                     f"call {call} of {words}: a warm table differs from a fresh one")
+
+
 # field names of every record kind, so random objects often hit a real field
 _RECORD_KEYS = ["sentence", "tokenizations", "spans", "words", "lambda", "mu", "heads",
                 "debug_intermediates", "output", "rows", "cols", "data", *lexicon.BUNDLE_TENSORS, "x"]
@@ -771,6 +796,7 @@ PROPERTIES: list[tuple[str, Callable]] = [
     ("branch fusion is linear in mu with exact endpoints", _check_fusion_linear),
     ("branches run together equal branches run in turn", _check_branches_together),
     ("projection output stays finite", _check_projection_finite),
+    ("a warm projection memo gives a fresh table's bytes", _check_projection_memo),
     ("malformed input is refused with a located message", _check_malformed_refused),
     ("number text parses to float()'s bits", _check_number_parsing),
     ("numbers print as repr()", _check_number_printing),

@@ -1,8 +1,10 @@
 """Word-to-character fusion: similarity scores, injection, intra-word mixing.
 
 Per word span the steps are, in order: embed the word, project it into the
-hidden space, score each member character by cosine similarity against the
-projected vector, add each character its share of the word vector (shares
+hidden space (once per table and bundle: the table remembers the projections
+of read-only rows under a read-only bundle, see ``lexicon.project_words``),
+score each member character by cosine similarity against the projected
+vector, add each character its share of the word vector (shares
 are the scores normalized by their sum), pick the key character (highest
 score, first on ties), then mix the span so the key character trades a
 small amount of information with the others.  Scoring, injection and
@@ -23,7 +25,7 @@ from typing import ClassVar, Mapping
 
 import numpy as np
 
-from .lexicon import EmbeddingTable, _nfc, lookup, project_rows
+from .lexicon import EmbeddingTable, _nfc, project_words
 from .numerics import cosine, require_finite_result
 from .segvote import Segmentation, WordSpan
 
@@ -117,9 +119,10 @@ def fuse_sequence(
     ``h`` is copied once; each word's steps then read and write only its own
     rows of the copy.  Words cover disjoint rows, so processing order cannot
     change the result.
-    The sentence's distinct words (after NFC normalization) are projected in
-    one batched call; rows are independent, so each word vector is the same
-    bytes as projecting that word alone.  An overflow in the projection or
+    The sentence's words (after NFC normalization) are projected by
+    ``project_words``: those the table's memo lacks in one batched call, the
+    others taken from the memo, each the same bytes as projecting that word
+    alone.  An overflow in the projection or
     in injection and mixing is a ValueError naming that stage; NumPy's
     overflow warnings are silenced meanwhile.  ``h`` (one row per character
     of the sentence), ``bundle`` and ``cfg`` are used as given:
@@ -127,10 +130,7 @@ def fuse_sequence(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         words = [_nfc(word) for word in seg.words]
-        distinct = list(dict.fromkeys(words))
-        embedded = np.array([lookup(table, word) for word in distinct]).reshape(len(distinct), table.dim)
-        projected = require_finite_result(project_rows(embedded, bundle), "word projection")
-        vectors = dict(zip(distinct, projected))
+        vectors = project_words(table, words, bundle)
         out = np.array(h, dtype=np.float64)  # the one copy
         omega: set[int] = set()
         for span, word in zip(seg.spans, words):

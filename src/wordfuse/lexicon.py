@@ -6,17 +6,23 @@ equality after NFC normalization (applied both at load and at lookup).
 
 Out-of-vocabulary words fall back to the vector stored under ``<unk>`` when
 the file provides one, else to all zeros.  Embeddings are frozen: nothing in
-this package trains or updates them.  A table may hold only the words a
-caller names and ``<unk>``, as ``fuse`` loads it for one sentence; every
-entry of the file is still read and checked.
+this package trains or updates them, and ``load_embeddings`` returns its rows
+read-only (``lookup`` gives a writeable copy).  A table may hold only the
+words a caller names and ``<unk>``, as ``fuse`` loads it for one sentence;
+every entry of the file is still read and checked.
 
 The weight bundle is a JSON object carrying every trainable tensor of the
 pipeline as ``{"rows": r, "cols": c, "data": [...]}`` (or a string path to a
 matrix text file, resolved relative to the bundle).  Bias vectors are stored
 as 1 x d_h matrices so the same tensor codec covers everything.  In memory a
 bundle is a dict from tensor name to 2-D array, as ``load_bundle`` and
-``init_bundle`` return it; ``project_rows`` and the pipeline read the tensors
-from it by name, and ``check_bundle_shapes`` is the one check of their shapes.
+``init_bundle`` return it, every tensor read-only; ``project_rows`` and the
+pipeline read the tensors from it by name, and ``check_bundle_shapes`` is the
+one check of their shapes.
+
+A table remembers the projections of its read-only rows under the last
+read-only ``W1``, ``b1``, ``W2`` and ``b2`` it met, at most ``d_h`` of them,
+so ``project_words`` projects a word once per table and bundle; see there.
 
 The compiled loaders read a file in blocks (see ``numerics``): a table in
 pieces of whole lines, a bundle in pieces of each tensor's data list, read
@@ -32,14 +38,15 @@ import math
 import os
 import re
 import unicodedata
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from . import numerics
-from .numerics import matmul, require_finite
+from .numerics import matmul, require_finite, require_finite_result
 
 log = logging.getLogger(__name__)
 
@@ -66,9 +73,32 @@ class EmbeddingTable:
     vectors: dict[str, np.ndarray]
     unk: np.ndarray
     duplicates: int = 0
+    # project_words' memo, replaced whole and never changed in place: (weak references to the
+    # W1, b1, W2, b2 it holds for, {word or None for unk: (weak reference to the row, projection)})
+    _projected: tuple[tuple, dict] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __contains__(self, word: str) -> bool:
         return _nfc(word) in self.vectors
+
+
+def _read_only(m) -> bool:
+    """Whether ``m`` is an array nothing can write: neither it nor any array it views is writeable,
+    and the last of them owns its memory (a buffer of any other kind may be written through)."""
+    while isinstance(m, np.ndarray) and not m.flags.writeable:
+        if m.base is None:
+            return True
+        m = m.base
+    return False
+
+
+def _frozen(m: np.ndarray) -> np.ndarray:
+    """``m`` itself, made read-only with every array it views: ``_read_only(m)`` then holds when the
+    last of them owns its memory, as every array the loaders and ``init_bundle`` make does."""
+    a = m
+    while isinstance(a, np.ndarray):
+        a.flags.writeable = False
+        a = a.base
+    return m
 
 
 def _logical_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
@@ -222,24 +252,24 @@ def load_embeddings(path: str | os.PathLike, words: Iterable[str] | None = None)
     rows of each block; any other file, or every file when no library
     loaded, is read line by line by ``_read_rows``, which keeps the same
     rows and gives the same table or the same error.  The table vectors are
-    rows of one array.
+    read-only rows of one array, and ``unk`` is read-only too.
     """
     keep = None if words is None else {_nfc(word) for word in words} | {UNK_TOKEN}
     dim, found, rows, duplicates = _compiled_rows(path, keep) or _read_rows(path, keep)
-    vectors = dict(zip(found, rows))
+    vectors = dict(zip(found, _frozen(rows)))
     if duplicates:
         log.warning("%s: %d duplicate words, last occurrence kept", path, duplicates)
 
     unk = vectors.get(UNK_TOKEN)
     if unk is None:
-        unk = np.zeros(dim)
+        unk = _frozen(np.zeros(dim))
     return EmbeddingTable(dim=dim, vectors=vectors, unk=unk, duplicates=duplicates)
 
 
 def lookup(table: EmbeddingTable, word: str) -> np.ndarray:
     """Stored vector for the word, or the table's fallback vector.
 
-    Returns a copy so callers cannot corrupt the table in place.
+    Returns a writeable copy, so callers cannot corrupt the table in place.
     """
     return table.vectors.get(_nfc(word), table.unk).copy()
 
@@ -254,6 +284,60 @@ def project_rows(x, bundle: Mapping[str, np.ndarray]) -> np.ndarray:
     """
     hidden = np.tanh(matmul(x, bundle["W1"]) + bundle["b1"])
     return matmul(hidden, bundle["W2"]) + bundle["b2"]
+
+
+# the tensors project_rows reads
+_PROJECTION_TENSORS = ("W1", "b1", "W2", "b2")
+
+
+def project_words(table: EmbeddingTable, words: Iterable[str], bundle: Mapping[str, np.ndarray]
+                  ) -> dict[str, np.ndarray]:
+    """The projection of each of the NFC ``words``' rows, by ``project_rows``, keyed by word.
+
+    Every out-of-vocabulary word projects ``table.unk``.  The rows the
+    table's memo lacks are projected in one batched call; ``project_rows``
+    is row-independent, so each vector is the same bytes as projecting its
+    row alone, memo or not.  A projection that overflows is a ValueError
+    naming the word projection, and nothing of it is remembered.
+
+    The memo holds only while ``W1``, ``b1``, ``W2`` and ``b2`` are the
+    objects it was made for and none of them can be written (see
+    ``_read_only``); another bundle starts a new one.  An entry holds only
+    while its word's row, or ``table.unk``, is the object projected and
+    cannot be written.  It is keyed by the word, or by None for every word
+    the table lacks, and stores at most ``d_h`` rows, no more than the bytes
+    of ``W2``; once full it takes no more.  The loaders and ``init_bundle``
+    return read-only arrays; any other row or tensor is projected on each
+    call.  The memo is replaced whole, never changed in place, so threads
+    that share a table each read a memo of their own call's bundle.
+    """
+    tensors = [bundle[name] for name in _PROJECTION_TENSORS]
+    keep = all(map(_read_only, tensors))
+    memo = table._projected
+    if not keep:
+        memo = None, {}
+    elif memo is None or any(ref() is not t for ref, t in zip(memo[0], tensors)):
+        memo = tuple(map(weakref.ref, tensors)), {}
+    keys = {word: word if word in table.vectors else None for word in words}
+    rows = {key: table.vectors.get(key, table.unk) for key in keys.values()}
+    found, missing = {}, {}  # key -> projection; key -> a word with that key
+    for word, key in keys.items():
+        entry = memo[1].get(key)
+        if entry is not None and entry[0]() is rows[key] and _read_only(rows[key]):
+            found[key] = entry[1]
+        else:
+            missing.setdefault(key, word)
+    if missing:
+        embedded = np.array([lookup(table, word) for word in missing.values()]).reshape(len(missing), table.dim)
+        projected = require_finite_result(project_rows(embedded, bundle), "word projection")
+        found.update(zip(missing, projected))
+        misses = list(missing)
+        at = [i for i, key in enumerate(misses) if keep and _read_only(rows[key])][: len(tensors[2]) - len(memo[1])]
+        if at:
+            # a copy of the remembered rows alone, so the memo holds no other row of this call
+            added = {misses[i]: (weakref.ref(rows[misses[i]]), v) for i, v in zip(at, _frozen(projected[at]))}
+            table._projected = memo[0], {**memo[1], **added}
+    return {word: found[key] for word, key in keys.items()}
 
 
 # the fields of a bundle and of a tensor stored inline, by numerics.JSON_FIELD_KINDS
@@ -330,7 +414,7 @@ def _compiled_bundle(path: str | os.PathLike) -> dict[str, np.ndarray] | None:
             if parsed is None:
                 return None
             values, _, at = parsed
-            tensors[name] = values.reshape(rows, cols)
+            tensors[name] = _frozen(values.reshape(rows, cols))
         f.seek(at)
         return tensors if f.read(5) == b"]}}\n" else None
 
@@ -343,7 +427,7 @@ def load_bundle(path: str | os.PathLike, matrix_files: list[Path] | None = None)
     it, so callers can treat those files as inputs too without parsing again.
     A bundle as ``save_bundle`` writes it, all inline, is read by
     ``_compiled_bundle`` when the library loaded; any other by ``read_json``,
-    with the same tensors or the same error.
+    with the same tensors or the same error.  Every tensor is read-only.
     """
     tensors = _compiled_bundle(path)
     if tensors is not None:
@@ -355,7 +439,7 @@ def load_bundle(path: str | os.PathLike, matrix_files: list[Path] | None = None)
         numerics.check_record(raw, _BUNDLE_FIELDS, required=BUNDLE_TENSORS)
         for name in BUNDLE_TENSORS:
             with numerics.located(name):
-                tensors[name] = _tensor(raw[name], p.parent)
+                tensors[name] = _frozen(_tensor(raw[name], p.parent))
     if matrix_files is not None:
         matrix_files += [p.parent / raw[name] for name in BUNDLE_TENSORS if isinstance(raw[name], str)]
     return tensors
@@ -432,8 +516,8 @@ def init_bundle(seed: int, d_w: int, d_h: int) -> dict[str, np.ndarray]:
 
     Matrices are drawn from one SplitMix64 stream in BUNDLE_SHAPES order
     (W1, W2, then the six attention matrices); biases consume no draws.
-    A bundle that would not fit in physical memory is refused before
-    anything is allocated.
+    Every tensor is read-only.  A bundle that would not fit in physical
+    memory is refused before anything is allocated.
     """
     if d_w < 1 or d_h < 1:
         raise ValueError(f"dimensions must be positive, got d_w={d_w} d_h={d_h}")
@@ -451,6 +535,6 @@ def init_bundle(seed: int, d_w: int, d_h: int) -> dict[str, np.ndarray]:
     rng = numerics.SplitMix64(seed)
     dims = {"d_w": d_w, "d_h": d_h}
     return {
-        name: np.zeros((1, dims[cols])) if rows == 1 else numerics.init_matrix(rng, dims[rows], dims[cols])
+        name: _frozen(np.zeros((1, dims[cols])) if rows == 1 else numerics.init_matrix(rng, dims[rows], dims[cols]))
         for name, (rows, cols) in BUNDLE_SHAPES.items()
     }
