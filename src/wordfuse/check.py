@@ -502,18 +502,20 @@ def _check_projection_memo(rng, cases):
     for _ in range(max(1, cases // 4)):
         d_w, d_h = int(rng.integers(1, 5)), int(rng.integers(1, 9))
         vocab = sorted({_random_sentence(rng, 4) for _ in range(12)})
-        rows = lexicon._frozen(rng.standard_normal((len(vocab), d_w)))
+        rows = rng.standard_normal((len(vocab), d_w))
         vectors = {word: row for word, row in zip(vocab, rows) if rng.uniform() < 0.7}  # the rest are OOV
-        unk = lexicon._frozen(rng.standard_normal(d_w))
+        unk = rng.standard_normal(d_w)
         warm = lexicon.EmbeddingTable(dim=d_w, vectors=vectors, unk=unk)
         bundle = lexicon.init_bundle(int(rng.integers(2**63)), d_w, d_h)
         cfg = fusion.FusionConfig(lam=float(rng.uniform()), mu=float(rng.uniform()))
-        calls = 8
+        calls, words = 8, []
         for call in range(calls):
             if call == calls // 2:  # a new object for one projection tensor: the memo must not serve its rows
                 name = str(rng.choice(lexicon._PROJECTION_TENSORS))
                 bundle = {**bundle, name: lexicon._frozen(rng.standard_normal(bundle[name].shape))}
-            words = [vocab[i] for i in rng.integers(0, len(vocab), int(rng.integers(1, 6)))]
+            if call == calls // 4:  # the last word's row, met again below, changed in place: the memo must not serve it
+                vectors.get(words[-1], unk)[:] += 1.0
+            words = words[-1:] + [vocab[i] for i in rng.integers(0, len(vocab), int(rng.integers(1, 6)))]
             seg = segvote.Segmentation("".join(words), tuple(itertools.accumulate(map(len, words), initial=0)))
             h = rng.standard_normal((len(seg.sentence), d_h))
             got = attention.pipeline_forward(h, seg, warm, bundle, cfg)

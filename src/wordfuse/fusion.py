@@ -1,8 +1,8 @@
 """Word-to-character fusion: similarity scores, injection, intra-word mixing.
 
 Per word span the steps are, in order: embed the word, project it into the
-hidden space (once per table and bundle: the table remembers the projections
-of read-only rows under a read-only bundle, see ``lexicon.project_words``),
+hidden space (once per table and bundle: the table remembers projections by
+the float64 bytes of each row, see ``lexicon.project_words``),
 score each member character by cosine similarity against the projected
 vector, add each character its share of the word vector (shares
 are the scores normalized by their sum), pick the key character (highest

@@ -6,10 +6,9 @@ equality after NFC normalization (applied both at load and at lookup).
 
 Out-of-vocabulary words fall back to the vector stored under ``<unk>`` when
 the file provides one, else to all zeros.  Embeddings are frozen: nothing in
-this package trains or updates them, and ``load_embeddings`` returns its rows
-read-only (``lookup`` gives a writeable copy).  A table may hold only the
-words a caller names and ``<unk>``, as ``fuse`` loads it for one sentence;
-every entry of the file is still read and checked.
+this package trains or updates them (``lookup`` gives a copy).  A table may
+hold only the words a caller names and ``<unk>``, as ``fuse`` loads it for
+one sentence; every entry of the file is still read and checked.
 
 The weight bundle is a JSON object carrying every trainable tensor of the
 pipeline as ``{"rows": r, "cols": c, "data": [...]}`` (or a string path to a
@@ -20,9 +19,9 @@ bundle is a dict from tensor name to 2-D array, as ``load_bundle`` and
 pipeline read the tensors from it by name, and ``check_bundle_shapes`` is the
 one check of their shapes.
 
-A table remembers the projections of its read-only rows under the last
-read-only ``W1``, ``b1``, ``W2`` and ``b2`` it met, at most ``d_h`` of them,
-so ``project_words`` projects a word once per table and bundle; see there.
+A table remembers the projections of at most ``d_h`` rows by their float64
+bytes, under the last read-only ``W1``, ``b1``, ``W2`` and ``b2`` it met, so
+``project_words`` projects a row once per table and bundle; see there.
 
 The compiled loaders read a file in blocks (see ``numerics``): a table in
 pieces of whole lines, a bundle in pieces of each tensor's data list, read
@@ -74,7 +73,7 @@ class EmbeddingTable:
     unk: np.ndarray
     duplicates: int = 0
     # project_words' memo, replaced whole and never changed in place: (weak references to the
-    # W1, b1, W2, b2 it holds for, {word or None for unk: (weak reference to the row, projection)})
+    # W1, b1, W2, b2 it holds for, {float64 bytes of a row: its projection})
     _projected: tuple[tuple, dict] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __contains__(self, word: str) -> bool:
@@ -93,7 +92,7 @@ def _read_only(m) -> bool:
 
 def _frozen(m: np.ndarray) -> np.ndarray:
     """``m`` itself, made read-only with every array it views: ``_read_only(m)`` then holds when the
-    last of them owns its memory, as every array the loaders and ``init_bundle`` make does."""
+    last of them owns its memory, as every tensor ``load_bundle`` and ``init_bundle`` make does."""
     a = m
     while isinstance(a, np.ndarray):
         a.flags.writeable = False
@@ -252,17 +251,15 @@ def load_embeddings(path: str | os.PathLike, words: Iterable[str] | None = None)
     rows of each block; any other file, or every file when no library
     loaded, is read line by line by ``_read_rows``, which keeps the same
     rows and gives the same table or the same error.  The table vectors are
-    read-only rows of one array, and ``unk`` is read-only too.
+    rows of one array.
     """
     keep = None if words is None else {_nfc(word) for word in words} | {UNK_TOKEN}
     dim, found, rows, duplicates = _compiled_rows(path, keep) or _read_rows(path, keep)
-    vectors = dict(zip(found, _frozen(rows)))
+    vectors = dict(zip(found, rows))
     if duplicates:
         log.warning("%s: %d duplicate words, last occurrence kept", path, duplicates)
 
-    unk = vectors.get(UNK_TOKEN)
-    if unk is None:
-        unk = _frozen(np.zeros(dim))
+    unk = vectors.get(UNK_TOKEN, np.zeros(dim))
     return EmbeddingTable(dim=dim, vectors=vectors, unk=unk, duplicates=duplicates)
 
 
@@ -294,22 +291,20 @@ def project_words(table: EmbeddingTable, words: Iterable[str], bundle: Mapping[s
                   ) -> dict[str, np.ndarray]:
     """The projection of each of the NFC ``words``' rows, by ``project_rows``, keyed by word.
 
-    Every out-of-vocabulary word projects ``table.unk``.  The rows the
+    Each distinct word's row is taken by ``lookup`` once.  The rows the
     table's memo lacks are projected in one batched call; ``project_rows``
     is row-independent, so each vector is the same bytes as projecting its
     row alone, memo or not.  A projection that overflows is a ValueError
     naming the word projection, and nothing of it is remembered.
 
-    The memo holds only while ``W1``, ``b1``, ``W2`` and ``b2`` are the
-    objects it was made for and none of them can be written (see
-    ``_read_only``); another bundle starts a new one.  An entry holds only
-    while its word's row, or ``table.unk``, is the object projected and
-    cannot be written.  It is keyed by the word, or by None for every word
-    the table lacks, and stores at most ``d_h`` rows, no more than the bytes
-    of ``W2``; once full it takes no more.  The loaders and ``init_bundle``
-    return read-only arrays; any other row or tensor is projected on each
-    call.  The memo is replaced whole, never changed in place, so threads
-    that share a table each read a memo of their own call's bundle.
+    The memo maps the float64 bytes of a row to its projection, whatever
+    word, array or dtype the row came from.  It holds only while ``W1``,
+    ``b1``, ``W2`` and ``b2`` are the objects it was made for and none of
+    them can be written (see ``_read_only``); another bundle starts a new
+    one.  It stores at most ``d_h`` rows, ``8 * d_h * (d_h + d_w)`` bytes
+    with their keys, then takes no more.  It is replaced whole, never
+    changed in place, so threads that share a table each read a memo of
+    their own call's bundle.
     """
     tensors = [bundle[name] for name in _PROJECTION_TENSORS]
     keep = all(map(_read_only, tensors))
@@ -318,25 +313,18 @@ def project_words(table: EmbeddingTable, words: Iterable[str], bundle: Mapping[s
         memo = None, {}
     elif memo is None or any(ref() is not t for ref, t in zip(memo[0], tensors)):
         memo = tuple(map(weakref.ref, tensors)), {}
-    keys = {word: word if word in table.vectors else None for word in words}
-    rows = {key: table.vectors.get(key, table.unk) for key in keys.values()}
-    found, missing = {}, {}  # key -> projection; key -> a word with that key
-    for word, key in keys.items():
-        entry = memo[1].get(key)
-        if entry is not None and entry[0]() is rows[key] and _read_only(rows[key]):
-            found[key] = entry[1]
-        else:
-            missing.setdefault(key, word)
+    keys = {word: lookup(table, word).astype(np.float64, copy=False).tobytes() for word in dict.fromkeys(words)}
+    found = {key: memo[1].get(key) for key in keys.values()}
+    missing = [key for key, projection in found.items() if projection is None]
     if missing:
-        embedded = np.array([lookup(table, word) for word in missing.values()]).reshape(len(missing), table.dim)
+        embedded = np.array([np.frombuffer(key) for key in missing]).reshape(len(missing), table.dim)
         projected = require_finite_result(project_rows(embedded, bundle), "word projection")
         found.update(zip(missing, projected))
-        misses = list(missing)
-        at = [i for i, key in enumerate(misses) if keep and _read_only(rows[key])][: len(tensors[2]) - len(memo[1])]
-        if at:
-            # a copy of the remembered rows alone, so the memo holds no other row of this call
-            added = {misses[i]: (weakref.ref(rows[misses[i]]), v) for i, v in zip(at, _frozen(projected[at]))}
-            table._projected = memo[0], {**memo[1], **added}
+        if keep and len(memo[1]) < len(tensors[2]):
+            # a read-only copy of the remembered rows alone, so the memo holds no other row of this call
+            added = projected[: len(tensors[2]) - len(memo[1])].copy()
+            added.flags.writeable = False
+            table._projected = memo[0], {**memo[1], **dict(zip(missing, added))}
     return {word: found[key] for word, key in keys.items()}
 
 

@@ -1,8 +1,9 @@
-"""The projection memo of an ``EmbeddingTable``: read-only inputs, exact results, a bounded size, threads.
+"""The projection memo of an ``EmbeddingTable``: read-only tensors, row-bytes keys, a bounded size, threads.
 
-A table remembers the projections of its read-only rows under one read-only
-``W1``, ``b1``, ``W2`` and ``b2``.  Every result must equal, byte for byte,
-the result of a fresh table, whatever was changed, replaced or shared.
+A table remembers the projections of rows, keyed by their float64 bytes,
+under one read-only ``W1``, ``b1``, ``W2`` and ``b2``.  Every result must
+equal, byte for byte, the result of a fresh table, whatever was changed,
+replaced or shared.
 """
 
 import dataclasses
@@ -71,16 +72,17 @@ class TestReadOnly:
 
     @pytest.mark.parametrize("unk", [True, False])
     @pytest.mark.parametrize("keep", [None, ["ab"]])
-    def test_loaded_rows_are_read_only_and_lookup_copies(self, tmp_path, reader, unk, keep):
+    def test_lookup_copies_loaded_rows(self, tmp_path, reader, unk, keep):
         rng = np.random.default_rng(3)
         path = tmp_path / "e.txt"
         write_embeddings(path, [("ab", rng.standard_normal(D_W)), ("cd", rng.standard_normal(D_W)),
                                 *[(lexicon.UNK_TOKEN, rng.standard_normal(D_W))] * unk], D_W)
         table = lexicon.load_embeddings(path, keep)
-        assert all(writes_refused(row) and lexicon._read_only(row) for row in [*table.vectors.values(), table.unk])
-        copy = lexicon.lookup(table, "ab")
-        copy[0] += 1.0
-        assert copy.flags.writeable and copy[0] != table.vectors["ab"][0]
+        for word, row in [("ab", table.vectors["ab"]), ("zz", table.unk)]:
+            before = row.tobytes()
+            copy = lexicon.lookup(table, word)
+            copy[0] += 1.0
+            assert copy.flags.writeable and copy[0] != row[0] and row.tobytes() == before
 
     def test_writeable_bundle_changed_in_place_gives_the_new_result(self, tmp_path):
         table = loaded_table(tmp_path, ["ab", "c"])
@@ -109,7 +111,7 @@ class TestReadOnly:
         before = fused(table, bundle, ["ab"])
         table.vectors["ab"] += 1.0
         assert fused(table, bundle, ["ab"]) == fused(fresh(table), bundle, ["ab"]) != before
-        assert memo_rows(table) == 0
+        assert memo_rows(table) == 2  # both contents are remembered
 
     def test_read_only_row_over_a_writeable_buffer_is_not_trusted(self):
         buffer = bytearray(np.random.default_rng(4).standard_normal(D_W).tobytes())
@@ -120,7 +122,7 @@ class TestReadOnly:
         before = fused(table, bundle, ["ab"])
         buffer[:8] = np.float64(5.0).tobytes()
         assert fused(table, bundle, ["ab"]) == fused(fresh(table), bundle, ["ab"]) != before
-        assert memo_rows(table) == 0
+        assert memo_rows(table) == 2  # both contents are remembered
 
     def test_row_made_writeable_again_gives_the_new_result(self):
         row = lexicon._frozen(np.random.default_rng(4).standard_normal(D_W))
@@ -131,6 +133,40 @@ class TestReadOnly:
         row.flags.writeable = True  # an array that owns its data may be made writeable again
         row += 1.0
         assert fused(table, bundle, ["ab"]) == fused(fresh(table), bundle, ["ab"]) != before
+
+
+class TestRowBytesKey:
+    def test_two_words_with_one_row_make_one_entry(self):
+        row = np.random.default_rng(13).standard_normal(D_W)
+        table = lexicon.EmbeddingTable(dim=D_W, vectors={"ab": row, "cd": row.copy()}, unk=np.zeros(D_W))
+        bundle = lexicon.init_bundle(13, D_W, D_H)
+        assert fused(table, bundle, ["ab", "cd"]) == fused(fresh(table), bundle, ["ab", "cd"])
+        assert memo_rows(table) == 1
+
+    @pytest.mark.parametrize("calls", [[["i", "f"]], [["f"], ["i"]], [["i"], ["f"]]])
+    def test_integer_row_with_a_float_rows_bytes_projects_its_own_values(self, calls):
+        ints = np.array([1, 2, 3], dtype=np.int64)
+        floats = ints.view(np.float64)  # the same bytes, read as other values
+        table = lexicon.EmbeddingTable(dim=D_W, vectors={"i": ints, "f": floats}, unk=np.zeros(D_W))
+        bundle = lexicon.init_bundle(14, D_W, D_H)
+        want = {word: lexicon.project_rows(row[None, :], bundle)[0].tobytes() for word, row in table.vectors.items()}
+        assert want["i"] != want["f"]
+        for words in calls:
+            got = lexicon.project_words(table, words, bundle)
+            assert {word: v.tobytes() for word, v in got.items()} == {word: want[word] for word in words}
+        assert memo_rows(table) == 2
+
+    def test_writeable_rows_are_served_from_the_memo(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        table = lexicon.EmbeddingTable(dim=D_W, vectors={"ab": rng.standard_normal(D_W), "c": rng.standard_normal(D_W)},
+                                       unk=rng.standard_normal(D_W))
+        bundle = lexicon.init_bundle(15, D_W, D_H)
+        words = ["ab", "c", "zz", "ab"]
+        before = fused(table, bundle, words)
+        projections, project_rows = [], lexicon.project_rows
+        monkeypatch.setattr(lexicon, "project_rows", lambda x, b: projections.append(x) or project_rows(x, b))
+        assert fused(table, bundle, words) == before
+        assert projections == []
 
 
 class TestMemoBound:

@@ -48,6 +48,9 @@ def test_tracer_reads_one_pipeline_forward():
     # mix_word gets a span of its word's length: "c" is the one single-character word
     assert seg.words == ["ab", "c", "def"]
     assert layers["fusion.single_char_share"] == sum(len(w) == 1 for w in seg.words) / len(seg.words)
+    # lookup runs once per distinct word of the sentence: "c" and "def" are out of vocabulary
+    distinct = set(seg.words)
+    assert layers["lexicon.lookup.oov_share"] == sum(w not in table for w in distinct) / len(distinct) == 2 / 3
 
 
 # names the tracer wraps that the package no longer has: lexicon.project was folded into project_rows
