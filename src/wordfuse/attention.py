@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .fusion import FusionConfig, fuse_sequence
-from .lexicon import EmbeddingTable, check_bundle, check_bundle_shapes
+from .lexicon import EmbeddingTable, check_bundle, check_bundle_shapes, project_words
 from .numerics import as_matrix, matmul, require_finite, require_finite_result, softmax_rows
 from .segvote import Segmentation
 
@@ -121,7 +121,7 @@ def pipeline_forward(
     bundle: Mapping[str, np.ndarray],
     cfg: FusionConfig,
 ) -> PipelineResult:
-    """The whole pipeline: fuse words in, then both attention branches.
+    """The whole pipeline: ``project_words``, ``fuse_sequence``, then both attention branches.
 
     Before any stage, ``h`` must have rows, one per character of the
     sentence, and be finite; every bundle tensor must be present and shaped
@@ -160,7 +160,7 @@ def pipeline_forward(
     cfg.validate(h.shape[1])
     try:
         # the projection loads the compiled library on this thread, before a second one calls it
-        mixed, omega = fuse_sequence(h, seg, table, bundle, cfg)
+        mixed, omega = fuse_sequence(h, seg, project_words(table, seg.words, bundle), cfg)
         mask = MaskSpec(n=mixed.shape[0], omega=frozenset(omega))
         # leaving the pool waits for the masked branch, so a plain branch's error is raised first
         with ThreadPoolExecutor(1) as pool:

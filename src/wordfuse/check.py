@@ -363,17 +363,11 @@ def _check_lambda_monotone(rng, cases):
 
 def _check_omega_keys(rng, cases):
     cfg = fusion.FusionConfig()
-    table = lexicon.EmbeddingTable(dim=3, vectors={}, unk=np.zeros(3))
     for _ in range(cases):
         seg = _random_segmentation(rng, _random_sentence(rng))
         n, d_h = len(seg.sentence), int(rng.integers(2, 9))
-        bundle = {
-            "W1": rng.standard_normal((3, d_h)),
-            "b1": rng.standard_normal((1, d_h)),
-            "W2": rng.standard_normal((d_h, d_h)),
-            "b2": rng.standard_normal((1, d_h)),
-        }
-        _, omega = fusion.fuse_sequence(rng.standard_normal((n, d_h)), seg, table, bundle, cfg)
+        vectors = rng.standard_normal((len(seg.words), d_h))
+        _, omega = fusion.fuse_sequence(rng.standard_normal((n, d_h)), seg, vectors, cfg)
         _require(len(omega) == len(seg.words), "omega size != word count")
         for key, start, end in zip(sorted(omega), seg.starts, seg.starts[1:]):
             _require(start <= key < end, f"the word at [{start}, {end}) holds no key, or more than one")
@@ -475,7 +469,7 @@ def _check_branches_together(rng, cases):
             _require(getattr(got, name).tobytes() == want.tobytes(), f"{name} differs from the branches run in turn")
         # scores near 1e400 in both branches: the plain branch's overflow is the one named
         big = h * 1e200
-        mixed, omega = fusion.fuse_sequence(big, seg, table, bundle, cfg)
+        mixed, omega = fusion.fuse_sequence(big, seg, lexicon.project_words(table, seg.words, bundle), cfg)
         alone = _value_error(attention.attend, mixed, *masked, heads, attention.MaskSpec(n, frozenset(omega)))
         _require(alone.startswith("overflow in masked attention scores: "), f"masked branch alone: {alone!r}")
         both = _value_error(attention.pipeline_forward, big, seg, table, bundle, cfg)

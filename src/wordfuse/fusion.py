@@ -1,14 +1,13 @@
 """Word-to-character fusion: similarity scores, injection, intra-word mixing.
 
-Per word span the steps are, in order: embed the word, project it into the
-hidden space (once per table and bundle: the table remembers projections by
-the float64 bytes of each row, see ``lexicon.project_words``),
-score each member character by cosine similarity against the projected
-vector, add each character its share of the word vector (shares
-are the scores normalized by their sum), pick the key character (highest
-score, first on ties), then mix the span so the key character trades a
-small amount of information with the others.  Scoring, injection and
-mixing take only the word's own k x d_h rows, and return new ones.
+Each word comes with its vector, already projected into the hidden space.
+Per word span the steps are, in order: score each member character by
+cosine similarity against the word vector, add each character its share of
+the word vector (shares are the scores normalized by their sum), pick the
+key character (highest score, first on ties), then mix the span so the key
+character trades a small amount of information with the others.  Scoring,
+injection and mixing take only the word's own k x d_h rows, and return new
+ones.
 
 Mixing keeps ``exp(lam - 1)`` of the key character's own state and spreads
 the remainder evenly over the other characters, symmetrically pulling the
@@ -21,11 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Mapping
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .lexicon import EmbeddingTable, _nfc, project_words
 from .numerics import cosine, require_finite_result
 from .segvote import Segmentation, WordSpan
 
@@ -105,37 +103,26 @@ def mix_word(rows: np.ndarray, span: WordSpan, key: int, lam: float) -> np.ndarr
     return out
 
 
-def fuse_sequence(
-    h,
-    seg: Segmentation,
-    table: EmbeddingTable,
-    bundle: Mapping[str, np.ndarray],
-    cfg: FusionConfig,
-) -> tuple[np.ndarray, set[int]]:
-    """Run the per-word fusion over a whole sentence.
+def fuse_sequence(h, seg: Segmentation, vectors: Sequence[np.ndarray], cfg: FusionConfig
+                  ) -> tuple[np.ndarray, set[int]]:
+    """Run the per-word fusion over a whole sentence, word i with ``vectors[i]``.
 
     Returns the fused hidden matrix and the set of key-character indices
     (one per word; a single-character word contributes its sole index).
     ``h`` is copied once; each word's steps then read and write only its own
     rows of the copy.  Words cover disjoint rows, so processing order cannot
-    change the result.
-    The sentence's words (after NFC normalization) are projected by
-    ``project_words``: those the table's memo lacks in one batched call, the
-    others taken from the memo, each the same bytes as projecting that word
-    alone.  An overflow in the projection or
-    in injection and mixing is a ValueError naming that stage; NumPy's
-    overflow warnings are silenced meanwhile.  ``h`` (one row per character
-    of the sentence), ``bundle`` and ``cfg`` are used as given:
-    ``pipeline_forward`` checks them.
+    change the result.  An overflow in injection and mixing is a ValueError
+    naming that stage; NumPy's overflow warnings are silenced meanwhile.
+    ``h`` (one row per character of the sentence), ``vectors`` (one d_h
+    vector per word) and ``cfg`` are used as given: ``pipeline_forward``
+    checks and makes them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        words = [_nfc(word) for word in seg.words]
-        vectors = project_words(table, words, bundle)
         out = np.array(h, dtype=np.float64)  # the one copy
         omega: set[int] = set()
-        for span, word in zip(seg.spans, words):
+        for span, v in zip(seg.spans, vectors):
             at = slice(span.start, span.end + 1)
-            wa = analyze_word(out[at], span, vectors[word])
+            wa = analyze_word(out[at], span, v)
             out[at] = mix_word(inject_word(out[at], wa, cfg), span, wa.key, cfg.lam)
             omega.add(wa.key)
         return require_finite_result(out, "word injection and mixing"), omega

@@ -21,7 +21,7 @@ one check of their shapes.
 
 A table remembers the projections of at most ``d_h`` rows by their float64
 bytes, under the last read-only ``W1``, ``b1``, ``W2`` and ``b2`` it met, so
-``project_words`` projects a row once per table and bundle; see there.
+``project_words``, the word projection, projects a row once; see there.
 
 The compiled loaders read a file in blocks (see ``numerics``): a table in
 pieces of whole lines, a bundle in pieces of each tensor's data list, read
@@ -40,7 +40,7 @@ import unicodedata
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -91,13 +91,13 @@ def _read_only(m) -> bool:
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
-    """``m`` itself, made read-only with every array it views: ``_read_only(m)`` then holds when the
-    last of them owns its memory, as every tensor ``load_bundle`` and ``init_bundle`` make does."""
+    """A view of ``m`` that cannot be made writeable again, all it views made read-only: ``_read_only`` then
+    holds when the last of them owns its memory, as every tensor ``load_bundle`` and ``init_bundle`` make does."""
     a = m
     while isinstance(a, np.ndarray):
         a.flags.writeable = False
         a = a.base
-    return m
+    return m.view()
 
 
 def _logical_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
@@ -287,24 +287,28 @@ def project_rows(x, bundle: Mapping[str, np.ndarray]) -> np.ndarray:
 _PROJECTION_TENSORS = ("W1", "b1", "W2", "b2")
 
 
-def project_words(table: EmbeddingTable, words: Iterable[str], bundle: Mapping[str, np.ndarray]
-                  ) -> dict[str, np.ndarray]:
-    """The projection of each of the NFC ``words``' rows, by ``project_rows``, keyed by word.
+def project_words(table: EmbeddingTable, words: Sequence[str], bundle: Mapping[str, np.ndarray]
+                  ) -> list[np.ndarray]:
+    """The projection by ``project_rows`` of each word's ``lookup`` row: one read-only vector per word, in order.
 
     Each distinct word's row is taken by ``lookup`` once.  The rows the
-    table's memo lacks are projected in one batched call; ``project_rows``
-    is row-independent, so each vector is the same bytes as projecting its
-    row alone, memo or not.  A projection that overflows is a ValueError
-    naming the word projection, and nothing of it is remembered.
+    table's memo lacks are projected in one batched call, NumPy's overflow
+    warnings silenced; ``project_rows`` is row-independent, so each vector
+    is the same bytes as projecting its row alone, memo or not.  A
+    projection that overflows is a ValueError naming the word projection,
+    and nothing of it is remembered.
 
     The memo maps the float64 bytes of a row to its projection, whatever
     word, array or dtype the row came from.  It holds only while ``W1``,
     ``b1``, ``W2`` and ``b2`` are the objects it was made for and none of
     them can be written (see ``_read_only``); another bundle starts a new
-    one.  It stores at most ``d_h`` rows, ``8 * d_h * (d_h + d_w)`` bytes
-    with their keys, then takes no more.  It is replaced whole, never
+    one.  It remembers at most ``d_h`` rows, views of the read-only batch that
+    projected them: ``8 * d_h * (d_h + d_w)`` bytes with their keys, plus the
+    other rows of the one call that filled it.  It is replaced whole, never
     changed in place, so threads that share a table each read a memo of
-    their own call's bundle.
+    their own call's bundle.  A caller's tensor changed under its read-only
+    flag, through an older writeable view or made writeable again, keeps its
+    old projections in a table that met it: replace a tensor, never change it.
     """
     tensors = [bundle[name] for name in _PROJECTION_TENSORS]
     keep = all(map(_read_only, tensors))
@@ -318,14 +322,13 @@ def project_words(table: EmbeddingTable, words: Iterable[str], bundle: Mapping[s
     missing = [key for key, projection in found.items() if projection is None]
     if missing:
         embedded = np.array([np.frombuffer(key) for key in missing]).reshape(len(missing), table.dim)
-        projected = require_finite_result(project_rows(embedded, bundle), "word projection")
+        with np.errstate(over="ignore", invalid="ignore"):
+            projected = require_finite_result(project_rows(embedded, bundle), "word projection")
+        projected.flags.writeable = False
         found.update(zip(missing, projected))
         if keep and len(memo[1]) < len(tensors[2]):
-            # a read-only copy of the remembered rows alone, so the memo holds no other row of this call
-            added = projected[: len(tensors[2]) - len(memo[1])].copy()
-            added.flags.writeable = False
-            table._projected = memo[0], {**memo[1], **dict(zip(missing, added))}
-    return {word: found[key] for word, key in keys.items()}
+            table._projected = memo[0], {**memo[1], **dict(zip(missing[: len(tensors[2]) - len(memo[1])], projected))}
+    return [found[keys[word]] for word in words]
 
 
 # the fields of a bundle and of a tensor stored inline, by numerics.JSON_FIELD_KINDS

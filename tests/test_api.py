@@ -63,3 +63,23 @@ def test_every_module_level_definition_is_used_or_public():
         and node.name not in [*wordfuse.__all__, *OUTSIDE_CALLERS]
     )
     assert orphans == []
+
+
+# the package's modules by layer, lowest first
+LAYERS = [["_kernel"], ["numerics"], ["segvote"], ["lexicon", "fusion"], ["attention"], ["cli", "check"]]
+
+
+def test_every_module_level_import_names_a_lower_layer():
+    # cli and check import each other inside functions only, which this does not read; __init__ re-exports
+    layer = {module: i for i, modules in enumerate(LAYERS) for module in modules}
+    package = ROOT / "src" / "wordfuse"
+    assert sorted(layer) == sorted(path.stem for path in package.glob("*.py") if path.stem != "__init__")
+    upward = [
+        (module, name)
+        for module in layer
+        for node in ast.parse((package / f"{module}.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for name in ([node.module] if node.module else [alias.name for alias in node.names])
+        if layer[name] >= layer[module]
+    ]
+    assert upward == []

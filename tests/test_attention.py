@@ -247,7 +247,7 @@ class TestPipelineForward:
         cfg = FusionConfig()
         result = attention.pipeline_forward(h, seg, table, bundle, cfg)
 
-        mixed, omega = fusion.fuse_sequence(h, seg, table, bundle, cfg)
+        mixed, omega = fusion.fuse_sequence(h, seg, lexicon.project_words(table, seg.words, bundle), cfg)
         mask = MaskSpec(h.shape[0], frozenset(omega))
         h1 = attention.attend(mixed, bundle["Wq1"], bundle["Wk1"], bundle["Wv1"], heads=cfg.heads)
         h2 = attention.attend(mixed, bundle["Wq2"], bundle["Wk2"], bundle["Wv2"], heads=cfg.heads, mask=mask)
@@ -374,9 +374,10 @@ class TestPipelineForward:
             # x W1 steps to +inf, then adds -inf: NaN
             table.vectors = {word: np.array([1e10, 1e10, 0.0]) for word in table.vectors}
             bundle = dict(bundle, W1=np.tile([[1e300], [-1e300], [0.0]], (1, 4)))
-        if stage.startswith("word"):
-            h = np.full_like(h, 1e308 if stage == "word injection and mixing" else 1.0)
-            fn, args = fusion.fuse_sequence, (h, seg, table, bundle, FusionConfig())
+            fn, args = lexicon.project_words, (table, seg.words, bundle)
+        elif stage == "word injection and mixing":
+            vectors = lexicon.project_words(table, seg.words, bundle)
+            fn, args = fusion.fuse_sequence, (np.full_like(h, 1e308), seg, vectors, FusionConfig())
         else:
             big = np.eye(4) * 1e200
             mask = MaskSpec(5, frozenset({0, 3})) if stage.startswith("masked") else None

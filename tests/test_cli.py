@@ -735,7 +735,8 @@ class TestCheckBundle:
         bad[at] = np.inf
         bundle = dict(bundle, **{name: bad})
         with np.errstate(over="ignore"):
-            mixed, _ = fusion.fuse_sequence(hidden, seg, table, bundle, FusionConfig())
+            vectors = lexicon.project_words(table, seg.words, bundle)
+            mixed, _ = fusion.fuse_sequence(hidden, seg, vectors, FusionConfig())
         assert np.isfinite(mixed).all()
         with pytest.raises(ValueError) as info:
             attention.pipeline_forward(hidden, seg, table, bundle, FusionConfig())

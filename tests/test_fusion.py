@@ -238,6 +238,9 @@ class TestFuseSequence:
         self.seg = Segmentation("abc", (0, 2, 3))
         self.cfg = FusionConfig()
 
+    def vectors(self, seg):
+        return lexicon.project_words(self.table, seg.words, self.bundle)
+
     def per_word_reference(self, h, seg):
         want = h.copy()
         omega = set()
@@ -253,7 +256,7 @@ class TestFuseSequence:
 
     def test_composition_matches_manual_steps(self, rng):
         h = rng.standard_normal((3, 4))
-        got, omega = fusion.fuse_sequence(h, self.seg, self.table, self.bundle, self.cfg)
+        got, omega = fusion.fuse_sequence(h, self.seg, self.vectors(self.seg), self.cfg)
         want, expect_omega = self.per_word_reference(h, self.seg)
         assert np.array_equal(got, want)
         assert omega == expect_omega
@@ -271,14 +274,14 @@ class TestFuseSequence:
         sentence = "".join(words)
         seg = vote(sentence, [words])
         h = rng.standard_normal((len(sentence), 4))
-        got, omega = fusion.fuse_sequence(h, seg, self.table, self.bundle, self.cfg)
+        got, omega = fusion.fuse_sequence(h, seg, self.vectors(seg), self.cfg)
         want, expect_omega = self.per_word_reference(h, seg)
         assert got.tobytes() == want.tobytes()
         assert omega == expect_omega
 
     def test_omega_one_key_per_word(self, rng):
         h = rng.standard_normal((3, 4))
-        _, omega = fusion.fuse_sequence(h, self.seg, self.table, self.bundle, self.cfg)
+        _, omega = fusion.fuse_sequence(h, self.seg, self.vectors(self.seg), self.cfg)
         assert len(omega) == len(self.seg.spans)
         for key, span in zip(sorted(omega), self.seg.spans):
             assert span.start <= key <= span.end
@@ -287,12 +290,12 @@ class TestFuseSequence:
         h, seg, table = paper_shape_inputs()
         assert len(seg.spans) == 193 and any(w not in table for w in seg.words)
         bundle = lexicon.init_bundle(2022, 200, 768)
-        mixed, omega = fusion.fuse_sequence(h, seg, table, bundle, FusionConfig())
+        mixed, omega = fusion.fuse_sequence(h, seg, lexicon.project_words(table, seg.words, bundle), FusionConfig())
         digest = hashlib.sha256(mixed.tobytes() + np.array(sorted(omega), dtype=np.int64).tobytes())
         assert digest.hexdigest() == FUSED_512_SHA256
 
     def test_input_matrix_not_mutated(self, rng):
         h = rng.standard_normal((3, 4))
         snapshot = h.copy()
-        fusion.fuse_sequence(h, self.seg, self.table, self.bundle, self.cfg)
+        fusion.fuse_sequence(h, self.seg, self.vectors(self.seg), self.cfg)
         assert np.array_equal(h, snapshot)

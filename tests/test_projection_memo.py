@@ -7,6 +7,7 @@ replaced or shared.
 """
 
 import dataclasses
+import json
 import sys
 import threading
 
@@ -14,8 +15,8 @@ import numpy as np
 import pytest
 
 from test_lexicon import write_embeddings
-from wordfuse import attention, lexicon, segvote
-from wordfuse.fusion import FusionConfig, fuse_sequence
+from wordfuse import attention, lexicon, numerics, segvote
+from wordfuse.fusion import FusionConfig
 
 D_W, D_H = 3, 8
 
@@ -104,35 +105,67 @@ class TestReadOnly:
         owner *= 2.0
         assert fused(table, bundle, words) == fused(fresh(table), bundle, words) != before
 
-    def test_writeable_row_changed_in_place_gives_the_new_result(self):
-        rng = np.random.default_rng(4)
-        table = lexicon.EmbeddingTable(dim=D_W, vectors={"ab": rng.standard_normal(D_W)}, unk=np.zeros(D_W))
-        bundle = lexicon.init_bundle(2, D_W, D_H)
-        before = fused(table, bundle, ["ab"])
-        table.vectors["ab"] += 1.0
-        assert fused(table, bundle, ["ab"]) == fused(fresh(table), bundle, ["ab"]) != before
-        assert memo_rows(table) == 2  # both contents are remembered
-
-    def test_read_only_row_over_a_writeable_buffer_is_not_trusted(self):
-        buffer = bytearray(np.random.default_rng(4).standard_normal(D_W).tobytes())
-        row = np.frombuffer(buffer)
-        row.flags.writeable = False
-        table = lexicon.EmbeddingTable(dim=D_W, vectors={"ab": row}, unk=lexicon._frozen(np.zeros(D_W)))
-        bundle = lexicon.init_bundle(2, D_W, D_H)
-        before = fused(table, bundle, ["ab"])
-        buffer[:8] = np.float64(5.0).tobytes()
-        assert fused(table, bundle, ["ab"]) == fused(fresh(table), bundle, ["ab"]) != before
-        assert memo_rows(table) == 2  # both contents are remembered
-
-    def test_row_made_writeable_again_gives_the_new_result(self):
-        row = lexicon._frozen(np.random.default_rng(4).standard_normal(D_W))
-        table = lexicon.EmbeddingTable(dim=D_W, vectors={"ab": row}, unk=lexicon._frozen(np.zeros(D_W)))
+    @pytest.mark.parametrize("row", ["plain", "read-only over a bytearray", "made writeable again"])
+    def test_writeable_row_changed_in_place_gives_the_new_result(self, row):
+        values = np.random.default_rng(4).standard_normal(D_W)
+        buffer = bytearray(values.tobytes())
+        vector = np.frombuffer(buffer) if row == "read-only over a bytearray" else values
+        vector.flags.writeable = row == "plain"
+        table = lexicon.EmbeddingTable(dim=D_W, vectors={"ab": vector}, unk=np.zeros(D_W))
         bundle = lexicon.init_bundle(2, D_W, D_H)
         before = fused(table, bundle, ["ab"])
         assert memo_rows(table) == 1
-        row.flags.writeable = True  # an array that owns its data may be made writeable again
-        row += 1.0
+        if row == "read-only over a bytearray":
+            buffer[:8] = np.float64(5.0).tobytes()
+        else:
+            vector.flags.writeable = True  # an array that owns its data may be made writeable again
+            vector += 1.0
         assert fused(table, bundle, ["ab"]) == fused(fresh(table), bundle, ["ab"]) != before
+        assert memo_rows(table) == 2  # both contents are remembered
+
+    def test_no_tensor_the_package_makes_can_be_made_writeable_again(self, tmp_path, reader):
+        path = tmp_path / "w.json"
+        lexicon.save_bundle(lexicon.init_bundle(1, D_W, D_H), path)
+        numerics.write_matrix(lexicon.init_bundle(2, D_W, D_H)["W2"], tmp_path / "W2.txt")
+        with_file = tmp_path / "m.json"
+        with_file.write_text(json.dumps({**json.loads(path.read_text()), "W2": "W2.txt"}))
+        for bundle in (lexicon.init_bundle(1, D_W, D_H), lexicon.load_bundle(path), lexicon.load_bundle(with_file)):
+            for m in bundle.values():
+                with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+                    m.flags.writeable = True
+                assert writes_refused(m) and lexicon._read_only(m)
+
+
+# repeated words, two spellings of one word under NFC, and repeated out-of-vocabulary words
+WORDS = ["ab", "c", "ab", "\u00e9", "e\u0301", "zz", "q", "zz"]
+
+
+def words_table(seed: int) -> lexicon.EmbeddingTable:
+    rng = np.random.default_rng(seed)
+    vectors = {word: rng.standard_normal(D_W) for word in ("ab", "c", "\u00e9")}
+    return lexicon.EmbeddingTable(dim=D_W, vectors=vectors, unk=rng.standard_normal(D_W))
+
+
+class TestProjectWords:
+    @pytest.mark.parametrize("writeable", [False, True], ids=["read-only bundle", "writeable bundle"])
+    def test_one_read_only_vector_per_word_in_order(self, writeable):
+        table = words_table(16)
+        bundle = lexicon.init_bundle(16, D_W, D_H)
+        if writeable:
+            bundle = {name: m.copy() for name, m in bundle.items()}
+        want = [lexicon.project_rows(lexicon.lookup(table, word)[None, :], bundle)[0].tobytes() for word in WORDS]
+        for _ in range(2):  # a cold memo, then a warm one
+            got = lexicon.project_words(table, WORDS, bundle)
+            assert [v.tobytes() for v in got] == want
+            assert all(v.shape == (D_H,) and writes_refused(v) for v in got)
+
+    def test_remembered_rows_are_the_returned_vectors(self):
+        table = words_table(17)
+        got = lexicon.project_words(table, WORDS, lexicon.init_bundle(17, D_W, D_H))
+        remembered = table._projected[1]
+        assert len(remembered) == 4  # ab, c, the NFC word, and the row of every OOV word
+        for word, v in zip(WORDS, got):
+            assert np.shares_memory(remembered[lexicon.lookup(table, word).tobytes()], v)
 
 
 class TestRowBytesKey:
@@ -153,7 +186,7 @@ class TestRowBytesKey:
         assert want["i"] != want["f"]
         for words in calls:
             got = lexicon.project_words(table, words, bundle)
-            assert {word: v.tobytes() for word, v in got.items()} == {word: want[word] for word in words}
+            assert [v.tobytes() for v in got] == [want[word] for word in words]
         assert memo_rows(table) == 2
 
     def test_writeable_rows_are_served_from_the_memo(self, monkeypatch):
@@ -218,9 +251,8 @@ class TestMemoBound:
         bundle = dict(lexicon.init_bundle(9, D_W, D_H))
         bundle["W2"] = np.full((D_H, D_H), np.inf)
         bundle["W2"].flags.writeable = False
-        h = np.ones((2, D_H))
         with pytest.raises(ValueError, match="overflow in word projection"):
-            fuse_sequence(h, segvote.vote("ab", [["ab"]]), table, bundle, FusionConfig())
+            lexicon.project_words(table, ["ab"], bundle)
         assert memo_rows(table) == 0
 
 
