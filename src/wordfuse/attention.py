@@ -123,8 +123,8 @@ def pipeline_forward(
 ) -> PipelineResult:
     """The whole pipeline: ``project_words``, ``fuse_sequence``, then both attention branches.
 
-    Before any stage, ``h`` must have rows, one per character of the
-    sentence, and be finite; every bundle tensor must be present and shaped
+    Before any stage, ``h`` must be real, have rows, one per character of
+    the sentence, and be finite; every bundle tensor must be present and shaped
     for the table's width and the width of ``h``, ``W1`` and ``b1`` must be
     finite, and ``cfg`` is validated against the width of ``h``.  The stages
     check none of this again.  An overflow is a ValueError naming the first
@@ -146,6 +146,8 @@ def pipeline_forward(
     branch's error is the one raised, as when they ran in turn.  Both
     branches' temporaries are live at once, so peak memory rises a little.
     """
+    if np.iscomplexobj(h):
+        raise ValueError("hidden matrix must be real, got complex entries")
     h = as_matrix(h, "h")
     if h.shape[0] == 0:
         raise ValueError("hidden matrix has no rows")
@@ -159,7 +161,6 @@ def pipeline_forward(
     require_finite(bundle["b1"], "weight bundle: b1")
     cfg.validate(h.shape[1])
     try:
-        # the projection loads the compiled library on this thread, before a second one calls it
         mixed, omega = fuse_sequence(h, seg, project_words(table, seg.words, bundle), cfg)
         mask = MaskSpec(n=mixed.shape[0], omega=frozenset(omega))
         # leaving the pool waits for the masked branch, so a plain branch's error is raised first

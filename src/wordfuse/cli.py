@@ -156,9 +156,7 @@ def cmd_fuse(args) -> int:
 
     # the bundle parses on a second thread while this one reads the other
     # inputs (the compiled parser leaves the GIL); errors are still reported
-    # in input order, and an earlier one waits for the parse to end.  The
-    # library is loaded here, not on both threads at once
-    numerics.matmul_kernel()
+    # in input order, and an earlier one waits for the parse to end
     matrix_files = []  # the matrix files the bundle names, which are inputs too
     with ThreadPoolExecutor(1) as pool:
         weights = pool.submit(lexicon.load_bundle, settings["weights"], matrix_files)

@@ -19,6 +19,7 @@ are preserved.  Single-character words are never mixed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
@@ -38,11 +39,18 @@ class FusionConfig:
     eps_denom: ClassVar[float] = 1e-6  # score sums below this trigger uniform shares
 
     def validate(self, d_h: int) -> "FusionConfig":
-        """Refuse settings out of range, or heads that do not divide the hidden width d_h."""
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValueError(f"mu must be in [0, 1], got {self.mu}")
+        """Refuse settings of the wrong type or out of range, or heads that do not divide the hidden width d_h.
+
+        ``lam`` and ``mu`` must be real numbers and ``heads`` an integer,
+        NumPy scalars included; a ``bool`` is neither.
+        """
+        for name, value in (("lambda", self.lam), ("mu", self.mu)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        if isinstance(self.heads, bool) or not isinstance(self.heads, numbers.Integral):
+            raise ValueError(f"heads must be an integer, got {self.heads!r}")
         if self.heads < 1:
             raise ValueError(f"heads must be >= 1, got {self.heads}")
         if d_h % self.heads:

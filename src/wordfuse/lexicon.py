@@ -20,8 +20,8 @@ pipeline read the tensors from it by name, and ``check_bundle_shapes`` is the
 one check of their shapes.
 
 A table remembers the projections of at most ``d_h`` rows by their float64
-bytes, under the last read-only ``W1``, ``b1``, ``W2`` and ``b2`` it met, so
-``project_words``, the word projection, projects a row once; see there.
+bytes, under the last ``W1``, ``b1``, ``W2`` and ``b2`` it met, all made by
+``_frozen``, so ``project_words``, the word projection, projects a row once.
 
 The compiled loaders read a file in blocks (see ``numerics``): a table in
 pieces of whole lines, a bundle in pieces of each tensor's data list, read
@@ -80,24 +80,20 @@ class EmbeddingTable:
         return _nfc(word) in self.vectors
 
 
-def _read_only(m) -> bool:
-    """Whether ``m`` is an array nothing can write: neither it nor any array it views is writeable,
-    and the last of them owns its memory (a buffer of any other kind may be written through)."""
-    while isinstance(m, np.ndarray) and not m.flags.writeable:
-        if m.base is None:
-            return True
-        m = m.base
-    return False
+# every live view _frozen returned, by id: the tensors project_words may remember projections under
+_FROZEN: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
-    """A view of ``m`` that cannot be made writeable again, all it views made read-only: ``_read_only`` then
-    holds when the last of them owns its memory, as every tensor ``load_bundle`` and ``init_bundle`` make does."""
+    """A view of ``m`` that cannot be made writeable again, all it views made read-only, recorded in ``_FROZEN``:
+    every tensor ``load_bundle`` and ``init_bundle`` return is one."""
     a = m
     while isinstance(a, np.ndarray):
         a.flags.writeable = False
         a = a.base
-    return m.view()
+    view = m.view()
+    _FROZEN[id(view)] = view
+    return view
 
 
 def _logical_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
@@ -267,8 +263,15 @@ def lookup(table: EmbeddingTable, word: str) -> np.ndarray:
     """Stored vector for the word, or the table's fallback vector.
 
     Returns a writeable copy, so callers cannot corrupt the table in place.
+    A row that is not a 1-D array of ``table.dim`` integers or floats is a
+    ValueError naming the word, or ``<unk>`` for a word the table lacks.
     """
-    return table.vectors.get(_nfc(word), table.unk).copy()
+    row = table.vectors.get(_nfc(word), table.unk)
+    if not (isinstance(row, np.ndarray) and row.dtype.kind in "iuf" and row.shape == (table.dim,)):
+        got = f"{row.dtype} array of shape {row.shape}" if isinstance(row, np.ndarray) else type(row).__name__
+        raise ValueError(f"embedding of {(word if word in table else UNK_TOKEN)!r}: "
+                         f"expected {table.dim} real numbers, got {got}")
+    return row.copy()
 
 
 def project_rows(x, bundle: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -291,27 +294,27 @@ def project_words(table: EmbeddingTable, words: Sequence[str], bundle: Mapping[s
                   ) -> list[np.ndarray]:
     """The projection by ``project_rows`` of each word's ``lookup`` row: one read-only vector per word, in order.
 
-    Each distinct word's row is taken by ``lookup`` once.  The rows the
-    table's memo lacks are projected in one batched call, NumPy's overflow
-    warnings silenced; ``project_rows`` is row-independent, so each vector
-    is the same bytes as projecting its row alone, memo or not.  A
-    projection that overflows is a ValueError naming the word projection,
-    and nothing of it is remembered.
+    Each distinct word's row is taken by ``lookup`` once, which checks its
+    type and length.  The rows the table's memo lacks must be finite, else
+    a ValueError names the word (or ``<unk>``); they are projected in one
+    batched call, NumPy's overflow warnings silenced.  ``project_rows`` is
+    row-independent, so each vector is the same bytes as projecting its row
+    alone, memo or not.  A projection that overflows is a ValueError naming
+    the word projection, and nothing of it is remembered.
 
     The memo maps the float64 bytes of a row to its projection, whatever
-    word, array or dtype the row came from.  It holds only while ``W1``,
-    ``b1``, ``W2`` and ``b2`` are the objects it was made for and none of
-    them can be written (see ``_read_only``); another bundle starts a new
-    one.  It remembers at most ``d_h`` rows, views of the read-only batch that
-    projected them: ``8 * d_h * (d_h + d_w)`` bytes with their keys, plus the
-    other rows of the one call that filled it.  It is replaced whole, never
-    changed in place, so threads that share a table each read a memo of
-    their own call's bundle.  A caller's tensor changed under its read-only
-    flag, through an older writeable view or made writeable again, keeps its
-    old projections in a table that met it: replace a tensor, never change it.
+    word, array or dtype the row came from.  It is kept only when ``W1``,
+    ``b1``, ``W2`` and ``b2`` are each a live view ``_frozen`` returned, and
+    only while they are the objects it was made for: another bundle starts a
+    new one, and under a tensor the caller made nothing is remembered.  It
+    remembers at most ``d_h`` rows, views of the read-only batch that
+    projected them: ``8 * d_h * (d_h + d_w)`` bytes with their keys, plus
+    the other rows of the one call that filled it.  It is replaced whole,
+    never changed in place, so threads that share a table each read a memo
+    of their own call's bundle.
     """
     tensors = [bundle[name] for name in _PROJECTION_TENSORS]
-    keep = all(map(_read_only, tensors))
+    keep = all(_FROZEN.get(id(t)) is t for t in tensors)
     memo = table._projected
     if not keep:
         memo = None, {}
@@ -321,7 +324,11 @@ def project_words(table: EmbeddingTable, words: Sequence[str], bundle: Mapping[s
     found = {key: memo[1].get(key) for key in keys.values()}
     missing = [key for key, projection in found.items() if projection is None]
     if missing:
-        embedded = np.array([np.frombuffer(key) for key in missing]).reshape(len(missing), table.dim)
+        embedded = np.array([np.frombuffer(key) for key in missing])
+        finite = np.isfinite(embedded).all(axis=1)
+        if not finite.all():
+            word = next(word for word, key in keys.items() if key == missing[finite.argmin()])
+            raise ValueError(f"embedding of {(word if word in table else UNK_TOKEN)!r} contains non-finite entries")
         with np.errstate(over="ignore", invalid="ignore"):
             projected = require_finite_result(project_rows(embedded, bundle), "word projection")
         projected.flags.writeable = False

@@ -56,6 +56,7 @@ import math
 import os
 import re
 import stat
+import threading
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
@@ -178,10 +179,18 @@ def matmul_numpy(a, b) -> np.ndarray:
     return out
 
 
+_library_lock = threading.Lock()
+
+
 @functools.cache
-def matmul_kernel() -> _kernel.Kernel:
-    """The compiled library of this process, its matmul and number parser, built or loaded on first call."""
+def _library() -> _kernel.Kernel:
     return _kernel.load(matmul_numpy)
+
+
+def matmul_kernel() -> _kernel.Kernel:
+    """The compiled library of this process, its matmul and number parser, built or loaded once, on the first call."""
+    with _library_lock:  # so threads whose first calls meet load it once
+        return _library()
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:

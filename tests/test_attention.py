@@ -1,3 +1,4 @@
+import re
 import threading
 import warnings
 from contextlib import nullcontext
@@ -326,6 +327,29 @@ class TestPipelineForward:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^hidden matrix contains non-finite entries$"):
                 attention.pipeline_forward(h, seg, table, bundle, FusionConfig())
+
+    def test_complex_hidden_matrix_is_refused(self, rng, no_stage):
+        h, seg, table, bundle = self.make_setup(rng, d_h=8)
+        with pytest.raises(ValueError, match="^hidden matrix must be real, got complex entries$"):
+            attention.pipeline_forward(h + 1j, seg, table, bundle, FusionConfig())
+
+    @pytest.mark.parametrize("name", ["ab", "<unk>"])
+    def test_non_finite_table_row_is_named_not_blamed_on_the_projection(self, rng, name):
+        h, seg, table, bundle = self.make_setup(rng, d_h=8)
+        if name == "<unk>":
+            del table.vectors["cde"]
+            table.unk = np.array([0.0, np.nan, 0.0])
+        else:
+            table.vectors["ab"][1] = np.nan
+        with pytest.raises(ValueError, match=f"^embedding of '{name}' contains non-finite entries$"):
+            attention.pipeline_forward(h, seg, table, bundle, FusionConfig())
+
+    @pytest.mark.parametrize("row, got", [(np.zeros(2), "float64 array of shape (2,)"), ([0.0, 1.0, 2.0], "list")])
+    def test_table_row_that_is_not_dim_numbers_is_named(self, rng, row, got):
+        h, seg, table, bundle = self.make_setup(rng, d_h=8)
+        table.vectors["cde"] = row
+        with pytest.raises(ValueError, match=rf"^embedding of 'cde': expected 3 real numbers, got {re.escape(got)}$"):
+            attention.pipeline_forward(h, seg, table, bundle, FusionConfig())
 
     def test_stages_get_the_inputs_they_assume(self, rng, stage_inputs_asserted):
         # random sentences, some with hidden states large enough that the attention scores overflow

@@ -746,8 +746,8 @@ class TestCheckBundle:
 class TestFuseBundleOnThread:
     """fuse parses the weight bundle on a second thread while it reads the other inputs."""
 
-    def test_library_loads_once_before_the_thread(self, fuse_files, tmp_path, capsys, monkeypatch):
-        # the thread uses the library the main thread loaded instead of loading (or building) its own
+    def test_library_loads_once_for_both_threads(self, fuse_files, tmp_path, capsys, monkeypatch):
+        # the bundle thread and the main one load (or build) the library once between them
         loads, real = tmp_path / "loads", _kernel.load
 
         def load(reference):
@@ -756,11 +756,11 @@ class TestFuseBundleOnThread:
             return real(reference)
 
         monkeypatch.setattr(_kernel, "load", load)
-        numerics.matmul_kernel.cache_clear()
+        numerics._library.cache_clear()
         try:
             assert run_main(fuse_args(fuse_files), capsys) == (0, f"wrote {fuse_files['output']}\n")
         finally:
-            numerics.matmul_kernel.cache_clear()
+            numerics._library.cache_clear()
         assert loads.read_text(encoding="utf-8") == f"{os.getpid()}\n"
 
     def test_embeddings_error_reported_before_bundle_error(self, fuse_files, tmp_path, capsys, threaded):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,23 @@ class TestFusionConfig:
     def test_validate_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
             FusionConfig(**kwargs).validate(8)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"heads": 2.0}, "heads must be an integer, got 2.0"),
+            ({"heads": True}, "heads must be an integer, got True"),
+            ({"lam": "0.5"}, "lambda must be a real number, got '0.5'"),
+            ({"mu": False}, "mu must be a real number, got False"),
+        ],
+    )
+    def test_validate_rejects_wrong_types_by_name(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FusionConfig(**kwargs).validate(8)
+
+    def test_validate_takes_numpy_scalars(self):
+        cfg = FusionConfig(lam=np.float32(0.5), mu=np.float64(1.0), heads=np.int64(2))
+        assert cfg.validate(8) is cfg
 
     def test_heads_must_divide_hidden_width(self):
         with pytest.raises(ValueError):

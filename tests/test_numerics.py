@@ -6,6 +6,8 @@ import shutil
 import stat
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -244,6 +246,28 @@ class TestMatmulKernels:
             assert kernel.name == "C", f"cc is on PATH but the C kernel did not load: {kernel}"
             assert kernel.parse_rows is not None, f"cc is on PATH but the number parser did not load: {kernel}"
             assert kernel.format_rows is not None, f"cc is on PATH but the number printer did not load: {kernel}"
+
+    def test_threads_whose_first_calls_meet_load_the_library_once(self, monkeypatch):
+        kernel, loads, got = numerics.matmul_kernel(), [], []
+        meet = threading.Barrier(2)
+
+        def load(reference):
+            loads.append(reference)
+            time.sleep(0.2)  # the other thread's first call arrives meanwhile
+            return kernel
+
+        def first_call():
+            meet.wait()
+            got.append(numerics.matmul_kernel())
+
+        monkeypatch.setattr(_kernel, "load", load)
+        numerics._library.cache_clear()
+        threads = [threading.Thread(target=first_call) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert len(loads) == 1 and got == [kernel, kernel]
 
     def test_known_operands_cover_tiles_widths_and_edge_values(self):
         a, b = _kernel.known_operands()

@@ -1,15 +1,17 @@
-"""The projection memo of an ``EmbeddingTable``: read-only tensors, row-bytes keys, a bounded size, threads.
+"""The projection memo of an ``EmbeddingTable``: frozen tensors, row-bytes keys, a bounded size, threads.
 
 A table remembers the projections of rows, keyed by their float64 bytes,
-under one read-only ``W1``, ``b1``, ``W2`` and ``b2``.  Every result must
-equal, byte for byte, the result of a fresh table, whatever was changed,
-replaced or shared.
+under one ``W1``, ``b1``, ``W2`` and ``b2`` that the package froze.  Every
+result must equal, byte for byte, the result of a fresh table, whatever was
+changed, replaced or shared.
 """
 
 import dataclasses
+import gc
 import json
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -47,6 +49,11 @@ def loaded_table(tmp_path, words, seed=0, unk=True) -> lexicon.EmbeddingTable:
     return lexicon.load_embeddings(path)
 
 
+def frozen_by_the_package(m: np.ndarray) -> bool:
+    """Whether ``m`` is a live view ``lexicon._frozen`` returned: the one test of a tensor the memo trusts."""
+    return lexicon._FROZEN.get(id(m)) is m
+
+
 def writes_refused(m: np.ndarray) -> bool:
     with pytest.raises(ValueError, match="read-only"):
         m[(0,) * m.ndim] = 1.0
@@ -66,10 +73,10 @@ class TestReadOnly:
         path = tmp_path / "w.json"
         lexicon.save_bundle(lexicon.init_bundle(1, D_W, D_H), path)
         bundle = lexicon.load_bundle(path)
-        assert all(writes_refused(m) and lexicon._read_only(m) for m in bundle.values())
+        assert all(writes_refused(m) and frozen_by_the_package(m) for m in bundle.values())
 
     def test_initialised_bundle_is_read_only(self):
-        assert all(writes_refused(m) and lexicon._read_only(m) for m in lexicon.init_bundle(1, D_W, D_H).values())
+        assert all(writes_refused(m) and frozen_by_the_package(m) for m in lexicon.init_bundle(1, D_W, D_H).values())
 
     @pytest.mark.parametrize("unk", [True, False])
     @pytest.mark.parametrize("keep", [None, ["ab"]])
@@ -93,6 +100,37 @@ class TestReadOnly:
         for name in ("W1", "b1", "W2", "b2"):
             bundle[name] += 0.25  # in place: the same objects
             assert fused(table, bundle, words) == fused(fresh(table), bundle, words) != before
+
+    @pytest.mark.parametrize("change", ["through an older writeable view", "made writeable again"])
+    def test_read_only_tensor_of_the_caller_changed_gives_the_new_result(self, tmp_path, change):
+        table = loaded_table(tmp_path, ["ab", "c"])
+        bundle = {name: m.copy() for name, m in lexicon.init_bundle(2, D_W, D_H).items()}
+        older = bundle["W2"].view()  # still writeable once W2 is not
+        for m in bundle.values():
+            m.flags.writeable = False
+        words = ["ab", "c"]
+        before = fused(table, bundle, words)
+        if change == "through an older writeable view":
+            older *= 2.0
+        else:
+            bundle["W2"].flags.writeable = True  # an array that owns its data may be made writeable again
+            bundle["W2"] *= 2.0
+            bundle["W2"].flags.writeable = False
+        assert fused(table, bundle, words) == fused(fresh(table), bundle, words) != before
+
+    def test_nothing_is_remembered_under_a_read_only_bundle_of_the_caller(self, tmp_path):
+        table = loaded_table(tmp_path, ["ab", "c"])
+        bundle = {name: m.copy() for name, m in lexicon.init_bundle(2, D_W, D_H).items()}
+        for m in bundle.values():
+            m.flags.writeable = False
+        for _ in range(2):
+            fused(table, bundle, ["ab", "c"])
+        assert memo_rows(table) == 0
+
+    def test_the_package_keeps_no_tensor_it_froze_alive(self):
+        w2 = weakref.ref(lexicon.init_bundle(1, D_W, D_H)["W2"])
+        gc.collect()
+        assert w2() is None
 
     def test_read_only_view_of_a_writeable_array_is_not_trusted(self, tmp_path):
         table = loaded_table(tmp_path, ["ab", "c"])
@@ -133,7 +171,7 @@ class TestReadOnly:
             for m in bundle.values():
                 with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
                     m.flags.writeable = True
-                assert writes_refused(m) and lexicon._read_only(m)
+                assert writes_refused(m) and frozen_by_the_package(m)
 
 
 # repeated words, two spellings of one word under NFC, and repeated out-of-vocabulary words
@@ -232,8 +270,7 @@ class TestMemoBound:
         bundle = lexicon.init_bundle(7, D_W, D_H)
         words = ["ab", "c", "zz"]
         before = fused(table, bundle, words)
-        other = {**bundle, name: lexicon.init_bundle(8, D_W, D_H)[name] + 0.5}
-        other[name].flags.writeable = False
+        other = {**bundle, name: lexicon._frozen(lexicon.init_bundle(8, D_W, D_H)[name] + 0.5)}
         assert fused(table, other, words) == fused(fresh(table), other, words) != before
         assert fused(table, bundle, words) == before
 
@@ -249,8 +286,7 @@ class TestMemoBound:
     def test_overflowing_projection_is_named_and_not_remembered(self, tmp_path):
         table = loaded_table(tmp_path, ["ab"])
         bundle = dict(lexicon.init_bundle(9, D_W, D_H))
-        bundle["W2"] = np.full((D_H, D_H), np.inf)
-        bundle["W2"].flags.writeable = False
+        bundle["W2"] = lexicon._frozen(np.full((D_H, D_H), np.inf))
         with pytest.raises(ValueError, match="overflow in word projection"):
             lexicon.project_words(table, ["ab"], bundle)
         assert memo_rows(table) == 0
